@@ -2,7 +2,7 @@
 
 Stages talk to each other only through files, so externally produced
 forecasts can be dropped in at the `score` boundary. Every subcommand is
-deterministic given its inputs (and seed); `--jobs` never changes output.
+deterministic given its inputs (and seed).
 
 Exit codes: 0 success, 2 validation error, 3 I/O error, 4 numeric failure.
 Errors print a single machine-parsable line: ``error[<category>]: <text>``.
@@ -11,10 +11,10 @@ Errors print a single machine-parsable line: ``error[<category>]: <text>``.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -73,82 +73,6 @@ def _resolve_seed(flag_seed: int | None, config_seed: int | None) -> int:
     return 42
 
 
-def _synth_config_from_json(data: dict) -> synth_mod.SynthConfig:
-    variables = []
-    for raw in data.get("variables", []):
-        kind = raw.get("kind")
-        if kind == "sine":
-            variables.append(
-                synth_mod.SineBase(
-                    amplitude=float(raw["amplitude"]),
-                    period=float(raw["period"]),
-                    phase=float(raw.get("phase", 0.0)),
-                )
-            )
-        elif kind == "ar1":
-            variables.append(
-                synth_mod.Ar1Base(coef=float(raw["coef"]), noise_std=float(raw["noise_std"]))
-            )
-        else:
-            raise ValidationError(f"unknown variable kind {kind!r} in synth config")
-    anomalies = tuple(
-        synth_mod.AnomalySpec(
-            start=int(a["start"]),
-            length=int(a["length"]),
-            kind=a["kind"],
-            magnitude=float(a["magnitude"]),
-        )
-        for a in data.get("anomalies", [])
-    )
-    precursor = None
-    if data.get("precursor") is not None:
-        p = data["precursor"]
-        precursor = synth_mod.PrecursorSpec(
-            lead=int(p.get("lead", 20)),
-            length=int(p.get("length", p.get("lead", 20))),
-            drift_magnitude=float(p.get("drift_magnitude", 1.0)),
-            noise_inflation=float(p.get("noise_inflation", 2.0)),
-        )
-    return synth_mod.SynthConfig(
-        length=int(data["length"]),
-        variables=tuple(variables),
-        anomalies=anomalies,
-        precursor=precursor,
-        obs_noise_std=float(data.get("obs_noise_std", 0.05)),
-        seed=int(data.get("seed", 42)),
-    )
-
-
-def _synth_config_to_dict(cfg: synth_mod.SynthConfig) -> dict:
-    variables = []
-    for base in cfg.variables:
-        if isinstance(base, synth_mod.SineBase):
-            variables.append(
-                {"kind": "sine", "amplitude": base.amplitude, "period": base.period,
-                 "phase": base.phase}
-            )
-        else:
-            variables.append({"kind": "ar1", "coef": base.coef, "noise_std": base.noise_std})
-    out = {
-        "length": cfg.length,
-        "variables": variables,
-        "anomalies": [
-            {"start": a.start, "length": a.length, "kind": a.kind, "magnitude": a.magnitude}
-            for a in cfg.anomalies
-        ],
-        "obs_noise_std": cfg.obs_noise_std,
-        "seed": cfg.seed,
-    }
-    if cfg.precursor is not None:
-        out["precursor"] = {
-            "lead": cfg.precursor.lead,
-            "length": cfg.precursor.length,
-            "drift_magnitude": cfg.precursor.drift_magnitude,
-            "noise_inflation": cfg.precursor.noise_inflation,
-        }
-    return out
-
-
 @cli.command()
 @click.argument("out_dir", type=click.Path(file_okay=False))
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
@@ -162,13 +86,8 @@ def synth(out_dir, config_path, seed):
         cfg = synth_mod.default_config()
     else:
         with open(config_path) as fh:
-            cfg = _synth_config_from_json(json.load(fh))
-    resolved = _resolve_seed(seed, cfg.seed)
-    if resolved != cfg.seed:
-        cfg = synth_mod.SynthConfig(
-            length=cfg.length, variables=cfg.variables, anomalies=cfg.anomalies,
-            precursor=cfg.precursor, obs_noise_std=cfg.obs_noise_std, seed=resolved,
-        )
+            cfg = synth_mod.config_from_dict(json.load(fh))
+    cfg = dataclasses.replace(cfg, seed=_resolve_seed(seed, cfg.seed))
     train, test, labels, truth = synth_mod.generate(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -178,7 +97,7 @@ def synth(out_dir, config_path, seed):
     pio.write_segments_csv(out / "precursor_truth.csv", truth)
     files = ["train.csv", "test.csv", "labels.csv", "precursor_truth.csv"]
     pio.write_manifest(
-        out / "manifest.json", _synth_config_to_dict(cfg), cfg.seed,
+        out / "manifest.json", synth_mod.config_to_dict(cfg), cfg.seed,
         [out / f for f in files],
     )
     click.echo(f"synth: wrote {', '.join(files)} to {out}")
@@ -227,11 +146,9 @@ def _parse_members(text: str) -> list[fc.ForecasterSpec]:
 @click.option("--standardize/--no-standardize", default=False, show_default=True,
               help="Per-variable z-scaling (statistics fit on TRAIN) before "
                    "fitting; forecasts are emitted in the scaled space.")
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Worker threads for per-member prediction.")
 @handle_errors
 def forecast(train_path, valid_path, out_dir, test_path, members, top_k, criterion,
-             input_len, horizon, stride, standardize, jobs):
+             input_len, horizon, stride, standardize):
     """Fit members on TRAIN, rank them on VALID, emit top-K ensemble forecasts."""
     train = pio.read_series_csv(train_path)
     valid = pio.read_series_csv(valid_path)
@@ -252,15 +169,7 @@ def forecast(train_path, valid_path, out_dir, test_path, members, top_k, criteri
     valid_windows = fc.make_windows(valid, cfg, with_targets=True)
     targets = np.stack([w.target for w in valid_windows])
     inputs = np.stack([w.input for w in valid_windows])
-
-    def run_member(model):
-        return model.member_id, fc.predict_batch(model, inputs, horizon)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            member_preds = dict(pool.map(run_member, fitted))
-    else:
-        member_preds = dict(run_member(m) for m in fitted)
+    member_preds = {m.member_id: fc.predict_batch(m, inputs, horizon) for m in fitted}
     scores = fc.evaluate_members(member_preds, targets)
     selected = set(fc.select_top_k(scores, top_k, criterion))
 
@@ -323,16 +232,10 @@ def score(forecasts_path, valid_forecasts_path, out_path, length, agg, collate,
         test_ens, valid_ens, series_len=length, agg=agg, collate=collate,
         eps_sigma=eps_sigma, normalize_scores=do_normalize,
     )
+    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     pio.write_scores(out_path, timeline)
     n = int(timeline.defined.sum())
     click.echo(f"score: {n}/{len(timeline)} timestamps scored -> {out_path}")
-
-
-def _metric_params(theta, alpha, beta, gamma, delta, epsilon, k, tapr_alpha=0.5):
-    return mx.MetricParams(
-        theta=theta, alpha=alpha, beta=beta, gamma=gamma,
-        delta=delta, epsilon=epsilon, k=k, tapr_alpha=tapr_alpha,
-    )
 
 
 def _metric_options(func):
@@ -365,7 +268,10 @@ def _parse_detect_metric(metric: str, labels, delta, alpha, beta, gamma, epsilon
             theta = float(metric.split("@", 1)[1])
         except ValueError:
             raise ValidationError(f"bad theta in metric {metric!r}") from None
-        params = _metric_params(theta, alpha, beta, gamma, delta, epsilon, k)
+        params = mx.MetricParams(
+            theta=theta, alpha=alpha, beta=beta, gamma=gamma, delta=delta,
+            epsilon=epsilon, k=k,
+        )
 
         def evaluate(det):
             seg = detect_mod.split_precursor_prediction(det, anomalies, delta)
@@ -433,6 +339,7 @@ def detect_cmd(scores_path, labels_path, out_path, grid_n, metric,
         "searched_on": search_scores_path or str(scores_path),
         "all_undefined": result.all_undefined,
     }
+    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     pio.write_detection(out_path, detection, meta)
     if result.all_undefined:
         click.echo("detect: warning: every candidate threshold left F1 undefined")
@@ -445,13 +352,7 @@ def detect_cmd(scores_path, labels_path, out_path, grid_n, metric,
 def _evaluation_payload(detection, labels, params, metrics_wanted, theta_grid_n):
     anomalies = core.segments_from_flags(labels.flags)
     segments = detect_mod.split_precursor_prediction(detection, anomalies, params.delta)
-    payload: dict = {
-        "params": {
-            "theta": params.theta, "alpha": params.alpha, "beta": params.beta,
-            "gamma": params.gamma, "delta": params.delta, "epsilon": params.epsilon,
-            "k": params.k, "tapr_alpha": params.tapr_alpha,
-        }
-    }
+    payload: dict = {"params": dataclasses.asdict(params)}
     thetas = np.linspace(0.0, 1.0, theta_grid_n)
     if "ptapr" in metrics_wanted:
         report = mx.ptapr_report(segments, params)
@@ -488,15 +389,10 @@ def _evaluation_payload(detection, labels, params, metrics_wanted, theta_grid_n)
             },
         }
     if "tapr" in metrics_wanted:
-        curve = []
-        for theta in thetas:
-            p = mx.MetricParams(
-                theta=float(theta), alpha=params.alpha, beta=params.beta,
-                gamma=params.gamma, delta=params.delta, epsilon=params.epsilon,
-                k=params.k, tapr_alpha=params.tapr_alpha,
-            )
-            curve.append(mx.tapr(segments, p).f1)
-        curve = np.asarray(curve)
+        curve = np.asarray([
+            mx.tapr(segments, dataclasses.replace(params, theta=float(theta))).f1
+            for theta in thetas
+        ])
         at_theta = mx.tapr(segments, params)
         payload["tapr"] = {
             "f1_0": float(curve[0]),
@@ -544,7 +440,10 @@ def evaluate(detection_path, labels_path, out_dir, metrics, theta, theta_grid,
     unknown = wanted - {"ptapr", "tapr", "pak"}
     if unknown:
         raise ValidationError(f"unknown metrics: {sorted(unknown)}")
-    params = _metric_params(theta, alpha, beta, gamma, delta, epsilon, k, tapr_alpha)
+    params = mx.MetricParams(
+        theta=theta, alpha=alpha, beta=beta, gamma=gamma, delta=delta,
+        epsilon=epsilon, k=k, tapr_alpha=tapr_alpha,
+    )
     payload = _evaluation_payload(detection, labels, params, wanted, theta_grid)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -576,10 +475,9 @@ def evaluate(detection_path, labels_path, out_dir, metrics, theta, theta_grid,
 @click.option("--param", type=click.Choice(["k", "epsilon"]), required=True)
 @click.option("--values", required=True, help="Comma-separated parameter values.")
 @click.option("--theta-grid", type=int, default=101, show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
 @_metric_options
 @handle_errors
-def sweep(detection_path, labels_path, out_path, param, values, theta_grid, jobs,
+def sweep(detection_path, labels_path, out_path, param, values, theta_grid,
           alpha, beta, gamma, delta, epsilon, k, tapr_alpha):
     """Sensitivity sweep of the early-reward parameters (k or epsilon)."""
     detection = pio.read_detection(detection_path)
@@ -593,23 +491,17 @@ def sweep(detection_path, labels_path, out_path, param, values, theta_grid, jobs
     if not parsed:
         raise ValidationError("no sweep values given")
     thetas = np.linspace(0.0, 1.0, theta_grid)
-
-    def run_value(value):
-        kwargs = dict(alpha=alpha, beta=beta, gamma=gamma, delta=delta,
-                      epsilon=epsilon, k=k, tapr_alpha=tapr_alpha, theta=0.0)
-        if param == "k":
-            kwargs["k"] = value
-        else:
-            kwargs["epsilon"] = int(value)
-        params = mx.MetricParams(**kwargs)
+    base = mx.MetricParams(
+        alpha=alpha, beta=beta, gamma=gamma, delta=delta, epsilon=epsilon, k=k,
+        tapr_alpha=tapr_alpha,
+    )
+    cast = float if param == "k" else int
+    rows = []
+    for value in parsed:
+        params = dataclasses.replace(base, **{param: cast(value)})
         s = mx.ptapr_theta_sweep(segments, params, thetas)
-        return value, s.f1_at_0, s.f1_at_1, s.auc
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run_value, parsed))
-    else:
-        rows = [run_value(v) for v in parsed]
+        rows.append((value, s.f1_at_0, s.f1_at_1, s.auc))
+    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow((param, "f1_0", "f1_1", "auc"))

@@ -91,24 +91,22 @@ class ForecasterSpec:
             elif value is not None:
                 raise ValidationError(f"{self.kind} does not take {name}")
 
-    @property
-    def member_id(self) -> str:
+    def _parts(self) -> list[str]:
         parts = [self.kind]
         for name in ("period", "width", "order", "alpha", "beta"):
             value = getattr(self, name)
             if value is not None:
                 parts.append(f"{value:g}" if isinstance(value, float) else str(value))
-        return "_".join(parts)
+        return parts
+
+    @property
+    def member_id(self) -> str:
+        return "_".join(self._parts())
 
     @property
     def spec_string(self) -> str:
         """Colon-separated form accepted by :meth:`parse`."""
-        parts = [self.kind]
-        for name in ("period", "width", "order", "alpha", "beta"):
-            value = getattr(self, name)
-            if value is not None:
-                parts.append(f"{value:g}" if isinstance(value, float) else str(value))
-        return ":".join(parts)
+        return ":".join(self._parts())
 
     @classmethod
     def parse(cls, text: str) -> "ForecasterSpec":
@@ -148,11 +146,14 @@ def default_member_specs() -> list[ForecasterSpec]:
 @dataclass(frozen=True)
 class FittedForecaster:
     spec: ForecasterSpec
-    member_id: str
     n_variables: int
     # ar_ols only: (order+1) x c, row 0 = intercept, row j = coefficient of lag j
     coefficients: np.ndarray | None = None
     fit_report: tuple[str, ...] = field(default=())
+
+    @property
+    def member_id(self) -> str:
+        return self.spec.member_id
 
 
 @dataclass(frozen=True)
@@ -261,7 +262,6 @@ def fit(spec: ForecasterSpec, train: TimeSeries) -> FittedForecaster:
             coefficients[:, v] = coef
     return FittedForecaster(
         spec=spec,
-        member_id=spec.member_id,
         n_variables=c,
         coefficients=coefficients,
         fit_report=tuple(report),

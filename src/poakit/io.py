@@ -304,54 +304,6 @@ def write_json(path, data: dict) -> None:
         fh.write("\n")
 
 
-def write_report(path, report, sweep=None) -> None:
-    """Structured JSON for one metric report, optionally with its theta sweep.
-
-    Contains the params, the component scores on both sides, per-segment
-    diagnostics, and (when a sweep is given) F1_0 / F1_1 / AUC plus the full
-    theta curve.
-    """
-    p = report.params
-    data = {
-        "params": {
-            "theta": p.theta, "alpha": p.alpha, "beta": p.beta, "gamma": p.gamma,
-            "delta": p.delta, "epsilon": p.epsilon, "k": p.k,
-            "tapr_alpha": p.tapr_alpha,
-        },
-        "ptar": report.ptar,
-        "ptap": report.ptap,
-        "f1": report.f1,
-        "components": {
-            "recall": {
-                "detection": report.recall.detection,
-                "portion": report.recall.portion,
-                "early": report.recall.early,
-            },
-            "precision": {
-                "detection": report.precision.detection,
-                "portion": report.precision.portion,
-                "early": report.precision.early,
-                "no_predictions": report.precision.undefined,
-            },
-        },
-        "diagnostics": {
-            "anomaly_coverage": list(report.anomaly_coverage),
-            "anomaly_reward": list(report.anomaly_reward),
-            "prediction_coverage": list(report.prediction_coverage),
-            "prediction_reward": list(report.prediction_reward),
-        },
-    }
-    if sweep is not None:
-        data["f1_0"] = sweep.f1_at_0
-        data["f1_1"] = sweep.f1_at_1
-        data["auc"] = sweep.auc
-        data["curve"] = {
-            "theta": sweep.thetas, "ptar": sweep.ptar, "ptap": sweep.ptap,
-            "f1": sweep.f1,
-        }
-    write_json(path, data)
-
-
 def write_theta_curve_csv(path, thetas, ptar, ptap, f1) -> None:
     """Flat (theta, PTaR, PTaP, F1) table for plotting."""
     with open(path, "w", newline="") as fh:

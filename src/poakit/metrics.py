@@ -41,8 +41,6 @@ class MetricParams:
     delta: ambiguous-window length used when building segment sets.
     epsilon: optimal lead time of the early reward; k: its decay sharpness.
     tapr_alpha: detection-vs-coverage weight of the TaPR baseline.
-    early_point: which precursor instant earns the reward, its "earliest"
-        point (first alert) or the "max_reward" point.
     """
 
     theta: float = 0.0
@@ -53,7 +51,6 @@ class MetricParams:
     epsilon: int = 7
     k: float = 0.001
     tapr_alpha: float = 0.5
-    early_point: str = "earliest"
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
@@ -72,8 +69,6 @@ class MetricParams:
             raise ValidationError("k must be > 0")
         if not 0.0 <= self.tapr_alpha <= 1.0:
             raise ValidationError("tapr_alpha must be in [0, 1]")
-        if self.early_point not in ("earliest", "max_reward"):
-            raise ValidationError("early_point must be 'earliest' or 'max_reward'")
 
 
 @dataclass(frozen=True)
@@ -233,9 +228,7 @@ def _diagnostics(segments: SegmentSet, params: MetricParams) -> _Diagnostics:
     for ai, (a, a_prime) in enumerate(zip(anomalies, segments.ambiguous)):
         for pi, (p, p_prime) in enumerate(zip(predictions, segments.precursors)):
             overlap[ai, pi] = overlap_score(a, p, p_prime, a_prime, segments.delta)
-            reward[ai, pi] = early_reward(
-                a, p_prime, params.epsilon, params.k, params.early_point
-            )
+            reward[ai, pi] = early_reward(a, p_prime, params.epsilon, params.k)
     paired = overlap > 0.0
     reward = np.where(paired, reward, 0.0)
     a_len = np.array([a.length for a in anomalies], dtype=float)
@@ -249,8 +242,6 @@ def _diagnostics(segments: SegmentSet, params: MetricParams) -> _Diagnostics:
 
 
 def _detected_fraction(coverage: np.ndarray, theta: float) -> float:
-    if coverage.size == 0:
-        return 0.0
     return float(np.mean((coverage >= theta) & (coverage > 0.0)))
 
 
@@ -261,14 +252,23 @@ def weighted_component_score(
     return params.alpha * detection + params.beta * portion + params.gamma * early
 
 
-def ptar(segments: SegmentSet, params: MetricParams) -> ComponentScore:
-    """Precursor-aware recall: detection rate, coverage, early reward per anomaly."""
+def _require_anomalies(segments: SegmentSet) -> None:
     if not segments.anomalies:
         raise ValidationError("no ground-truth segments: recall is undefined")
-    diag = _diagnostics(segments, params)
-    detection = _detected_fraction(diag.anomaly_coverage, params.theta)
-    portion = float(np.mean(np.minimum(1.0, diag.anomaly_coverage)))
-    early = float(np.mean(diag.anomaly_reward))
+
+
+def _side_score(
+    coverage: np.ndarray, reward: np.ndarray, theta: float, params: MetricParams
+) -> ComponentScore:
+    """One side's components from its per-segment coverage and reward.
+
+    A side with no segments (no predictions) scores 0 and is marked undefined.
+    """
+    if coverage.size == 0:
+        return ComponentScore(0.0, 0.0, 0.0, 0.0, undefined=True)
+    detection = _detected_fraction(coverage, theta)
+    portion = float(np.mean(np.minimum(1.0, coverage)))
+    early = float(np.mean(reward))
     return ComponentScore(
         score=weighted_component_score(detection, portion, early, params),
         detection=detection,
@@ -277,19 +277,18 @@ def ptar(segments: SegmentSet, params: MetricParams) -> ComponentScore:
     )
 
 
+def ptar(segments: SegmentSet, params: MetricParams) -> ComponentScore:
+    """Precursor-aware recall: detection rate, coverage, early reward per anomaly."""
+    _require_anomalies(segments)
+    diag = _diagnostics(segments, params)
+    return _side_score(diag.anomaly_coverage, diag.anomaly_reward, params.theta, params)
+
+
 def ptap(segments: SegmentSet, params: MetricParams) -> ComponentScore:
     """Precursor-aware precision, per prediction; 0 (marked) with no predictions."""
-    if not segments.predictions:
-        return ComponentScore(0.0, 0.0, 0.0, 0.0, undefined=True)
     diag = _diagnostics(segments, params)
-    detection = _detected_fraction(diag.prediction_coverage, params.theta)
-    portion = float(np.mean(np.minimum(1.0, diag.prediction_coverage)))
-    early = float(np.mean(diag.prediction_reward))
-    return ComponentScore(
-        score=weighted_component_score(detection, portion, early, params),
-        detection=detection,
-        portion=portion,
-        early=early,
+    return _side_score(
+        diag.prediction_coverage, diag.prediction_reward, params.theta, params
     )
 
 
@@ -305,9 +304,12 @@ def ptapr_f1(ptar_value: float, ptap_value: float) -> float:
 
 def ptapr_report(segments: SegmentSet, params: MetricParams) -> MetricReport:
     """Recall, precision and F1 at ``params.theta`` plus per-segment diagnostics."""
+    _require_anomalies(segments)
     diag = _diagnostics(segments, params)
-    recall = ptar(segments, params)
-    precision = ptap(segments, params)
+    recall = _side_score(diag.anomaly_coverage, diag.anomaly_reward, params.theta, params)
+    precision = _side_score(
+        diag.prediction_coverage, diag.prediction_reward, params.theta, params
+    )
     return MetricReport(
         ptar=recall.score,
         ptap=precision.score,
@@ -324,8 +326,9 @@ def ptapr_report(segments: SegmentSet, params: MetricParams) -> MetricReport:
 
 def early_prf(segments: SegmentSet, params: MetricParams) -> tuple[float, float, float]:
     """The early-warning components alone: (precision_e, recall_e, their F1)."""
-    recall_e = ptar(segments, params).early
-    precision_e = ptap(segments, params).early
+    report = ptapr_report(segments, params)
+    recall_e = report.recall.early
+    precision_e = report.precision.early
     if precision_e + recall_e == 0.0:
         return precision_e, recall_e, 0.0
     return precision_e, recall_e, 2 * precision_e * recall_e / (precision_e + recall_e)
@@ -365,27 +368,14 @@ def ptapr_theta_sweep(
     if thetas[-1] != 1.0:
         thetas = np.concatenate([thetas, [1.0]])
 
-    if not segments.anomalies:
-        raise ValidationError("no ground-truth segments: recall is undefined")
+    _require_anomalies(segments)
     diag = _diagnostics(segments, params)
-    portion_r = float(np.mean(np.minimum(1.0, diag.anomaly_coverage)))
-    early_r = float(np.mean(diag.anomaly_reward))
-    has_predictions = bool(segments.predictions)
-    if has_predictions:
-        portion_p = float(np.mean(np.minimum(1.0, diag.prediction_coverage)))
-        early_p = float(np.mean(diag.prediction_reward))
-
     ptar_curve = np.empty_like(thetas)
     ptap_curve = np.empty_like(thetas)
     f1_curve = np.empty_like(thetas)
     for idx, theta in enumerate(thetas):
-        d_r = _detected_fraction(diag.anomaly_coverage, theta)
-        r = weighted_component_score(d_r, portion_r, early_r, params)
-        if has_predictions:
-            d_p = _detected_fraction(diag.prediction_coverage, theta)
-            p = weighted_component_score(d_p, portion_p, early_p, params)
-        else:
-            p = 0.0
+        r = _side_score(diag.anomaly_coverage, diag.anomaly_reward, theta, params).score
+        p = _side_score(diag.prediction_coverage, diag.prediction_reward, theta, params).score
         ptar_curve[idx] = r
         ptap_curve[idx] = p
         f1_curve[idx] = ptapr_f1(r, p)
@@ -424,8 +414,7 @@ def tapr(segments: SegmentSet, params: MetricParams) -> TaprResult:
     back in) and the overlap credit is |a n p| + S(a', p). Detection and
     coverage components are weighted by tapr_alpha / (1 - tapr_alpha).
     """
-    if not segments.anomalies:
-        raise ValidationError("no ground-truth segments: recall is undefined")
+    _require_anomalies(segments)
     merged = merge_precursors_into_predictions(segments)
     anomalies = merged.anomalies
     predictions = merged.predictions

@@ -134,6 +134,82 @@ class SynthConfig:
         ]
 
 
+def config_from_dict(data: dict) -> SynthConfig:
+    """Build a config from its JSON form (the schema `config_to_dict` writes)."""
+    variables = []
+    for raw in data.get("variables", []):
+        kind = raw.get("kind")
+        if kind == "sine":
+            variables.append(
+                SineBase(
+                    amplitude=float(raw["amplitude"]),
+                    period=float(raw["period"]),
+                    phase=float(raw.get("phase", 0.0)),
+                )
+            )
+        elif kind == "ar1":
+            variables.append(Ar1Base(coef=float(raw["coef"]), noise_std=float(raw["noise_std"])))
+        else:
+            raise ValidationError(f"unknown variable kind {kind!r} in synth config")
+    anomalies = tuple(
+        AnomalySpec(
+            start=int(a["start"]),
+            length=int(a["length"]),
+            kind=a["kind"],
+            magnitude=float(a["magnitude"]),
+        )
+        for a in data.get("anomalies", [])
+    )
+    precursor = None
+    if data.get("precursor") is not None:
+        p = data["precursor"]
+        precursor = PrecursorSpec(
+            lead=int(p.get("lead", 20)),
+            length=int(p.get("length", p.get("lead", 20))),
+            drift_magnitude=float(p.get("drift_magnitude", 1.0)),
+            noise_inflation=float(p.get("noise_inflation", 2.0)),
+        )
+    return SynthConfig(
+        length=int(data["length"]),
+        variables=tuple(variables),
+        anomalies=anomalies,
+        precursor=precursor,
+        obs_noise_std=float(data.get("obs_noise_std", 0.05)),
+        seed=int(data.get("seed", 42)),
+    )
+
+
+def config_to_dict(cfg: SynthConfig) -> dict:
+    """JSON form of a config, as recorded in the synth manifest."""
+    variables = []
+    for base in cfg.variables:
+        if isinstance(base, SineBase):
+            variables.append(
+                {"kind": "sine", "amplitude": base.amplitude, "period": base.period,
+                 "phase": base.phase}
+            )
+        else:
+            variables.append({"kind": "ar1", "coef": base.coef, "noise_std": base.noise_std})
+    out = {
+        "length": cfg.length,
+        "variables": variables,
+        "anomalies": [
+            {"start": a.start, "length": a.length, "kind": a.kind, "magnitude": a.magnitude}
+            for a in cfg.anomalies
+        ],
+        "obs_noise_std": cfg.obs_noise_std,
+        "seed": cfg.seed,
+    }
+    if cfg.precursor is not None:
+        out["precursor"] = {
+            "lead": cfg.precursor.lead,
+            "length": cfg.precursor.length,
+            "drift_magnitude": cfg.precursor.drift_magnitude,
+            "noise_inflation": cfg.precursor.noise_inflation,
+        }
+    return out
+
+
 def default_config(seed: int = 42) -> SynthConfig:
     """Desk-scale benchmark: 5000 steps, 3 variables, 6 anomalies with
     20-step precursors (noise inflation 2x)."""

@@ -1,5 +1,7 @@
 import json
+import shlex
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,21 @@ SYNTH_CFG = {
 }
 
 MEMBERS = "persistence,moving_average:5,ar_ols:2,exp_smoothing:0.5"
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_walkthrough() -> list[list[str]]:
+    """The README walkthrough's commands: continuations joined, comments dropped."""
+    section = README.read_text().split("## Pipeline walkthrough", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        for part in line.split("&&"):
+            args = shlex.split(part, comments=True)
+            if args:
+                commands.append(args)
+    return commands
 
 
 @pytest.fixture(scope="module")
@@ -96,9 +113,18 @@ class TestPipeline:
         anomalies = core.segments_from_flags(labels.flags)
         segments = detect_mod.split_precursor_prediction(detection, anomalies, 8)
         sweep = mx.ptapr_theta_sweep(segments, params, np.linspace(0, 1, 101))
-        assert payload["ptapr"]["f1_0"] == pytest.approx(sweep.f1_at_0, abs=1e-8)
-        assert payload["ptapr"]["f1_1"] == pytest.approx(sweep.f1_at_1, abs=1e-8)
-        assert payload["ptapr"]["auc"] == pytest.approx(sweep.auc, abs=1e-8)
+        report = mx.ptapr_report(segments, params)
+        ptapr = payload["ptapr"]
+        assert payload["params"]["delta"] == 8
+        assert ptapr["f1_0"] == pytest.approx(sweep.f1_at_0, abs=1e-8)
+        assert ptapr["f1_1"] == pytest.approx(sweep.f1_at_1, abs=1e-8)
+        assert ptapr["auc"] == pytest.approx(sweep.auc, abs=1e-8)
+        assert ptapr["at_theta"]["f1"] == pytest.approx(report.f1, abs=1e-8)
+        assert ptapr["at_theta"]["recall_components"]["detection"] == pytest.approx(
+            report.recall.detection, abs=1e-8
+        )
+        assert len(ptapr["curve"]["theta"]) == len(sweep.thetas)
+        assert len(ptapr["diagnostics"]["anomaly_coverage"]) == len(segments.anomalies)
         suite = mx.pa_k_suite(detection.flags, labels.flags)
         assert payload["pak"]["f1_pa"] == pytest.approx(suite.f1_pa, abs=1e-8)
 
@@ -130,6 +156,47 @@ class TestPipeline:
         assert lines[0] == "k,f1_0,f1_1,auc"
         assert len(lines) == 4
 
+    def test_file_outputs_create_parent_dir(self, pipeline, tmp_path):
+        runner = CliRunner()
+        labels = str(pipeline / "data/labels.csv")
+        steps = [
+            ["score", str(pipeline / "fc/test_forecasts.csv"),
+             str(pipeline / "fc/valid_forecasts.csv"), str(tmp_path / "a/scores.csv")],
+            ["detect", str(pipeline / "run/scores.csv"), labels,
+             str(tmp_path / "b/detection.csv"), "--grid-n", "8", "--delta", "8"],
+            ["sweep", str(pipeline / "run/detection.csv"), labels,
+             str(tmp_path / "c/k_sweep.csv"), "--param", "k", "--values", "0.1",
+             "--delta", "8"],
+        ]
+        for args in steps:
+            result = runner.invoke(cli, args)
+            assert result.exit_code == 0, f"{args}: {result.output}"
+            assert Path(args[3]).is_file()
+
+
+class TestReadmeWalkthrough:
+    def test_walkthrough_runs_verbatim(self, tmp_path, monkeypatch):
+        """The README's commands and paths, on the small config, in a fresh directory."""
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps(SYNTH_CFG))
+        commands = readme_walkthrough()
+        assert [args[1] if args[0] == "poakit" else args[0] for args in commands] == [
+            "synth", "split", "forecast", "score", "detect", "evaluate", "sweep",
+            "cp", "report",
+        ]
+        runner = CliRunner()
+        for args in commands:
+            if args[0] == "cp":
+                shutil.copy(args[1], args[2])
+                continue
+            args = args[1:]
+            if args[0] == "synth":
+                args += ["--config", "cfg.json"]
+            result = runner.invoke(cli, args)
+            assert result.exit_code == 0, f"{args}: {result.output}"
+        for rel in ("run/scores.csv", "run/k_sweep.csv", "run/report.json"):
+            assert Path("out", rel).is_file(), rel
+
 
 class TestDeterminism:
     def test_synth_reproducible_bytes(self, tmp_path):
@@ -153,28 +220,6 @@ class TestDeterminism:
         assert result.exit_code == 0
         manifest = json.loads((tmp_path / "env/manifest.json").read_text())
         assert manifest["seed"] == 999
-
-    def test_jobs_flag_does_not_change_output(self, tmp_path):
-        runner = CliRunner()
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(SYNTH_CFG))
-        assert runner.invoke(cli, ["synth", str(tmp_path / "d"), "--config", str(cfg_path)]).exit_code == 0
-        assert runner.invoke(
-            cli, ["split", str(tmp_path / "d/train.csv"), str(tmp_path / "p")]
-        ).exit_code == 0
-        outputs = []
-        for jobs, name in (("1", "f1"), ("4", "f4")):
-            result = runner.invoke(
-                cli,
-                [
-                    "forecast", str(tmp_path / "p/train.csv"), str(tmp_path / "p/valid.csv"),
-                    str(tmp_path / name), "--members", MEMBERS, "--top-k", "3",
-                    "--input-len", "30", "--horizon", "8", "--jobs", jobs,
-                ],
-            )
-            assert result.exit_code == 0, result.output
-            outputs.append((tmp_path / name / "valid_forecasts.csv").read_bytes())
-        assert outputs[0] == outputs[1]
 
 
 class TestOptionalFlags:

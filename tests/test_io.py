@@ -160,33 +160,39 @@ class TestSegmentsCsv:
 
 class TestReportJson:
     def test_report_with_sweep(self, tmp_path):
-        from poakit import metrics as mx
-        from poakit.core import ambiguous_extensions
-        from poakit.core import SegmentSet
-        from poakit.io import write_report
+        import json
 
+        from poakit import metrics as mx
+        from poakit.cli import _evaluation_payload
+        from poakit.core import SegmentSet, ambiguous_extensions
+
+        T = 40
+        flags = np.zeros(T, dtype=np.int8)
+        flags[10:15] = 1
+        detection = Detection(flags, threshold=0.5, lead_times=np.zeros(T))
+        labels = LabelSequence(flags)
         anomalies = (Segment(10, 5),)
         seg = SegmentSet(
             anomalies=anomalies,
             predictions=(Segment(10, 5),),
             precursors=(None,),
-            ambiguous=tuple(ambiguous_extensions(list(anomalies), 4, 40)),
+            ambiguous=tuple(ambiguous_extensions(list(anomalies), 4, T)),
             delta=4,
         )
         params = mx.MetricParams(theta=0.5, delta=4)
         report = mx.ptapr_report(seg, params)
         sweep = mx.ptapr_theta_sweep(seg, params, np.linspace(0, 1, 11))
         path = tmp_path / "report.json"
-        write_report(path, report, sweep)
-        import json
+        write_json(path, _evaluation_payload(detection, labels, params, {"ptapr"}, 11))
 
         data = json.loads(path.read_text())
+        ptapr = data["ptapr"]
         assert data["params"]["delta"] == 4
-        assert data["f1"] == pytest.approx(report.f1, abs=1e-8)
-        assert data["components"]["recall"]["detection"] == 1.0
-        assert data["auc"] == pytest.approx(sweep.auc, abs=1e-8)
-        assert len(data["curve"]["theta"]) == len(sweep.thetas)
-        assert len(data["diagnostics"]["anomaly_coverage"]) == 1
+        assert ptapr["at_theta"]["f1"] == pytest.approx(report.f1, abs=1e-8)
+        assert ptapr["at_theta"]["recall_components"]["detection"] == 1.0
+        assert ptapr["auc"] == pytest.approx(sweep.auc, abs=1e-8)
+        assert len(ptapr["curve"]["theta"]) == len(sweep.thetas)
+        assert len(ptapr["diagnostics"]["anomaly_coverage"]) == 1
 
 
 class TestJsonAndManifest:

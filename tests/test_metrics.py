@@ -562,3 +562,59 @@ class TestOracleEquivalence:
             assert got.tap == pytest.approx(r_tap, abs=1e-9)
             assert got.f1 == pytest.approx(rt_f1, abs=1e-9)
             checked += 1
+
+
+class TestReportMatchesSides:
+    """ptapr_report scores both sides itself; each must equal ptar / ptap."""
+
+    @staticmethod
+    def assert_report_matches(seg, params):
+        report = ptapr_report(seg, params)
+        assert report.recall == ptar(seg, params)
+        assert report.precision == ptap(seg, params)
+        assert report.ptar == report.recall.score
+        assert report.ptap == report.precision.score
+        assert report.f1 == ptapr_f1(report.recall.score, report.precision.score)
+
+    def test_micro_fixtures(self):
+        self.assert_report_matches(golden_fixture(), THIRDS)
+        rng = np.random.default_rng(38)
+        checked = 0
+        while checked < 40:
+            T = int(rng.integers(5, 31))
+            labels = (rng.random(T) < 0.25).astype(int)
+            flags = (rng.random(T) < 0.3).astype(int)
+            if not labels.any():
+                continue
+            delta = int(rng.integers(0, 6))
+            params = MetricParams(
+                theta=float(rng.uniform(0.0, 1.0)), delta=delta,
+                epsilon=int(rng.integers(1, 9)), k=float(rng.uniform(0.0005, 0.3)),
+            )
+            det = Detection(flags, 0.5, np.where(flags == 1, 1.0, np.nan))
+            seg = split_precursor_prediction(det, _segments(labels), delta)
+            self.assert_report_matches(seg, params)
+            checked += 1
+
+    def test_no_predictions(self):
+        anomalies = (Segment(5, 4),)
+        seg = SegmentSet(
+            anomalies=anomalies,
+            predictions=(),
+            precursors=(),
+            ambiguous=tuple(ambiguous_extensions(list(anomalies), 4, 30)),
+            delta=4,
+        )
+        self.assert_report_matches(seg, THIRDS)
+        assert ptapr_report(seg, THIRDS).precision.undefined
+
+    def test_diagnostics_built_once_per_call(self, monkeypatch):
+        import poakit.metrics as mx
+
+        calls = []
+        real = mx._diagnostics
+        monkeypatch.setattr(mx, "_diagnostics", lambda *a: calls.append(a) or real(*a))
+        ptapr_report(golden_fixture(), THIRDS)
+        assert len(calls) == 1
+        early_prf(golden_fixture(), THIRDS)
+        assert len(calls) == 2

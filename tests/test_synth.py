@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from poakit.synth import (
     PrecursorSpec,
     SineBase,
     SynthConfig,
+    config_from_dict,
+    config_to_dict,
     default_config,
     generate,
 )
@@ -116,6 +120,21 @@ class TestGenerate:
         assert train.n_variables == 3
         assert len(truth) == 6
         assert labels.flags.sum() == 6 * 40
+
+
+class TestConfigJson:
+    def test_round_trip_default_config(self):
+        cfg = default_config(seed=5)
+        data = json.loads(json.dumps(config_to_dict(cfg)))
+        assert config_from_dict(data) == cfg
+
+    def test_round_trip_without_precursor(self):
+        cfg = small_config(precursor=None)
+        assert config_from_dict(config_to_dict(cfg)) == cfg
+
+    def test_unknown_variable_kind(self):
+        with pytest.raises(ValidationError, match="unknown variable kind"):
+            config_from_dict({"length": 10, "variables": [{"kind": "walk"}]})
 
 
 class TestPrecursorStatisticalSignature:
