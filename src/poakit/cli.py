@@ -389,19 +389,16 @@ def _evaluation_payload(detection, labels, params, metrics_wanted, theta_grid_n)
             },
         }
     if "tapr" in metrics_wanted:
-        curve = np.asarray([
-            mx.tapr(segments, dataclasses.replace(params, theta=float(theta))).f1
-            for theta in thetas
-        ])
+        tapr_sweep = mx.tapr_theta_sweep(segments, params, thetas)
         at_theta = mx.tapr(segments, params)
         payload["tapr"] = {
-            "f1_0": float(curve[0]),
-            "f1_1": float(curve[-1]),
-            "auc": mx.auc_trapezoid(thetas, curve),
+            "f1_0": tapr_sweep.f1_at_0,
+            "f1_1": tapr_sweep.f1_at_1,
+            "auc": tapr_sweep.auc,
             "at_theta": {
                 "tar": at_theta.tar, "tap": at_theta.tap, "f1": at_theta.f1,
             },
-            "curve": {"theta": thetas, "f1": curve},
+            "curve": {"theta": tapr_sweep.thetas, "f1": tapr_sweep.f1},
         }
     if "pak" in metrics_wanted:
         suite = mx.pa_k_suite(detection.flags, labels.flags)

@@ -10,8 +10,14 @@ follow the record format documented there.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import json
+import math
+import warnings
+from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
@@ -424,43 +430,71 @@ def select_top_k(
 
 
 _RECORD_FIELDS = ("window_id", "origin", "member_id", "step", "variable", "value")
+# numpy's int64 parser rejects "1.5" and "3.0" just as int() does
+_CSV_DTYPE = np.dtype([(f, np.float64 if f == "value" else np.int64) for f in _RECORD_FIELDS])
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one field of a ``csv.writer`` row (quoted where needed)."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])  # the row ends ",\r\n"
+    return buf.getvalue()[:-3]
+
+
+def _record_template(member_ids: tuple[str, ...], shape: tuple, csv_format: bool) -> str:
+    """``str.format`` template for one window's records.
+
+    Field 0 is the window's record head (see :func:`_record_head`) and field
+    1 + k the k-th value of its flattened M x L_y x c predictions.
+    """
+    parts = []
+    k = 1
+    for member in member_ids:
+        quoted = _csv_field(member) if csv_format else json.dumps(member)
+        quoted = quoted.replace("{", "{{").replace("}", "}}")
+        for step in range(1, shape[1] + 1):
+            for var in range(shape[2]):
+                if csv_format:
+                    parts.append(f"{{0}}{quoted},{step},{var},{{{k}:.9g}}\r\n")
+                else:
+                    parts.append(f'{{0}}{quoted}, "step": {step}, "variable": {var}, '
+                                 f'"value": {{{k}!r}}}}}}\n')
+                k += 1
+    return "".join(parts)
+
+
+def _record_head(ens: EnsembleForecast, csv_format: bool) -> str:
+    """What every record of the window writes before its member id."""
+    if csv_format:
+        return f"{ens.window_id},{ens.origin},"
+    return f'{{"window_id": {ens.window_id}, "origin": {ens.origin}, "member_id": '
 
 
 def write_forecast_records(path, ensembles: list[EnsembleForecast]) -> None:
     """Write forecasts as flat records (CSV or NDJSON by extension).
 
     One record per (window, member, step, variable) cell; step is 1-based,
-    variable 0-based.
+    variable 0-based. CSV rows are what ``csv.writer`` writes: member ids
+    quoted where needed, CRLF line endings, values at 9 significant digits.
+    NDJSON lines are what ``json.dumps`` writes, values at full precision.
     """
     path = str(path)
-    rows = []
-    for ens in sorted(ensembles, key=lambda e: e.window_id):
-        M, L_y, c = ens.predictions.shape
-        for m in range(M):
-            for i in range(L_y):
-                for v in range(c):
-                    rows.append(
-                        (
-                            ens.window_id,
-                            ens.origin,
-                            ens.member_ids[m],
-                            i + 1,
-                            v,
-                            float(ens.predictions[m, i, v]),
-                        )
-                    )
     if path.endswith(".csv"):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_RECORD_FIELDS)
-            for row in rows:
-                writer.writerow(row[:5] + (format(row[5], ".9g"),))
+        csv_format, header = True, ",".join(_RECORD_FIELDS) + "\r\n"
     elif path.endswith((".ndjson", ".jsonl")):
-        with open(path, "w") as fh:
-            for row in rows:
-                fh.write(json.dumps(dict(zip(_RECORD_FIELDS, row))) + "\n")
+        csv_format, header = False, ""
     else:
         raise ValidationError(f"unsupported forecast file extension: {path}")
+    templates: dict[tuple, str] = {}
+    with open(path, "w", newline="") as fh:
+        fh.write(header)
+        for ens in sorted(ensembles, key=lambda e: e.window_id):
+            key = (ens.member_ids, ens.predictions.shape)
+            if key not in templates:
+                templates[key] = _record_template(*key, csv_format)
+            fh.write(templates[key].format(
+                _record_head(ens, csv_format), *ens.predictions.ravel().tolist()
+            ))
 
 
 def _parse_record(raw: dict, line_no: int) -> tuple:
@@ -473,8 +507,129 @@ def _parse_record(raw: dict, line_no: int) -> tuple:
             int(raw["variable"]),
             float(raw["value"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"line {line_no}: bad forecast record ({exc})") from exc
+
+
+def _member_codes() -> defaultdict:
+    """Member id -> integer code, numbering each new id on first lookup."""
+    codes: defaultdict = defaultdict()
+    codes.default_factory = codes.__len__
+    return codes
+
+
+def _record_columns(path: str, records) -> tuple:
+    """Columns (window_id, origin, member code, step, variable, value, names)."""
+    records = list(records)
+    if not records:
+        raise DataFormatError(f"{path}: no forecast records found")
+    window_id, origin, member, step, variable, value = zip(*records)
+    codes = _member_codes()
+    member = [codes[m] for m in member]
+    try:
+        ints = [np.array(col, dtype=np.int64) for col in (window_id, origin, member, step, variable)]
+    except OverflowError:
+        raise DataFormatError(f"{path}: forecast record integer outside the int64 range") from None
+    return (*ints, np.array(value, dtype=np.float64), list(codes))
+
+
+def _csv_records(path: str):
+    with open(path, newline="") as fh:
+        for line_no, raw in enumerate(csv.DictReader(fh), start=2):
+            yield _parse_record(raw, line_no)
+
+
+def _ndjson_records(path: str):
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                raw = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataFormatError(f"line {line_no}: invalid JSON ({exc})") from exc
+            yield _parse_record(raw, line_no)
+
+
+def _read_csv_columns(path: str) -> tuple:
+    """Columns of a record CSV, found by header name and parsed in one pass."""
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise DataFormatError(f"{path}: empty forecast file")
+        missing = set(_RECORD_FIELDS) - set(header)
+        if missing:
+            raise DataFormatError(f"{path}: header missing columns {sorted(missing)}")
+        column = {name: i for i, name in enumerate(header)}  # last one wins, as in DictReader
+        codes = _member_codes()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a header-only file
+                table = np.loadtxt(
+                    fh, dtype=_CSV_DTYPE, delimiter=",", quotechar='"', comments=None,
+                    usecols=[column[f] for f in _RECORD_FIELDS],
+                    converters={column["member_id"]: codes.__getitem__}, ndmin=1,
+                )
+        except ValueError:
+            # The per-record parse names the first bad line. It also accepts the
+            # few spellings int()/float() take and numpy does not, such as "1_000".
+            return _record_columns(path, _csv_records(path))
+    if table.size == 0:
+        raise DataFormatError(f"{path}: no forecast records found")
+    return (*(table[f] for f in _RECORD_FIELDS), list(codes))
+
+
+def _raise_first_error(window_id, origin, member, step, variable, names) -> NoReturn:
+    """Raise the error of the first bad record, else of the first incomplete window.
+
+    Per-record errors, in order of precedence within a record: step/variable
+    out of range, a cell already seen, an origin other than the one the
+    window's first record gave.
+    """
+    windows, first, w_idx = np.unique(window_id, return_index=True, return_inverse=True)
+    n = step.size
+    records = np.arange(n)
+    order = np.lexsort((variable, step, member, window_id))  # stable: file order per cell
+    cells = np.stack([window_id, member, step, variable])[:, order]
+    repeat = np.concatenate([[False], (cells[:, 1:] == cells[:, :-1]).all(axis=0)])
+    first_seen = np.empty(n, dtype=np.int64)
+    first_seen[order] = order[np.maximum.accumulate(np.where(repeat, 0, records))]
+    bad_range = (step < 1) | (variable < 0)
+    duplicate = first_seen != records
+    window_origin = origin[first][w_idx]
+    bad = bad_range | duplicate | (origin != window_origin)
+    if bad.any():
+        r = int(np.argmax(bad))
+        wid, s, v = int(window_id[r]), int(step[r]), int(variable[r])
+        if bad_range[r]:
+            raise DataFormatError(
+                f"record {r + 1}: step must be >= 1 and variable >= 0, got ({s}, {v})"
+            )
+        if duplicate[r]:
+            raise DataFormatError(
+                f"record {r + 1}: duplicate cell window={wid} member={names[member[r]]!r} "
+                f"step={s} variable={v} (first seen at record {first_seen[r] + 1})"
+            )
+        raise DataFormatError(
+            f"record {r + 1}: window {wid} has conflicting origins "
+            f"{int(window_origin[r])} and {int(origin[r])}"
+        )
+    members = sorted(names)
+    L_y, c = int(step.max()), int(variable.max()) + 1
+    expected = len(members) * L_y * c
+    counts = np.bincount(w_idx, minlength=windows.size)
+    w = int(np.flatnonzero(counts != expected)[0])
+    mine = w_idx == w
+    present = set(zip((names[m] for m in member[mine]), step[mine].tolist(),
+                      variable[mine].tolist()))
+    grid = itertools.product(members, range(1, L_y + 1), range(c))
+    missing = list(itertools.islice((cell for cell in grid if cell not in present), 3))
+    raise DataFormatError(
+        f"window {int(windows[w])}: expected {expected} cells "
+        f"({len(members)} members x {L_y} steps x {c} variables), got "
+        f"{int(counts[w])}; first missing: {missing}"
+    )
 
 
 def ingest_external_forecasts(path) -> list[EnsembleForecast]:
@@ -482,92 +637,39 @@ def ingest_external_forecasts(path) -> list[EnsembleForecast]:
 
     Every (member, step, variable) cell must appear exactly once per window
     and all windows must share the same member set, horizon and variable
-    count. Format auto-detected from the extension (.csv vs .ndjson/.jsonl).
+    count. Format auto-detected from the extension (.csv vs .ndjson/.jsonl);
+    CSV columns are found by header name.
     """
     path = str(path)
-    records: list[tuple] = []
     if path.endswith(".csv"):
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise DataFormatError(f"{path}: empty forecast file")
-            missing = set(_RECORD_FIELDS) - set(reader.fieldnames)
-            if missing:
-                raise DataFormatError(f"{path}: header missing columns {sorted(missing)}")
-            for line_no, raw in enumerate(reader, start=2):
-                records.append(_parse_record(raw, line_no))
+        columns = _read_csv_columns(path)
     elif path.endswith((".ndjson", ".jsonl")):
-        with open(path) as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    raw = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataFormatError(f"line {line_no}: invalid JSON ({exc})") from exc
-                records.append(_parse_record(raw, line_no))
+        columns = _record_columns(path, _ndjson_records(path))
     else:
         raise ValidationError(f"unsupported forecast file extension: {path}")
-    if not records:
-        raise DataFormatError(f"{path}: no forecast records found")
-
-    by_window: dict[int, dict] = {}
-    cell_lines: dict[tuple, int] = {}
-    for line_no, rec in enumerate(records, start=1):
-        wid, origin, member, step, var, value = rec
-        if step < 1 or var < 0:
-            raise DataFormatError(
-                f"record {line_no}: step must be >= 1 and variable >= 0, got ({step}, {var})"
-            )
-        cell = (wid, member, step, var)
-        if cell in cell_lines:
-            raise DataFormatError(
-                f"record {line_no}: duplicate cell window={wid} member={member!r} "
-                f"step={step} variable={var} (first seen at record {cell_lines[cell]})"
-            )
-        cell_lines[cell] = line_no
-        entry = by_window.setdefault(wid, {"origin": origin, "cells": {}})
-        if entry["origin"] != origin:
-            raise DataFormatError(
-                f"record {line_no}: window {wid} has conflicting origins "
-                f"{entry['origin']} and {origin}"
-            )
-        entry["cells"][(member, step, var)] = value
-
-    members = sorted({m for (_, m, _, _) in cell_lines})
-    L_y = max(step for (_, _, step, _) in cell_lines)
-    c = max(var for (_, _, _, var) in cell_lines) + 1
-    expected = len(members) * L_y * c
-    ensembles = []
-    for wid in sorted(by_window):
-        entry = by_window[wid]
-        cells = entry["cells"]
-        if len(cells) != expected:
-            present = set(cells)
-            grid = {
-                (m, s, v)
-                for m in members
-                for s in range(1, L_y + 1)
-                for v in range(c)
-            }
-            missing = sorted(grid - present)[:3]
-            raise DataFormatError(
-                f"window {wid}: expected {expected} cells "
-                f"({len(members)} members x {L_y} steps x {c} variables), got "
-                f"{len(cells)}; first missing: {missing}"
-            )
-        preds = np.empty((len(members), L_y, c))
-        for mi, member in enumerate(members):
-            for s in range(1, L_y + 1):
-                for v in range(c):
-                    preds[mi, s - 1, v] = cells[(member, s, v)]
-        ensembles.append(
-            EnsembleForecast(
-                window_id=wid,
-                origin=entry["origin"],
-                predictions=preds,
-                member_ids=tuple(members),
-            )
-        )
-    return ensembles
+    window_id, origin, member, step, variable, value, names = columns
+    windows, first, w_idx = np.unique(window_id, return_index=True, return_inverse=True)
+    members = sorted(names)
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    shape = (windows.size, len(names), int(step.max()), int(variable.max()) + 1)
+    # With every step >= 1 and variable >= 0, the records fill the W x M x L_y x c
+    # grid exactly once iff there are as many records as cells and no two share one.
+    complete = (
+        math.prod(shape) == value.size
+        and step.min() >= 1 and variable.min() >= 0
+        and np.array_equal(origin, origin[first][w_idx])
+    )
+    if complete:
+        cell = np.ravel_multi_index((w_idx, rank[member], step - 1, variable), shape)
+        complete = bool(np.all(np.bincount(cell, minlength=value.size) == 1))
+    if not complete:
+        _raise_first_error(window_id, origin, member, step, variable, names)
+    cube = np.empty(value.size)
+    cube[cell] = value
+    cube = cube.reshape(shape)
+    ids = tuple(members)
+    return [
+        EnsembleForecast(window_id=wid, origin=o, predictions=cube[i], member_ids=ids)
+        for i, (wid, o) in enumerate(zip(windows.tolist(), origin[first].tolist()))
+    ]

@@ -34,6 +34,27 @@ def _fmt(x: float) -> str:
     return format(float(x), FLOAT_FMT)
 
 
+def _parse_timestamp(path, row_no: int, cell: str) -> int:
+    try:
+        return int(cell)
+    except ValueError:
+        raise DataFormatError(
+            f"{path}: row {row_no} has non-integer timestamp {cell!r}"
+        ) from None
+
+
+def _check_unit_step(path, row_no: int, previous: int | None, ts: int) -> None:
+    """Timestamps must count up by exactly one from row to row."""
+    if previous is None:
+        return
+    if ts == previous:
+        raise DataFormatError(f"{path}: row {row_no} duplicates timestamp {ts}")
+    if ts != previous + 1:
+        raise DataFormatError(
+            f"{path}: row {row_no} breaks unit-step timestamps ({previous} -> {ts})"
+        )
+
+
 def read_series_csv(path, index_base: int = 0) -> TimeSeries:
     """Read a series CSV: header, timestamp column, then one column per variable."""
     if index_base not in (0, 1):
@@ -57,12 +78,7 @@ def read_series_csv(path, index_base: int = 0) -> TimeSeries:
                 raise DataFormatError(
                     f"{path}: row {row_no} has {len(row)} fields, expected {len(header)}"
                 )
-            try:
-                ts = int(row[0])
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: row {row_no} has non-integer timestamp {row[0]!r}"
-                ) from None
+            ts = _parse_timestamp(path, row_no, row[0])
             values = []
             for col, cell in enumerate(row[1:], start=2):
                 try:
@@ -76,14 +92,7 @@ def read_series_csv(path, index_base: int = 0) -> TimeSeries:
                         f"{path}: row {row_no} column {col} is not finite"
                     )
                 values.append(value)
-            if timestamps:
-                if ts == timestamps[-1]:
-                    raise DataFormatError(f"{path}: row {row_no} duplicates timestamp {ts}")
-                if ts != timestamps[-1] + 1:
-                    raise DataFormatError(
-                        f"{path}: row {row_no} breaks unit-step timestamps "
-                        f"({timestamps[-1]} -> {ts})"
-                    )
+            _check_unit_step(path, row_no, timestamps[-1] if timestamps else None, ts)
             timestamps.append(ts)
             rows.append(values)
     if not rows:
@@ -188,11 +197,14 @@ def read_scores(path) -> ScoreSeries:
         if header is None:
             raise DataFormatError(f"{path}: empty file")
         values, leads = [], []
+        ts = None
         for row_no, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != 3:
                 raise DataFormatError(f"{path}: row {row_no} has {len(row)} fields")
+            previous, ts = ts, _parse_timestamp(path, row_no, row[0])
+            _check_unit_step(path, row_no, previous, ts)
             if row[1] == "":
                 values.append(np.nan)
                 leads.append(np.nan)
@@ -224,6 +236,7 @@ def write_detection(path, detection: Detection, meta: dict | None = None) -> Non
 
 
 def read_detection(path) -> Detection:
+    """Detection CSV; the threshold comes from its required `.meta.json` sidecar."""
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -231,11 +244,14 @@ def read_detection(path) -> Detection:
         if header is None:
             raise DataFormatError(f"{path}: empty file")
         flags, leads = [], []
+        ts = None
         for row_no, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != 3:
                 raise DataFormatError(f"{path}: row {row_no} has {len(row)} fields")
+            previous, ts = ts, _parse_timestamp(path, row_no, row[0])
+            _check_unit_step(path, row_no, previous, ts)
             try:
                 flags.append(int(row[1]))
             except ValueError:
@@ -244,9 +260,12 @@ def read_detection(path) -> Detection:
     if not flags:
         raise DataFormatError(f"{path}: no data rows")
     sidecar = Path(str(path) + ".meta.json")
-    threshold = 0.0
-    if sidecar.exists():
-        threshold = float(json.loads(sidecar.read_text()).get("threshold", 0.0))
+    if not sidecar.exists():
+        raise DataFormatError(f"{path}: missing sidecar {sidecar.name} with the threshold")
+    try:
+        threshold = float(json.loads(sidecar.read_text())["threshold"])
+    except (ValueError, TypeError, KeyError) as exc:
+        raise DataFormatError(f"{sidecar}: no numeric 'threshold' ({exc!r})") from None
     return Detection(
         flags=np.asarray(flags, dtype=np.int8),
         threshold=threshold,

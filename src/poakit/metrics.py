@@ -98,6 +98,8 @@ class MetricReport:
 
 @dataclass(frozen=True)
 class ThetaSweep:
+    """Recall- and precision-side scores and their F1 at each overlap threshold."""
+
     thetas: np.ndarray
     ptar: np.ndarray
     ptap: np.ndarray
@@ -345,17 +347,8 @@ def auc_trapezoid(xs: np.ndarray, ys: np.ndarray) -> float:
     return float(np.sum(np.diff(xs) * (ys[1:] + ys[:-1]) / 2.0))
 
 
-def ptapr_theta_sweep(
-    segments: SegmentSet,
-    params: MetricParams,
-    thetas=None,
-) -> ThetaSweep:
-    """F1 across overlap thresholds, with its trapezoidal AUC over [0, 1].
-
-    The grid is sorted and the endpoints 0 and 1 are added when absent, so
-    the reported AUC always spans the full range. Only the detection-rate
-    components depend on theta, so the per-segment credit is computed once.
-    """
+def _theta_grid(thetas) -> np.ndarray:
+    """Sorted, de-duplicated overlap thresholds, with the endpoints 0 and 1 added."""
     if thetas is None:
         thetas = np.linspace(0.0, 1.0, DEFAULT_THETA_GRID_SIZE)
     thetas = np.asarray(sorted(set(float(t) for t in thetas)))
@@ -367,27 +360,50 @@ def ptapr_theta_sweep(
         thetas = np.concatenate([[0.0], thetas])
     if thetas[-1] != 1.0:
         thetas = np.concatenate([thetas, [1.0]])
+    return thetas
 
-    _require_anomalies(segments)
-    diag = _diagnostics(segments, params)
-    ptar_curve = np.empty_like(thetas)
-    ptap_curve = np.empty_like(thetas)
-    f1_curve = np.empty_like(thetas)
+
+def _sweep(thetas: np.ndarray, sides) -> ThetaSweep:
+    """F1 curve from ``sides(theta) -> (recall, precision)`` over ``thetas``."""
+    recall = np.empty_like(thetas)
+    precision = np.empty_like(thetas)
+    f1 = np.empty_like(thetas)
     for idx, theta in enumerate(thetas):
-        r = _side_score(diag.anomaly_coverage, diag.anomaly_reward, theta, params).score
-        p = _side_score(diag.prediction_coverage, diag.prediction_reward, theta, params).score
-        ptar_curve[idx] = r
-        ptap_curve[idx] = p
-        f1_curve[idx] = ptapr_f1(r, p)
+        r, p = sides(theta)
+        recall[idx], precision[idx], f1[idx] = r, p, ptapr_f1(r, p)
     return ThetaSweep(
         thetas=thetas,
-        ptar=ptar_curve,
-        ptap=ptap_curve,
-        f1=f1_curve,
-        auc=auc_trapezoid(thetas, f1_curve),
-        f1_at_0=float(f1_curve[0]),
-        f1_at_1=float(f1_curve[-1]),
+        ptar=recall,
+        ptap=precision,
+        f1=f1,
+        auc=auc_trapezoid(thetas, f1),
+        f1_at_0=float(f1[0]),
+        f1_at_1=float(f1[-1]),
     )
+
+
+def ptapr_theta_sweep(
+    segments: SegmentSet,
+    params: MetricParams,
+    thetas=None,
+) -> ThetaSweep:
+    """F1 across overlap thresholds, with its trapezoidal AUC over [0, 1].
+
+    The grid is sorted and the endpoints 0 and 1 are added when absent, so
+    the reported AUC always spans the full range. Only the detection-rate
+    components depend on theta, so the per-segment credit is computed once.
+    """
+    thetas = _theta_grid(thetas)
+    _require_anomalies(segments)
+    diag = _diagnostics(segments, params)
+
+    def sides(theta):
+        return (
+            _side_score(diag.anomaly_coverage, diag.anomaly_reward, theta, params).score,
+            _side_score(diag.prediction_coverage, diag.prediction_reward, theta, params).score,
+        )
+
+    return _sweep(thetas, sides)
 
 
 def merge_precursors_into_predictions(segments: SegmentSet) -> SegmentSet:
@@ -407,33 +423,29 @@ def merge_precursors_into_predictions(segments: SegmentSet) -> SegmentSet:
     )
 
 
-def tapr(segments: SegmentSet, params: MetricParams) -> TaprResult:
-    """Segment-aware TaPR baseline: no precursor notion, no early reward.
-
-    All flagged points count inside the prediction (precursors are folded
-    back in) and the overlap credit is |a n p| + S(a', p). Detection and
-    coverage components are weighted by tapr_alpha / (1 - tapr_alpha).
-    """
+def _tapr_coverage(segments: SegmentSet) -> tuple[np.ndarray, np.ndarray]:
+    """TaPR's per-anomaly and per-prediction coverage ratios (theta-independent)."""
     _require_anomalies(segments)
     merged = merge_precursors_into_predictions(segments)
     anomalies = merged.anomalies
     predictions = merged.predictions
-    n_a, n_p = len(anomalies), len(predictions)
-    overlap = np.zeros((n_a, n_p))
+    overlap = np.zeros((len(anomalies), len(predictions)))
     for ai, (a, a_prime) in enumerate(zip(anomalies, merged.ambiguous)):
         for pi, p in enumerate(predictions):
             overlap[ai, pi] = overlap_score(a, p, None, a_prime, merged.delta)
     a_len = np.array([a.length for a in anomalies], dtype=float)
-    cov_a = overlap.sum(axis=1) / a_len
-    tar_d = _detected_fraction(cov_a, params.theta)
+    p_len = np.array([p.length for p in predictions], dtype=float)
+    return overlap.sum(axis=1) / a_len, overlap.sum(axis=0) / p_len
+
+
+def _tapr_at(cov_a: np.ndarray, cov_p: np.ndarray, theta: float, weight: float) -> TaprResult:
+    tar_d = _detected_fraction(cov_a, theta)
     tar_p = float(np.mean(np.minimum(1.0, cov_a)))
-    tar = params.tapr_alpha * tar_d + (1 - params.tapr_alpha) * tar_p
-    if n_p:
-        p_len = np.array([p.length for p in predictions], dtype=float)
-        cov_p = overlap.sum(axis=0) / p_len
-        tap_d = _detected_fraction(cov_p, params.theta)
+    tar = weight * tar_d + (1 - weight) * tar_p
+    if cov_p.size:
+        tap_d = _detected_fraction(cov_p, theta)
         tap_p = float(np.mean(np.minimum(1.0, cov_p)))
-        tap = params.tapr_alpha * tap_d + (1 - params.tapr_alpha) * tap_p
+        tap = weight * tap_d + (1 - weight) * tap_p
     else:
         tap_d = tap_p = tap = 0.0
     return TaprResult(
@@ -445,6 +457,36 @@ def tapr(segments: SegmentSet, params: MetricParams) -> TaprResult:
         tap_detection=tap_d,
         tap_portion=tap_p,
     )
+
+
+def tapr(segments: SegmentSet, params: MetricParams) -> TaprResult:
+    """Segment-aware TaPR baseline: no precursor notion, no early reward.
+
+    All flagged points count inside the prediction (precursors are folded
+    back in) and the overlap credit is |a n p| + S(a', p). Detection and
+    coverage components are weighted by tapr_alpha / (1 - tapr_alpha).
+    """
+    return _tapr_at(*_tapr_coverage(segments), params.theta, params.tapr_alpha)
+
+
+def tapr_theta_sweep(
+    segments: SegmentSet,
+    params: MetricParams,
+    thetas=None,
+) -> ThetaSweep:
+    """TaPR's F1 across overlap thresholds; ``ptar``/``ptap`` hold TaR/TaP.
+
+    The grid is normalised as in :func:`ptapr_theta_sweep`, and the
+    coverage ratios are computed once for all thresholds.
+    """
+    thetas = _theta_grid(thetas)
+    cov_a, cov_p = _tapr_coverage(segments)
+
+    def sides(theta):
+        result = _tapr_at(cov_a, cov_p, theta, params.tapr_alpha)
+        return result.tar, result.tap
+
+    return _sweep(thetas, sides)
 
 
 def _binary_pair(flags, labels) -> tuple[np.ndarray, np.ndarray]:

@@ -1,0 +1,98 @@
+"""Record-at-a-time reference reader for forecast record files.
+
+Parses and validates one record at a time with plain dicts and sets, sharing
+no code with the package's columnar ingest, so the package can be checked
+against it on any file: both must accept the same files with the same
+values, and reject the rest with the same message.
+"""
+
+import csv
+import json
+
+import numpy as np
+
+FIELDS = ("window_id", "origin", "member_id", "step", "variable", "value")
+
+
+class RecordError(Exception):
+    pass
+
+
+def _parse(raw, line_no):
+    try:
+        return (int(raw["window_id"]), int(raw["origin"]), str(raw["member_id"]),
+                int(raw["step"]), int(raw["variable"]), float(raw["value"]))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise RecordError(f"line {line_no}: bad forecast record ({exc})") from exc
+
+
+def read_records(path):
+    """[(window_id, origin, member_id, step, variable, value)] in file order."""
+    path = str(path)
+    records = []
+    if path.endswith(".csv"):
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise RecordError(f"{path}: empty forecast file")
+            missing = set(FIELDS) - set(reader.fieldnames)
+            if missing:
+                raise RecordError(f"{path}: header missing columns {sorted(missing)}")
+            for line_no, raw in enumerate(reader, start=2):
+                records.append(_parse(raw, line_no))
+    else:
+        with open(path) as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    raw = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise RecordError(f"line {line_no}: invalid JSON ({exc})") from exc
+                records.append(_parse(raw, line_no))
+    if not records:
+        raise RecordError(f"{path}: no forecast records found")
+    return records
+
+
+def ref_ingest(path):
+    """[(window_id, origin, member_ids, M x L_y x c values)] sorted by window id."""
+    by_window = {}
+    first_seen = {}
+    for rec_no, (wid, origin, member, step, var, value) in enumerate(read_records(path), 1):
+        if step < 1 or var < 0:
+            raise RecordError(
+                f"record {rec_no}: step must be >= 1 and variable >= 0, got ({step}, {var})"
+            )
+        cell = (wid, member, step, var)
+        if cell in first_seen:
+            raise RecordError(
+                f"record {rec_no}: duplicate cell window={wid} member={member!r} "
+                f"step={step} variable={var} (first seen at record {first_seen[cell]})"
+            )
+        first_seen[cell] = rec_no
+        entry = by_window.setdefault(wid, {"origin": origin, "cells": {}})
+        if entry["origin"] != origin:
+            raise RecordError(
+                f"record {rec_no}: window {wid} has conflicting origins "
+                f"{entry['origin']} and {origin}"
+            )
+        entry["cells"][(member, step, var)] = value
+    members = sorted({m for (_, m, _, _) in first_seen})
+    L_y = max(step for (_, _, step, _) in first_seen)
+    c = max(var for (_, _, _, var) in first_seen) + 1
+    grid = [(m, s, v) for m in members for s in range(1, L_y + 1) for v in range(c)]
+    out = []
+    for wid in sorted(by_window):
+        cells = by_window[wid]["cells"]
+        if len(cells) != len(grid):
+            missing = sorted(set(grid) - set(cells))[:3]
+            raise RecordError(
+                f"window {wid}: expected {len(grid)} cells "
+                f"({len(members)} members x {L_y} steps x {c} variables), got "
+                f"{len(cells)}; first missing: {missing}"
+            )
+        values = np.array([cells[cell] for cell in grid]).reshape(len(members), L_y, c)
+        out.append((wid, by_window[wid]["origin"], tuple(members), values))
+    return out

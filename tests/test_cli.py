@@ -320,6 +320,7 @@ class TestErrorHandling:
         runner = CliRunner()
         det = tmp_path / "det.csv"
         det.write_text("timestamp,flag,lead_time\n0,1,1\n")
+        (tmp_path / "det.csv.meta.json").write_text('{"threshold": 0.5}')
         labels = tmp_path / "labels.csv"
         labels.write_text("timestamp,label\n0,1\n")
         result = runner.invoke(
@@ -327,3 +328,15 @@ class TestErrorHandling:
                   "--metrics", "bogus"],
         )
         assert result.exit_code == 2
+        assert "unknown metrics: ['bogus']" in result.output
+
+    def test_detection_without_sidecar_is_validation_error(self, tmp_path):
+        runner = CliRunner()
+        det = tmp_path / "det.csv"
+        det.write_text("timestamp,flag,lead_time\n0,1,1\n")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("timestamp,label\n0,1\n")
+        result = runner.invoke(cli, ["evaluate", str(det), str(labels), str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "error[validation]" in result.output
+        assert "missing sidecar det.csv.meta.json" in result.output

@@ -1,5 +1,15 @@
+import csv
+import hashlib
+import io
+import json
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_records
 
 from poakit.core import DataFormatError, TimeSeries, ValidationError
 from poakit.forecast import (
@@ -18,6 +28,9 @@ from poakit.forecast import (
     select_top_k,
     write_forecast_records,
 )
+
+
+RECORD_FIELDS = ("window_id", "origin", "member_id", "step", "variable", "value")
 
 
 def series(values) -> TimeSeries:
@@ -301,6 +314,74 @@ class TestEnsembleForecast:
             EnsembleForecast(0, 9, preds, ("a", "b"))
 
 
+def reference_csv_records(ensembles) -> bytes:
+    """Forecast records as ``csv.writer`` writes them, one row per cell."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(RECORD_FIELDS)
+    for ens in sorted(ensembles, key=lambda e: e.window_id):
+        M, L_y, c = ens.predictions.shape
+        for m in range(M):
+            for i in range(L_y):
+                for v in range(c):
+                    writer.writerow((ens.window_id, ens.origin, ens.member_ids[m], i + 1, v,
+                                     format(float(ens.predictions[m, i, v]), ".9g")))
+    return buf.getvalue().encode()
+
+
+def golden_ensembles():
+    """Three windows written out of id order; member ids that need CSV/JSON quoting."""
+    members = ("a,b", 'q"t', "plain")
+    cells = np.arange(24).reshape(3, 4, 2)
+    out = []
+    for wid in (2, 0, 1):
+        # exact IEEE arithmetic, so the bytes do not depend on a random stream
+        preds = (cells - 11.5 + wid) / 7.0 * np.ldexp(1.0, cells * 5 % 81 - 40)
+        preds[0, 0, 0] = -0.0
+        preds[1, 0, 0] = 1e22
+        preds[2, 0, 0] = 123456789.5
+        out.append(EnsembleForecast(wid, 40 + 3 * wid, preds, members))
+    return out
+
+
+def sorted_by_member(ens):
+    order = sorted(range(ens.n_members), key=lambda m: ens.member_ids[m])
+    return tuple(ens.member_ids[m] for m in order), ens.predictions[order]
+
+
+def assert_bits_equal(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), np.asarray(b, dtype=np.float64).view(np.int64))
+
+
+# replacement field text for CSV records, and value for NDJSON records
+FIELD_EDITS = [
+    ("1.5", 1.5), ("0", 0), ("-1", -1), ("", ""), ("3.0", "3"), ("x", None),
+    (" 2 ", 2.0), ("+1", True), ("1_0", "x"), ("1e3", 1e3), ("a,b", "a,b"),
+]
+
+member_ids = st.lists(
+    st.text(alphabet=st.sampled_from('ab,"# {}\n\r\'_é'), max_size=5),
+    min_size=1, max_size=3, unique=True,
+)
+
+
+@st.composite
+def ensemble_lists(draw):
+    members = tuple(draw(member_ids))
+    L_y, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    wids = draw(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=4, unique=True))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    return [
+        EnsembleForecast(
+            wid, draw(st.integers(-10**9, 10**9)),
+            draw(hnp.arrays(np.float64, (len(members), L_y, c), elements=values)),
+            members,
+        )
+        for wid in wids
+    ]
+
+
 class TestForecastRecords:
     def _make_ensembles(self):
         rng = np.random.default_rng(6)
@@ -322,13 +403,191 @@ class TestForecastRecords:
             assert back.member_ids == orig.member_ids
             assert np.allclose(back.predictions, orig.predictions, atol=1e-7)
 
+    @pytest.mark.parametrize(
+        "ext, sha256",
+        [
+            ("csv", "3801ec6f04bcb1f714dc15b4ff473a08e18ee3686ee9a5405fca188973d2d472"),
+            ("ndjson", "ef8cc34dd233109d6ca4b63719ae890943b18ee61b02e168b331bf8009f8f221"),
+        ],
+    )
+    def test_golden_bytes(self, tmp_path, ext, sha256):
+        path = tmp_path / f"fc.{ext}"
+        write_forecast_records(path, golden_ensembles())
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+    @settings(max_examples=60, deadline=None)
+    @given(ensembles=ensemble_lists())
+    def test_csv_round_trip_property(self, tmp_path_factory, ensembles):
+        path = tmp_path_factory.mktemp("csv") / "fc.csv"
+        write_forecast_records(path, ensembles)
+        assert path.read_bytes() == reference_csv_records(ensembles)
+        loaded = ingest_external_forecasts(path)
+        expected = sorted(ensembles, key=lambda e: e.window_id)
+        assert [e.window_id for e in loaded] == [e.window_id for e in expected]
+        for orig, back in zip(expected, loaded):
+            ids, preds = sorted_by_member(orig)
+            assert (back.origin, back.member_ids) == (orig.origin, ids)
+            rounded = np.vectorize(lambda x: float(format(x, ".9g")))(preds)
+            assert_bits_equal(back.predictions, rounded)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ensembles=ensemble_lists())
+    def test_ndjson_round_trip_property(self, tmp_path_factory, ensembles):
+        path = tmp_path_factory.mktemp("ndjson") / "fc.ndjson"
+        write_forecast_records(path, ensembles)
+        lines = path.read_text().splitlines()
+        cells = [json.loads(line) for line in lines]
+        assert len(cells) == sum(e.predictions.size for e in ensembles)
+        assert list(cells[0]) == list(RECORD_FIELDS)
+        loaded = ingest_external_forecasts(path)
+        expected = sorted(ensembles, key=lambda e: e.window_id)
+        assert [e.window_id for e in loaded] == [e.window_id for e in expected]
+        for orig, back in zip(expected, loaded):
+            ids, preds = sorted_by_member(orig)
+            assert (back.origin, back.member_ids) == (orig.origin, ids)
+            assert_bits_equal(back.predictions, preds)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ensembles=ensemble_lists(),
+        ext=st.sampled_from(["csv", "ndjson"]),
+        edits=st.lists(
+            st.tuples(st.sampled_from(["drop", "repeat", "blank", "swap", "field"]),
+                      st.integers(0, 10**6), st.integers(0, len(FIELD_EDITS) - 1)),
+            max_size=4,
+        ),
+    )
+    def test_edited_files_match_reference_reader(self, tmp_path_factory, ensembles, ext, edits):
+        path = tmp_path_factory.mktemp("edited") / f"fc.{ext}"
+        write_forecast_records(path, ensembles)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh)) if ext == "csv" else fh.read().splitlines()
+        head, body = (rows[:1], rows[1:]) if ext == "csv" else ([], rows)
+        for op, i, k in edits:
+            if not body:
+                break
+            i %= len(body)
+            if op == "drop":
+                del body[i]
+            elif op == "repeat":
+                body.append(body[i])
+            elif op == "blank":
+                body.insert(i, [] if ext == "csv" else "")
+            elif op == "swap":
+                body[i], body[-1] = body[-1], body[i]
+            elif ext == "csv":
+                body[i] = body[i][:k % 6] + [FIELD_EDITS[k][0]] + body[i][k % 6 + 1:]
+            elif body[i]:
+                record = json.loads(body[i])
+                record[RECORD_FIELDS[k % 6]] = FIELD_EDITS[k][1]
+                body[i] = json.dumps(record)
+        with open(path, "w", newline="") as fh:
+            if ext == "csv":
+                csv.writer(fh).writerows(head + body)
+            else:
+                fh.write("".join(line + "\n" for line in body))
+
+        try:
+            expected = ("ok", reference_records.ref_ingest(path))
+        except reference_records.RecordError as exc:
+            expected = ("error", str(exc))
+        try:
+            got = ("ok", [(e.window_id, e.origin, e.member_ids, e.predictions)
+                          for e in ingest_external_forecasts(path)])
+        except DataFormatError as exc:
+            got = ("error", str(exc))
+        assert got[0] == expected[0], (got, expected)
+        if got[0] == "error":
+            assert got[1] == expected[1]
+        else:
+            assert len(got[1]) == len(expected[1])
+            for g, e in zip(got[1], expected[1]):
+                assert g[:3] == e[:3]
+                assert_bits_equal(g[3], e[3])
+
+    def test_accepts_reordered_columns_extra_column_lf_and_blank_lines(self, tmp_path):
+        original = tmp_path / "fc.csv"
+        ensembles = golden_ensembles()
+        write_forecast_records(original, ensembles)
+        with open(original, newline="") as fh:
+            rows = list(csv.reader(fh))
+        order = [5, 2, 0, 4, 1, 3]
+        edited = tmp_path / "edited.csv"
+        with open(edited, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow([rows[0][i] for i in order] + ["note"])
+            for n, row in enumerate(rows[1:]):
+                writer.writerow([row[i] for i in order] + ["x,y"])
+                if n % 7 == 0:
+                    fh.write("\n")
+        text = edited.read_text()
+        assert "\r" not in text and "\n\n" in text
+        for back, orig in zip(ingest_external_forecasts(edited),
+                              ingest_external_forecasts(original)):
+            assert (back.window_id, back.origin, back.member_ids) == (
+                orig.window_id, orig.origin, orig.member_ids)
+            assert_bits_equal(back.predictions, orig.predictions)
+
+    def _records(self, tmp_path):
+        path = tmp_path / "fc.csv"
+        write_forecast_records(path, self._make_ensembles())
+        with open(path, newline="") as fh:
+            return path, list(csv.reader(fh))
+
+    @staticmethod
+    def _rewrite(path, rows):
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+
+    @pytest.mark.parametrize(
+        "field, text, message",
+        [
+            (5, "abc", "line 3: bad forecast record (could not convert string to float: 'abc')"),
+            (3, "1.5", "line 3: bad forecast record (invalid literal for int() with base 10: '1.5')"),
+            (3, "0", "record 2: step must be >= 1 and variable >= 0, got (0, 1)"),
+            (4, "-1", "record 2: step must be >= 1 and variable >= 0, got (1, -1)"),
+        ],
+        ids=["malformed-value", "fractional-step", "step-zero", "negative-variable"],
+    )
+    def test_rejects_bad_field(self, tmp_path, field, text, message):
+        path, rows = self._records(tmp_path)
+        rows[2][field] = text
+        self._rewrite(path, rows)
+        with pytest.raises(DataFormatError) as err:
+            ingest_external_forecasts(path)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "field, text, message",
+        [
+            ("value", "1" + "0" * 400, "int too large to convert to float"),
+            ("step", "Infinity", "cannot convert float infinity to integer"),
+        ],
+        ids=["huge-value", "infinite-step"],
+    )
+    def test_ndjson_number_out_of_range(self, tmp_path, field, text, message):
+        path = tmp_path / "fc.ndjson"
+        write_forecast_records(path, self._make_ensembles())
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        record[field] = "<N>"
+        lines[1] = json.dumps(record).replace('"<N>"', text)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError) as err:
+            ingest_external_forecasts(path)
+        assert str(err.value) == f"line 2: bad forecast record ({message})"
+
     def test_missing_cell_reported(self, tmp_path):
         path = tmp_path / "fc.csv"
         write_forecast_records(path, self._make_ensembles())
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(DataFormatError, match="missing"):
+        with pytest.raises(DataFormatError) as err:
             ingest_external_forecasts(path)
+        assert str(err.value) == (
+            "window 2: expected 12 cells (2 members x 3 steps x 2 variables), got 11; "
+            "first missing: [('m2', 3, 1)]"
+        )
 
     def test_duplicate_cell_reported_with_line(self, tmp_path):
         path = tmp_path / "fc.csv"
@@ -336,14 +595,25 @@ class TestForecastRecords:
         lines = path.read_text().splitlines()
         lines.append(lines[1])
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataFormatError, match="duplicate cell"):
+        with pytest.raises(DataFormatError) as err:
+            ingest_external_forecasts(path)
+        assert str(err.value) == (
+            "record 37: duplicate cell window=0 member='m1' step=1 variable=0 "
+            "(first seen at record 1)"
+        )
+
+    def test_lowest_record_error_wins(self, tmp_path):
+        path, rows = self._records(tmp_path)
+        rows.append(rows[5])  # duplicate of record 5, as record 37
+        rows[30][3] = "0"  # step out of range at record 30
+        self._rewrite(path, rows)
+        with pytest.raises(DataFormatError, match="^record 30: step must be"):
             ingest_external_forecasts(path)
 
     def test_conflicting_origin_reported(self, tmp_path):
         path = tmp_path / "fc.ndjson"
         write_forecast_records(path, self._make_ensembles())
         lines = path.read_text().splitlines()
-        import json
 
         rec = json.loads(lines[0])
         rec["origin"] += 1
@@ -352,6 +622,26 @@ class TestForecastRecords:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataFormatError, match="conflicting origins"):
             ingest_external_forecasts(path)
+
+    def test_conflicting_origin_before_missing_cells(self, tmp_path):
+        path, rows = self._records(tmp_path)
+        rows[20][1] = "99"  # window 1's eighth record names another origin
+        del rows[-1]  # and window 2 loses a cell
+        self._rewrite(path, rows)
+        with pytest.raises(DataFormatError) as err:
+            ingest_external_forecasts(path)
+        assert str(err.value) == "record 20: window 1 has conflicting origins 10 and 99"
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "fc.csv"
+        path.write_text("")
+        with pytest.raises(DataFormatError) as err:
+            ingest_external_forecasts(path)
+        assert str(err.value) == f"{path}: empty forecast file"
+        path.write_text(",".join(RECORD_FIELDS) + "\r\n")
+        with pytest.raises(DataFormatError) as err:
+            ingest_external_forecasts(path)
+        assert str(err.value) == f"{path}: no forecast records found"
 
     def test_bad_extension(self, tmp_path):
         with pytest.raises(ValidationError):

@@ -135,7 +135,30 @@ class TestScoresCsv:
         assert np.array_equal(back.lead_times[back.defined], scores.lead_times[scores.defined])
 
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0,0.5,1\n2,0.5,1\n1,0.5,1\n", r"row 3 breaks unit-step timestamps \(0 -> 2\)"),
+            ("0,0.5,1\n0,0.5,1\n1,0.5,1\n", "row 3 duplicates timestamp 0"),
+            ("0,0.5,1\n2,0.5,1\n3,0.5,1\n", r"row 3 breaks unit-step timestamps \(0 -> 2\)"),
+            ("0,0.5,1\nx,0.5,1\n", "row 3 has non-integer timestamp 'x'"),
+        ],
+        ids=["reordered", "repeated", "shifted", "non-integer"],
+    )
+    def test_rejects_bad_timestamps(self, tmp_path, rows, message):
+        path = tmp_path / "scores.csv"
+        path.write_text("timestamp,score,lead_time\n" + rows)
+        with pytest.raises(DataFormatError, match=message):
+            read_scores(path)
+
+
 class TestDetectionCsv:
+    @staticmethod
+    def write(path, rows, sidecar='{"threshold": 0.5}'):
+        path.write_text("timestamp,flag,lead_time\n" + rows)
+        if sidecar is not None:
+            (path.parent / (path.name + ".meta.json")).write_text(sidecar)
+
     def test_round_trip_with_sidecar(self, tmp_path):
         det = Detection(
             flags=np.array([0, 1, 1, 0], dtype=np.int8),
@@ -148,6 +171,38 @@ class TestDetectionCsv:
         assert np.array_equal(back.flags, det.flags)
         assert back.threshold == pytest.approx(1.25)
         assert np.array_equal(back.lead_times[back.flags == 1], det.lead_times[det.flags == 1])
+
+    @pytest.mark.parametrize(
+        "sidecar, message",
+        [
+            (None, "missing sidecar det.csv.meta.json"),
+            ('{"grid": "256 quantiles"}', "no numeric 'threshold'"),
+            ('{"threshold": null}', "no numeric 'threshold'"),
+            ("not json", "no numeric 'threshold'"),
+        ],
+        ids=["missing", "no-threshold", "null-threshold", "invalid-json"],
+    )
+    def test_threshold_never_defaulted(self, tmp_path, sidecar, message):
+        path = tmp_path / "det.csv"
+        self.write(path, "0,1,1\n1,0,\n", sidecar)
+        with pytest.raises(DataFormatError, match=message):
+            read_detection(path)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0,1,1\n2,0,\n1,0,\n", r"row 3 breaks unit-step timestamps \(0 -> 2\)"),
+            ("1,1,1\n2,0,\n4,0,\n", r"row 4 breaks unit-step timestamps \(2 -> 4\)"),
+            ("0,1,1\n0,0,\n", "row 3 duplicates timestamp 0"),
+            ("0.5,1,1\n", "row 2 has non-integer timestamp '0.5'"),
+        ],
+        ids=["reordered", "shifted", "repeated", "non-integer"],
+    )
+    def test_rejects_bad_timestamps(self, tmp_path, rows, message):
+        path = tmp_path / "det.csv"
+        self.write(path, rows)
+        with pytest.raises(DataFormatError, match=message):
+            read_detection(path)
 
 
 class TestSegmentsCsv:

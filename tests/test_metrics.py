@@ -23,6 +23,7 @@ from poakit.metrics import (
     ptar,
     sigmoid_position_weight,
     tapr,
+    tapr_theta_sweep,
     weighted_component_score,
 )
 from reference_metrics import ref_pa_k, ref_ptapr, ref_tapr
@@ -374,6 +375,69 @@ class TestTapr:
         a = tapr(seg, MetricParams(theta=0.5, delta=4, epsilon=3, k=0.5))
         b = tapr(seg, MetricParams(theta=0.5, delta=4, epsilon=9, k=0.0001))
         assert a == b
+
+
+class TestTaprThetaSweep:
+    """The sweep scores every theta from one coverage computation."""
+
+    @staticmethod
+    def per_theta(seg, params, thetas):
+        return [tapr(seg, MetricParams(theta=float(t), delta=params.delta,
+                                       tapr_alpha=params.tapr_alpha)) for t in thetas]
+
+    def test_matches_per_theta_tapr(self):
+        seg, thetas = golden_fixture(), np.linspace(0.0, 1.0, 101)
+        sweep = tapr_theta_sweep(seg, THIRDS, thetas)
+        singles = self.per_theta(seg, THIRDS, thetas)
+        assert np.array_equal(sweep.thetas, thetas)
+        assert sweep.f1.tolist() == [r.f1 for r in singles]
+        assert sweep.ptar.tolist() == [r.tar for r in singles]
+        assert sweep.ptap.tolist() == [r.tap for r in singles]
+        assert sweep.auc == auc_trapezoid(thetas, sweep.f1)
+        assert (sweep.f1_at_0, sweep.f1_at_1) == (singles[0].f1, singles[-1].f1)
+
+    def test_grid_normalised_like_ptapr_sweep(self):
+        seg = golden_fixture()
+        sweep = tapr_theta_sweep(seg, THIRDS, [0.7, 0.3, 0.3])
+        assert sweep.thetas.tolist() == [0.0, 0.3, 0.7, 1.0]
+        assert np.array_equal(sweep.thetas, ptapr_theta_sweep(seg, THIRDS, [0.7, 0.3]).thetas)
+        with pytest.raises(ValidationError):
+            tapr_theta_sweep(seg, THIRDS, [])
+
+    def test_no_predictions(self):
+        anomalies = (Segment(5, 4),)
+        seg = SegmentSet(
+            anomalies=anomalies,
+            predictions=(),
+            precursors=(),
+            ambiguous=tuple(ambiguous_extensions(list(anomalies), 4, 30)),
+            delta=4,
+        )
+        sweep = tapr_theta_sweep(seg, THIRDS, [0.0, 1.0])
+        assert sweep.f1.tolist() == [0.0, 0.0]
+        assert sweep.ptap.tolist() == [0.0, 0.0]
+
+    def test_matches_reference_oracle(self):
+        rng = np.random.default_rng(39)
+        thetas = np.linspace(0.0, 1.0, 11)
+        checked = 0
+        while checked < 30:
+            T = int(rng.integers(5, 31))
+            labels = (rng.random(T) < 0.25).astype(int)
+            flags = (rng.random(T) < 0.3).astype(int)
+            if not labels.any():
+                continue
+            delta = int(rng.integers(0, 6))
+            params = MetricParams(delta=delta)
+            det = Detection(flags, 0.5, np.where(flags == 1, 1.0, np.nan))
+            seg = split_precursor_prediction(det, _segments(labels), delta)
+            sweep = tapr_theta_sweep(seg, params, thetas)
+            singles = self.per_theta(seg, params, thetas)
+            assert sweep.f1.tolist() == [r.f1 for r in singles]
+            for theta, f1 in zip(thetas, sweep.f1):
+                _, _, ref_f1 = ref_tapr(labels.tolist(), flags.tolist(), float(theta), 0.5, delta)
+                assert f1 == pytest.approx(ref_f1, abs=1e-9)
+            checked += 1
 
 
 class TestPointAdjust:
