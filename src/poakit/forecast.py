@@ -274,12 +274,6 @@ def fit(spec: ForecasterSpec, train: TimeSeries) -> FittedForecaster:
     )
 
 
-def predict(model: FittedForecaster, window_input: np.ndarray, horizon: int) -> np.ndarray:
-    """Forecast ``horizon`` steps from one L_x x c input window."""
-    out = predict_batch(model, np.asarray(window_input, dtype=np.float64)[None, :, :], horizon)
-    return out[0]
-
-
 def predict_batch(model: FittedForecaster, inputs: np.ndarray, horizon: int) -> np.ndarray:
     """Vectorized forecasts for a W x L_x x c batch of input windows."""
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -497,14 +491,25 @@ def write_forecast_records(path, ensembles: list[EnsembleForecast]) -> None:
             ))
 
 
+def _record_int(field) -> int:
+    """An integer field: a JSON int or a numeric string. int() would truncate
+    a JSON float (1.7 -> 1) and read a JSON bool as 0/1, so both are refused."""
+    if type(field) is int:  # NDJSON's common case, kept as cheap as int() was
+        return field
+    number = int(field)  # inf, nan and bad strings fail here with int()'s message
+    if isinstance(field, (float, bool)):
+        raise ValueError(f"not an integer: {field!r}")
+    return number
+
+
 def _parse_record(raw: dict, line_no: int) -> tuple:
     try:
         return (
-            int(raw["window_id"]),
-            int(raw["origin"]),
+            _record_int(raw["window_id"]),
+            _record_int(raw["origin"]),
             str(raw["member_id"]),
-            int(raw["step"]),
-            int(raw["variable"]),
+            _record_int(raw["step"]),
+            _record_int(raw["variable"]),
             float(raw["value"]),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -423,19 +423,12 @@ def merge_precursors_into_predictions(segments: SegmentSet) -> SegmentSet:
     )
 
 
-def _tapr_coverage(segments: SegmentSet) -> tuple[np.ndarray, np.ndarray]:
-    """TaPR's per-anomaly and per-prediction coverage ratios (theta-independent)."""
+def _tapr_coverage(segments: SegmentSet, params: MetricParams) -> tuple[np.ndarray, np.ndarray]:
+    """TaPR's per-anomaly and per-prediction coverage ratios (theta-independent):
+    with the precursors folded back in, PTaPR's overlap credit is TaPR's."""
     _require_anomalies(segments)
-    merged = merge_precursors_into_predictions(segments)
-    anomalies = merged.anomalies
-    predictions = merged.predictions
-    overlap = np.zeros((len(anomalies), len(predictions)))
-    for ai, (a, a_prime) in enumerate(zip(anomalies, merged.ambiguous)):
-        for pi, p in enumerate(predictions):
-            overlap[ai, pi] = overlap_score(a, p, None, a_prime, merged.delta)
-    a_len = np.array([a.length for a in anomalies], dtype=float)
-    p_len = np.array([p.length for p in predictions], dtype=float)
-    return overlap.sum(axis=1) / a_len, overlap.sum(axis=0) / p_len
+    diag = _diagnostics(merge_precursors_into_predictions(segments), params)
+    return diag.anomaly_coverage, diag.prediction_coverage
 
 
 def _tapr_at(cov_a: np.ndarray, cov_p: np.ndarray, theta: float, weight: float) -> TaprResult:
@@ -466,7 +459,7 @@ def tapr(segments: SegmentSet, params: MetricParams) -> TaprResult:
     back in) and the overlap credit is |a n p| + S(a', p). Detection and
     coverage components are weighted by tapr_alpha / (1 - tapr_alpha).
     """
-    return _tapr_at(*_tapr_coverage(segments), params.theta, params.tapr_alpha)
+    return _tapr_at(*_tapr_coverage(segments, params), params.theta, params.tapr_alpha)
 
 
 def tapr_theta_sweep(
@@ -480,7 +473,7 @@ def tapr_theta_sweep(
     coverage ratios are computed once for all thresholds.
     """
     thetas = _theta_grid(thetas)
-    cov_a, cov_p = _tapr_coverage(segments)
+    cov_a, cov_p = _tapr_coverage(segments, params)
 
     def sides(theta):
         result = _tapr_at(cov_a, cov_p, theta, params.tapr_alpha)

@@ -7,15 +7,14 @@ held-out validation statistics before a single threshold is applied, and the
 per-window scores are finally attributed to the future timestamps they talk
 about.
 
-The variable axis is collapsed (mean by default, max for sensitivity work)
-before collation; per-variable timelines are available by passing a single
-variable's W x L_y slice of the normalized tensor to
+Every kernel takes and returns plain numpy arrays: raw and normalized scores
+are W x L_y x c. The variable axis is collapsed (mean by default, max for
+sensitivity work) before collation; per-variable timelines are available by
+passing a single variable's W x L_y slice of the normalized array to
 :func:`collate_timeline` directly.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,121 +24,67 @@ from poakit.forecast import EnsembleForecast
 DEFAULT_EPS_SIGMA = 1e-8
 
 
-@dataclass(frozen=True)
-class UncertaintyTensor:
-    """Raw (and optionally normalized) scores, W x L_y x c."""
-
-    values: np.ndarray
-    normalized: np.ndarray | None = None
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 3:
-            raise ValidationError("uncertainty values must be W x L_y x c")
-        if not np.all(np.isfinite(vals)) or np.any(vals < 0):
-            raise ValidationError("raw uncertainty values must be finite and >= 0")
-        object.__setattr__(self, "values", vals)
-        if self.normalized is not None:
-            norm = np.asarray(self.normalized, dtype=np.float64)
-            if norm.shape != vals.shape:
-                raise ValidationError("normalized tensor must match raw shape")
-            object.__setattr__(self, "normalized", norm)
-
-    @property
-    def n_windows(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class HorizonStats:
-    """Per-(horizon step, variable) mean and population std over windows."""
-
-    mu: np.ndarray
-    sigma: np.ndarray
-    n_windows: int
-
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=np.float64)
-        sigma = np.asarray(self.sigma, dtype=np.float64)
-        if mu.ndim != 2 or sigma.shape != mu.shape:
-            raise ValidationError("mu and sigma must be matching L_y x c matrices")
-        if np.any(sigma < 0):
-            raise ValidationError("sigma must be >= 0")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
-
-
-def ensemble_variance(forecast: EnsembleForecast) -> np.ndarray:
-    """Per-cell disagreement: sample variance (divisor M-1) across members.
-
-    Exact two-pass computation: subtract the member mean, then average the
-    squared deviations.
-    """
-    preds = forecast.predictions
+def ensemble_variance(predictions: np.ndarray) -> np.ndarray:
+    """Per-cell disagreement of one window's M x L_y x c member forecasts:
+    sample variance (divisor M-1) across members, in two exact passes
+    (subtract the member mean, then average the squared deviations)."""
+    preds = np.asarray(predictions, dtype=np.float64)
     M = preds.shape[0]
     if M < 2:
         raise ValidationError(
             f"ensemble too small for variance: need >= 2 members, got {M}"
         )
-    mean = preds.mean(axis=0)
-    dev = preds - mean[None, :, :]
+    dev = preds - preds.mean(axis=0)
     return (dev**2).sum(axis=0) / (M - 1)
 
 
 def uncertainty_from_ensembles(
     ensembles: list[EnsembleForecast],
-) -> tuple[UncertaintyTensor, np.ndarray]:
-    """Stack per-window variances; returns the tensor plus window origins."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """W x L_y x c variances in window-id order, plus the window origins.
+    Taken one window at a time: no W x M x L_y x c copy is made."""
     if not ensembles:
         raise ValidationError("no ensembles to score")
     ordered = sorted(ensembles, key=lambda e: e.window_id)
-    values = np.stack([ensemble_variance(e) for e in ordered])
+    values = np.stack([ensemble_variance(e.predictions) for e in ordered])
+    if not np.all(np.isfinite(values)) or np.any(values < 0):
+        raise ValidationError("raw uncertainty values must be finite and >= 0")
     origins = np.array([e.origin for e in ordered], dtype=np.int64)
-    return UncertaintyTensor(values), origins
+    return values, origins
 
 
-def horizon_stats(tensor: UncertaintyTensor) -> HorizonStats:
-    """Mean and population std (divisor N) per cell over validation windows."""
-    if tensor.n_windows < 2:
+def horizon_stats(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and population std (divisor N) per (step, variable) cell over
+    the W validation windows of a W x L_y x c array."""
+    if values.shape[0] < 2:
         raise ValidationError(
-            f"need >= 2 windows for horizon statistics, got {tensor.n_windows}"
+            f"need >= 2 windows for horizon statistics, got {values.shape[0]}"
         )
-    mu = tensor.values.mean(axis=0)
-    sigma = np.sqrt(((tensor.values - mu[None]) ** 2).mean(axis=0))
-    return HorizonStats(mu=mu, sigma=sigma, n_windows=tensor.n_windows)
+    mu = values.mean(axis=0)
+    sigma = np.sqrt(((values - mu[None]) ** 2).mean(axis=0))
+    return mu, sigma
 
 
-def normalize(
-    tensor: UncertaintyTensor,
-    stats: HorizonStats,
-    eps_sigma: float = DEFAULT_EPS_SIGMA,
-) -> UncertaintyTensor:
-    """Z-score each cell against the validation statistics.
-
-    Degenerate (constant) cells are handled by flooring sigma at
-    ``eps_sigma``; raw values are preserved alongside.
-    """
+def normalize(values: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
+              eps_sigma: float = DEFAULT_EPS_SIGMA) -> np.ndarray:
+    """Z-score each cell of a W x L_y x c array against validation statistics;
+    sigma is floored at ``eps_sigma`` so constant cells stay finite."""
     if eps_sigma <= 0:
         raise ValidationError("eps_sigma must be > 0")
-    if stats.mu.shape != tensor.values.shape[1:]:
+    if mu.shape != values.shape[1:]:
         raise ValidationError(
-            f"stats shape {stats.mu.shape} does not match tensor cells "
-            f"{tensor.values.shape[1:]}"
+            f"stats shape {mu.shape} does not match tensor cells {values.shape[1:]}"
         )
-    denom = np.maximum(stats.sigma, eps_sigma)
-    normalized = (tensor.values - stats.mu[None]) / denom[None]
-    return UncertaintyTensor(values=tensor.values, normalized=normalized)
+    return (values - mu[None]) / np.maximum(sigma, eps_sigma)[None]
 
 
-def aggregate_variables(matrix: np.ndarray, mode: str = "mean") -> np.ndarray:
-    """Collapse the variable axis of an L_y x c score matrix to one signal."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ValidationError("expected an L_y x c matrix")
+def aggregate_variables(scores: np.ndarray, mode: str = "mean") -> np.ndarray:
+    """Collapse the variable (last) axis of a score array to one signal."""
+    scores = np.asarray(scores, dtype=np.float64)
     if mode == "mean":
-        return matrix.mean(axis=1)
+        return scores.mean(axis=-1)
     if mode == "max":
-        return matrix.max(axis=1)
+        return scores.max(axis=-1)
     raise ValidationError(f"aggregation mode must be 'mean' or 'max', got {mode!r}")
 
 
@@ -165,6 +110,8 @@ def collate_timeline(
     origins = np.asarray(origins, dtype=np.int64)
     if scores2d.ndim != 2 or origins.shape != (scores2d.shape[0],):
         raise ValidationError("need W x L_y scores and W origins")
+    if np.any(origins < 0):
+        raise ValidationError(f"window origins must be >= 0, got {int(origins.min())}")
     if mode not in ("max", "latest", "earliest"):
         raise ValidationError(f"collation mode must be max/latest/earliest, got {mode!r}")
     L_y = scores2d.shape[1]
@@ -207,15 +154,10 @@ def score_timeline(
     ends at the series' last row). ``normalize_scores=False`` skips the
     z-normalization and collates raw variances instead.
     """
-    test_tensor, origins = uncertainty_from_ensembles(test_ensembles)
+    values, origins = uncertainty_from_ensembles(test_ensembles)
     if series_len is None:
         series_len = int(origins.max()) + 1
     if normalize_scores:
-        valid_tensor, _ = uncertainty_from_ensembles(validation_ensembles)
-        stats = horizon_stats(valid_tensor)
-        test_tensor = normalize(test_tensor, stats, eps_sigma)
-        cube = test_tensor.normalized
-    else:
-        cube = test_tensor.values
-    per_window = np.stack([aggregate_variables(cube[w], agg) for w in range(cube.shape[0])])
-    return collate_timeline(per_window, origins, series_len, collate)
+        valid_values, _ = uncertainty_from_ensembles(validation_ensembles)
+        values = normalize(values, *horizon_stats(valid_values), eps_sigma)
+    return collate_timeline(aggregate_variables(values, agg), origins, series_len, collate)

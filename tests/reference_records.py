@@ -18,10 +18,19 @@ class RecordError(Exception):
     pass
 
 
+def _integer(field):
+    """JSON ints and numeric strings only: a JSON float or bool is refused,
+    after int() has had its say on inf, nan and malformed strings."""
+    number = int(field)
+    if type(field) in (float, bool):
+        raise ValueError(f"not an integer: {field!r}")
+    return number
+
+
 def _parse(raw, line_no):
     try:
-        return (int(raw["window_id"]), int(raw["origin"]), str(raw["member_id"]),
-                int(raw["step"]), int(raw["variable"]), float(raw["value"]))
+        return (_integer(raw["window_id"]), _integer(raw["origin"]), str(raw["member_id"]),
+                _integer(raw["step"]), _integer(raw["variable"]), float(raw["value"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise RecordError(f"line {line_no}: bad forecast record ({exc})") from exc
 

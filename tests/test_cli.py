@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shlex
 import shutil
@@ -9,6 +10,7 @@ from click.testing import CliRunner
 
 from poakit import core, detect as detect_mod, io as pio, metrics as mx
 from poakit.cli import cli
+from poakit.forecast import EnsembleForecast, write_forecast_records
 
 SYNTH_CFG = {
     "length": 600,
@@ -26,6 +28,11 @@ SYNTH_CFG = {
 }
 
 MEMBERS = "persistence,moving_average:5,ar_ols:2,exp_smoothing:0.5"
+
+# sha256 of the pipeline fixture's scores.csv, recorded before the scoring
+# kernels moved from wrapper types to plain arrays; the score path must keep
+# writing these exact bytes.
+SCORES_SHA256 = "570bf68b0f962eafa46bca8bda909e2d0cf0f26e5bdb49c9b6e79b6b936fd8a9"
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -97,6 +104,10 @@ class TestPipeline:
         rows = [line.split(",") for line in lines[1:]]
         assert len(rows) == 4
         assert sum(int(r[3]) for r in rows) == 3
+
+    def test_scores_golden_bytes(self, pipeline):
+        data = (pipeline / "run/scores.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == SCORES_SHA256
 
     def test_scores_cover_tail_of_series(self, pipeline):
         scores = pio.read_scores(pipeline / "run/scores.csv")
@@ -340,3 +351,56 @@ class TestErrorHandling:
         assert result.exit_code == 2
         assert "error[validation]" in result.output
         assert "missing sidecar det.csv.meta.json" in result.output
+
+
+def ensembles(shape=(3, 4, 2), windows=4, origin=20, scale=1.0, seed=0):
+    """``windows`` stride-1 ensembles of M x L_y x c random forecasts."""
+    rng = np.random.default_rng(seed)
+    ids = tuple(f"m{i}" for i in range(shape[0]))
+    return [EnsembleForecast(w, origin + w, scale * rng.normal(size=shape), ids)
+            for w in range(windows)]
+
+
+class TestScoreRejections:
+    """``score`` refuses inputs it cannot turn into an honest timeline."""
+
+    def run_score(self, tmp_path, test_ens, valid_ens, *extra, ext="csv"):
+        test_path, valid_path = tmp_path / f"test.{ext}", tmp_path / f"valid.{ext}"
+        write_forecast_records(test_path, test_ens)
+        write_forecast_records(valid_path, valid_ens)
+        return CliRunner().invoke(
+            cli, ["score", str(test_path), str(valid_path), str(tmp_path / "scores.csv"), *extra]
+        )
+
+    def assert_rejected(self, result, message):
+        assert result.exit_code == 2, result.output
+        assert "error[validation]" in result.output
+        assert message in result.output
+
+    def test_accepts_well_formed_files(self, tmp_path):
+        result = self.run_score(tmp_path, ensembles(), ensembles(seed=1))
+        assert result.exit_code == 0, result.output
+
+    def test_validation_horizon_mismatch(self, tmp_path):
+        result = self.run_score(tmp_path, ensembles(), ensembles(shape=(3, 3, 2), seed=1))
+        self.assert_rejected(result, "does not match tensor cells")
+
+    def test_single_member_ensemble(self, tmp_path):
+        result = self.run_score(tmp_path, ensembles(shape=(1, 4, 2)), ensembles(seed=1))
+        self.assert_rejected(result, "too small for variance")
+
+    def test_single_validation_window(self, tmp_path):
+        result = self.run_score(tmp_path, ensembles(), ensembles(windows=1, seed=1))
+        self.assert_rejected(result, "need >= 2 windows")
+
+    def test_variance_overflow(self, tmp_path):
+        with np.errstate(over="ignore"):
+            result = self.run_score(tmp_path, ensembles(scale=1e200), ensembles(seed=1))
+        self.assert_rejected(result, "raw uncertainty values must be finite and >= 0")
+
+    def test_negative_window_origin(self, tmp_path):
+        # origins -3 and -2 would write to indices -2 and -1: the end of the timeline
+        result = self.run_score(tmp_path, ensembles(windows=2, origin=-3), ensembles(seed=1),
+                                "--length", "10", ext="ndjson")
+        self.assert_rejected(result, "window origins must be >= 0, got -3")
+        assert not (tmp_path / "scores.csv").exists()

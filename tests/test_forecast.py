@@ -23,7 +23,6 @@ from poakit.forecast import (
     forecast_ensembles,
     ingest_external_forecasts,
     make_windows,
-    predict,
     predict_batch,
     select_top_k,
     write_forecast_records,
@@ -129,14 +128,14 @@ class TestFitPredict:
         model = fit(ForecasterSpec("persistence"), train)
         window = np.column_stack([np.arange(10.0), -np.arange(10.0)])
         window[-1] = [3.0, -1.0]
-        out = predict(model, window, horizon=4)
+        out = predict_batch(model, window[None], horizon=4)[0]
         assert out.shape == (4, 2)
         assert np.all(out == [3.0, -1.0])
 
     def test_seasonal_naive_cycles_tail(self):
         model = fit(ForecasterSpec("seasonal_naive", period=2), series(np.arange(10)))
         window = np.arange(10.0)[:, None]
-        out = predict(model, window, horizon=5)[:, 0]
+        out = predict_batch(model, window[None], horizon=5)[0][:, 0]
         # tail is [..., 8, 9] -> repeats 8, 9, 8, 9, 8
         assert np.array_equal(out, [8, 9, 8, 9, 8])
 
@@ -158,7 +157,7 @@ class TestFitPredict:
         model = fit(ForecasterSpec("ar_ols", order=1), series(x))
         window = np.ones((10, 1))
         window[-1, 0] = 8.0
-        out = predict(model, window, horizon=3)[:, 0]
+        out = predict_batch(model, window[None], horizon=3)[0][:, 0]
         assert out == pytest.approx([4.0, 2.0, 1.0], abs=1e-8)
 
     def test_ar_ols_singular_falls_back_to_persistence(self):
@@ -166,13 +165,13 @@ class TestFitPredict:
         assert len(model.fit_report) == 1
         assert "fell back" in model.fit_report[0]
         window = np.full((5, 1), 7.0)
-        out = predict(model, window, horizon=3)[:, 0]
+        out = predict_batch(model, window[None], horizon=3)[0][:, 0]
         assert np.array_equal(out, [7.0, 7.0, 7.0])
 
     def test_exp_smoothing_alpha_one_is_last_observation(self):
         model = fit(ForecasterSpec("exp_smoothing", alpha=1.0), series(np.arange(10)))
         window = np.arange(10.0)[:, None]
-        out = predict(model, window, horizon=3)[:, 0]
+        out = predict_batch(model, window[None], horizon=3)[0][:, 0]
         assert np.array_equal(out, [9.0, 9.0, 9.0])
 
     def test_exp_smoothing_matches_scalar_recursion(self):
@@ -182,19 +181,19 @@ class TestFitPredict:
         level = window[0, 0]
         for t in range(1, 8):
             level = 0.4 * window[t, 0] + 0.6 * level
-        out = predict(model, window, horizon=2)[:, 0]
+        out = predict_batch(model, window[None], horizon=2)[0][:, 0]
         assert out == pytest.approx([level, level], abs=1e-12)
 
     def test_holt_linear_extends_exact_line(self):
         window = (2.0 * np.arange(12) + 1.0)[:, None]
         model = fit(ForecasterSpec("holt_linear", alpha=0.5, beta=0.5), series(window))
-        out = predict(model, window, horizon=3)[:, 0]
+        out = predict_batch(model, window[None], horizon=3)[0][:, 0]
         assert out == pytest.approx([25.0, 27.0, 29.0], abs=1e-9)
 
     def test_moving_average_recursion(self):
         window = np.array([1.0, 2.0, 3.0, 4.0])[:, None]
         model = fit(ForecasterSpec("moving_average", width=2), series(window))
-        out = predict(model, window, horizon=3)[:, 0]
+        out = predict_batch(model, window[None], horizon=3)[0][:, 0]
         # buffer [3, 4] -> 3.5; [4, 3.5] -> 3.75; [3.5, 3.75] -> 3.625
         assert out == pytest.approx([3.5, 3.75, 3.625], abs=1e-12)
 
@@ -207,7 +206,7 @@ class TestFitPredict:
         window = np.ones((10, 1))
         window[3, 0] = np.nan
         with pytest.raises(ValidationError, match="non-finite"):
-            predict(model, window, horizon=2)
+            predict_batch(model, window[None], horizon=2)[0]
 
     def test_predict_batch_matches_single(self):
         rng = np.random.default_rng(5)
@@ -219,7 +218,7 @@ class TestFitPredict:
             model = fit(spec, train)
             batched = predict_batch(model, inputs, horizon=7)
             for i in range(6):
-                single = predict(model, inputs[i], horizon=7)
+                single = predict_batch(model, inputs[i:i + 1], horizon=7)[0]
                 assert np.allclose(batched[i], single, atol=1e-12)
 
 
@@ -576,6 +575,39 @@ class TestForecastRecords:
         with pytest.raises(DataFormatError) as err:
             ingest_external_forecasts(path)
         assert str(err.value) == f"line 2: bad forecast record ({message})"
+
+    @pytest.mark.parametrize("field", ["window_id", "origin", "step", "variable"])
+    @pytest.mark.parametrize("spelling", ["fraction", "integral-float", "bool"])
+    def test_ndjson_integer_field_not_truncated(self, tmp_path, field, spelling):
+        # line 2 is window 0, origin 9, member m1, step 1, variable 1: int() would
+        # read each spelling below back as a plausible integer and accept the file
+        path = tmp_path / "fc.ndjson"
+        write_forecast_records(path, self._make_ensembles())
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        bad = {"fraction": record[field] + 0.7, "integral-float": float(record[field]),
+               "bool": True}[spelling]
+        record[field] = bad
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError) as err:
+            ingest_external_forecasts(path)
+        assert str(err.value) == f"line 2: bad forecast record (not an integer: {bad!r})"
+        with pytest.raises(reference_records.RecordError) as ref_err:
+            reference_records.ref_ingest(path)
+        assert str(ref_err.value) == str(err.value)
+
+    def test_ndjson_numeric_string_integer_accepted(self, tmp_path):
+        ensembles = self._make_ensembles()
+        path = tmp_path / "fc.ndjson"
+        write_forecast_records(path, ensembles)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["step"] = str(record["step"])
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        got = ingest_external_forecasts(path)
+        assert all(np.array_equal(g.predictions, e.predictions) for g, e in zip(got, ensembles))
 
     def test_missing_cell_reported(self, tmp_path):
         path = tmp_path / "fc.csv"

@@ -4,8 +4,6 @@ import pytest
 from poakit.core import ValidationError
 from poakit.forecast import EnsembleForecast
 from poakit.uncertainty import (
-    HorizonStats,
-    UncertaintyTensor,
     aggregate_variables,
     collate_timeline,
     ensemble_variance,
@@ -15,26 +13,20 @@ from poakit.uncertainty import (
 )
 
 
-def ensemble(preds, origin=0, window_id=0):
-    preds = np.asarray(preds, dtype=float)
-    ids = tuple(f"m{i}" for i in range(preds.shape[0]))
-    return EnsembleForecast(window_id, origin, preds, ids)
-
-
 class TestEnsembleVariance:
     def test_identical_members_zero(self):
         preds = np.tile(np.arange(6.0).reshape(1, 3, 2), (4, 1, 1))
-        assert np.all(ensemble_variance(ensemble(preds)) == 0.0)
+        assert np.all(ensemble_variance(preds) == 0.0)
 
     def test_hand_two_pass(self):
         # members predict 1, 2, 3 at one cell: deviations sum to 2, /(M-1) = 1
         preds = np.array([[[1.0]], [[2.0]], [[3.0]]])
-        assert ensemble_variance(ensemble(preds))[0, 0] == pytest.approx(1.0, abs=1e-15)
+        assert ensemble_variance(preds)[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(11)
         preds = rng.normal(size=(5, 4, 3))
-        got = ensemble_variance(ensemble(preds))
+        got = ensemble_variance(preds)
         for i in range(4):
             for v in range(3):
                 cell = preds[:, i, v]
@@ -45,89 +37,83 @@ class TestEnsembleVariance:
     def test_member_permutation_invariant(self):
         rng = np.random.default_rng(12)
         preds = rng.normal(size=(5, 4, 3))
-        base = ensemble_variance(ensemble(preds))
+        base = ensemble_variance(preds)
         perm = rng.permutation(5)
-        assert np.allclose(ensemble_variance(ensemble(preds[perm])), base, atol=1e-12)
+        assert np.allclose(ensemble_variance(preds[perm]), base, atol=1e-12)
 
     def test_constant_shift_invariant(self):
         rng = np.random.default_rng(13)
         preds = rng.normal(size=(4, 3, 2))
-        base = ensemble_variance(ensemble(preds))
-        shifted = ensemble_variance(ensemble(preds + 17.5))
+        base = ensemble_variance(preds)
+        shifted = ensemble_variance(preds + 17.5)
         assert np.allclose(shifted, base, atol=1e-10)
 
     def test_rejects_single_member(self):
         with pytest.raises(ValidationError, match="too small"):
-            ensemble_variance(ensemble(np.zeros((1, 3, 2))))
+            ensemble_variance(np.zeros((1, 3, 2)))
 
 
 class TestHorizonStats:
     def test_equal_windows_have_zero_sigma(self):
         values = np.tile(np.arange(6.0).reshape(1, 3, 2), (5, 1, 1))
-        stats = horizon_stats(UncertaintyTensor(values))
-        assert np.all(stats.sigma == 0.0)
-        assert np.allclose(stats.mu, values[0])
+        mu, sigma = horizon_stats(values)
+        assert np.all(sigma == 0.0)
+        assert np.allclose(mu, values[0])
 
     def test_population_divisor(self):
         # two windows with values {0, 2} at a cell: mu=1, sigma=1 (divisor N)
         values = np.array([[[0.0]], [[2.0]]])
-        stats = horizon_stats(UncertaintyTensor(values))
-        assert stats.mu[0, 0] == pytest.approx(1.0)
-        assert stats.sigma[0, 0] == pytest.approx(1.0)
+        mu, sigma = horizon_stats(values)
+        assert mu[0, 0] == pytest.approx(1.0)
+        assert sigma[0, 0] == pytest.approx(1.0)
 
     def test_matches_flat_loop_oracle(self):
         rng = np.random.default_rng(14)
         values = rng.uniform(0, 5, size=(7, 4, 2))
-        stats = horizon_stats(UncertaintyTensor(values))
+        got_mu, got_sigma = horizon_stats(values)
         for i in range(4):
             for v in range(2):
                 cells = [values[w, i, v] for w in range(7)]
                 mu = sum(cells) / 7
                 sigma = (sum((x - mu) ** 2 for x in cells) / 7) ** 0.5
-                assert stats.mu[i, v] == pytest.approx(mu, abs=1e-12)
-                assert stats.sigma[i, v] == pytest.approx(sigma, abs=1e-12)
+                assert got_mu[i, v] == pytest.approx(mu, abs=1e-12)
+                assert got_sigma[i, v] == pytest.approx(sigma, abs=1e-12)
 
     def test_rejects_single_window(self):
         with pytest.raises(ValidationError):
-            horizon_stats(UncertaintyTensor(np.zeros((1, 2, 2))))
+            horizon_stats(np.zeros((1, 2, 2)))
 
 
 class TestNormalize:
     def test_raw_equal_to_mu_gives_zero(self):
         values = np.full((3, 2, 2), 4.0)
-        stats = HorizonStats(np.full((2, 2), 4.0), np.ones((2, 2)), 3)
-        out = normalize(UncertaintyTensor(values), stats)
-        assert np.all(out.normalized == 0.0)
-        assert np.array_equal(out.values, values)
+        out = normalize(values, np.full((2, 2), 4.0), np.ones((2, 2)))
+        assert np.all(out == 0.0)
+        assert np.all(values == 4.0)  # the raw input is not overwritten
 
     def test_identity_for_standard_stats(self):
         rng = np.random.default_rng(15)
         values = rng.uniform(0, 3, size=(4, 2, 3))
-        stats = HorizonStats(np.zeros((2, 3)), np.ones((2, 3)), 4)
-        out = normalize(UncertaintyTensor(values), stats)
-        assert np.allclose(out.normalized, values, atol=1e-15)
+        out = normalize(values, np.zeros((2, 3)), np.ones((2, 3)))
+        assert np.allclose(out, values, atol=1e-15)
 
     def test_degenerate_sigma_floored(self):
         values = np.zeros((2, 1, 1))
         values[1, 0, 0] = 1.0
-        stats = HorizonStats(np.zeros((1, 1)), np.zeros((1, 1)), 2)
-        out = normalize(UncertaintyTensor(values), stats, eps_sigma=1e-8)
-        assert np.isfinite(out.normalized).all()
-        assert out.normalized[1, 0, 0] == pytest.approx(1e8)
+        out = normalize(values, np.zeros((1, 1)), np.zeros((1, 1)), eps_sigma=1e-8)
+        assert np.isfinite(out).all()
+        assert out[1, 0, 0] == pytest.approx(1e8)
 
     def test_validation_self_normalization_moments(self):
         rng = np.random.default_rng(16)
         values = rng.uniform(0.1, 4.0, size=(60, 5, 3))
-        tensor = UncertaintyTensor(values)
-        stats = horizon_stats(tensor)
-        out = normalize(tensor, stats)
-        assert np.allclose(out.normalized.mean(axis=0), 0.0, atol=1e-9)
-        assert np.allclose(out.normalized.std(axis=0), 1.0, atol=1e-9)
+        out = normalize(values, *horizon_stats(values))
+        assert np.allclose(out.mean(axis=0), 0.0, atol=1e-9)
+        assert np.allclose(out.std(axis=0), 1.0, atol=1e-9)
 
     def test_shape_mismatch_rejected(self):
-        stats = HorizonStats(np.zeros((3, 1)), np.ones((3, 1)), 2)
-        with pytest.raises(ValidationError):
-            normalize(UncertaintyTensor(np.zeros((2, 2, 1))), stats)
+        with pytest.raises(ValidationError, match="does not match tensor cells"):
+            normalize(np.zeros((2, 2, 1)), np.zeros((3, 1)), np.ones((3, 1)))
 
 
 class TestAggregateVariables:
@@ -206,6 +192,11 @@ class TestCollateTimeline:
             if counts[tau]:
                 assert out.scores[tau] == pytest.approx(best[tau], abs=1e-12)
 
+    def test_rejects_negative_origin(self):
+        # origin -3 would score index -2, which numpy wraps to the timeline's end
+        with pytest.raises(ValidationError, match="origins must be >= 0, got -3"):
+            collate_timeline(np.ones((2, 2)), np.array([-3, 4]), series_len=10)
+
     def test_max_mode_pointwise_monotone(self):
         rng = np.random.default_rng(19)
         scores = rng.normal(size=(6, 3))
@@ -223,6 +214,7 @@ class TestUncertaintyFromEnsembles:
         rng = np.random.default_rng(20)
         e1 = EnsembleForecast(1, 10, rng.normal(size=(3, 2, 1)), ("a", "b", "c"))
         e0 = EnsembleForecast(0, 9, rng.normal(size=(3, 2, 1)), ("a", "b", "c"))
-        tensor, origins = uncertainty_from_ensembles([e1, e0])
+        values, origins = uncertainty_from_ensembles([e1, e0])
         assert np.array_equal(origins, [9, 10])
-        assert tensor.n_windows == 2
+        assert values.shape == (2, 2, 1)
+        assert np.array_equal(values[0], ensemble_variance(e0.predictions))
