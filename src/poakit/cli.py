@@ -10,7 +10,6 @@ Errors print a single machine-parsable line: ``error[<category>]: <text>``.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 import json
@@ -175,14 +174,11 @@ def forecast(train_path, valid_path, out_dir, test_path, members, top_k, criteri
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "scoreboard.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("member_id", "mse", "mae", "selected"))
-        for s in scores:
-            writer.writerow(
-                (s.member_id, format(s.mse, ".9g"), format(s.mae, ".9g"),
-                 int(s.member_id in selected))
-            )
+    pio.write_csv(
+        out / "scoreboard.csv", ("member_id", "mse", "mae", "selected"),
+        ((s.member_id, format(s.mse, ".9g"), format(s.mae, ".9g"), int(s.member_id in selected))
+         for s in scores),
+    )
     chosen = [m for m in fitted if m.member_id in selected]
     valid_ens = fc.forecast_ensembles(chosen, valid_windows, horizon)
     fc.write_forecast_records(out / "valid_forecasts.csv", valid_ens)
@@ -249,7 +245,6 @@ def _metric_options(func):
                      help="Optimal lead time of the early reward."),
         click.option("--k", type=float, default=0.001, show_default=True,
                      help="Early-reward decay sharpness."),
-        click.option("--tapr-alpha", type=float, default=0.5, show_default=True),
     ]):
         func = option(func)
     return func
@@ -302,7 +297,7 @@ def _parse_detect_metric(metric: str, labels, delta, alpha, beta, gamma, epsilon
 @handle_errors
 def detect_cmd(scores_path, labels_path, out_path, grid_n, metric,
                search_scores_path, search_labels_path,
-               alpha, beta, gamma, delta, epsilon, k, tapr_alpha):
+               alpha, beta, gamma, delta, epsilon, k):
     """Best-F1 threshold search over score quantiles, then flag emission.
 
     By default the search runs on SCORES/LABELS themselves. For deployment
@@ -423,6 +418,7 @@ def _evaluation_payload(detection, labels, params, metrics_wanted, theta_grid_n)
               help="Report-level overlap threshold.")
 @click.option("--theta-grid", type=int, default=101, show_default=True)
 @_metric_options
+@click.option("--tapr-alpha", type=float, default=0.5, show_default=True)
 @handle_errors
 def evaluate(detection_path, labels_path, out_dir, metrics, theta, theta_grid,
              alpha, beta, gamma, delta, epsilon, k, tapr_alpha):
@@ -475,7 +471,7 @@ def evaluate(detection_path, labels_path, out_dir, metrics, theta, theta_grid,
 @_metric_options
 @handle_errors
 def sweep(detection_path, labels_path, out_path, param, values, theta_grid,
-          alpha, beta, gamma, delta, epsilon, k, tapr_alpha):
+          alpha, beta, gamma, delta, epsilon, k):
     """Sensitivity sweep of the early-reward parameters (k or epsilon)."""
     detection = pio.read_detection(detection_path)
     labels = pio.read_labels_csv(labels_path)
@@ -488,10 +484,7 @@ def sweep(detection_path, labels_path, out_path, param, values, theta_grid,
     if not parsed:
         raise ValidationError("no sweep values given")
     thetas = np.linspace(0.0, 1.0, theta_grid)
-    base = mx.MetricParams(
-        alpha=alpha, beta=beta, gamma=gamma, delta=delta, epsilon=epsilon, k=k,
-        tapr_alpha=tapr_alpha,
-    )
+    base = mx.MetricParams(alpha=alpha, beta=beta, gamma=gamma, delta=delta, epsilon=epsilon, k=k)
     cast = float if param == "k" else int
     rows = []
     for value in parsed:
@@ -499,11 +492,8 @@ def sweep(detection_path, labels_path, out_path, param, values, theta_grid,
         s = mx.ptapr_theta_sweep(segments, params, thetas)
         rows.append((value, s.f1_at_0, s.f1_at_1, s.auc))
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow((param, "f1_0", "f1_1", "auc"))
-        for row in rows:
-            writer.writerow([format(v, ".9g") for v in row])
+    pio.write_csv(out_path, (param, "f1_0", "f1_1", "auc"),
+                  ([format(v, ".9g") for v in row] for row in rows))
     click.echo(f"sweep: {len(rows)} {param} values -> {out_path}")
 
 
@@ -539,15 +529,14 @@ def report(run_dir):
             )
             plot_files.append("plot_theta_curve.csv")
     if scores is not None:
-        with open(run / "plot_timeline.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("timestamp", "score", "flag", "label"))
-            T = len(scores)
-            for i in range(T):
-                s = "" if np.isnan(scores.scores[i]) else format(scores.scores[i], ".9g")
-                f = int(detection.flags[i]) if detection is not None and i < len(detection) else ""
-                l = int(labels.flags[i]) if labels is not None and i < len(labels) else ""
-                writer.writerow((i, s, f, l))
+        pio.write_csv(
+            run / "plot_timeline.csv", ("timestamp", "score", "flag", "label"),
+            ((i,
+              "" if np.isnan(s) else format(s, ".9g"),
+              int(detection.flags[i]) if detection is not None and i < len(detection) else "",
+              int(labels.flags[i]) if labels is not None and i < len(labels) else "")
+             for i, s in enumerate(scores.scores)),
+        )
         plot_files.append("plot_timeline.csv")
     if not consolidated and not plot_files:
         raise ValidationError(f"{run}: no pipeline outputs found to report on")

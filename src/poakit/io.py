@@ -34,25 +34,66 @@ def _fmt(x: float) -> str:
     return format(float(x), FLOAT_FMT)
 
 
-def _parse_timestamp(path, row_no: int, cell: str) -> int:
+def write_csv(path, header, rows) -> None:
+    """Write a CSV table: the header row, then one line per row (CRLF line ends)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_table(path, n_columns: int | None = None):
+    """Read a timestamped CSV table: a header row, the timestamp column first.
+
+    The header has exactly ``n_columns`` columns (at least 2 when None) and
+    every non-blank row as many fields. Timestamps are integers that count up
+    by exactly one from row to row. Returns the header, the first timestamp
+    and ``(row number, other fields)`` for each non-blank row.
+    """
     try:
-        return int(cell)
+        with open(path, newline="") as fh:
+            table = list(csv.reader(fh, strict=True))
+    except csv.Error as exc:  # an unterminated quote, a field over csv's size limit
+        raise DataFormatError(f"{path}: not a CSV table ({exc})") from None
+    if not table:
+        raise DataFormatError(f"{path}: empty file")
+    header, width = table[0], len(table[0])
+    if width < 2 if n_columns is None else width != n_columns:
+        raise DataFormatError(
+            f"{path}: header has {width} columns, expected {n_columns or '>= 2'}")
+    rows = []
+    first = previous = None
+    for row_no, row in enumerate(table[1:], start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise DataFormatError(f"{path}: row {row_no} has {len(row)} fields, expected {width}")
+        ts = _cell(path, row_no, int, row[0], "has non-integer timestamp {!r}")
+        if previous is None:
+            first = ts
+        elif ts == previous:
+            raise DataFormatError(f"{path}: row {row_no} duplicates timestamp {ts}")
+        elif ts != previous + 1:
+            raise DataFormatError(
+                f"{path}: row {row_no} breaks unit-step timestamps ({previous} -> {ts})")
+        previous = ts
+        rows.append((row_no, row[1:]))
+    if not rows:
+        raise DataFormatError(f"{path}: no data rows")
+    return header, first, rows
+
+
+def _cell(path, row_no: int, parse, cell: str, problem: str):
+    """``parse(cell)``; a ValueError names the row, ``problem`` gets the cell."""
+    try:
+        return parse(cell)
     except ValueError:
-        raise DataFormatError(
-            f"{path}: row {row_no} has non-integer timestamp {cell!r}"
-        ) from None
+        raise DataFormatError(f"{path}: row {row_no} {problem.format(cell)}") from None
 
 
-def _check_unit_step(path, row_no: int, previous: int | None, ts: int) -> None:
-    """Timestamps must count up by exactly one from row to row."""
-    if previous is None:
-        return
-    if ts == previous:
-        raise DataFormatError(f"{path}: row {row_no} duplicates timestamp {ts}")
-    if ts != previous + 1:
-        raise DataFormatError(
-            f"{path}: row {row_no} breaks unit-step timestamps ({previous} -> {ts})"
-        )
+def _float_or_nan(cell: str) -> float:
+    """An optional number: an empty cell is missing (NaN)."""
+    return math.nan if cell == "" else float(cell)
 
 
 def read_series_csv(path, index_base: int = 0) -> TimeSeries:
@@ -60,104 +101,49 @@ def read_series_csv(path, index_base: int = 0) -> TimeSeries:
     if index_base not in (0, 1):
         raise ValidationError("index_base must be 0 or 1")
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        if len(header) < 2:
-            raise DataFormatError(f"{path}: need a timestamp column plus >= 1 variable")
-        names = tuple(h.strip() for h in header[1:])
-        timestamps: list[int] = []
-        rows: list[list[float]] = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"{path}: row {row_no} has {len(row)} fields, expected {len(header)}"
-                )
-            ts = _parse_timestamp(path, row_no, row[0])
-            values = []
-            for col, cell in enumerate(row[1:], start=2):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}: row {row_no} column {col} is not a number: {cell!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DataFormatError(
-                        f"{path}: row {row_no} column {col} is not finite"
-                    )
-                values.append(value)
-            _check_unit_step(path, row_no, timestamps[-1] if timestamps else None, ts)
-            timestamps.append(ts)
-            rows.append(values)
-    if not rows:
-        raise DataFormatError(f"{path}: no data rows")
-    ts = np.asarray(timestamps, dtype=np.int64) - index_base
-    if ts[0] < 0:
+    header, first, rows = _read_table(path)
+    problems = [f"column {col} is not a number: {{!r}}" for col in range(2, len(header) + 1)]
+    values = np.asarray([[_cell(path, row_no, float, cell, problem)
+                          for cell, problem in zip(cells, problems)]
+                         for row_no, cells in rows])
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        i, j = bad[0]
+        raise DataFormatError(f"{path}: row {rows[i][0]} column {j + 2} is not finite")
+    start = first - index_base
+    if start < 0:
         raise DataFormatError(f"{path}: negative timestamp after index_base shift")
-    return TimeSeries(ts, np.asarray(rows), names)
+    if start + len(values) - 1 > np.iinfo(np.int64).max:
+        raise DataFormatError(f"{path}: timestamp beyond the int64 range")
+    timestamps = np.arange(len(values), dtype=np.int64) + start
+    return TimeSeries(timestamps, values, tuple(h.strip() for h in header[1:]))
 
 
 def write_series_csv(path, series: TimeSeries, index_base: int = 0) -> None:
     if index_base not in (0, 1):
         raise ValidationError("index_base must be 0 or 1")
-    names = series.variable_names or tuple(
-        f"v{i}" for i in range(series.n_variables)
-    )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("timestamp",) + tuple(names))
-        for ts, row in zip(series.timestamps, series.values):
-            writer.writerow([int(ts) + index_base] + [_fmt(v) for v in row])
+    names = series.variable_names or tuple(f"v{i}" for i in range(series.n_variables))
+    write_csv(path, ("timestamp",) + tuple(names),
+              ([int(ts) + index_base] + [_fmt(v) for v in row]
+               for ts, row in zip(series.timestamps, series.values)))
 
 
 def read_labels_csv(path) -> LabelSequence:
     """Read labels: header, timestamp column, one 0/1 flag column."""
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        if len(header) != 2:
-            raise DataFormatError(f"{path}: expected exactly timestamp + flag columns")
-        flags = []
-        last_ts = None
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataFormatError(f"{path}: row {row_no} has {len(row)} fields")
-            try:
-                ts = int(row[0])
-                flag = int(row[1])
-            except ValueError:
-                raise DataFormatError(f"{path}: row {row_no} is not integer-valued") from None
-            if flag not in (0, 1):
-                raise DataFormatError(f"{path}: row {row_no} flag must be 0 or 1")
-            if last_ts is not None and ts != last_ts + 1:
-                raise DataFormatError(
-                    f"{path}: row {row_no} breaks unit-step timestamps"
-                )
-            last_ts = ts
-            flags.append(flag)
-    if not flags:
-        raise DataFormatError(f"{path}: no data rows")
+    _, _, rows = _read_table(path, 2)
+    flags = []
+    for row_no, (cell,) in rows:
+        flag = _cell(path, row_no, int, cell, "is not integer-valued")
+        if flag not in (0, 1):
+            raise DataFormatError(f"{path}: row {row_no} flag must be 0 or 1")
+        flags.append(flag)
     return LabelSequence(np.asarray(flags, dtype=np.int8))
 
 
 def write_labels_csv(path, labels: LabelSequence, index_base: int = 0) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("timestamp", "label"))
-        for i, flag in enumerate(labels.flags):
-            writer.writerow((i + index_base, int(flag)))
+    write_csv(path, ("timestamp", "label"),
+              ((i + index_base, int(flag)) for i, flag in enumerate(labels.flags)))
 
 
 def chronological_split(series: TimeSeries, train_frac: float) -> tuple[TimeSeries, TimeSeries]:
@@ -177,58 +163,25 @@ def chronological_split(series: TimeSeries, train_frac: float) -> tuple[TimeSeri
 
 def write_scores(path, scores: ScoreSeries, index_base: int = 0) -> None:
     """Score CSV: timestamp, score (empty = missing), lead_time (empty = missing)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("timestamp", "score", "lead_time"))
-        for i in range(len(scores)):
-            if np.isnan(scores.scores[i]):
-                writer.writerow((i + index_base, "", ""))
-            else:
-                writer.writerow(
-                    (i + index_base, _fmt(scores.scores[i]), int(scores.lead_times[i]))
-                )
+    write_csv(path, ("timestamp", "score", "lead_time"),
+              ((i + index_base, "", "") if np.isnan(s) else (i + index_base, _fmt(s), int(lead))
+               for i, (s, lead) in enumerate(zip(scores.scores, scores.lead_times))))
 
 
 def read_scores(path) -> ScoreSeries:
+    """Score CSV; ``score`` and ``lead_time`` must be both empty or both set."""
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataFormatError(f"{path}: empty file")
-        values, leads = [], []
-        ts = None
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataFormatError(f"{path}: row {row_no} has {len(row)} fields")
-            previous, ts = ts, _parse_timestamp(path, row_no, row[0])
-            _check_unit_step(path, row_no, previous, ts)
-            if row[1] == "":
-                values.append(np.nan)
-                leads.append(np.nan)
-            else:
-                try:
-                    values.append(float(row[1]))
-                    leads.append(float(row[2]))
-                except ValueError:
-                    raise DataFormatError(f"{path}: row {row_no} is malformed") from None
-    if not values:
-        raise DataFormatError(f"{path}: no data rows")
-    return ScoreSeries(np.asarray(values), np.asarray(leads))
+    _, _, rows = _read_table(path, 3)
+    scores = [_cell(path, n, _float_or_nan, cells[0], "is malformed") for n, cells in rows]
+    leads = [_cell(path, n, _float_or_nan, cells[1], "is malformed") for n, cells in rows]
+    return ScoreSeries(np.asarray(scores), np.asarray(leads))
 
 
 def write_detection(path, detection: Detection, meta: dict | None = None) -> None:
     """Detection CSV plus a `<path>.meta.json` sidecar with the threshold."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("timestamp", "flag", "lead_time"))
-        for i in range(len(detection)):
-            lead = detection.lead_times[i]
-            writer.writerow(
-                (i, int(detection.flags[i]), "" if np.isnan(lead) else int(lead))
-            )
+    write_csv(path, ("timestamp", "flag", "lead_time"),
+              ((i, int(flag), "" if np.isnan(lead) else int(lead))
+               for i, (flag, lead) in enumerate(zip(detection.flags, detection.lead_times))))
     sidecar = {"threshold": detection.threshold}
     if meta:
         sidecar.update(meta)
@@ -238,27 +191,10 @@ def write_detection(path, detection: Detection, meta: dict | None = None) -> Non
 def read_detection(path) -> Detection:
     """Detection CSV; the threshold comes from its required `.meta.json` sidecar."""
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataFormatError(f"{path}: empty file")
-        flags, leads = [], []
-        ts = None
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataFormatError(f"{path}: row {row_no} has {len(row)} fields")
-            previous, ts = ts, _parse_timestamp(path, row_no, row[0])
-            _check_unit_step(path, row_no, previous, ts)
-            try:
-                flags.append(int(row[1]))
-            except ValueError:
-                raise DataFormatError(f"{path}: row {row_no} flag is not an integer") from None
-            leads.append(np.nan if row[2] == "" else float(row[2]))
-    if not flags:
-        raise DataFormatError(f"{path}: no data rows")
+    _, _, rows = _read_table(path, 3)
+    flags = [_cell(path, n, int, cells[0], "flag is not an integer") for n, cells in rows]
+    leads = [_cell(path, n, _float_or_nan, cells[1], "lead_time is not a number: {!r}")
+             for n, cells in rows]
     sidecar = Path(str(path) + ".meta.json")
     if not sidecar.exists():
         raise DataFormatError(f"{path}: missing sidecar {sidecar.name} with the threshold")
@@ -266,19 +202,12 @@ def read_detection(path) -> Detection:
         threshold = float(json.loads(sidecar.read_text())["threshold"])
     except (ValueError, TypeError, KeyError) as exc:
         raise DataFormatError(f"{sidecar}: no numeric 'threshold' ({exc!r})") from None
-    return Detection(
-        flags=np.asarray(flags, dtype=np.int8),
-        threshold=threshold,
-        lead_times=np.asarray(leads),
-    )
+    return Detection(flags=np.asarray(flags, dtype=np.int8), threshold=threshold,
+                     lead_times=np.asarray(leads))
 
 
 def write_segments_csv(path, segments: list[Segment]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("start", "length"))
-        for seg in segments:
-            writer.writerow((seg.start, seg.length))
+    write_csv(path, ("start", "length"), ((seg.start, seg.length) for seg in segments))
 
 
 def read_segments_csv(path) -> list[Segment]:
@@ -325,11 +254,8 @@ def write_json(path, data: dict) -> None:
 
 def write_theta_curve_csv(path, thetas, ptar, ptap, f1) -> None:
     """Flat (theta, PTaR, PTaP, F1) table for plotting."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("theta", "ptar", "ptap", "f1"))
-        for row in zip(thetas, ptar, ptap, f1):
-            writer.writerow([_fmt(v) for v in row])
+    write_csv(path, ("theta", "ptar", "ptap", "f1"),
+              ([_fmt(v) for v in row] for row in zip(thetas, ptar, ptap, f1)))
 
 
 def file_sha256(path) -> str:

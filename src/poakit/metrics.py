@@ -230,7 +230,8 @@ def _diagnostics(segments: SegmentSet, params: MetricParams) -> _Diagnostics:
     for ai, (a, a_prime) in enumerate(zip(anomalies, segments.ambiguous)):
         for pi, (p, p_prime) in enumerate(zip(predictions, segments.precursors)):
             overlap[ai, pi] = overlap_score(a, p, p_prime, a_prime, segments.delta)
-            reward[ai, pi] = early_reward(a, p_prime, params.epsilon, params.k)
+            if p_prime is not None:
+                reward[ai, pi] = early_reward(a, p_prime, params.epsilon, params.k)
     paired = overlap > 0.0
     reward = np.where(paired, reward, 0.0)
     a_len = np.array([a.length for a in anomalies], dtype=float)

@@ -4,6 +4,7 @@ import shlex
 import shutil
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -34,7 +35,20 @@ MEMBERS = "persistence,moving_average:5,ar_ols:2,exp_smoothing:0.5"
 # writing these exact bytes.
 SCORES_SHA256 = "570bf68b0f962eafa46bca8bda909e2d0cf0f26e5bdb49c9b6e79b6b936fd8a9"
 
+# sha256 of the tables the CLI writes itself (scoreboard, sweep, report
+# timeline) in the pipeline fixture, recorded before they went through
+# io.write_csv; the bytes must not change.
+TABLE_SHA256 = {
+    "fc/scoreboard.csv": "163a65d1a30a04dad2c0397fd91db10412eadafabc3c916a33eb688a444d3b52",
+    "run/k_sweep.csv": "885222d762458b6193e32b42a17dcb918710d2eaacbd4300151cfaaa6e73ab45",
+    "run/plot_timeline.csv": "4aa1831fdf39b0ebd1bb2ae87d4915c07c245fc56fba3cbfc7138864f82d379e",
+}
+
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def readme_walkthrough() -> list[list[str]]:
@@ -104,6 +118,7 @@ class TestPipeline:
         rows = [line.split(",") for line in lines[1:]]
         assert len(rows) == 4
         assert sum(int(r[3]) for r in rows) == 3
+        assert sha256(pipeline / "fc/scoreboard.csv") == TABLE_SHA256["fc/scoreboard.csv"]
 
     def test_scores_golden_bytes(self, pipeline):
         data = (pipeline / "run/scores.csv").read_bytes()
@@ -150,6 +165,7 @@ class TestPipeline:
         lines = (pipeline / "run/plot_timeline.csv").read_text().splitlines()
         assert lines[0] == "timestamp,score,flag,label"
         assert len(lines) == SYNTH_CFG["length"] + 1
+        assert sha256(pipeline / "run/plot_timeline.csv") == TABLE_SHA256["run/plot_timeline.csv"]
 
     def test_sweep_k(self, pipeline):
         runner = CliRunner()
@@ -166,6 +182,7 @@ class TestPipeline:
         lines = out.read_text().splitlines()
         assert lines[0] == "k,f1_0,f1_1,auc"
         assert len(lines) == 4
+        assert sha256(out) == TABLE_SHA256["run/k_sweep.csv"]
 
     def test_file_outputs_create_parent_dir(self, pipeline, tmp_path):
         runner = CliRunner()
@@ -351,6 +368,62 @@ class TestErrorHandling:
         assert result.exit_code == 2
         assert "error[validation]" in result.output
         assert "missing sidecar det.csv.meta.json" in result.output
+
+    @pytest.mark.parametrize(
+        "command", [["evaluate"], ["sweep", "--param", "k", "--values", "0.1"]],
+        ids=["evaluate", "sweep"],
+    )
+    def test_bad_lead_time_is_validation_error(self, tmp_path, command):
+        det = tmp_path / "det.csv"
+        det.write_text("timestamp,flag,lead_time\n0,1,abc\n")
+        (tmp_path / "det.csv.meta.json").write_text('{"threshold": 0.5}')
+        labels = tmp_path / "labels.csv"
+        labels.write_text("timestamp,label\n0,1\n")
+        result = CliRunner().invoke(
+            cli, [command[0], str(det), str(labels), str(tmp_path / "out"), *command[1:]]
+        )
+        assert result.exit_code == 2, result.output
+        assert "error[validation]" in result.output
+        assert "row 2 lead_time is not a number: 'abc'" in result.output
+
+    def test_lead_time_without_score_is_validation_error(self, tmp_path):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("timestamp,score,lead_time\n0,,5\n1,1.0,1\n")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("timestamp,label\n0,0\n1,1\n")
+        result = CliRunner().invoke(
+            cli, ["detect", str(scores), str(labels), str(tmp_path / "det.csv")]
+        )
+        assert result.exit_code == 2, result.output
+        assert "error[validation]" in result.output
+        assert "lead_time must be defined exactly where score is" in result.output
+
+
+# Every subcommand's option names: adding or removing a knob is an edit here.
+OPTION_NAMES = {
+    "synth": ["--config", "--seed"],
+    "split": ["--train-frac"],
+    "forecast": ["--test", "--members", "--top-k", "--criterion", "--input-len", "--horizon",
+                 "--stride", "--standardize", "--no-standardize"],
+    "score": ["--length", "--agg", "--collate", "--normalize", "--no-normalize", "--eps-sigma"],
+    "detect": ["--grid-n", "--metric", "--search-scores", "--search-labels",
+               "--alpha", "--beta", "--gamma", "--delta", "--epsilon", "--k"],
+    "evaluate": ["--metrics", "--theta", "--theta-grid",
+                 "--alpha", "--beta", "--gamma", "--delta", "--epsilon", "--k", "--tapr-alpha"],
+    "sweep": ["--param", "--values", "--theta-grid",
+              "--alpha", "--beta", "--gamma", "--delta", "--epsilon", "--k"],
+    "report": [],
+}
+
+
+class TestOptionNames:
+    def test_option_names_pinned(self):
+        got = {
+            name: [opt for param in command.params if isinstance(param, click.Option)
+                   for opt in param.opts + param.secondary_opts]
+            for name, command in cli.commands.items()
+        }
+        assert got == OPTION_NAMES
 
 
 def ensembles(shape=(3, 4, 2), windows=4, origin=20, scale=1.0, seed=0):

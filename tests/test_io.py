@@ -1,5 +1,10 @@
+import hashlib
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poakit.core import DataFormatError, LabelSequence, ScoreSeries, Segment, TimeSeries, ValidationError
 from poakit.detect import Detection
@@ -82,6 +87,21 @@ class TestSeriesCsv:
         with pytest.raises(DataFormatError, match="empty"):
             read_series_csv(path)
 
+    @pytest.mark.parametrize(
+        "rows, index_base, message",
+        [
+            ("0,1.0\n", 1, "negative timestamp after index_base shift"),
+            ("9223372036854775807,1.0\n9223372036854775808,2.0\n", 0,
+             "timestamp beyond the int64 range"),
+        ],
+        ids=["negative", "beyond-int64"],
+    )
+    def test_timestamps_outside_int64(self, tmp_path, rows, index_base, message):
+        path = tmp_path / "s.csv"
+        path.write_text("timestamp,x\n" + rows)
+        with pytest.raises(DataFormatError, match=message):
+            read_series_csv(path, index_base=index_base)
+
 
 class TestLabelsCsv:
     def test_round_trip(self, tmp_path):
@@ -136,20 +156,26 @@ class TestScoresCsv:
 
 
     @pytest.mark.parametrize(
-        "rows, message",
+        "reader, rows, message",
         [
-            ("0,0.5,1\n2,0.5,1\n1,0.5,1\n", r"row 3 breaks unit-step timestamps \(0 -> 2\)"),
-            ("0,0.5,1\n0,0.5,1\n1,0.5,1\n", "row 3 duplicates timestamp 0"),
-            ("0,0.5,1\n2,0.5,1\n3,0.5,1\n", r"row 3 breaks unit-step timestamps \(0 -> 2\)"),
-            ("0,0.5,1\nx,0.5,1\n", "row 3 has non-integer timestamp 'x'"),
+            (read_scores, "0,0.5,1\n2,0.5,1\n1,0.5,1\n",
+             r"row 3 breaks unit-step timestamps \(0 -> 2\)"),
+            (read_scores, "0,0.5,1\n0,0.5,1\n1,0.5,1\n", "row 3 duplicates timestamp 0"),
+            (read_scores, "0,0.5,1\n2,0.5,1\n3,0.5,1\n",
+             r"row 3 breaks unit-step timestamps \(0 -> 2\)"),
+            (read_scores, "0,0.5,1\nx,0.5,1\n", "row 3 has non-integer timestamp 'x'"),
+            (read_labels_csv, "0,0\n0,1\n", "row 3 duplicates timestamp 0"),
+            (read_labels_csv, "0,0\nx,1\n", "row 3 has non-integer timestamp 'x'"),
         ],
-        ids=["reordered", "repeated", "shifted", "non-integer"],
+        ids=["reordered", "repeated", "shifted", "non-integer",
+             "labels-repeated", "labels-non-integer"],
     )
-    def test_rejects_bad_timestamps(self, tmp_path, rows, message):
+    def test_rejects_bad_timestamps(self, tmp_path, reader, rows, message):
         path = tmp_path / "scores.csv"
-        path.write_text("timestamp,score,lead_time\n" + rows)
+        header = "timestamp,label\n" if reader is read_labels_csv else "timestamp,score,lead_time\n"
+        path.write_text(header + rows)
         with pytest.raises(DataFormatError, match=message):
-            read_scores(path)
+            reader(path)
 
 
 class TestDetectionCsv:
@@ -283,3 +309,154 @@ class TestJsonAndManifest:
         assert "out.csv" in data["files"]
         assert len(data["files"]["out.csv"]["sha256"]) == 64
         assert data["versions"]["poakit"]
+
+
+class TestTableFormat:
+    @pytest.mark.parametrize("reader", [read_scores, read_detection], ids=["scores", "detection"])
+    def test_rejects_header_narrower_than_rows(self, tmp_path, reader):
+        path = tmp_path / "t.csv"
+        path.write_text("timestamp,score\n0,0.5,1\n1,0.5,1\n")
+        (tmp_path / "t.csv.meta.json").write_text('{"threshold": 0.5}')
+        with pytest.raises(DataFormatError, match="header has 2 columns, expected 3"):
+            reader(path)
+
+    @pytest.mark.parametrize(
+        "text", ['timestamp,x\n0,"1\n', "timestamp,x\n0," + "1" * 200_000 + "\n"],
+        ids=["unterminated-quote", "oversized-field"],
+    )
+    def test_rejects_what_csv_cannot_split(self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match="not a CSV table"):
+            read_series_csv(path)
+
+
+# sha256 of each writer's bytes on write_golden_fixture(), recorded before the
+# writers went through one CSV row writer; the bytes must not change.
+WRITER_SHA256 = {
+    "detection.csv": "035d94a636c82d3a3ab90f2b3858e13429da6d7cc665580ec75618039e22dfaf",
+    "detection.csv.meta.json": "1dc8e257bdd7b21e58e5531049267b4591fc0cff888055da3e17202db7231195",
+    "labels.csv": "cb77d8cbe3810e9ed6499efe27ecdcb14083b8f510699809d26824f631cc4a8a",
+    "scores.csv": "5f2152dc575a6a34848fca123f20ff84abf63343c7a3083340079dc5b69a358b",
+    "segments.csv": "91b4f8e63d96d7fc7d5f9c5a4ac6e9767790b2817db0e0df74a0159688cb82f9",
+    "series.csv": "71dceb46f05bc9cca4ca628b989ac5af8e1ebbb623a903299315bf07cc6bbda6",
+    "theta_curve.csv": "b8568d47de14edc84f572177605e69d7aa75ad68f0f0ae579b2f7443e427f113",
+}
+
+
+def write_golden_fixture(root):
+    """One file per writer: quoted names, -0.0, 1e22, 1/3, NaN gaps, 1-based series."""
+    series = TimeSeries(
+        np.arange(4),
+        np.array([[0.1, -0.0], [1e22, 1 / 3], [-2.5e-7, 12345.6789], [3.0, -1.0]]),
+        ("a", "b,c"),
+    )
+    write_series_csv(root / "series.csv", series, index_base=1)
+    write_labels_csv(root / "labels.csv", LabelSequence([0, 1, 1, 0]))
+    write_scores(root / "scores.csv", ScoreSeries(
+        np.array([np.nan, 0.5, -1 / 3, np.nan]), np.array([np.nan, 3.0, 1.0, np.nan])))
+    detection = Detection(flags=np.array([0, 1, 1, 0], dtype=np.int8), threshold=1 / 3,
+                          lead_times=np.array([np.nan, 2.0, 1.0, np.nan]))
+    write_detection(root / "detection.csv", detection, meta={"grid": "4 quantiles"})
+    write_segments_csv(root / "segments.csv", [Segment(3, 5), Segment(20, 1)])
+    write_theta_curve_csv(root / "theta_curve.csv", [0.0, 0.5, 1.0], [1.0, 2 / 3, 0.0],
+                          [0.5, 0.25, 0.0], [2 / 3, 1 / 3, 0.0])
+
+
+class TestWriterGoldenBytes:
+    def test_writer_bytes(self, tmp_path):
+        write_golden_fixture(tmp_path)
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert got == WRITER_SHA256
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+index_bases = st.sampled_from([0, 1])
+
+
+def at_9g(values):
+    """What a 9-significant-digit writer and a float parser give back."""
+    return np.vectorize(lambda x: float(format(x, ".9g")), otypes=[np.float64])(values)
+
+
+def with_gaps(draw, T, elements):
+    """A length-T float array of ``elements`` with NaN gaps; also the defined mask."""
+    defined = draw(hnp.arrays(bool, T))
+    return np.where(defined, draw(hnp.arrays(np.float64, T, elements=elements)), np.nan), defined
+
+
+@st.composite
+def series_values(draw):
+    T, c = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    # names are stripped on read, so none starts or ends with whitespace
+    names = draw(st.lists(st.text(alphabet='ab,"#_é', max_size=4), min_size=c, max_size=c))
+    start = draw(st.integers(0, 10**6))
+    values = draw(hnp.arrays(np.float64, (T, c), elements=finite))
+    return TimeSeries(np.arange(start, start + T), values, tuple(names))
+
+
+@st.composite
+def score_series(draw):
+    T = draw(st.integers(1, 12))
+    scores, defined = with_gaps(draw, T, finite)
+    leads = np.where(defined, draw(hnp.arrays(np.float64, T, elements=st.integers(0, 10**6))),
+                     np.nan)
+    return ScoreSeries(scores, leads)
+
+
+@st.composite
+def detections(draw):
+    T = draw(st.integers(1, 12))
+    flags = draw(hnp.arrays(np.int8, T, elements=st.integers(0, 1)))
+    leads, _ = with_gaps(draw, T, st.integers(0, 10**6))
+    return Detection(flags=flags, threshold=draw(finite), lead_times=leads)
+
+
+class TestRoundTripProperties:
+    """write -> read gives the written values back at 9 significant digits."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(series=series_values(), index_base=index_bases)
+    def test_series(self, tmp_path_factory, series, index_base):
+        path = tmp_path_factory.mktemp("series") / "s.csv"
+        write_series_csv(path, series, index_base=index_base)
+        back = read_series_csv(path, index_base=index_base)
+        assert back.variable_names == series.variable_names
+        assert back.timestamps.tolist() == series.timestamps.tolist()
+        assert back.values.tobytes() == at_9g(series.values).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(flags=st.lists(st.integers(0, 1), min_size=1, max_size=20), index_base=index_bases)
+    def test_labels(self, tmp_path_factory, flags, index_base):
+        path = tmp_path_factory.mktemp("labels") / "l.csv"
+        write_labels_csv(path, LabelSequence(flags), index_base=index_base)
+        assert read_labels_csv(path).flags.tolist() == flags
+
+    @settings(max_examples=50, deadline=None)
+    @given(scores=score_series(), index_base=index_bases)
+    def test_scores(self, tmp_path_factory, scores, index_base):
+        path = tmp_path_factory.mktemp("scores") / "scores.csv"
+        write_scores(path, scores, index_base=index_base)
+        back = read_scores(path)
+        assert back.defined.tolist() == scores.defined.tolist()
+        defined = scores.defined
+        assert back.scores[defined].tobytes() == at_9g(scores.scores[defined]).tobytes()
+        assert back.lead_times[defined].tolist() == scores.lead_times[defined].tolist()
+
+    @settings(max_examples=50, deadline=None)
+    @given(detection=detections())
+    def test_detection_with_sidecar(self, tmp_path_factory, detection):
+        path = tmp_path_factory.mktemp("detection") / "det.csv"
+        write_detection(path, detection, meta={"metric": "point-f1"})
+        back = read_detection(path)
+        assert back.flags.tolist() == detection.flags.tolist()
+        assert back.threshold == float(format(detection.threshold, ".9g"))
+        assert np.array_equal(back.lead_times, detection.lead_times, equal_nan=True)
+
+    @settings(max_examples=30, deadline=None)
+    @given(segments=st.lists(st.builds(Segment, st.integers(0, 10**9), st.integers(1, 10**6)),
+                             max_size=5))
+    def test_segments(self, tmp_path_factory, segments):
+        path = tmp_path_factory.mktemp("segments") / "segs.csv"
+        write_segments_csv(path, segments)
+        assert read_segments_csv(path) == segments
