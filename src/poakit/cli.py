@@ -519,6 +519,14 @@ def report(run_dir):
         meta_path = run / "detection.csv.meta.json"
         if meta_path.exists():
             consolidated["detection"] = json.loads(meta_path.read_text())
+    lengths = {name: len(table) for name, table in
+               (("scores", scores), ("detection", detection), ("labels", labels))
+               if table is not None}
+    if len(set(lengths.values())) > 1:
+        raise ValidationError(
+            f"{run}: run files differ in length: "
+            + ", ".join(f"{name} {n}" for name, n in lengths.items())
+        )
     if (run / "evaluation.json").exists():
         consolidated["evaluation"] = json.loads((run / "evaluation.json").read_text())
         curve = consolidated["evaluation"].get("ptapr", {}).get("curve")
@@ -533,8 +541,8 @@ def report(run_dir):
             run / "plot_timeline.csv", ("timestamp", "score", "flag", "label"),
             ((i,
               "" if np.isnan(s) else format(s, ".9g"),
-              int(detection.flags[i]) if detection is not None and i < len(detection) else "",
-              int(labels.flags[i]) if labels is not None and i < len(labels) else "")
+              "" if detection is None else int(detection.flags[i]),
+              "" if labels is None else int(labels.flags[i]))
              for i, s in enumerate(scores.scores)),
         )
         plot_files.append("plot_timeline.csv")

@@ -7,7 +7,8 @@ readers/writers translate to 1-based indices when asked (see ``poakit.io``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,60 +117,165 @@ class Segment:
         return max(0, min(self.end, other.end) - max(self.start, other.start) + 1)
 
 
-def _check_disjoint_sorted(segments: list[Segment], name: str) -> None:
-    for prev, cur in zip(segments, segments[1:]):
-        if cur.start <= prev.end:
-            raise ValidationError(
-                f"{name} segments must be disjoint and sorted by start: "
-                f"{prev} followed by {cur}"
-            )
+def _segment_or_none(start: int, end: int) -> Segment | None:
+    return Segment(start, end - start + 1) if 0 <= start <= end else None
 
 
-@dataclass(frozen=True)
+class SegmentView(Sequence):
+    """Read-only sequence of the segments ``[starts[i], ends[i]]`` (inclusive).
+
+    A slot whose start is negative or whose end precedes its start reads as
+    None. Items are built as :class:`Segment` objects only when read, so a
+    length or an array computation never builds any.
+    """
+
+    __slots__ = ("_starts", "_ends")
+
+    def __init__(self, starts: np.ndarray, ends: np.ndarray):
+        self._starts = starts
+        self._ends = ends
+
+    def __len__(self) -> int:
+        return self._starts.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        return _segment_or_none(int(self._starts[i]), int(self._ends[i]))
+
+    def __iter__(self):
+        return map(_segment_or_none, self._starts.tolist(), self._ends.tolist())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+def _frozen(values) -> np.ndarray:
+    arr = np.asarray(values, dtype=np.int64)
+    arr.setflags(write=False)
+    return arr
+
+
+def segment_bounds(segments, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Start and inclusive end arrays of segments that must be disjoint and sorted."""
+    bounds = np.array([(s.start, s.end) for s in segments], dtype=np.int64).reshape(-1, 2)
+    starts, ends = bounds[:, 0], bounds[:, 1]
+    bad = np.flatnonzero(starts[1:] <= ends[:-1])
+    if bad.size:
+        i = int(bad[0])
+        raise ValidationError(
+            f"{name} segments must be disjoint and sorted by start: "
+            f"{segments[i]} followed by {segments[i + 1]}"
+        )
+    return starts, ends
+
+
+def ambiguous_ends(starts: np.ndarray, ends: np.ndarray, delta: int, series_len: int) -> np.ndarray:
+    """Inclusive end of each anomaly's ambiguous window, given the anomalies'
+    sorted disjoint bounds; an end equal to the anomaly's own end means empty.
+
+    The window runs for at most ``delta`` steps after the anomaly, truncated
+    at the series end and at the next anomaly's start.
+    """
+    if delta < 0:
+        raise ValidationError("delta must be >= 0")
+    limit = np.append(starts[1:], series_len) - 1
+    return np.maximum(ends, np.minimum(ends + delta, limit))
+
+
 class SegmentSet:
     """Ground-truth anomalies with the prediction/precursor/ambiguous structure.
 
-    ``precursors[i]`` is the early-warning run directly preceding
-    ``predictions[i]`` (None = no precursor). ``ambiguous[i]`` is the
-    tolerated trailing window after ``anomalies[i]`` (None = empty), at most
-    ``delta`` long and truncated at the series end or the next anomaly.
+    Held as read-only int64 arrays, 0-based with inclusive ends:
+
+    - ``anomaly_starts``/``anomaly_ends``, sorted and disjoint;
+    - ``ambiguous_ends``: the tolerated trailing window after anomaly i covers
+      ``anomaly_ends[i] + 1 .. ambiguous_ends[i]`` (empty when the two ends are
+      equal), at most ``delta`` long and truncated at the series end or the
+      next anomaly;
+    - ``prediction_starts``/``prediction_ends``, sorted and disjoint;
+    - ``precursor_starts``: the early-warning run directly preceding
+      prediction j covers ``precursor_starts[j] .. prediction_starts[j] - 1``;
+      -1 means it has no precursor.
+
+    The constructor takes :class:`Segment` tuples (None for an empty precursor
+    or ambiguous slot) and checks them. :meth:`from_arrays` takes arrays that
+    already hold these invariants and checks nothing. ``anomalies``,
+    ``predictions``, ``precursors`` and ``ambiguous`` read the structure back
+    as Segments.
     """
 
-    anomalies: tuple[Segment, ...]
-    predictions: tuple[Segment, ...]
-    precursors: tuple[Segment | None, ...]
-    ambiguous: tuple[Segment | None, ...]
-    delta: int
+    __slots__ = ("anomaly_starts", "anomaly_ends", "ambiguous_ends",
+                 "prediction_starts", "prediction_ends", "precursor_starts", "delta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "anomalies", tuple(self.anomalies))
-        object.__setattr__(self, "predictions", tuple(self.predictions))
-        object.__setattr__(self, "precursors", tuple(self.precursors))
-        object.__setattr__(self, "ambiguous", tuple(self.ambiguous))
-        if self.delta < 0:
+    def __init__(self, anomalies, predictions, precursors, ambiguous, delta: int):
+        anomalies, predictions = tuple(anomalies), tuple(predictions)
+        precursors, ambiguous = tuple(precursors), tuple(ambiguous)
+        if delta < 0:
             raise ValidationError("delta must be >= 0")
-        _check_disjoint_sorted(list(self.anomalies), "anomaly")
-        _check_disjoint_sorted(list(self.predictions), "prediction")
-        if len(self.precursors) != len(self.predictions):
+        a_s, a_e = segment_bounds(anomalies, "anomaly")
+        p_s, p_e = segment_bounds(predictions, "prediction")
+        if len(precursors) != len(predictions):
             raise ValidationError("need one precursor slot per prediction")
-        if len(self.ambiguous) != len(self.anomalies):
+        if len(ambiguous) != len(anomalies):
             raise ValidationError("need one ambiguous slot per anomaly")
-        for p, pp in zip(self.predictions, self.precursors):
+        for p, pp in zip(predictions, precursors):
             if pp is not None and pp.end != p.start - 1:
                 raise ValidationError(
                     f"precursor {pp} must end exactly at prediction start-1 ({p})"
                 )
-        for a, amb in zip(self.anomalies, self.ambiguous):
+        for a, amb in zip(anomalies, ambiguous):
             if amb is None:
                 continue
             if amb.start != a.end + 1:
                 raise ValidationError(
                     f"ambiguous window {amb} must start at anomaly end+1 ({a})"
                 )
-            if amb.length > self.delta:
+            if amb.length > delta:
                 raise ValidationError(
-                    f"ambiguous window {amb} longer than delta={self.delta}"
+                    f"ambiguous window {amb} longer than delta={delta}"
                 )
+        self._store(
+            a_s, a_e, [a.end if amb is None else amb.end for a, amb in zip(anomalies, ambiguous)],
+            p_s, p_e, [-1 if pp is None else pp.start for pp in precursors], delta,
+        )
+
+    @classmethod
+    def from_arrays(cls, anomaly_starts, anomaly_ends, ambiguous_ends,
+                    prediction_starts, prediction_ends, precursor_starts,
+                    delta: int) -> "SegmentSet":
+        """Wrap arrays that already hold the class invariants; nothing is checked."""
+        segments = cls.__new__(cls)
+        segments._store(anomaly_starts, anomaly_ends, ambiguous_ends,
+                        prediction_starts, prediction_ends, precursor_starts, delta)
+        return segments
+
+    def _store(self, a_s, a_e, amb_e, p_s, p_e, pp_s, delta) -> None:
+        for name, values in zip(self.__slots__, (a_s, a_e, amb_e, p_s, p_e, pp_s)):
+            object.__setattr__(self, name, _frozen(values))
+        object.__setattr__(self, "delta", int(delta))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SegmentSet is read-only: cannot set {name!r}")
+
+    @property
+    def anomalies(self) -> SegmentView:
+        return SegmentView(self.anomaly_starts, self.anomaly_ends)
+
+    @property
+    def predictions(self) -> SegmentView:
+        return SegmentView(self.prediction_starts, self.prediction_ends)
+
+    @property
+    def precursors(self) -> SegmentView:
+        return SegmentView(self.precursor_starts, self.prediction_starts - 1)
+
+    @property
+    def ambiguous(self) -> SegmentView:
+        return SegmentView(self.anomaly_ends + 1, self.ambiguous_ends)
 
 
 @dataclass(frozen=True)
@@ -206,6 +312,12 @@ class ScoreSeries:
         return ~np.isnan(self.scores)
 
 
+def run_bounds(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and inclusive end of each maximal run of 1s in a 0/1 array."""
+    diff = np.diff(flags, prepend=0, append=0)
+    return np.flatnonzero(diff == 1), np.flatnonzero(diff == -1) - 1
+
+
 def segments_from_flags(flags) -> list[Segment]:
     """Maximal runs of 1s in a binary sequence, as sorted disjoint segments."""
     arr = np.asarray(flags, dtype=np.int8)
@@ -213,13 +325,7 @@ def segments_from_flags(flags) -> list[Segment]:
         raise ValidationError("flags must be 1-D")
     if not np.all((arr == 0) | (arr == 1)):
         raise ValidationError("flags must be 0 or 1")
-    if arr.size == 0:
-        return []
-    padded = np.concatenate(([0], arr, [0]))
-    diff = np.diff(padded)
-    starts = np.flatnonzero(diff == 1)
-    ends = np.flatnonzero(diff == -1)  # exclusive
-    return [Segment(int(s), int(e - s)) for s, e in zip(starts, ends)]
+    return list(SegmentView(*run_bounds(arr)))
 
 
 def flags_from_segments(segments: list[Segment], length: int) -> np.ndarray:
@@ -242,14 +348,5 @@ def ambiguous_extensions(
     instance inside a later true anomaly must not count as ambiguous trailing
     of an earlier one).
     """
-    if delta < 0:
-        raise ValidationError("delta must be >= 0")
-    _check_disjoint_sorted(anomalies, "anomaly")
-    out: list[Segment | None] = []
-    for idx, a in enumerate(anomalies):
-        limit = series_len - 1 - a.end
-        if idx + 1 < len(anomalies):
-            limit = min(limit, anomalies[idx + 1].start - a.end - 1)
-        length = max(0, min(delta, limit))
-        out.append(Segment(a.end + 1, length) if length > 0 else None)
-    return out
+    starts, ends = segment_bounds(anomalies, "anomaly")
+    return list(SegmentView(ends + 1, ambiguous_ends(starts, ends, delta, series_len)))

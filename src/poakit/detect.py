@@ -19,8 +19,9 @@ from poakit.core import (
     Segment,
     SegmentSet,
     ValidationError,
-    ambiguous_extensions,
-    segments_from_flags,
+    ambiguous_ends,
+    run_bounds,
+    segment_bounds,
 )
 
 DEFAULT_GRID_SIZE = 256
@@ -120,27 +121,19 @@ def split_precursor_prediction(
     rest the prediction. Runs containing no anomaly onset (including runs
     wholly inside an anomaly, or far from every anomaly) stay whole with no
     precursor. Flags are preserved exactly: the union of all precursor and
-    prediction indices equals the flagged set.
+    prediction indices equals the flagged set. Everything is computed on
+    int arrays; no Segment is built.
     """
     T = len(detection)
-    for a in anomalies:
-        if a.end >= T:
-            raise ValidationError(f"anomaly {a} exceeds detection length {T}")
-    onsets = [a.start for a in anomalies]
-    predictions: list[Segment] = []
-    precursors: list[Segment | None] = []
-    for run in segments_from_flags(detection.flags):
-        onset = next((t for t in onsets if run.start <= t <= run.end), None)
-        if onset is None or onset == run.start:
-            predictions.append(run)
-            precursors.append(None)
-        else:
-            precursors.append(Segment(run.start, onset - run.start))
-            predictions.append(Segment(onset, run.end - onset + 1))
-    return SegmentSet(
-        anomalies=tuple(anomalies),
-        predictions=tuple(predictions),
-        precursors=tuple(precursors),
-        ambiguous=tuple(ambiguous_extensions(list(anomalies), delta, T)),
-        delta=delta,
+    a_s, a_e = segment_bounds(anomalies, "anomaly")
+    beyond = int(np.searchsorted(a_e, T))
+    if beyond < len(anomalies):
+        raise ValidationError(f"anomaly {anomalies[beyond]} exceeds detection length {T}")
+    r_s, r_e = run_bounds(detection.flags)
+    # first onset at or after each run's start; T stands in for "none left"
+    onset = np.append(a_s, T)[np.searchsorted(a_s, r_s)]
+    split = (onset <= r_e) & (onset > r_s)
+    return SegmentSet.from_arrays(
+        a_s, a_e, ambiguous_ends(a_s, a_e, delta, T),
+        np.where(split, onset, r_s), r_e, np.where(split, r_s, -1), delta,
     )

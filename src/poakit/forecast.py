@@ -202,7 +202,9 @@ def make_windows(
     """Cut sliding windows; with targets, only origins whose horizon fits.
 
     Window ids increment from 0 in origin order. With stride 1 and targets the
-    window count is T - input_len - horizon_len + 1.
+    window count is T - input_len - horizon_len + 1. Without targets the final
+    origin T - 1 is always included, whatever the stride: ``score`` takes the
+    series length from the largest origin.
     """
     T = len(series)
     required = cfg.input_len + cfg.horizon_len if with_targets else cfg.input_len
@@ -214,7 +216,10 @@ def make_windows(
     last_origin = T - 1 - cfg.horizon_len if with_targets else T - 1
     vals = series.values
     windows = []
-    for wid, origin in enumerate(range(cfg.input_len - 1, last_origin + 1, cfg.stride)):
+    origins = list(range(cfg.input_len - 1, last_origin + 1, cfg.stride))
+    if origins[-1] != last_origin and not with_targets:
+        origins.append(last_origin)
+    for wid, origin in enumerate(origins):
         target = None
         if with_targets:
             target = vals[origin + 1 : origin + 1 + cfg.horizon_len]

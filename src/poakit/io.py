@@ -42,6 +42,23 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _load_csv(path, n_columns: int | None) -> list[list[str]]:
+    """All rows of a CSV file whose header has exactly ``n_columns`` columns
+    (at least 2 when None)."""
+    try:
+        with open(path, newline="") as fh:
+            table = list(csv.reader(fh, strict=True))
+    except csv.Error as exc:  # an unterminated quote, a field over csv's size limit
+        raise DataFormatError(f"{path}: not a CSV table ({exc})") from None
+    if not table:
+        raise DataFormatError(f"{path}: empty file")
+    width = len(table[0])
+    if width < 2 if n_columns is None else width != n_columns:
+        raise DataFormatError(
+            f"{path}: header has {width} columns, expected {n_columns or '>= 2'}")
+    return table
+
+
 def _read_table(path, n_columns: int | None = None):
     """Read a timestamped CSV table: a header row, the timestamp column first.
 
@@ -50,17 +67,8 @@ def _read_table(path, n_columns: int | None = None):
     by exactly one from row to row. Returns the header, the first timestamp
     and ``(row number, other fields)`` for each non-blank row.
     """
-    try:
-        with open(path, newline="") as fh:
-            table = list(csv.reader(fh, strict=True))
-    except csv.Error as exc:  # an unterminated quote, a field over csv's size limit
-        raise DataFormatError(f"{path}: not a CSV table ({exc})") from None
-    if not table:
-        raise DataFormatError(f"{path}: empty file")
+    table = _load_csv(path, n_columns)
     header, width = table[0], len(table[0])
-    if width < 2 if n_columns is None else width != n_columns:
-        raise DataFormatError(
-            f"{path}: header has {width} columns, expected {n_columns or '>= 2'}")
     rows = []
     first = previous = None
     for row_no, row in enumerate(table[1:], start=2):
@@ -206,25 +214,28 @@ def read_detection(path) -> Detection:
                      lead_times=np.asarray(leads))
 
 
+SEGMENTS_HEADER = ("start", "length")
+
+
 def write_segments_csv(path, segments: list[Segment]) -> None:
-    write_csv(path, ("start", "length"), ((seg.start, seg.length) for seg in segments))
+    write_csv(path, SEGMENTS_HEADER, ((seg.start, seg.length) for seg in segments))
 
 
 def read_segments_csv(path) -> list[Segment]:
-    path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataFormatError(f"{path}: empty file")
-        out = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                out.append(Segment(int(row[0]), int(row[1])))
-            except (ValueError, IndexError):
-                raise DataFormatError(f"{path}: row {row_no} is malformed") from None
+    """Read the ``start,length`` table ``write_segments_csv`` writes."""
+    table = _load_csv(path, len(SEGMENTS_HEADER))
+    if tuple(table[0]) != SEGMENTS_HEADER:
+        raise DataFormatError(
+            f"{path}: header is {','.join(table[0])!r}, expected {','.join(SEGMENTS_HEADER)!r}")
+    out = []
+    for row_no, row in enumerate(table[1:], start=2):
+        if not row:
+            continue
+        try:
+            start, length = map(int, row)  # a third field fails to unpack
+            out.append(Segment(start, length))
+        except ValueError:
+            raise DataFormatError(f"{path}: row {row_no} is malformed") from None
     return out
 
 

@@ -21,6 +21,7 @@ threshold 0, mirroring the strictly-positive rule PA%K uses at K=0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -148,17 +149,28 @@ def sigmoid_position_weight(offset: int, delta: int) -> float:
     return 1.0 / (1.0 + math.exp(scaled))
 
 
+@functools.lru_cache(maxsize=16)
+def _weight_table(delta: int) -> tuple[float, ...]:
+    """``sigmoid_position_weight`` at every offset of a delta-wide window."""
+    return tuple(sigmoid_position_weight(i, delta) for i in range(delta))
+
+
+def _window_credit(first: int, last: int, delta: int) -> float:
+    """Credit of ambiguous offsets first..last: the weights summed left to right."""
+    return sum(_weight_table(delta)[first : last + 1])
+
+
 def ambiguous_score(a_prime: Segment | None, p: Segment, delta: int) -> float:
     """Sigmoid-weighted count of prediction points inside the ambiguous window."""
     if a_prime is None:
         return 0.0
+    if a_prime.length > delta:
+        raise ValidationError(f"ambiguous window {a_prime} longer than delta={delta}")
     lo = max(a_prime.start, p.start)
     hi = min(a_prime.end, p.end)
     if hi < lo:
         return 0.0
-    return sum(
-        sigmoid_position_weight(i - a_prime.start, delta) for i in range(lo, hi + 1)
-    )
+    return _window_credit(lo - a_prime.start, hi - a_prime.start, delta)
 
 
 def overlap_score(
@@ -176,36 +188,25 @@ def overlap_score(
     )
 
 
-def early_reward(
-    a: Segment,
-    p_prime: Segment | None,
-    epsilon: int,
-    k: float,
-    point: str = "earliest",
-) -> float:
+def _lead_reward(lead: int, epsilon: int, k: float) -> float:
+    return math.exp(-k * (lead - epsilon) ** 2)
+
+
+def early_reward(a: Segment, p_prime: Segment | None, epsilon: int, k: float) -> float:
     """Gaussian reward for warning ``lead`` steps before the anomaly onset.
 
     The reward peaks at 1 when the lead equals epsilon and decays with
-    sharpness k. With ``point="earliest"`` the lead is measured at the
-    precursor's first point (the moment the alert actually started);
-    ``point="max_reward"`` instead picks the precursor point whose lead is
-    closest to epsilon. No precursor point before the onset means no reward.
+    sharpness k. The lead is measured at the precursor's first point (the
+    moment the alert actually started). No precursor point before the onset
+    means no reward.
     """
     if k <= 0:
         raise ValidationError("k must be > 0")
     if epsilon < 1:
         raise ValidationError("epsilon must be >= 1")
-    if point not in ("earliest", "max_reward"):
-        raise ValidationError("point must be 'earliest' or 'max_reward'")
     if p_prime is None or p_prime.start >= a.start:
         return 0.0
-    if point == "earliest":
-        i = p_prime.start
-    else:
-        # closest point to onset - epsilon, clamped to points before the onset
-        i = min(max(p_prime.start, a.start - epsilon), min(p_prime.end, a.start - 1))
-    lead = a.start - i
-    return math.exp(-k * (lead - epsilon) ** 2)
+    return _lead_reward(a.start - p_prime.start, epsilon, k)
 
 
 @dataclass(frozen=True)
@@ -216,26 +217,53 @@ class _Diagnostics:
     prediction_reward: np.ndarray
 
 
+def _overlap_len(starts, ends, other_starts, other_ends) -> np.ndarray:
+    """Points shared by every (row, column) pair of segments, as a matrix."""
+    shared = np.minimum(ends, other_ends) - np.maximum(starts, other_starts) + 1
+    return np.maximum(shared, 0)
+
+
 def _diagnostics(segments: SegmentSet, params: MetricParams) -> _Diagnostics:
     """Per-anomaly and per-prediction coverage ratios and early rewards.
+
+    The overlap credit of every (anomaly, prediction) pair fills an
+    n_a x n_p matrix, built by broadcasting over the segment arrays. Only
+    pairs whose prediction reaches into an ambiguous window get sigmoid
+    credit, and only pairs with a precursor before the onset get a reward;
+    those few are computed one by one, so every float is the same one the
+    single-pair definitions (``overlap_score``, ``early_reward``) give.
 
     The reward pairing requires a strictly positive overlap score between the
     anomaly and the prediction; the best reward among paired partners counts.
     """
-    anomalies = segments.anomalies
-    predictions = segments.predictions
-    n_a, n_p = len(anomalies), len(predictions)
-    overlap = np.zeros((n_a, n_p))
+    a_s = segments.anomaly_starts[:, None]
+    a_e = segments.anomaly_ends[:, None]
+    p_s, p_e = segments.prediction_starts, segments.prediction_ends
+    pp_s = segments.precursor_starts
+    n_a, n_p = a_s.shape[0], p_s.shape[0]
+    has_precursor = pp_s >= 0
+    early_len = np.where(has_precursor, _overlap_len(a_s, a_e, pp_s, p_s - 1), 0)
+    overlap = (early_len + _overlap_len(a_s, a_e, p_s, p_e)).astype(float)
+
+    w_s, w_e = a_e + 1, segments.ambiguous_ends[:, None]
+    first = np.maximum(w_s, p_s) - w_s
+    last = np.minimum(w_e, p_e) - w_s
+    ai, pi = np.nonzero(last >= first)
+    if ai.size:
+        overlap[ai, pi] += [
+            _window_credit(f, l, segments.delta)
+            for f, l in zip(first[ai, pi].tolist(), last[ai, pi].tolist())
+        ]
+
     reward = np.zeros((n_a, n_p))
-    for ai, (a, a_prime) in enumerate(zip(anomalies, segments.ambiguous)):
-        for pi, (p, p_prime) in enumerate(zip(predictions, segments.precursors)):
-            overlap[ai, pi] = overlap_score(a, p, p_prime, a_prime, segments.delta)
-            if p_prime is not None:
-                reward[ai, pi] = early_reward(a, p_prime, params.epsilon, params.k)
-    paired = overlap > 0.0
-    reward = np.where(paired, reward, 0.0)
-    a_len = np.array([a.length for a in anomalies], dtype=float)
-    p_len = np.array([p.length for p in predictions], dtype=float)
+    ai, pi = np.nonzero((overlap > 0.0) & has_precursor & (pp_s < a_s))
+    if ai.size:
+        reward[ai, pi] = [
+            _lead_reward(lead, params.epsilon, params.k)
+            for lead in (segments.anomaly_starts[ai] - pp_s[pi]).tolist()
+        ]
+    a_len = (segments.anomaly_ends - segments.anomaly_starts + 1).astype(float)
+    p_len = (p_e - p_s + 1).astype(float)
     return _Diagnostics(
         anomaly_coverage=overlap.sum(axis=1) / a_len if n_a else np.zeros(0),
         anomaly_reward=reward.max(axis=1, initial=0.0) if n_p else np.zeros(n_a),
@@ -256,7 +284,7 @@ def weighted_component_score(
 
 
 def _require_anomalies(segments: SegmentSet) -> None:
-    if not segments.anomalies:
+    if segments.anomaly_starts.size == 0:
         raise ValidationError("no ground-truth segments: recall is undefined")
 
 
@@ -409,18 +437,11 @@ def ptapr_theta_sweep(
 
 def merge_precursors_into_predictions(segments: SegmentSet) -> SegmentSet:
     """Fold each precursor back into its prediction (the original flagged runs)."""
-    merged = []
-    for p, pp in zip(segments.predictions, segments.precursors):
-        if pp is None:
-            merged.append(p)
-        else:
-            merged.append(Segment(pp.start, pp.length + p.length))
-    return SegmentSet(
-        anomalies=segments.anomalies,
-        predictions=tuple(merged),
-        precursors=(None,) * len(merged),
-        ambiguous=segments.ambiguous,
-        delta=segments.delta,
+    pp_s = segments.precursor_starts
+    return SegmentSet.from_arrays(
+        segments.anomaly_starts, segments.anomaly_ends, segments.ambiguous_ends,
+        np.where(pp_s >= 0, pp_s, segments.prediction_starts), segments.prediction_ends,
+        np.full(pp_s.shape, -1), segments.delta,
     )
 
 

@@ -226,6 +226,27 @@ class TestReadmeWalkthrough:
             assert Path("out", rel).is_file(), rel
 
 
+class TestStride:
+    def test_strided_forecast_scores_every_row(self, pipeline, tmp_path):
+        """The final origin is always forecast, so a strided run scores all T rows."""
+        runner = CliRunner()
+        labels = str(pipeline / "data/labels.csv")
+        steps = [
+            ["forecast", str(pipeline / "parts/train.csv"), str(pipeline / "parts/valid.csv"),
+             str(tmp_path / "fc"), "--test", str(pipeline / "data/test.csv"),
+             "--members", MEMBERS, "--top-k", "3", "--input-len", "30", "--horizon", "8",
+             "--stride", "8"],
+            ["score", str(tmp_path / "fc/test_forecasts.csv"),
+             str(tmp_path / "fc/valid_forecasts.csv"), str(tmp_path / "scores.csv")],
+            ["detect", str(tmp_path / "scores.csv"), labels, str(tmp_path / "det.csv"),
+             "--grid-n", "8", "--delta", "8"],
+        ]
+        for args in steps:
+            result = runner.invoke(cli, args)
+            assert result.exit_code == 0, f"{args}: {result.output}"
+        assert len(pio.read_scores(tmp_path / "scores.csv")) == SYNTH_CFG["length"]
+
+
 class TestDeterminism:
     def test_synth_reproducible_bytes(self, tmp_path):
         runner = CliRunner()
@@ -385,6 +406,23 @@ class TestErrorHandling:
         assert result.exit_code == 2, result.output
         assert "error[validation]" in result.output
         assert "row 2 lead_time is not a number: 'abc'" in result.output
+
+    @pytest.mark.parametrize("short", ["labels.csv", "detection.csv"])
+    def test_report_rejects_length_mismatch(self, tmp_path, short):
+        rows = {name: 1 if name == short else 3 for name in ("labels.csv", "detection.csv")}
+        (tmp_path / "scores.csv").write_text(
+            "timestamp,score,lead_time\n0,1.0,1\n1,2.0,1\n2,3.0,1\n")
+        (tmp_path / "labels.csv").write_text(
+            "timestamp,label\n" + "".join(f"{i},1\n" for i in range(rows["labels.csv"])))
+        (tmp_path / "detection.csv").write_text(
+            "timestamp,flag,lead_time\n"
+            + "".join(f"{i},1,1\n" for i in range(rows["detection.csv"])))
+        (tmp_path / "detection.csv.meta.json").write_text('{"threshold": 0.5}')
+        result = CliRunner().invoke(cli, ["report", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "error[validation]" in result.output
+        assert "run files differ in length" in result.output
+        assert not (tmp_path / "plot_timeline.csv").exists()
 
     def test_lead_time_without_score_is_validation_error(self, tmp_path):
         scores = tmp_path / "scores.csv"

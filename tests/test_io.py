@@ -238,6 +238,22 @@ class TestSegmentsCsv:
         write_segments_csv(path, segs)
         assert read_segments_csv(path) == segs
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("start,length\n3,5,junk\n", "row 2 is malformed"),
+            ("start,length\n3,5\n4\n", "row 3 is malformed"),
+            ("start,length,note\n3,5,x\n", "header has 3 columns, expected 2"),
+            ("begin,len\n3,5\n", "header is 'begin,len', expected 'start,length'"),
+        ],
+        ids=["extra-field", "missing-field", "wide-header", "wrong-names"],
+    )
+    def test_rejects_malformed_table(self, tmp_path, text, message):
+        path = tmp_path / "segs.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=message):
+            read_segments_csv(path)
+
 
 class TestReportJson:
     def test_report_with_sweep(self, tmp_path):

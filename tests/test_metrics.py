@@ -1,10 +1,19 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from poakit.core import Segment, SegmentSet, ValidationError, ambiguous_extensions
-from poakit.detect import Detection, split_precursor_prediction
+from poakit.core import (
+    LabelSequence,
+    ScoreSeries,
+    Segment,
+    SegmentSet,
+    ValidationError,
+    ambiguous_extensions,
+    segments_from_flags,
+)
+from poakit.detect import Detection, best_f1_threshold, default_grid, split_precursor_prediction
 from poakit.metrics import (
     MetricParams,
     ambiguous_score,
@@ -136,16 +145,6 @@ class TestEarlyReward:
         # lead deviates from the optimum by 10: exp(-0.001 * 100)
         got = early_reward(Segment(20, 3), Segment(3, 2), epsilon=7, k=0.001)
         assert got == pytest.approx(math.exp(-0.1), abs=1e-9)
-
-    def test_max_reward_point_picks_best_lead(self):
-        # precursor spans leads 1..10; best achievable lead is epsilon=7
-        onset = 20
-        p_prime = Segment(10, 10)
-        got = early_reward(Segment(onset, 3), p_prime, epsilon=7, k=0.5, point="max_reward")
-        assert got == pytest.approx(1.0, abs=1e-12)
-        # earliest-point convention uses lead 10 instead
-        earliest = early_reward(Segment(onset, 3), p_prime, epsilon=7, k=0.5)
-        assert earliest == pytest.approx(math.exp(-0.5 * 9), abs=1e-12)
 
 
 class TestPtar:
@@ -626,6 +625,140 @@ class TestOracleEquivalence:
             assert got.tap == pytest.approx(r_tap, abs=1e-9)
             assert got.f1 == pytest.approx(rt_f1, abs=1e-9)
             checked += 1
+
+
+def _detection(flags) -> Detection:
+    flags = np.asarray(flags, dtype=np.int8)
+    return Detection(flags, 0.5, np.where(flags == 1, 1.0, np.nan))
+
+
+def _bits(text: str) -> list[int]:
+    return [int(c) for c in text.replace(" ", "")]
+
+
+# (labels, flags, delta); one space every five points, for reading only
+ORACLE_EDGES = {
+    "delta-0": ("00111 00000 01110 00000", "01111 11000 00111 11100", 0),
+    "delta-1": ("00111 00000 01110 00000", "01111 11000 00111 11100", 1),
+    "window-cut-by-next-anomaly": ("01110 01110 00000", "00001 10001 11110", 6),
+    "window-cut-by-series-end": ("00000 00000 00011 10", "00000 01100 00011 11", 5),
+    "run-spans-two-onsets": ("00001 11000 11100 00000", "00111 11111 11110 00000", 4),
+    "run-starts-at-onset": ("00001 11100 00000", "00001 11111 00000", 4),
+    "no-predictions": ("00111 00000 01110", "00000 00000 00000", 3),
+    "anomalies-at-both-ends": ("11100 00000 00000 00001", "11111 00000 01100 00111", 4),
+}
+
+
+class TestOracleEdges:
+    """Edges of the array credit the random fixtures rarely reach, against the oracle."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_EDGES))
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+    def test_matches_oracle(self, case, theta):
+        text_labels, text_flags, delta = ORACLE_EDGES[case]
+        labels, flags = _bits(text_labels), _bits(text_flags)
+        params = MetricParams(theta=theta, delta=delta, epsilon=2, k=0.1)
+        seg = split_precursor_prediction(_detection(flags), segments_from_flags(labels), delta)
+        report = ptapr_report(seg, params)
+        expected = ref_ptapr(labels, flags, theta, 1 / 3, 1 / 3, 1 / 3, delta, 2, 0.1)
+        assert (report.ptar, report.ptap, report.f1) == pytest.approx(expected, abs=1e-9)
+        got = tapr(seg, params)
+        expected = ref_tapr(labels, flags, theta, 0.5, delta)
+        assert (got.tar, got.tap, got.f1) == pytest.approx(expected, abs=1e-9)
+
+
+def _seeded_case(seed, T=600):
+    """Eight anomalies 3..29 long and noisy scores that rise around them."""
+    rng = np.random.default_rng(seed)
+    labels = np.zeros(T, dtype=np.int8)
+    for start in np.sort(rng.choice(np.arange(10, T - 40, 45), 8, replace=False)):
+        labels[start : start + int(rng.integers(3, 30))] = 1
+    scores = np.convolve(labels, np.ones(16) / 16, mode="same") + rng.normal(0, 0.25, T)
+    return labels, scores
+
+
+def _report_hexes(report) -> list[str]:
+    values = [report.ptar, report.ptap, report.f1, *report.anomaly_coverage,
+              *report.anomaly_reward, *report.prediction_coverage, *report.prediction_reward]
+    return [float(v).hex() for v in values]
+
+
+class TestBitExact:
+    """Exact bits, recorded from the per-pair implementation the array credit
+    replaced. A one-ulp drift in F1 can move a ``>=`` tie in the threshold
+    search, which ``approx`` cannot see."""
+
+    def test_golden_fixture_bits(self):
+        assert _report_hexes(ptapr_report(golden_fixture(), THIRDS)) == [
+            "0x1.8888888888888p-1", "0x1.8770ded9d9bc0p-1", "0x1.87fc81cf94d83p-1",
+            "0x1.3333333333333p-1", "0x1.2d18c890dd8fap+0",
+            "0x1.0000000000000p+0", "0x0.0p+0",
+            "0x1.8000000000000p+0", "0x1.0000000000000p+0", "0x1.c2f7d5a8a79c9p-1",
+            "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
+        ]
+
+    @pytest.mark.parametrize(
+        "params,f1_hex,digest",
+        [
+            (MetricParams(delta=24), "0x1.95ab52baf578cp-2",
+             "4c770667fc4c496ae38d8a878a11bb60e54e4ea3c1cd6183f8910bb9e00043f6"),
+            (MetricParams(theta=0.5, delta=24, epsilon=3, k=0.05), "0x1.60955f663b02ap-2",
+             "c1b900ad93d97b00596b6b52b7464e3d285e0bf0779780de4a2ea4e308cb1421"),
+        ],
+        ids=["defaults", "theta-0.5"],
+    )
+    def test_seeded_report_bits(self, params, f1_hex, digest):
+        labels, scores = _seeded_case(51)
+        flags = (scores >= np.quantile(scores, 0.6)).astype(np.int8)
+        seg = split_precursor_prediction(_detection(flags), segments_from_flags(labels), 24)
+        assert (len(seg.anomalies), len(seg.predictions)) == (8, 88)
+        hexes = _report_hexes(ptapr_report(seg, params))
+        assert hexes[2] == f1_hex
+        assert hashlib.sha256(" ".join(hexes).encode()).hexdigest() == digest
+
+    def test_matches_per_pair_loop(self):
+        """The array credit against the per-pair loop it replaced, bit for bit."""
+        rng = np.random.default_rng(52)
+        for _ in range(200):
+            T = int(rng.integers(5, 80))
+            labels = (rng.random(T) < rng.uniform(0.05, 0.5)).astype(int)
+            flags = (rng.random(T) < rng.uniform(0.05, 0.8)).astype(int)
+            if not labels.any():
+                continue
+            delta = int(rng.integers(0, 12))
+            params = MetricParams(delta=delta, epsilon=int(rng.integers(1, 9)),
+                                  k=float(rng.uniform(1e-4, 0.5)))
+            seg = split_precursor_prediction(_detection(flags), segments_from_flags(labels), delta)
+            n_a, n_p = len(seg.anomalies), len(seg.predictions)
+            overlap, reward = np.zeros((n_a, n_p)), np.zeros((n_a, n_p))
+            for ai, (a, a_prime) in enumerate(zip(seg.anomalies, seg.ambiguous)):
+                for pi, (p, p_prime) in enumerate(zip(seg.predictions, seg.precursors)):
+                    overlap[ai, pi] = overlap_score(a, p, p_prime, a_prime, delta)
+                    reward[ai, pi] = early_reward(a, p_prime, params.epsilon, params.k)
+            reward = np.where(overlap > 0.0, reward, 0.0)
+            report = ptapr_report(seg, params)
+            a_len = np.array([a.length for a in seg.anomalies], dtype=float)
+            assert report.anomaly_coverage == tuple(overlap.sum(axis=1) / a_len)
+            assert report.anomaly_reward == tuple(reward.max(axis=1, initial=0.0))
+            if n_p:
+                p_len = np.array([p.length for p in seg.predictions], dtype=float)
+                assert report.prediction_coverage == tuple(overlap.sum(axis=0) / p_len)
+                assert report.prediction_reward == tuple(reward.max(axis=0, initial=0.0))
+
+    def test_threshold_search_bits(self):
+        labels, scores = _seeded_case(51)
+        series = ScoreSeries(scores, np.ones_like(scores))
+        grid = default_grid(series, 64)
+        anomalies = segments_from_flags(labels)
+        params = MetricParams(delta=24)
+
+        def evaluate(det):
+            return ptapr_report(split_precursor_prediction(det, anomalies, 24), params).f1
+
+        result = best_f1_threshold(series, LabelSequence(labels), evaluate, grid)
+        assert len(grid) == 64
+        assert (result.threshold.hex(), result.f1.hex()) == (
+            "0x1.657de7a8a407ap-1", "0x1.21b913ad613b4p-1")
 
 
 class TestReportMatchesSides:
