@@ -252,7 +252,6 @@ def _metric_options(func):
 
 def _parse_detect_metric(metric: str, labels, delta, alpha, beta, gamma, epsilon, k):
     """Build the Detection -> F1 callback for the threshold search."""
-    anomalies = core.segments_from_flags(labels.flags)
     if metric == "point-f1":
         def evaluate(det):
             return mx.pointwise_prf(det.flags, labels.flags)[2]
@@ -269,7 +268,7 @@ def _parse_detect_metric(metric: str, labels, delta, alpha, beta, gamma, epsilon
         )
 
         def evaluate(det):
-            seg = detect_mod.split_precursor_prediction(det, anomalies, delta)
+            seg = detect_mod.split_precursor_prediction(det, labels.flags, delta)
             report = mx.ptapr_report(seg, params)
             return report.f1
 
@@ -344,15 +343,21 @@ def detect_cmd(scores_path, labels_path, out_path, grid_n, metric,
     )
 
 
+def _theta_points(n: int) -> np.ndarray:
+    """``--theta-grid``: n evenly spaced overlap thresholds over [0, 1]."""
+    if n < 1:
+        raise ValidationError(f"--theta-grid must be >= 1, got {n}")
+    return np.linspace(0.0, 1.0, n)
+
+
 def _evaluation_payload(detection, labels, params, metrics_wanted, theta_grid_n):
-    anomalies = core.segments_from_flags(labels.flags)
-    segments = detect_mod.split_precursor_prediction(detection, anomalies, params.delta)
+    segments = detect_mod.split_precursor_prediction(detection, labels.flags, params.delta)
     payload: dict = {"params": dataclasses.asdict(params)}
-    thetas = np.linspace(0.0, 1.0, theta_grid_n)
+    thetas = _theta_points(theta_grid_n)
     if "ptapr" in metrics_wanted:
         report = mx.ptapr_report(segments, params)
         sweep = mx.ptapr_theta_sweep(segments, params, thetas)
-        p_e, r_e, f1_e = mx.early_prf(segments, params)
+        p_e, r_e, f1_e = mx.early_prf(report)
         payload["ptapr"] = {
             "f1_0": sweep.f1_at_0,
             "f1_1": sweep.f1_at_1,
@@ -425,10 +430,6 @@ def evaluate(detection_path, labels_path, out_dir, metrics, theta, theta_grid,
     """Full metric report (PTaPR / TaPR / PA%K) for a stored detection."""
     detection = pio.read_detection(detection_path)
     labels = pio.read_labels_csv(labels_path)
-    if len(labels) != len(detection):
-        raise ValidationError(
-            f"labels length {len(labels)} != detection length {len(detection)}"
-        )
     wanted = {m.strip() for m in metrics.split(",") if m.strip()}
     unknown = wanted - {"ptapr", "tapr", "pak"}
     if unknown:
@@ -475,15 +476,16 @@ def sweep(detection_path, labels_path, out_path, param, values, theta_grid,
     """Sensitivity sweep of the early-reward parameters (k or epsilon)."""
     detection = pio.read_detection(detection_path)
     labels = pio.read_labels_csv(labels_path)
-    anomalies = core.segments_from_flags(labels.flags)
-    segments = detect_mod.split_precursor_prediction(detection, anomalies, delta)
+    segments = detect_mod.split_precursor_prediction(detection, labels.flags, delta)
     try:
         parsed = [float(v) for v in values.split(",") if v.strip()]
     except ValueError:
         raise ValidationError(f"cannot parse --values {values!r}") from None
     if not parsed:
         raise ValidationError("no sweep values given")
-    thetas = np.linspace(0.0, 1.0, theta_grid)
+    if param == "epsilon" and not all(v.is_integer() for v in parsed):
+        raise ValidationError(f"epsilon values must be integers, got {values!r}")
+    thetas = _theta_points(theta_grid)
     base = mx.MetricParams(alpha=alpha, beta=beta, gamma=gamma, delta=delta, epsilon=epsilon, k=k)
     cast = float if param == "k" else int
     rows = []

@@ -25,6 +25,24 @@ class NumericError(ArithmeticError):
     """Raised when a computation produces non-finite values."""
 
 
+def strict_int(value) -> int:
+    """An integer given as an int or a numeric string. int() would truncate a
+    float (1.7 -> 1) and read a bool as 0/1, so both are refused."""
+    if type(value) is int:  # the common case, kept as cheap as int() is
+        return value
+    number = int(value)  # inf, nan and bad strings fail here with int()'s message
+    if isinstance(value, (float, bool)):
+        raise ValueError(f"not an integer: {value!r}")
+    return number
+
+
+def strict_float(value) -> float:
+    """float(value), refusing a bool (float() would read it as 0.0/1.0)."""
+    if isinstance(value, bool):
+        raise ValueError(f"not a number: {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Multivariate series: ``values`` is a T x c matrix, one row per step.
@@ -70,6 +88,16 @@ class TimeSeries:
         return self.values.shape[1]
 
 
+def binary_flags(values, name: str) -> np.ndarray:
+    """``values`` as a 1-D int8 array of 0/1 flags, or a ValidationError."""
+    flags = np.asarray(values, dtype=np.int8)
+    if flags.ndim != 1:
+        raise ValidationError(f"{name} must be 1-D")
+    if not np.all((flags == 0) | (flags == 1)):
+        raise ValidationError(f"{name} must be 0 or 1")
+    return flags
+
+
 @dataclass(frozen=True)
 class LabelSequence:
     """Per-instance anomaly flags (0/1), positionally aligned to a series."""
@@ -77,11 +105,7 @@ class LabelSequence:
     flags: np.ndarray
 
     def __post_init__(self):
-        flags = np.asarray(self.flags, dtype=np.int8)
-        if flags.ndim != 1:
-            raise ValidationError("label flags must be 1-D")
-        if not np.all((flags == 0) | (flags == 1)):
-            raise ValidationError("label flags must be 0 or 1")
+        flags = binary_flags(self.flags, "label flags")
         object.__setattr__(self, "flags", flags)
         self.flags.setflags(write=False)
 
@@ -314,18 +338,16 @@ class ScoreSeries:
 
 def run_bounds(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start and inclusive end of each maximal run of 1s in a 0/1 array."""
-    diff = np.diff(flags, prepend=0, append=0)
-    return np.flatnonzero(diff == 1), np.flatnonzero(diff == -1) - 1
+    padded = np.zeros(flags.shape[0] + 2, dtype=np.int8)
+    padded[1:-1] = flags
+    # zero-padded at both ends, so the edges alternate run start, run end + 1
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    return edges[::2], edges[1::2] - 1
 
 
 def segments_from_flags(flags) -> list[Segment]:
     """Maximal runs of 1s in a binary sequence, as sorted disjoint segments."""
-    arr = np.asarray(flags, dtype=np.int8)
-    if arr.ndim != 1:
-        raise ValidationError("flags must be 1-D")
-    if not np.all((arr == 0) | (arr == 1)):
-        raise ValidationError("flags must be 0 or 1")
-    return list(SegmentView(*run_bounds(arr)))
+    return list(SegmentView(*run_bounds(binary_flags(flags, "flags"))))
 
 
 def flags_from_segments(segments: list[Segment], length: int) -> np.ndarray:

@@ -16,12 +16,11 @@ import numpy as np
 from poakit.core import (
     LabelSequence,
     ScoreSeries,
-    Segment,
     SegmentSet,
     ValidationError,
     ambiguous_ends,
+    binary_flags,
     run_bounds,
-    segment_bounds,
 )
 
 DEFAULT_GRID_SIZE = 256
@@ -36,12 +35,10 @@ class Detection:
     lead_times: np.ndarray
 
     def __post_init__(self):
-        flags = np.asarray(self.flags, dtype=np.int8)
+        flags = binary_flags(self.flags, "flags")
         leads = np.asarray(self.lead_times, dtype=np.float64)
-        if flags.ndim != 1 or leads.shape != flags.shape:
+        if leads.shape != flags.shape:
             raise ValidationError("flags and lead_times must be 1-D and equal length")
-        if not np.all((flags == 0) | (flags == 1)):
-            raise ValidationError("flags must be 0 or 1")
         object.__setattr__(self, "flags", flags)
         object.__setattr__(self, "lead_times", leads)
         self.flags.setflags(write=False)
@@ -112,23 +109,23 @@ def best_f1_threshold(
     return ThresholdSearchResult(threshold=best[0], f1=best[1])
 
 
-def split_precursor_prediction(
-    detection: Detection, anomalies: list[Segment], delta: int
-) -> SegmentSet:
+def split_precursor_prediction(detection: Detection, labels, delta: int) -> SegmentSet:
     """Split each flagged run at the first anomaly onset inside it.
 
-    Points of the run strictly before that onset become the precursor, the
-    rest the prediction. Runs containing no anomaly onset (including runs
-    wholly inside an anomaly, or far from every anomaly) stay whole with no
-    precursor. Flags are preserved exactly: the union of all precursor and
-    prediction indices equals the flagged set. Everything is computed on
-    int arrays; no Segment is built.
+    ``labels`` are the ground-truth 0/1 flags, one per detection row (for
+    example ``LabelSequence.flags``); their runs are the anomalies. Points of
+    a flagged run strictly before the first onset inside it become the
+    precursor, the rest the prediction. Runs containing no anomaly onset
+    (including runs wholly inside an anomaly, or far from every anomaly) stay
+    whole with no precursor. Flags are preserved exactly: the union of all
+    precursor and prediction indices equals the flagged set. Everything is
+    computed on int arrays; no Segment is built.
     """
     T = len(detection)
-    a_s, a_e = segment_bounds(anomalies, "anomaly")
-    beyond = int(np.searchsorted(a_e, T))
-    if beyond < len(anomalies):
-        raise ValidationError(f"anomaly {anomalies[beyond]} exceeds detection length {T}")
+    labels = binary_flags(labels, "label flags")
+    if labels.shape[0] != T:
+        raise ValidationError(f"labels length {labels.shape[0]} != detection length {T}")
+    a_s, a_e = run_bounds(labels)
     r_s, r_e = run_bounds(detection.flags)
     # first onset at or after each run's start; T stands in for "none left"
     onset = np.append(a_s, T)[np.searchsorted(a_s, r_s)]

@@ -21,7 +21,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from poakit.core import DataFormatError, TimeSeries, ValidationError
+from poakit.core import DataFormatError, TimeSeries, ValidationError, strict_int
 
 FORECASTER_KINDS = (
     "persistence",
@@ -496,25 +496,14 @@ def write_forecast_records(path, ensembles: list[EnsembleForecast]) -> None:
             ))
 
 
-def _record_int(field) -> int:
-    """An integer field: a JSON int or a numeric string. int() would truncate
-    a JSON float (1.7 -> 1) and read a JSON bool as 0/1, so both are refused."""
-    if type(field) is int:  # NDJSON's common case, kept as cheap as int() was
-        return field
-    number = int(field)  # inf, nan and bad strings fail here with int()'s message
-    if isinstance(field, (float, bool)):
-        raise ValueError(f"not an integer: {field!r}")
-    return number
-
-
 def _parse_record(raw: dict, line_no: int) -> tuple:
     try:
         return (
-            _record_int(raw["window_id"]),
-            _record_int(raw["origin"]),
+            strict_int(raw["window_id"]),
+            strict_int(raw["origin"]),
             str(raw["member_id"]),
-            _record_int(raw["step"]),
-            _record_int(raw["variable"]),
+            strict_int(raw["step"]),
+            strict_int(raw["variable"]),
             float(raw["value"]),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -15,6 +15,9 @@ window ``a'`` trailing the anomaly. Detection membership, coverage and an
 early-warning reward are combined as weighted components on both the recall
 (per anomaly) and precision (per prediction) side.
 
+TaPR is the same side score on the segments with every precursor folded
+back into its prediction, weighted (tapr_alpha, 1 - tapr_alpha, 0).
+
 A segment with zero credit never counts as detected, even at overlap
 threshold 0, mirroring the strictly-positive rule PA%K uses at K=0.
 """
@@ -23,11 +26,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from poakit.core import Segment, SegmentSet, ValidationError, segments_from_flags
+from poakit.core import Segment, SegmentSet, ValidationError, binary_flags, segments_from_flags
 
 DEFAULT_THETA_GRID_SIZE = 101
 
@@ -115,10 +118,6 @@ class TaprResult:
     tar: float
     tap: float
     f1: float
-    tar_detection: float
-    tar_portion: float
-    tap_detection: float
-    tap_portion: float
 
 
 @dataclass(frozen=True)
@@ -308,18 +307,13 @@ def _side_score(
     )
 
 
-def ptar(segments: SegmentSet, params: MetricParams) -> ComponentScore:
-    """Precursor-aware recall: detection rate, coverage, early reward per anomaly."""
-    _require_anomalies(segments)
-    diag = _diagnostics(segments, params)
-    return _side_score(diag.anomaly_coverage, diag.anomaly_reward, params.theta, params)
-
-
-def ptap(segments: SegmentSet, params: MetricParams) -> ComponentScore:
-    """Precursor-aware precision, per prediction; 0 (marked) with no predictions."""
-    diag = _diagnostics(segments, params)
-    return _side_score(
-        diag.prediction_coverage, diag.prediction_reward, params.theta, params
+def _side_scores(
+    diag: _Diagnostics, theta: float, params: MetricParams
+) -> tuple[ComponentScore, ComponentScore]:
+    """Recall side (per anomaly) and precision side (per prediction) at theta."""
+    return (
+        _side_score(diag.anomaly_coverage, diag.anomaly_reward, theta, params),
+        _side_score(diag.prediction_coverage, diag.prediction_reward, theta, params),
     )
 
 
@@ -337,10 +331,7 @@ def ptapr_report(segments: SegmentSet, params: MetricParams) -> MetricReport:
     """Recall, precision and F1 at ``params.theta`` plus per-segment diagnostics."""
     _require_anomalies(segments)
     diag = _diagnostics(segments, params)
-    recall = _side_score(diag.anomaly_coverage, diag.anomaly_reward, params.theta, params)
-    precision = _side_score(
-        diag.prediction_coverage, diag.prediction_reward, params.theta, params
-    )
+    recall, precision = _side_scores(diag, params.theta, params)
     return MetricReport(
         ptar=recall.score,
         ptap=precision.score,
@@ -355,9 +346,8 @@ def ptapr_report(segments: SegmentSet, params: MetricParams) -> MetricReport:
     )
 
 
-def early_prf(segments: SegmentSet, params: MetricParams) -> tuple[float, float, float]:
-    """The early-warning components alone: (precision_e, recall_e, their F1)."""
-    report = ptapr_report(segments, params)
+def early_prf(report: MetricReport) -> tuple[float, float, float]:
+    """A report's early-warning components alone: (precision_e, recall_e, their F1)."""
     recall_e = report.recall.early
     precision_e = report.precision.early
     if precision_e + recall_e == 0.0:
@@ -392,13 +382,13 @@ def _theta_grid(thetas) -> np.ndarray:
     return thetas
 
 
-def _sweep(thetas: np.ndarray, sides) -> ThetaSweep:
-    """F1 curve from ``sides(theta) -> (recall, precision)`` over ``thetas``."""
+def _sweep(thetas: np.ndarray, diag: _Diagnostics, params: MetricParams) -> ThetaSweep:
+    """Side scores and their F1 over ``thetas``, all from one credit computation."""
     recall = np.empty_like(thetas)
     precision = np.empty_like(thetas)
     f1 = np.empty_like(thetas)
     for idx, theta in enumerate(thetas):
-        r, p = sides(theta)
+        r, p = (side.score for side in _side_scores(diag, theta, params))
         recall[idx], precision[idx], f1[idx] = r, p, ptapr_f1(r, p)
     return ThetaSweep(
         thetas=thetas,
@@ -424,15 +414,7 @@ def ptapr_theta_sweep(
     """
     thetas = _theta_grid(thetas)
     _require_anomalies(segments)
-    diag = _diagnostics(segments, params)
-
-    def sides(theta):
-        return (
-            _side_score(diag.anomaly_coverage, diag.anomaly_reward, theta, params).score,
-            _side_score(diag.prediction_coverage, diag.prediction_reward, theta, params).score,
-        )
-
-    return _sweep(thetas, sides)
+    return _sweep(thetas, _diagnostics(segments, params), params)
 
 
 def merge_precursors_into_predictions(segments: SegmentSet) -> SegmentSet:
@@ -445,43 +427,27 @@ def merge_precursors_into_predictions(segments: SegmentSet) -> SegmentSet:
     )
 
 
-def _tapr_coverage(segments: SegmentSet, params: MetricParams) -> tuple[np.ndarray, np.ndarray]:
-    """TaPR's per-anomaly and per-prediction coverage ratios (theta-independent):
-    with the precursors folded back in, PTaPR's overlap credit is TaPR's."""
+def _tapr_scoring(segments: SegmentSet, params: MetricParams) -> tuple[_Diagnostics, MetricParams]:
+    """TaPR as PTaPR: the credit of the merged segments (no precursor, so no
+    reward), scored with component weights (tapr_alpha, 1 - tapr_alpha, 0)."""
     _require_anomalies(segments)
-    diag = _diagnostics(merge_precursors_into_predictions(segments), params)
-    return diag.anomaly_coverage, diag.prediction_coverage
-
-
-def _tapr_at(cov_a: np.ndarray, cov_p: np.ndarray, theta: float, weight: float) -> TaprResult:
-    tar_d = _detected_fraction(cov_a, theta)
-    tar_p = float(np.mean(np.minimum(1.0, cov_a)))
-    tar = weight * tar_d + (1 - weight) * tar_p
-    if cov_p.size:
-        tap_d = _detected_fraction(cov_p, theta)
-        tap_p = float(np.mean(np.minimum(1.0, cov_p)))
-        tap = weight * tap_d + (1 - weight) * tap_p
-    else:
-        tap_d = tap_p = tap = 0.0
-    return TaprResult(
-        tar=tar,
-        tap=tap,
-        f1=ptapr_f1(tar, tap),
-        tar_detection=tar_d,
-        tar_portion=tar_p,
-        tap_detection=tap_d,
-        tap_portion=tap_p,
+    weights = replace(
+        params, alpha=params.tapr_alpha, beta=1.0 - params.tapr_alpha, gamma=0.0
     )
+    return _diagnostics(merge_precursors_into_predictions(segments), weights), weights
 
 
 def tapr(segments: SegmentSet, params: MetricParams) -> TaprResult:
-    """Segment-aware TaPR baseline: no precursor notion, no early reward.
+    """Segment-aware TaPR baseline at ``params.theta``: no precursor notion, no
+    early reward.
 
     All flagged points count inside the prediction (precursors are folded
     back in) and the overlap credit is |a n p| + S(a', p). Detection and
     coverage components are weighted by tapr_alpha / (1 - tapr_alpha).
     """
-    return _tapr_at(*_tapr_coverage(segments, params), params.theta, params.tapr_alpha)
+    diag, weights = _tapr_scoring(segments, params)
+    tar, tap = (side.score for side in _side_scores(diag, params.theta, weights))
+    return TaprResult(tar=tar, tap=tap, f1=ptapr_f1(tar, tap))
 
 
 def tapr_theta_sweep(
@@ -495,23 +461,13 @@ def tapr_theta_sweep(
     coverage ratios are computed once for all thresholds.
     """
     thetas = _theta_grid(thetas)
-    cov_a, cov_p = _tapr_coverage(segments, params)
-
-    def sides(theta):
-        result = _tapr_at(cov_a, cov_p, theta, params.tapr_alpha)
-        return result.tar, result.tap
-
-    return _sweep(thetas, sides)
+    return _sweep(thetas, *_tapr_scoring(segments, params))
 
 
 def _binary_pair(flags, labels) -> tuple[np.ndarray, np.ndarray]:
-    flags = np.asarray(flags, dtype=np.int8)
-    labels = np.asarray(labels, dtype=np.int8)
-    if flags.shape != labels.shape or flags.ndim != 1:
+    flags, labels = binary_flags(flags, "flags"), binary_flags(labels, "labels")
+    if flags.shape != labels.shape:
         raise ValidationError("flags and labels must be 1-D and equal length")
-    for name, arr in (("flags", flags), ("labels", labels)):
-        if not np.all((arr == 0) | (arr == 1)):
-            raise ValidationError(f"{name} must be 0 or 1")
     return flags, labels
 
 

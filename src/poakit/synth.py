@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from poakit.core import LabelSequence, Segment, TimeSeries, ValidationError
+from poakit.core import (
+    LabelSequence, Segment, TimeSeries, ValidationError, strict_float, strict_int,
+)
 
 ANOMALY_KINDS = ("spike", "level_shift", "variance_burst")
 
@@ -134,29 +136,48 @@ class SynthConfig:
         ]
 
 
+_REQUIRED = object()
+
+
+def _field(raw: dict, key: str, parse, default=_REQUIRED):
+    """``raw[key]`` read by ``strict_int`` or ``strict_float``; a missing or
+    mistyped value is a ValidationError naming the key."""
+    if key not in raw and default is _REQUIRED:
+        raise ValidationError(f"synth config is missing {key!r}")
+    try:
+        return parse(raw.get(key, default))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"synth config {key!r}: {exc}") from None
+
+
 def config_from_dict(data: dict) -> SynthConfig:
-    """Build a config from its JSON form (the schema `config_to_dict` writes)."""
+    """Build a config from its JSON form (the schema `config_to_dict` writes).
+
+    Integer fields refuse floats and bools, and float fields refuse bools,
+    rather than truncating or coercing them.
+    """
     variables = []
     for raw in data.get("variables", []):
         kind = raw.get("kind")
         if kind == "sine":
             variables.append(
                 SineBase(
-                    amplitude=float(raw["amplitude"]),
-                    period=float(raw["period"]),
-                    phase=float(raw.get("phase", 0.0)),
+                    amplitude=_field(raw, "amplitude", strict_float),
+                    period=_field(raw, "period", strict_float),
+                    phase=_field(raw, "phase", strict_float, 0.0),
                 )
             )
         elif kind == "ar1":
-            variables.append(Ar1Base(coef=float(raw["coef"]), noise_std=float(raw["noise_std"])))
+            variables.append(Ar1Base(coef=_field(raw, "coef", strict_float),
+                                     noise_std=_field(raw, "noise_std", strict_float)))
         else:
             raise ValidationError(f"unknown variable kind {kind!r} in synth config")
     anomalies = tuple(
         AnomalySpec(
-            start=int(a["start"]),
-            length=int(a["length"]),
-            kind=a["kind"],
-            magnitude=float(a["magnitude"]),
+            start=_field(a, "start", strict_int),
+            length=_field(a, "length", strict_int),
+            kind=a.get("kind"),
+            magnitude=_field(a, "magnitude", strict_float),
         )
         for a in data.get("anomalies", [])
     )
@@ -164,18 +185,18 @@ def config_from_dict(data: dict) -> SynthConfig:
     if data.get("precursor") is not None:
         p = data["precursor"]
         precursor = PrecursorSpec(
-            lead=int(p.get("lead", 20)),
-            length=int(p.get("length", p.get("lead", 20))),
-            drift_magnitude=float(p.get("drift_magnitude", 1.0)),
-            noise_inflation=float(p.get("noise_inflation", 2.0)),
+            lead=_field(p, "lead", strict_int, 20),
+            length=_field(p, "length", strict_int, p.get("lead", 20)),
+            drift_magnitude=_field(p, "drift_magnitude", strict_float, 1.0),
+            noise_inflation=_field(p, "noise_inflation", strict_float, 2.0),
         )
     return SynthConfig(
-        length=int(data["length"]),
+        length=_field(data, "length", strict_int),
         variables=tuple(variables),
         anomalies=anomalies,
         precursor=precursor,
-        obs_noise_std=float(data.get("obs_noise_std", 0.05)),
-        seed=int(data.get("seed", 42)),
+        obs_noise_std=_field(data, "obs_noise_std", strict_float, 0.05),
+        seed=_field(data, "seed", strict_int, 42),
     )
 
 

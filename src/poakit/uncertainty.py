@@ -97,7 +97,8 @@ def collate_timeline(
     """Attribute window scores to the timestamps they forecast.
 
     A window with origin o scores timestamps o+1 .. o+L_y (step i scores
-    o+i); timestamps beyond the series end are dropped. When several windows
+    o+i); timestamps beyond the series end are dropped. Every origin must
+    lie inside the series, so no window is dropped whole. When several windows
     score the same timestamp:
 
     - ``max``: keep the highest score (ties: the smallest step wins),
@@ -112,6 +113,11 @@ def collate_timeline(
         raise ValidationError("need W x L_y scores and W origins")
     if np.any(origins < 0):
         raise ValidationError(f"window origins must be >= 0, got {int(origins.min())}")
+    last_origin = int(origins.max(initial=0))
+    if series_len <= last_origin:
+        raise ValidationError(
+            f"series length {series_len} must exceed the largest window origin {last_origin}"
+        )
     if mode not in ("max", "latest", "earliest"):
         raise ValidationError(f"collation mode must be max/latest/earliest, got {mode!r}")
     L_y = scores2d.shape[1]

@@ -114,7 +114,7 @@ def test_criterion_5_oracle_equivalence():
         k = float(rng.uniform(0.0005, 0.5))
         params = mx.MetricParams(theta=theta, delta=delta, epsilon=epsilon, k=k)
         det = detect_mod.Detection(flags, 0.5, np.where(flags == 1, 1.0, np.nan))
-        seg = detect_mod.split_precursor_prediction(det, anomalies, delta)
+        seg = detect_mod.split_precursor_prediction(det, labels, delta)
 
         report = mx.ptapr_report(seg, params)
         r_ptar, r_ptap, r_f1 = ref_ptapr(
@@ -198,7 +198,7 @@ def test_criterion_7_theta_sweep_behavior():
         if not (3 <= len(anomalies) <= 5) or len(runs) < 3:
             continue
         det = detect_mod.Detection(flags, 0.5, np.where(flags == 1, 1.0, np.nan))
-        seg = detect_mod.split_precursor_prediction(det, anomalies, 3)
+        seg = detect_mod.split_precursor_prediction(det, labels, 3)
         params = mx.MetricParams(theta=0.0, delta=3)
         coarse = mx.ptapr_theta_sweep(seg, params, np.linspace(0, 1, 101))
         fine = mx.ptapr_theta_sweep(seg, params, np.linspace(0, 1, 10001))
@@ -232,7 +232,6 @@ def test_criterion_8_end_to_end_pipeline(benchmark_run):
     ok_b = ptar_e > 0
 
     our_f1_0 = payload["ptapr"]["f1_0"]
-    anomalies = core.segments_from_flags(labels.flags)
     params = mx.MetricParams(theta=0.0, delta=24)
     rng = np.random.default_rng(123)
     n_flags = int(detection.flags.sum())
@@ -242,7 +241,7 @@ def test_criterion_8_end_to_end_pipeline(benchmark_run):
         rflags = np.zeros(len(scores), dtype=np.int8)
         rflags[pos] = 1
         rdet = detect_mod.Detection(rflags, 0.0, np.where(rflags == 1, 1.0, np.nan))
-        rseg = detect_mod.split_precursor_prediction(rdet, anomalies, 24)
+        rseg = detect_mod.split_precursor_prediction(rdet, labels.flags, 24)
         random_f1s.append(mx.ptapr_theta_sweep(rseg, params, [0.0, 1.0]).f1_at_0)
     rand_mean = float(np.mean(random_f1s))
     ok_c = our_f1_0 > rand_mean

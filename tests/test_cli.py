@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from poakit import core, detect as detect_mod, io as pio, metrics as mx
+from poakit import cli as cli_mod, detect as detect_mod, io as pio, metrics as mx
 from poakit.cli import cli
 from poakit.forecast import EnsembleForecast, write_forecast_records
 
@@ -42,6 +42,13 @@ TABLE_SHA256 = {
     "fc/scoreboard.csv": "163a65d1a30a04dad2c0397fd91db10412eadafabc3c916a33eb688a444d3b52",
     "run/k_sweep.csv": "885222d762458b6193e32b42a17dcb918710d2eaacbd4300151cfaaa6e73ab45",
     "run/plot_timeline.csv": "4aa1831fdf39b0ebd1bb2ae87d4915c07c245fc56fba3cbfc7138864f82d379e",
+}
+
+# sha256 of the pipeline fixture's evaluate outputs, recorded before TaPR was
+# scored through PTaPR's side scorer and the label split moved into detect.
+EVALUATION_SHA256 = {
+    "run/evaluation.json": "f20a9f99c9b319355f4318d2ea213254f57f1b5b18be2ea4420aa2bee0f11039",
+    "run/theta_curve.csv": "aead66c27a0382829f663b8c7f58da97ec39ff0bd95efdf6fcc29ea9929282a1",
 }
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -124,6 +131,10 @@ class TestPipeline:
         data = (pipeline / "run/scores.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == SCORES_SHA256
 
+    def test_evaluation_golden_bytes(self, pipeline):
+        for rel, digest in EVALUATION_SHA256.items():
+            assert sha256(pipeline / rel) == digest, rel
+
     def test_scores_cover_tail_of_series(self, pipeline):
         scores = pio.read_scores(pipeline / "run/scores.csv")
         assert len(scores) == SYNTH_CFG["length"]
@@ -136,8 +147,7 @@ class TestPipeline:
         labels = pio.read_labels_csv(pipeline / "data/labels.csv")
         payload = json.loads((pipeline / "run/evaluation.json").read_text())
         params = mx.MetricParams(theta=0.0, delta=8)
-        anomalies = core.segments_from_flags(labels.flags)
-        segments = detect_mod.split_precursor_prediction(detection, anomalies, 8)
+        segments = detect_mod.split_precursor_prediction(detection, labels.flags, 8)
         sweep = mx.ptapr_theta_sweep(segments, params, np.linspace(0, 1, 101))
         report = mx.ptapr_report(segments, params)
         ptapr = payload["ptapr"]
@@ -200,6 +210,63 @@ class TestPipeline:
             result = runner.invoke(cli, args)
             assert result.exit_code == 0, f"{args}: {result.output}"
             assert Path(args[3]).is_file()
+
+
+class TestMetricStages:
+    """evaluate and sweep on the pipeline fixture: inputs they must refuse,
+    and the work one evaluation does."""
+
+    @staticmethod
+    def invoke(pipeline, tmp_path, command, *extra, labels=None):
+        out = tmp_path / ("sweep.csv" if command == "sweep" else "evaluation")
+        return CliRunner().invoke(cli, [
+            command, str(pipeline / "run/detection.csv"),
+            str(labels or pipeline / "data/labels.csv"), str(out), "--delta", "8", *extra,
+        ])
+
+    @staticmethod
+    def assert_rejected(result, message):
+        assert result.exit_code == 2, result.output
+        assert "error[validation]" in result.output
+        assert message in result.output
+
+    @pytest.mark.parametrize("command,extra", [
+        ("evaluate", []), ("sweep", ["--param", "k", "--values", "0.1"]),
+    ])
+    def test_short_labels_rejected(self, pipeline, tmp_path, command, extra):
+        # sweep used to score 500 label rows against the 600-row detection
+        short = tmp_path / "labels.csv"
+        short.write_text("".join((pipeline / "data/labels.csv").read_text().splitlines(True)[:501]))
+        result = self.invoke(pipeline, tmp_path, command, *extra, labels=short)
+        self.assert_rejected(result, "labels length 500 != detection length 600")
+
+    def test_sweep_rejects_fractional_epsilon(self, pipeline, tmp_path):
+        # int(2.7) used to run epsilon = 2 under the row label 2.7
+        args = (pipeline, tmp_path, "sweep", "--param", "epsilon", "--values")
+        self.assert_rejected(self.invoke(*args, "2,2.7"),
+                             "epsilon values must be integers, got '2,2.7'")
+        result = self.invoke(*args, "2,3.0")
+        assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("command,extra", [
+        ("evaluate", []), ("sweep", ["--param", "k", "--values", "0.1"]),
+    ])
+    @pytest.mark.parametrize("n", ["-1", "0"])
+    def test_theta_grid_must_be_positive(self, pipeline, tmp_path, command, extra, n):
+        result = self.invoke(pipeline, tmp_path, command, *extra, "--theta-grid", n)
+        self.assert_rejected(result, f"--theta-grid must be >= 1, got {n}")
+
+    def test_evaluation_builds_credit_four_times(self, pipeline, monkeypatch):
+        """ptapr_report, the PTaPR sweep, tapr and the TaPR sweep each build
+        the credit once; early_prf reads the report."""
+        detection = pio.read_detection(pipeline / "run/detection.csv")
+        labels = pio.read_labels_csv(pipeline / "data/labels.csv")
+        calls = []
+        real = mx._diagnostics
+        monkeypatch.setattr(mx, "_diagnostics", lambda *a: calls.append(a) or real(*a))
+        cli_mod._evaluation_payload(detection, labels, mx.MetricParams(delta=8),
+                                    {"ptapr", "tapr", "pak"}, 101)
+        assert len(calls) == 4
 
 
 class TestReadmeWalkthrough:
@@ -509,9 +576,41 @@ class TestScoreRejections:
             result = self.run_score(tmp_path, ensembles(scale=1e200), ensembles(seed=1))
         self.assert_rejected(result, "raw uncertainty values must be finite and >= 0")
 
+    @pytest.mark.parametrize("length", ["-1", "0", "23"])
+    def test_length_not_past_last_origin(self, tmp_path, length):
+        # origins 20..23: -1 used to crash, 0 to write an empty timeline, and
+        # 23 to drop the last window without a word
+        result = self.run_score(tmp_path, ensembles(), ensembles(seed=1), "--length", length)
+        self.assert_rejected(
+            result, f"series length {length} must exceed the largest window origin 23")
+        assert not (tmp_path / "scores.csv").exists()
+
+    def test_length_just_past_last_origin(self, tmp_path):
+        result = self.run_score(tmp_path, ensembles(), ensembles(seed=1), "--length", "24")
+        assert result.exit_code == 0, result.output
+
     def test_negative_window_origin(self, tmp_path):
         # origins -3 and -2 would write to indices -2 and -1: the end of the timeline
         result = self.run_score(tmp_path, ensembles(windows=2, origin=-3), ensembles(seed=1),
                                 "--length", "10", ext="ndjson")
         self.assert_rejected(result, "window origins must be >= 0, got -3")
         assert not (tmp_path / "scores.csv").exists()
+
+
+class TestSynthConfigFields:
+    @pytest.mark.parametrize("edit,message", [
+        (lambda cfg: cfg["anomalies"][0].update(start=300.7), "'start': not an integer: 300.7"),
+        (lambda cfg: cfg.update(seed=3.9), "'seed': not an integer: 3.9"),
+        (lambda cfg: cfg["anomalies"][0].update(magnitude=True), "'magnitude': not a number: True"),
+    ], ids=["start", "seed", "magnitude"])
+    def test_truncating_field_rejected(self, tmp_path, edit, message):
+        # these used to run as start 300, seed 3 and magnitude 1.0
+        cfg = json.loads(json.dumps(SYNTH_CFG))
+        edit(cfg)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        result = CliRunner().invoke(cli, ["synth", str(tmp_path / "d"), "--config", str(cfg_path)])
+        assert result.exit_code == 2, result.output
+        assert "error[validation]" in result.output
+        assert message in result.output
+        assert not (tmp_path / "d").exists()

@@ -6,7 +6,7 @@ from poakit.core import (
     ScoreSeries,
     Segment,
     ValidationError,
-    segments_from_flags,
+    flags_from_segments,
 )
 from poakit.detect import (
     apply_threshold,
@@ -151,7 +151,7 @@ class TestSplitPrecursorPrediction:
         flags = np.zeros(20, dtype=int)
         flags[8:13] = 1  # run 8..12
         out = split_precursor_prediction(
-            detection_from_flags(flags), [Segment(10, 5)], delta=3
+            detection_from_flags(flags), flags_from_segments([Segment(10, 5)], 20), delta=3
         )
         assert out.predictions == (Segment(10, 3),)
         assert out.precursors == (Segment(8, 2),)
@@ -160,7 +160,7 @@ class TestSplitPrecursorPrediction:
         flags = np.zeros(20, dtype=int)
         flags[11:14] = 1
         out = split_precursor_prediction(
-            detection_from_flags(flags), [Segment(10, 6)], delta=3
+            detection_from_flags(flags), flags_from_segments([Segment(10, 6)], 20), delta=3
         )
         assert out.predictions == (Segment(11, 3),)
         assert out.precursors == (None,)
@@ -169,7 +169,7 @@ class TestSplitPrecursorPrediction:
         flags = np.zeros(20, dtype=int)
         flags[3:7] = 1
         out = split_precursor_prediction(
-            detection_from_flags(flags), [Segment(10, 5)], delta=3
+            detection_from_flags(flags), flags_from_segments([Segment(10, 5)], 20), delta=3
         )
         assert out.predictions == (Segment(3, 4),)
         assert out.precursors == (None,)
@@ -178,7 +178,7 @@ class TestSplitPrecursorPrediction:
         flags = np.zeros(20, dtype=int)
         flags[10:14] = 1
         out = split_precursor_prediction(
-            detection_from_flags(flags), [Segment(10, 5)], delta=3
+            detection_from_flags(flags), flags_from_segments([Segment(10, 5)], 20), delta=3
         )
         assert out.predictions == (Segment(10, 4),)
         assert out.precursors == (None,)
@@ -189,9 +189,8 @@ class TestSplitPrecursorPrediction:
             T = 40
             flags = rng.integers(0, 2, size=T)
             labels = rng.integers(0, 2, size=T)
-            anomalies = segments_from_flags(labels)
             out = split_precursor_prediction(
-                detection_from_flags(flags), anomalies, delta=int(rng.integers(0, 5))
+                detection_from_flags(flags), labels, delta=int(rng.integers(0, 5))
             )
             covered = set()
             for seg in out.predictions:
@@ -204,7 +203,18 @@ class TestSplitPrecursorPrediction:
     def test_ambiguous_windows_attached(self):
         flags = np.zeros(20, dtype=int)
         out = split_precursor_prediction(
-            detection_from_flags(flags), [Segment(5, 3)], delta=4
+            detection_from_flags(flags), flags_from_segments([Segment(5, 3)], 20), delta=4
         )
         assert out.ambiguous == (Segment(8, 4),)
         assert out.delta == 4
+
+    def test_labels_must_match_detection_length(self):
+        # a 500-row label file against a 600-row detection used to pass in sweep
+        det = detection_from_flags(np.zeros(600, dtype=int))
+        with pytest.raises(ValidationError, match="labels length 500 != detection length 600"):
+            split_precursor_prediction(det, np.zeros(500, dtype=int), delta=3)
+
+    def test_labels_must_be_binary(self):
+        det = detection_from_flags(np.zeros(4, dtype=int))
+        with pytest.raises(ValidationError, match="label flags must be 0 or 1"):
+            split_precursor_prediction(det, [0, 2, 0, 0], delta=3)

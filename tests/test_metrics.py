@@ -11,7 +11,6 @@ from poakit.core import (
     SegmentSet,
     ValidationError,
     ambiguous_extensions,
-    segments_from_flags,
 )
 from poakit.detect import Detection, best_f1_threshold, default_grid, split_precursor_prediction
 from poakit.metrics import (
@@ -25,11 +24,9 @@ from poakit.metrics import (
     pa_k_suite,
     point_adjust,
     pointwise_prf,
-    ptap,
     ptapr_f1,
     ptapr_report,
     ptapr_theta_sweep,
-    ptar,
     sigmoid_position_weight,
     tapr,
     tapr_theta_sweep,
@@ -150,7 +147,7 @@ class TestEarlyReward:
 class TestPtar:
     def test_golden_fixture_components(self):
         seg = golden_fixture()
-        res = ptar(seg, THIRDS)
+        res = ptapr_report(seg, THIRDS).recall
         assert res.detection == 1.0
         assert res.portion == pytest.approx(0.8, abs=1e-6)
         # precursor starts 2 steps before onset; epsilon=2 makes the reward 1
@@ -166,7 +163,7 @@ class TestPtar:
             ambiguous=tuple(ambiguous_extensions(list(anomalies), 4, 30)),
             delta=4,
         )
-        res = ptar(seg, MetricParams(theta=0.5, delta=4))
+        res = ptapr_report(seg, MetricParams(theta=0.5, delta=4)).recall
         assert res.score == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_empty_predictions_scores_zero(self):
@@ -179,13 +176,13 @@ class TestPtar:
             delta=4,
         )
         for theta in (0.0, 0.3, 1.0):
-            res = ptar(seg, MetricParams(theta=theta, delta=4))
+            res = ptapr_report(seg, MetricParams(theta=theta, delta=4)).recall
             assert res.score == 0.0
 
     def test_no_anomalies_is_an_error(self):
         seg = SegmentSet((), (Segment(1, 2),), (None,), (), 4)
         with pytest.raises(ValidationError, match="no ground-truth"):
-            ptar(seg, THIRDS)
+            ptapr_report(seg, THIRDS).recall
 
 
 class TestPtap:
@@ -205,7 +202,7 @@ class TestPtap:
             delta=4,
         )
         params = MetricParams(theta=0.5, delta=4)
-        res = ptap(seg, params)
+        res = ptapr_report(seg, params).precision
         assert res.score == pytest.approx(params.alpha + params.beta, abs=1e-12)
 
     def test_zero_overlap_prediction(self):
@@ -217,7 +214,7 @@ class TestPtap:
             ambiguous=tuple(ambiguous_extensions(list(anomalies), 4, 50)),
             delta=4,
         )
-        res = ptap(seg, MetricParams(theta=0.0, delta=4))
+        res = ptapr_report(seg, MetricParams(theta=0.0, delta=4)).precision
         assert res.detection == 0.0
         assert res.portion == 0.0
 
@@ -230,7 +227,7 @@ class TestPtap:
             ambiguous=tuple(ambiguous_extensions(list(anomalies), 4, 30)),
             delta=4,
         )
-        res = ptap(seg, THIRDS)
+        res = ptapr_report(seg, THIRDS).precision
         assert res.score == 0.0
         assert res.undefined
 
@@ -301,20 +298,14 @@ class TestThetaSweep:
             if not labels.any():
                 continue
             det = Detection(flags, 0.5, np.where(flags == 1, 1.0, np.nan))
-            seg = split_precursor_prediction(det, _segments(labels), delta=3)
+            seg = split_precursor_prediction(det, labels, delta=3)
             prev_d = None
             for theta in np.linspace(0, 1, 21):
                 params = MetricParams(theta=float(theta), delta=3)
-                d = ptar(seg, params).detection
+                d = ptapr_report(seg, params).recall.detection
                 if prev_d is not None:
                     assert d <= prev_d + 1e-12
                 prev_d = d
-
-
-def _segments(labels):
-    from poakit.core import segments_from_flags
-
-    return segments_from_flags(labels)
 
 
 class TestTapr:
@@ -429,7 +420,7 @@ class TestTaprThetaSweep:
             delta = int(rng.integers(0, 6))
             params = MetricParams(delta=delta)
             det = Detection(flags, 0.5, np.where(flags == 1, 1.0, np.nan))
-            seg = split_precursor_prediction(det, _segments(labels), delta)
+            seg = split_precursor_prediction(det, labels, delta)
             sweep = tapr_theta_sweep(seg, params, thetas)
             singles = self.per_theta(seg, params, thetas)
             assert sweep.f1.tolist() == [r.f1 for r in singles]
@@ -552,8 +543,9 @@ class TestInvariants:
         seg = golden_fixture()
         p1 = MetricParams(theta=0.5, alpha=0.5, beta=0.5, gamma=0.0, delta=4, epsilon=2, k=0.5)
         p2 = MetricParams(theta=0.5, alpha=0.5, beta=0.5, gamma=0.0, delta=4, epsilon=9, k=1e-4)
-        assert ptar(seg, p1).score == pytest.approx(ptar(seg, p2).score, abs=1e-15)
-        assert ptap(seg, p1).score == pytest.approx(ptap(seg, p2).score, abs=1e-15)
+        r1, r2 = ptapr_report(seg, p1), ptapr_report(seg, p2)
+        assert r1.recall.score == pytest.approx(r2.recall.score, abs=1e-15)
+        assert r1.precision.score == pytest.approx(r2.precision.score, abs=1e-15)
 
     def test_all_scores_within_unit_interval(self):
         rng = np.random.default_rng(36)
@@ -563,7 +555,7 @@ class TestInvariants:
             if not labels.any():
                 continue
             det = Detection(flags, 0.5, np.where(flags == 1, 1.0, np.nan))
-            seg = split_precursor_prediction(det, _segments(labels), delta=3)
+            seg = split_precursor_prediction(det, labels, delta=3)
             params = MetricParams(theta=0.37, delta=3)
             report = ptapr_report(seg, params)
             for value in (
@@ -588,7 +580,7 @@ class TestInvariants:
             ambiguous=tuple(ambiguous_extensions(list(anomalies), 4, 30)),
             delta=4,
         )
-        assert early_prf(seg, THIRDS) == (0.0, 0.0, 0.0)
+        assert early_prf(ptapr_report(seg, THIRDS)) == (0.0, 0.0, 0.0)
 
 
 class TestOracleEquivalence:
@@ -607,7 +599,7 @@ class TestOracleEquivalence:
             k = float(rng.uniform(0.0005, 0.3))
             params = MetricParams(theta=theta, delta=delta, epsilon=epsilon, k=k)
             det = Detection(flags, 0.5, np.where(flags == 1, 1.0, np.nan))
-            seg = split_precursor_prediction(det, _segments(labels), delta)
+            seg = split_precursor_prediction(det, labels, delta)
             report = ptapr_report(seg, params)
             r_ptar, r_ptap, r_f1 = ref_ptapr(
                 labels.tolist(), flags.tolist(), theta, 1 / 3, 1 / 3, 1 / 3,
@@ -658,7 +650,7 @@ class TestOracleEdges:
         text_labels, text_flags, delta = ORACLE_EDGES[case]
         labels, flags = _bits(text_labels), _bits(text_flags)
         params = MetricParams(theta=theta, delta=delta, epsilon=2, k=0.1)
-        seg = split_precursor_prediction(_detection(flags), segments_from_flags(labels), delta)
+        seg = split_precursor_prediction(_detection(flags), labels, delta)
         report = ptapr_report(seg, params)
         expected = ref_ptapr(labels, flags, theta, 1 / 3, 1 / 3, 1 / 3, delta, 2, 0.1)
         assert (report.ptar, report.ptap, report.f1) == pytest.approx(expected, abs=1e-9)
@@ -710,7 +702,7 @@ class TestBitExact:
     def test_seeded_report_bits(self, params, f1_hex, digest):
         labels, scores = _seeded_case(51)
         flags = (scores >= np.quantile(scores, 0.6)).astype(np.int8)
-        seg = split_precursor_prediction(_detection(flags), segments_from_flags(labels), 24)
+        seg = split_precursor_prediction(_detection(flags), labels, 24)
         assert (len(seg.anomalies), len(seg.predictions)) == (8, 88)
         hexes = _report_hexes(ptapr_report(seg, params))
         assert hexes[2] == f1_hex
@@ -728,7 +720,7 @@ class TestBitExact:
             delta = int(rng.integers(0, 12))
             params = MetricParams(delta=delta, epsilon=int(rng.integers(1, 9)),
                                   k=float(rng.uniform(1e-4, 0.5)))
-            seg = split_precursor_prediction(_detection(flags), segments_from_flags(labels), delta)
+            seg = split_precursor_prediction(_detection(flags), labels, delta)
             n_a, n_p = len(seg.anomalies), len(seg.predictions)
             overlap, reward = np.zeros((n_a, n_p)), np.zeros((n_a, n_p))
             for ai, (a, a_prime) in enumerate(zip(seg.anomalies, seg.ambiguous)):
@@ -749,11 +741,10 @@ class TestBitExact:
         labels, scores = _seeded_case(51)
         series = ScoreSeries(scores, np.ones_like(scores))
         grid = default_grid(series, 64)
-        anomalies = segments_from_flags(labels)
         params = MetricParams(delta=24)
 
         def evaluate(det):
-            return ptapr_report(split_precursor_prediction(det, anomalies, 24), params).f1
+            return ptapr_report(split_precursor_prediction(det, labels, 24), params).f1
 
         result = best_f1_threshold(series, LabelSequence(labels), evaluate, grid)
         assert len(grid) == 64
@@ -762,13 +753,16 @@ class TestBitExact:
 
 
 class TestReportMatchesSides:
-    """ptapr_report scores both sides itself; each must equal ptar / ptap."""
+    """ptapr_report scores both sides itself; each must equal the theta
+    sweep's value at the same theta."""
 
     @staticmethod
     def assert_report_matches(seg, params):
         report = ptapr_report(seg, params)
-        assert report.recall == ptar(seg, params)
-        assert report.precision == ptap(seg, params)
+        sweep = ptapr_theta_sweep(seg, params, [params.theta])
+        at = int(np.searchsorted(sweep.thetas, params.theta))
+        assert (report.ptar, report.ptap, report.f1) == (
+            sweep.ptar[at], sweep.ptap[at], sweep.f1[at])
         assert report.ptar == report.recall.score
         assert report.ptap == report.precision.score
         assert report.f1 == ptapr_f1(report.recall.score, report.precision.score)
@@ -789,7 +783,7 @@ class TestReportMatchesSides:
                 epsilon=int(rng.integers(1, 9)), k=float(rng.uniform(0.0005, 0.3)),
             )
             det = Detection(flags, 0.5, np.where(flags == 1, 1.0, np.nan))
-            seg = split_precursor_prediction(det, _segments(labels), delta)
+            seg = split_precursor_prediction(det, labels, delta)
             self.assert_report_matches(seg, params)
             checked += 1
 
@@ -811,7 +805,7 @@ class TestReportMatchesSides:
         calls = []
         real = mx._diagnostics
         monkeypatch.setattr(mx, "_diagnostics", lambda *a: calls.append(a) or real(*a))
-        ptapr_report(golden_fixture(), THIRDS)
+        report = ptapr_report(golden_fixture(), THIRDS)
         assert len(calls) == 1
-        early_prf(golden_fixture(), THIRDS)
-        assert len(calls) == 2
+        early_prf(report)
+        assert len(calls) == 1

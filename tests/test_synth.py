@@ -136,6 +136,40 @@ class TestConfigJson:
         with pytest.raises(ValidationError, match="unknown variable kind"):
             config_from_dict({"length": 10, "variables": [{"kind": "walk"}]})
 
+    @pytest.mark.parametrize(
+        "path,value,message",
+        [
+            (("anomalies", 0, "start"), 200.7, "'start': not an integer: 200.7"),
+            (("anomalies", 0, "length"), 10.0, "'length': not an integer: 10.0"),
+            (("seed",), 3.9, "'seed': not an integer: 3.9"),
+            (("length",), True, "'length': not an integer: True"),
+            (("precursor", "lead"), 15.5, "'lead': not an integer: 15.5"),
+            (("anomalies", 0, "magnitude"), True, "'magnitude': not a number: True"),
+            (("variables", 0, "period"), False, "'period': not a number: False"),
+        ],
+    )
+    def test_rejects_truncated_or_coerced_fields(self, path, value, message):
+        data = json.loads(json.dumps(config_to_dict(small_config())))
+        *parents, key = path
+        node = data
+        for part in parents:
+            node = node[part]
+        node[key] = value
+        with pytest.raises(ValidationError, match=message):
+            config_from_dict(data)
+
+    def test_integer_fields_accept_ints_and_numeric_strings(self):
+        data = config_to_dict(small_config())
+        data["anomalies"][0]["start"] = "200"
+        data["seed"] = "7"
+        assert config_from_dict(data) == small_config()
+
+    def test_missing_required_field(self):
+        data = config_to_dict(small_config())
+        del data["anomalies"][0]["magnitude"]
+        with pytest.raises(ValidationError, match="synth config is missing 'magnitude'"):
+            config_from_dict(data)
+
 
 class TestPrecursorStatisticalSignature:
     def test_first_difference_variance_sign_test(self):
