@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import os
 from pathlib import Path
 
@@ -539,13 +540,15 @@ def report(run_dir):
             )
             plot_files.append("plot_theta_curve.csv")
     if scores is not None:
+        detection_flags = None if detection is None else detection.flags.tolist()
+        label_flags = None if labels is None else labels.flags.tolist()
         pio.write_csv(
             run / "plot_timeline.csv", ("timestamp", "score", "flag", "label"),
             ((i,
-              "" if np.isnan(s) else format(s, ".9g"),
-              "" if detection is None else int(detection.flags[i]),
-              "" if labels is None else int(labels.flags[i]))
-             for i, s in enumerate(scores.scores)),
+              "" if math.isnan(s) else format(s, ".9g"),
+              "" if detection is None else detection_flags[i],
+              "" if labels is None else label_flags[i])
+             for i, s in enumerate(scores.scores.tolist())),
         )
         plot_files.append("plot_timeline.csv")
     if not consolidated and not plot_files:

@@ -173,16 +173,17 @@ class EnsembleForecast:
 
     def __post_init__(self):
         preds = np.asarray(self.predictions, dtype=np.float64)
+        ids = tuple(self.member_ids)
         if preds.ndim != 3:
             raise ValidationError("ensemble predictions must be M x L_y x c")
-        if preds.shape[0] != len(self.member_ids):
+        if preds.shape[0] != len(ids):
             raise ValidationError("one member_id per prediction slab required")
-        if len(set(self.member_ids)) != len(self.member_ids):
+        if len(set(ids)) != len(ids):
             raise ValidationError(f"duplicate member_ids: {self.member_ids}")
-        if not np.all(np.isfinite(preds)):
+        if not np.isfinite(preds).all():
             raise ValidationError(f"non-finite prediction in window {self.window_id}")
         object.__setattr__(self, "predictions", preds)
-        object.__setattr__(self, "member_ids", tuple(self.member_ids))
+        object.__setattr__(self, "member_ids", ids)
 
     @property
     def n_members(self) -> int:
@@ -312,28 +313,30 @@ def predict_batch(model: FittedForecaster, inputs: np.ndarray, horizon: int) -> 
             raise ValidationError(
                 f"{model.member_id}: input window shorter than width {w}"
             )
-        buf = inputs[:, -w:, :].copy()
-        out = np.empty((W, horizon, c))
+        # The last w inputs, then the forecasts. Each mean runs along axis 1
+        # of a W x w x c slice: numpy's summation order, and so every output
+        # bit, depends on that layout (it sums pairwise when c == 1).
+        buf = np.empty((W, w + horizon, c))
+        buf[:, :w] = inputs[:, -w:]
         for h in range(horizon):
-            nxt = buf.mean(axis=1)
-            out[:, h, :] = nxt
-            buf = np.concatenate([buf[:, 1:, :], nxt[:, None, :]], axis=1)
-        return out
+            buf[:, w + h] = buf[:, h : w + h].mean(axis=1)
+        return buf[:, w:].copy()
 
     if kind == "ar_ols":
         p = spec.order
         if L_x < p:
             raise ValidationError(f"{model.member_id}: input window shorter than order {p}")
         coef = model.coefficients  # (p+1) x c
-        buf = inputs[:, -p:, :].copy()  # oldest..newest
-        out = np.empty((W, horizon, c))
-        for h in range(horizon):
-            nxt = np.broadcast_to(coef[0], (W, c)).copy()
+        # The last p inputs, then the forecasts, time-major: the recursion is
+        # elementwise, so every step reads and writes contiguous W x c slabs.
+        buf = np.empty((p + horizon, W, c))
+        buf[:p] = inputs[:, -p:].transpose(1, 0, 2)
+        for h in range(p, p + horizon):
+            nxt = buf[h]
+            nxt[:] = coef[0]
             for j in range(1, p + 1):
-                nxt += coef[j] * buf[:, -j, :]
-            out[:, h, :] = nxt
-            buf = np.concatenate([buf[:, 1:, :], nxt[:, None, :]], axis=1)
-        return out
+                nxt += coef[j] * buf[h - j]
+        return buf[p:].transpose(1, 0, 2).copy()
 
     if kind == "exp_smoothing":
         a = spec.alpha

@@ -151,7 +151,7 @@ def read_labels_csv(path) -> LabelSequence:
 
 def write_labels_csv(path, labels: LabelSequence, index_base: int = 0) -> None:
     write_csv(path, ("timestamp", "label"),
-              ((i + index_base, int(flag)) for i, flag in enumerate(labels.flags)))
+              enumerate(labels.flags.tolist(), start=index_base))
 
 
 def chronological_split(series: TimeSeries, train_frac: float) -> tuple[TimeSeries, TimeSeries]:
@@ -172,8 +172,9 @@ def chronological_split(series: TimeSeries, train_frac: float) -> tuple[TimeSeri
 def write_scores(path, scores: ScoreSeries, index_base: int = 0) -> None:
     """Score CSV: timestamp, score (empty = missing), lead_time (empty = missing)."""
     write_csv(path, ("timestamp", "score", "lead_time"),
-              ((i + index_base, "", "") if np.isnan(s) else (i + index_base, _fmt(s), int(lead))
-               for i, (s, lead) in enumerate(zip(scores.scores, scores.lead_times))))
+              ((i, "", "") if math.isnan(s) else (i, _fmt(s), int(lead))
+               for i, (s, lead) in enumerate(zip(scores.scores.tolist(),
+                                                 scores.lead_times.tolist()), start=index_base)))
 
 
 def read_scores(path) -> ScoreSeries:
@@ -188,8 +189,9 @@ def read_scores(path) -> ScoreSeries:
 def write_detection(path, detection: Detection, meta: dict | None = None) -> None:
     """Detection CSV plus a `<path>.meta.json` sidecar with the threshold."""
     write_csv(path, ("timestamp", "flag", "lead_time"),
-              ((i, int(flag), "" if np.isnan(lead) else int(lead))
-               for i, (flag, lead) in enumerate(zip(detection.flags, detection.lead_times))))
+              ((i, flag, "" if math.isnan(lead) else int(lead))
+               for i, (flag, lead) in enumerate(zip(detection.flags.tolist(),
+                                                    detection.lead_times.tolist()))))
     sidecar = {"threshold": detection.threshold}
     if meta:
         sidecar.update(meta)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -57,6 +57,10 @@ class MetricParams:
     tapr_alpha: float = 0.5
 
     def __post_init__(self):
+        for f in fields(self):  # NaN and infinity pass every range check below
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{f.name} must be finite, got {value}")
         if not 0.0 <= self.theta <= 1.0:
             raise ValidationError(f"theta must be in [0, 1], got {self.theta}")
         if min(self.alpha, self.beta, self.gamma) < 0:

@@ -150,14 +150,29 @@ def _field(raw: dict, key: str, parse, default=_REQUIRED):
         raise ValidationError(f"synth config {key!r}: {exc}") from None
 
 
+def _check_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _objects(data: dict, key: str) -> list[dict]:
+    """``data[key]``, a list of JSON objects (empty when absent)."""
+    items = data.get(key, [])
+    if not isinstance(items, list):
+        raise ValidationError(f"synth config {key!r} must be a list, got {type(items).__name__}")
+    return [_check_object(item, f"each synth config {key!r} entry") for item in items]
+
+
 def config_from_dict(data: dict) -> SynthConfig:
     """Build a config from its JSON form (the schema `config_to_dict` writes).
 
     Integer fields refuse floats and bools, and float fields refuse bools,
     rather than truncating or coercing them.
     """
+    _check_object(data, "synth config")
     variables = []
-    for raw in data.get("variables", []):
+    for raw in _objects(data, "variables"):
         kind = raw.get("kind")
         if kind == "sine":
             variables.append(
@@ -179,11 +194,11 @@ def config_from_dict(data: dict) -> SynthConfig:
             kind=a.get("kind"),
             magnitude=_field(a, "magnitude", strict_float),
         )
-        for a in data.get("anomalies", [])
+        for a in _objects(data, "anomalies")
     )
     precursor = None
     if data.get("precursor") is not None:
-        p = data["precursor"]
+        p = _check_object(data["precursor"], "synth config 'precursor'")
         precursor = PrecursorSpec(
             lead=_field(p, "lead", strict_int, 20),
             length=_field(p, "length", strict_int, p.get("lead", 20)),

@@ -22,31 +22,54 @@ from poakit.core import ScoreSeries, ValidationError
 from poakit.forecast import EnsembleForecast
 
 DEFAULT_EPS_SIGMA = 1e-8
+# Windows are reduced in blocks of about this many bytes of predictions: big
+# enough to amortise numpy's per-call cost, small enough to stay in cache.
+_BLOCK_BYTES = 1 << 18
 
 
 def ensemble_variance(predictions: np.ndarray) -> np.ndarray:
-    """Per-cell disagreement of one window's M x L_y x c member forecasts:
-    sample variance (divisor M-1) across members, in two exact passes
-    (subtract the member mean, then average the squared deviations)."""
+    """Per-cell disagreement of member forecasts, members on axis -3: one
+    window's M x L_y x c array gives L_y x c, a block's B x M x L_y x c gives
+    B x L_y x c. Sample variance (divisor M-1) across members, in two exact
+    passes (subtract the member mean, then average the squared deviations)."""
     preds = np.asarray(predictions, dtype=np.float64)
-    M = preds.shape[0]
+    if preds.ndim < 3:
+        raise ValidationError(f"need M x L_y x c member forecasts, got shape {preds.shape}")
+    M = preds.shape[-3]
     if M < 2:
         raise ValidationError(
             f"ensemble too small for variance: need >= 2 members, got {M}"
         )
-    dev = preds - preds.mean(axis=0)
-    return (dev**2).sum(axis=0) / (M - 1)
+    dev = preds - preds.mean(axis=-3, keepdims=True)
+    return (dev**2).sum(axis=-3) / (M - 1)
 
 
 def uncertainty_from_ensembles(
     ensembles: list[EnsembleForecast],
 ) -> tuple[np.ndarray, np.ndarray]:
     """W x L_y x c variances in window-id order, plus the window origins.
-    Taken one window at a time: no W x M x L_y x c copy is made."""
+
+    Every window must have the same M x L_y x c shape. The windows are
+    stacked and reduced in blocks of about ``_BLOCK_BYTES``, so no
+    W x M x L_y x c copy is made.
+    """
     if not ensembles:
         raise ValidationError("no ensembles to score")
     ordered = sorted(ensembles, key=lambda e: e.window_id)
-    values = np.stack([ensemble_variance(e.predictions) for e in ordered])
+    shape = ordered[0].predictions.shape
+    for e in ordered:
+        if e.predictions.shape != shape:
+            raise ValidationError(
+                f"window {e.window_id} has M x L_y x c shape {e.predictions.shape}, "
+                f"window {ordered[0].window_id} has {shape}"
+            )
+    block = max(1, _BLOCK_BYTES // max(1, ordered[0].predictions.nbytes))
+    values = np.empty((len(ordered), *shape[1:]))
+    for start in range(0, len(ordered), block):
+        chunk = ordered[start:start + block]
+        values[start:start + len(chunk)] = ensemble_variance(
+            np.stack([e.predictions for e in chunk])
+        )
     if not np.all(np.isfinite(values)) or np.any(values < 0):
         raise ValidationError("raw uncertainty values must be finite and >= 0")
     origins = np.array([e.origin for e in ordered], dtype=np.int64)
@@ -75,7 +98,9 @@ def normalize(values: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
         raise ValidationError(
             f"stats shape {mu.shape} does not match tensor cells {values.shape[1:]}"
         )
-    return (values - mu[None]) / np.maximum(sigma, eps_sigma)[None]
+    out = np.asarray(values, dtype=np.float64) - mu[None]
+    out /= np.maximum(sigma, eps_sigma)[None]
+    return out
 
 
 def aggregate_variables(scores: np.ndarray, mode: str = "mean") -> np.ndarray:
@@ -105,7 +130,8 @@ def collate_timeline(
     - ``latest``: keep the smallest step (most recently emitted evidence),
     - ``earliest``: keep the largest step (longest lead).
 
-    The kept candidate's step becomes the timestamp's lead time.
+    Windows sharing an origin count as emitted in index order. The kept
+    candidate's step becomes the timestamp's lead time.
     """
     scores2d = np.asarray(per_window_scores, dtype=np.float64)
     origins = np.asarray(origins, dtype=np.int64)
@@ -120,27 +146,39 @@ def collate_timeline(
         )
     if mode not in ("max", "latest", "earliest"):
         raise ValidationError(f"collation mode must be max/latest/earliest, got {mode!r}")
-    L_y = scores2d.shape[1]
+    W, L_y = scores2d.shape
+    steps = np.arange(1, L_y + 1)
+    taus = origins[:, None] + steps
+    # The order the tie rules read a timestamp's candidates in: by origin
+    # (so by decreasing step), then by window index. Larger arrival = later.
+    arrival = (L_y - steps) * W + np.arange(W)[:, None]
+    fits = taus < series_len
+    taus, cand, arrival = taus[fits], scores2d[fits], arrival[fits]
+    never = W * L_y  # later than every arrival
+    last = np.full(series_len, -1)
+    np.maximum.at(last, taus, arrival)
+    if mode == "max":
+        # The last arrival of the largest non-NaN score; a timestamp with
+        # only NaN candidates keeps its last arrival.
+        best = np.full(series_len, np.nan)
+        np.fmax.at(best, taus, cand)
+        top = cand == best[taus]
+        win = np.full(series_len, -1)
+        np.maximum.at(win, taus[top], arrival[top])
+        win = np.where(win < 0, last, win)
+    elif mode == "latest":
+        win = last
+    else:  # earliest: the first non-NaN candidate, else the last (NaN) one
+        real = ~np.isnan(cand)
+        win = np.full(series_len, never)
+        np.minimum.at(win, taus[real], arrival[real])
+        win = np.where(win == never, last, win)
     out = np.full(series_len, np.nan)
     leads = np.full(series_len, np.nan)
-    for w in np.argsort(origins, kind="stable"):
-        origin = origins[w]
-        lo = origin + 1
-        hi = min(origin + L_y, series_len - 1)
-        if hi < lo:
-            continue
-        steps = np.arange(lo - origin, hi - origin + 1)
-        taus = origin + steps
-        cand = scores2d[w, steps - 1]
-        if mode == "max":
-            # >= so that among equal scores the later window (smaller step) wins
-            take = np.isnan(out[taus]) | (cand >= out[taus])
-        elif mode == "latest":
-            take = np.ones_like(taus, dtype=bool)
-        else:  # earliest: first window to reach a timestamp keeps it
-            take = np.isnan(out[taus])
-        out[taus[take]] = cand[take]
-        leads[taus[take]] = steps[take]
+    scored = np.flatnonzero(last >= 0)
+    w, step_index = win[scored] % W, L_y - 1 - win[scored] // W
+    out[scored] = scores2d[w, step_index]
+    leads[scored] = step_index + 1
     return ScoreSeries(scores=out, lead_times=leads)
 
 
@@ -166,4 +204,5 @@ def score_timeline(
     if normalize_scores:
         valid_values, _ = uncertainty_from_ensembles(validation_ensembles)
         values = normalize(values, *horizon_stats(valid_values), eps_sigma)
-    return collate_timeline(aggregate_variables(values, agg), origins, series_len, collate)
+    values = aggregate_variables(values, agg)  # frees the W x L_y x c array
+    return collate_timeline(values, origins, series_len, collate)

@@ -256,6 +256,27 @@ class TestMetricStages:
         result = self.invoke(pipeline, tmp_path, command, *extra, "--theta-grid", n)
         self.assert_rejected(result, f"--theta-grid must be >= 1, got {n}")
 
+    @pytest.mark.parametrize("command,extra,message", [
+        ("evaluate", ["--k", "inf"], "k must be finite, got inf"),
+        ("evaluate", ["--alpha", "nan", "--beta", "0.5", "--gamma", "0.5"],
+         "alpha must be finite, got nan"),
+        ("evaluate", ["--theta", "nan"], "theta must be finite, got nan"),
+        ("sweep", ["--param", "k", "--values", "nan"], "k must be finite, got nan"),
+        ("sweep", ["--param", "k", "--values", "0.1", "--gamma", "-inf"],
+         "gamma must be finite, got -inf"),
+    ], ids=["evaluate-k", "evaluate-alpha", "evaluate-theta", "sweep-values", "sweep-gamma"])
+    def test_non_finite_metric_param_rejected(self, pipeline, tmp_path, command, extra, message):
+        # --k inf used to exit 0 with NaN rewards; the others exited 2 with
+        # "ptar must be in [0, 1], got nan"
+        self.assert_rejected(self.invoke(pipeline, tmp_path, command, *extra), message)
+
+    def test_detect_rejects_non_finite_metric_param(self, pipeline, tmp_path):
+        result = CliRunner().invoke(cli, [
+            "detect", str(pipeline / "run/scores.csv"), str(pipeline / "data/labels.csv"),
+            str(tmp_path / "detection.csv"), "--delta", "8", "--k", "inf",
+        ])
+        self.assert_rejected(result, "k must be finite, got inf")
+
     def test_evaluation_builds_credit_four_times(self, pipeline, monkeypatch):
         """ptapr_report, the PTaPR sweep, tapr and the TaPR sweep each build
         the credit once; early_prf reads the report."""
@@ -598,6 +619,26 @@ class TestScoreRejections:
 
 
 class TestSynthConfigFields:
+    @pytest.mark.parametrize("config,message", [
+        ([1, 2], "synth config must be a JSON object, got list"),
+        ({"length": 100, "variables": [1]},
+         "each synth config 'variables' entry must be a JSON object, got int"),
+        ({"length": 100, "anomalies": [1]},
+         "each synth config 'anomalies' entry must be a JSON object, got int"),
+        ({"length": 100, "anomalies": 5}, "synth config 'anomalies' must be a list, got int"),
+        ({"length": 100, "precursor": [15]},
+         "synth config 'precursor' must be a JSON object, got list"),
+    ], ids=["top-level", "variable", "anomaly", "anomalies", "precursor"])
+    def test_non_object_config_rejected(self, tmp_path, config, message):
+        # each used to end in an AttributeError or TypeError traceback
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        result = CliRunner().invoke(cli, ["synth", str(tmp_path / "d"), "--config", str(cfg_path)])
+        assert result.exit_code == 2, result.output
+        assert "error[validation]" in result.output
+        assert message in result.output
+        assert not (tmp_path / "d").exists()
+
     @pytest.mark.parametrize("edit,message", [
         (lambda cfg: cfg["anomalies"][0].update(start=300.7), "'start': not an integer: 300.7"),
         (lambda cfg: cfg.update(seed=3.9), "'seed': not an integer: 3.9"),

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_kernels
 import reference_records
 
 from poakit.core import DataFormatError, TimeSeries, ValidationError
 from poakit.forecast import (
     EnsembleForecast,
+    FittedForecaster,
     ForecasterSpec,
     ForecastScore,
     WindowConfig,
@@ -222,6 +224,54 @@ class TestFitPredict:
                 assert np.allclose(batched[i], single, atol=1e-12)
 
 
+@st.composite
+def kernel_inputs(draw, lag_name):
+    """W x L_x x c inputs and a horizon, with the moving-average width or AR
+    order (``lag``) anywhere from 1 to past the horizon."""
+    W, c, horizon = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 10))
+    lag = draw(st.sampled_from([1, 2, horizon, horizon + 1, horizon + 9]))
+    L_x = lag + draw(st.integers(0, 3))
+    values = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])
+    inputs = draw(hnp.arrays(np.float64, (W, L_x, c), elements=values))
+    spec = ForecasterSpec("moving_average" if lag_name == "width" else "ar_ols", **{lag_name: lag})
+    coefficients = None
+    if lag_name == "order":
+        coefficients = draw(hnp.arrays(np.float64, (lag + 1, c), elements=st.floats(-1.5, 1.5)))
+    return FittedForecaster(spec, c, coefficients), inputs, horizon
+
+
+class TestBufferKernelsMatchConcatenate:
+    """The one-buffer recursions against the per-step concatenate loops they
+    replaced, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=kernel_inputs("width"))
+    def test_moving_average(self, case):
+        model, inputs, horizon = case
+        expected = reference_kernels.moving_average(inputs, model.spec.width, horizon)
+        assert_bits_equal(predict_batch(model, inputs, horizon), expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=kernel_inputs("order"))
+    def test_ar_ols(self, case):
+        model, inputs, horizon = case
+        with np.errstate(over="ignore", invalid="ignore"):  # a diverging recursion
+            got = predict_batch(model, inputs, horizon)
+            expected = reference_kernels.ar_ols(inputs, model.coefficients, horizon)
+        assert_bits_equal(got, expected)
+
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_benchmark_sized_batch(self, c):
+        rng = np.random.default_rng(c)
+        inputs = rng.normal(size=(1200, 100, c))
+        ma = FittedForecaster(ForecasterSpec("moving_average", width=12), c)
+        ar = FittedForecaster(ForecasterSpec("ar_ols", order=4), c, 0.3 * rng.normal(size=(5, c)))
+        assert_bits_equal(predict_batch(ma, inputs, 24),
+                          reference_kernels.moving_average(inputs, 12, 24))
+        assert_bits_equal(predict_batch(ar, inputs, 24),
+                          reference_kernels.ar_ols(inputs, ar.coefficients, 24))
+
+
 class TestEvaluateMembers:
     def test_perfect_predictions(self):
         targets = np.random.default_rng(1).normal(size=(3, 4, 2))
@@ -302,6 +352,16 @@ class TestSelectTopK:
 
 
 class TestEnsembleForecast:
+    @pytest.mark.parametrize("preds,ids,message", [
+        (np.zeros((2, 3)), ("a", "b"), "ensemble predictions must be M x L_y x c"),
+        (np.zeros((2, 3, 1)), ("a",), "one member_id per prediction slab required"),
+        (np.zeros((2, 3, 1)), ["a", "a"], r"duplicate member_ids: \['a', 'a'\]"),
+        (np.full((2, 3, 1), np.nan), ("a", "b"), "non-finite prediction in window 7"),
+    ], ids=["ndim", "ids", "duplicates", "non-finite"])
+    def test_check_messages(self, preds, ids, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            EnsembleForecast(7, 9, preds, ids)
+
     def test_rejects_duplicate_members(self):
         with pytest.raises(ValidationError):
             EnsembleForecast(0, 9, np.zeros((2, 3, 1)), ("a", "a"))

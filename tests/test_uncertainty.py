@@ -1,7 +1,17 @@
+import re
+import tracemalloc
+from unittest import mock
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from poakit.core import ValidationError
+import reference_kernels
+
+from poakit import uncertainty as unc
+from poakit.core import ScoreSeries, ValidationError
 from poakit.forecast import EnsembleForecast
 from poakit.uncertainty import (
     aggregate_variables,
@@ -9,8 +19,14 @@ from poakit.uncertainty import (
     ensemble_variance,
     horizon_stats,
     normalize,
+    score_timeline,
     uncertainty_from_ensembles,
 )
+
+
+def assert_bits_equal(got, expected):
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 class TestEnsembleVariance:
@@ -47,6 +63,10 @@ class TestEnsembleVariance:
         base = ensemble_variance(preds)
         shifted = ensemble_variance(preds + 17.5)
         assert np.allclose(shifted, base, atol=1e-10)
+
+    def test_rejects_missing_member_axis(self):
+        with pytest.raises(ValidationError, match=r"got shape \(4, 3\)"):
+            ensemble_variance(np.zeros((4, 3)))
 
     def test_rejects_single_member(self):
         with pytest.raises(ValidationError, match="too small"):
@@ -218,3 +238,129 @@ class TestUncertaintyFromEnsembles:
         assert np.array_equal(origins, [9, 10])
         assert values.shape == (2, 2, 1)
         assert np.array_equal(values[0], ensemble_variance(e0.predictions))
+
+
+def stacked_ensembles(preds, window_ids, origins):
+    """One EnsembleForecast per row of a W x M x L_y x c array."""
+    ids = tuple(f"m{i}" for i in range(preds.shape[1]))
+    return [EnsembleForecast(int(w), int(o), p, ids)
+            for w, o, p in zip(window_ids, origins, preds)]
+
+
+@st.composite
+def blocked_inputs(draw):
+    """Ensembles whose window count sits at a block boundary (1, block - 1,
+    block, block + 1 or 2 * block + 1), with the block size in bytes that
+    gives ``block`` windows of their shape."""
+    M, L_y, c = draw(st.integers(2, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    block = draw(st.integers(1, 4))
+    window_bytes = 8 * M * L_y * c
+    block_bytes = block * window_bytes + draw(st.integers(0, window_bytes - 1))
+    W = draw(st.sampled_from(sorted({1, max(1, block - 1), block, block + 1, 2 * block + 1})))
+    values = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.0, -0.0, 1e-300])
+    preds = draw(hnp.arrays(np.float64, (W, M, L_y, c), elements=values))
+    window_ids = draw(st.permutations(range(W)))
+    origins = draw(st.lists(st.integers(0, 50), min_size=W, max_size=W))
+    return stacked_ensembles(preds, window_ids, origins), block_bytes
+
+
+class TestBlockedVarianceMatchesWindowLoop:
+    """The blocked kernels against the window loop they replaced, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=blocked_inputs())
+    def test_block_boundaries(self, case):
+        ensembles, block_bytes = case
+        expected = reference_kernels.uncertainty_from_ensembles(ensembles)
+        with mock.patch.object(unc, "_BLOCK_BYTES", block_bytes):
+            values, origins = uncertainty_from_ensembles(ensembles)
+        assert_bits_equal(values, expected[0])
+        assert np.array_equal(origins, expected[1])
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, unc._BLOCK_BYTES // (8 * 5 * 24 * 3) + 1])
+    def test_module_block_size(self, extra):
+        shape = (5, 24, 3)  # the benchmark's top-5 ensemble at horizon 24
+        block = unc._BLOCK_BYTES // (8 * np.prod(shape))
+        W = block + extra
+        rng = np.random.default_rng(W)
+        ensembles = stacked_ensembles(rng.normal(size=(W, *shape)), range(W), range(W))
+        values, _ = uncertainty_from_ensembles(ensembles)
+        assert_bits_equal(values, reference_kernels.uncertainty_from_ensembles(ensembles)[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(preds=hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(2, 9),
+                                                    st.integers(1, 3), st.integers(1, 3)),
+                            elements=st.floats(-1e100, 1e100)))
+    def test_one_window_and_a_block_agree(self, preds):
+        block = ensemble_variance(preds)
+        for w in range(preds.shape[0]):
+            assert_bits_equal(ensemble_variance(preds[w]), block[w])
+            assert_bits_equal(block[w], reference_kernels.ensemble_variance(preds[w]))
+
+    @pytest.mark.parametrize("shapes", [[(3, 2, 1), (2, 2, 1)], [(2, 2, 1), (2, 3, 1)]],
+                             ids=["members", "horizon"])
+    def test_windows_of_different_shapes_rejected(self, shapes):
+        # differing member counts used to score each window with its own M;
+        # a differing horizon ended in numpy's stack error
+        ensembles = [EnsembleForecast(w, 10 + w, np.arange(np.prod(s), dtype=float).reshape(s),
+                                      tuple("abc"[:s[0]]))
+                     for w, s in enumerate(shapes)]
+        message = f"window 1 has M x L_y x c shape {shapes[1]}, window 0 has {shapes[0]}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            uncertainty_from_ensembles(ensembles)
+
+
+@st.composite
+def collate_inputs(draw):
+    """Unsorted origins with duplicates, NaN and infinite candidates, and
+    windows whose horizon runs past the series end."""
+    W, L_y = draw(st.integers(0, 10)), draw(st.integers(0, 5))
+    origins = draw(st.lists(st.integers(0, 12), min_size=W, max_size=W))
+    special = st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan, np.inf, -np.inf])
+    scores = draw(hnp.arrays(np.float64, (W, L_y), elements=special | st.floats(-3, 3)))
+    series_len = max(origins, default=0) + 1 + draw(st.integers(0, 6))
+    return scores, np.array(origins, dtype=np.int64), series_len
+
+
+class TestCollateMatchesWindowLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(case=collate_inputs(), mode=st.sampled_from(["max", "latest", "earliest"]))
+    def test_same_winner_lead_and_error(self, case, mode):
+        scores, origins, series_len = case
+        out, leads = reference_kernels.collate_timeline(scores, origins, series_len, mode)
+        try:
+            expected = ScoreSeries(out, leads)
+        except ValidationError as exc:  # a NaN or infinite candidate kept
+            with pytest.raises(ValidationError, match=f"^{re.escape(str(exc))}$"):
+                collate_timeline(scores, origins, series_len, mode)
+            return
+        got = collate_timeline(scores, origins, series_len, mode)
+        assert_bits_equal(got.scores, expected.scores)
+        assert_bits_equal(got.lead_times, expected.lead_times)
+
+    def test_many_windows_on_one_origin(self):
+        rng = np.random.default_rng(21)
+        scores = rng.choice([0.0, -0.0, 0.5, 1.0], size=(300, 6))
+        origins = np.zeros(300, dtype=np.int64)
+        for mode in ("max", "latest", "earliest"):
+            got = collate_timeline(scores, origins, 5, mode)
+            out, leads = reference_kernels.collate_timeline(scores, origins, 5, mode)
+            assert_bits_equal(got.scores, out)
+            assert_bits_equal(got.lead_times, leads)
+
+
+def test_score_timeline_peak_memory_below_one_full_stack():
+    """Blocked variance keeps the scoring temporaries far below one
+    W x M x L_y x c array (the copy a whole-stack variance would make)."""
+    W, shape = 4000, (5, 24, 3)
+    rng = np.random.default_rng(22)
+    test_ens = stacked_ensembles(rng.normal(size=(W, *shape)), range(W), range(99, 99 + W))
+    valid_ens = stacked_ensembles(rng.normal(size=(400, *shape)), range(400), range(400))
+    full_stack = W * 8 * np.prod(shape)  # 11.5 MB; the scores peak at about 5 MB
+    tracemalloc.start()
+    try:
+        score_timeline(test_ens, valid_ens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * full_stack, f"peak {peak / 1e6:.1f} MB"
