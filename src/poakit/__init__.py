@@ -9,9 +9,6 @@ from poakit.core import (
     SegmentSet,
     TimeSeries,
     ValidationError,
-    ambiguous_extensions,
-    flags_from_segments,
-    segments_from_flags,
 )
 
 __version__ = "0.1.0"
@@ -25,8 +22,5 @@ __all__ = [
     "SegmentSet",
     "TimeSeries",
     "ValidationError",
-    "ambiguous_extensions",
-    "flags_from_segments",
-    "segments_from_flags",
     "__version__",
 ]

@@ -1,8 +1,7 @@
 """Domain types and segment algebra shared by the whole toolkit.
 
-Index convention: everything in memory is 0-based and inclusive: a
-:class:`Segment` with ``start=3, length=2`` covers indices {3, 4}. File
-readers/writers translate to 1-based indices when asked (see ``poakit.io``).
+Index convention: everything is 0-based and inclusive: a :class:`Segment`
+with ``start=3, length=2`` covers indices {3, 4}.
 """
 
 from __future__ import annotations
@@ -177,26 +176,6 @@ class SegmentView(Sequence):
         return repr(tuple(self))
 
 
-def _frozen(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int64)
-    arr.setflags(write=False)
-    return arr
-
-
-def segment_bounds(segments, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Start and inclusive end arrays of segments that must be disjoint and sorted."""
-    bounds = np.array([(s.start, s.end) for s in segments], dtype=np.int64).reshape(-1, 2)
-    starts, ends = bounds[:, 0], bounds[:, 1]
-    bad = np.flatnonzero(starts[1:] <= ends[:-1])
-    if bad.size:
-        i = int(bad[0])
-        raise ValidationError(
-            f"{name} segments must be disjoint and sorted by start: "
-            f"{segments[i]} followed by {segments[i + 1]}"
-        )
-    return starts, ends
-
-
 def ambiguous_ends(starts: np.ndarray, ends: np.ndarray, delta: int, series_len: int) -> np.ndarray:
     """Inclusive end of each anomaly's ambiguous window, given the anomalies'
     sorted disjoint bounds; an end equal to the anomaly's own end means empty.
@@ -210,6 +189,26 @@ def ambiguous_ends(starts: np.ndarray, ends: np.ndarray, delta: int, series_len:
     return np.maximum(ends, np.minimum(ends + delta, limit))
 
 
+def _index_array(values, name: str) -> np.ndarray:
+    """``values`` as a read-only 1-D int64 copy; a float, bool or multi-axis
+    input is refused rather than truncated or flattened."""
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise ValidationError(f"{name} must be 1-D, got shape {arr.shape}")
+    if arr.size and arr.dtype.kind not in "iu":  # an empty list reads as float64
+        raise ValidationError(f"{name} must hold integers, got dtype {arr.dtype}")
+    arr = arr.astype(np.int64)
+    arr.setflags(write=False)
+    return arr
+
+
+def _refuse_first(mask: np.ndarray, describe) -> None:
+    """A ValidationError with ``describe(i)`` for the first True index i of ``mask``."""
+    bad = np.flatnonzero(mask)
+    if bad.size:
+        raise ValidationError(describe(int(bad[0])))
+
+
 class SegmentSet:
     """Ground-truth anomalies with the prediction/precursor/ambiguous structure.
 
@@ -218,68 +217,54 @@ class SegmentSet:
     - ``anomaly_starts``/``anomaly_ends``, sorted and disjoint;
     - ``ambiguous_ends``: the tolerated trailing window after anomaly i covers
       ``anomaly_ends[i] + 1 .. ambiguous_ends[i]`` (empty when the two ends are
-      equal), at most ``delta`` long and truncated at the series end or the
-      next anomaly;
+      equal), at most ``delta`` long;
     - ``prediction_starts``/``prediction_ends``, sorted and disjoint;
     - ``precursor_starts``: the early-warning run directly preceding
       prediction j covers ``precursor_starts[j] .. prediction_starts[j] - 1``;
       -1 means it has no precursor.
 
-    The constructor takes :class:`Segment` tuples (None for an empty precursor
-    or ambiguous slot) and checks them. :meth:`from_arrays` takes arrays that
-    already hold these invariants and checks nothing. ``anomalies``,
-    ``predictions``, ``precursors`` and ``ambiguous`` read the structure back
-    as Segments.
+    The constructor takes 1-D integer arrays and checks every invariant above
+    (:func:`ambiguous_ends` computes the ambiguous ends from a series length).
+    ``anomalies``, ``predictions``, ``precursors`` and ``ambiguous`` read the
+    structure back as Segments.
     """
 
     __slots__ = ("anomaly_starts", "anomaly_ends", "ambiguous_ends",
                  "prediction_starts", "prediction_ends", "precursor_starts", "delta")
 
-    def __init__(self, anomalies, predictions, precursors, ambiguous, delta: int):
-        anomalies, predictions = tuple(anomalies), tuple(predictions)
-        precursors, ambiguous = tuple(precursors), tuple(ambiguous)
+    def __init__(self, anomaly_starts, anomaly_ends, ambiguous_ends,
+                 prediction_starts, prediction_ends, precursor_starts, delta: int):
+        arrays = [_index_array(values, name) for name, values in zip(
+            self.__slots__, (anomaly_starts, anomaly_ends, ambiguous_ends,
+                             prediction_starts, prediction_ends, precursor_starts))]
+        a_s, a_e, amb_e, p_s, p_e, pp_s = arrays
+        if type(delta) is bool or not isinstance(delta, (int, np.integer)):
+            raise ValidationError(f"delta must be an integer, got {delta!r}")
         if delta < 0:
-            raise ValidationError("delta must be >= 0")
-        a_s, a_e = segment_bounds(anomalies, "anomaly")
-        p_s, p_e = segment_bounds(predictions, "prediction")
-        if len(precursors) != len(predictions):
-            raise ValidationError("need one precursor slot per prediction")
-        if len(ambiguous) != len(anomalies):
-            raise ValidationError("need one ambiguous slot per anomaly")
-        for p, pp in zip(predictions, precursors):
-            if pp is not None and pp.end != p.start - 1:
+            raise ValidationError(f"delta must be >= 0, got {delta}")
+        for kind, starts, ends in (("anomaly", a_s, a_e), ("prediction", p_s, p_e)):
+            if ends.shape != starts.shape:
                 raise ValidationError(
-                    f"precursor {pp} must end exactly at prediction start-1 ({p})"
-                )
-        for a, amb in zip(anomalies, ambiguous):
-            if amb is None:
-                continue
-            if amb.start != a.end + 1:
-                raise ValidationError(
-                    f"ambiguous window {amb} must start at anomaly end+1 ({a})"
-                )
-            if amb.length > delta:
-                raise ValidationError(
-                    f"ambiguous window {amb} longer than delta={delta}"
-                )
-        self._store(
-            a_s, a_e, [a.end if amb is None else amb.end for a, amb in zip(anomalies, ambiguous)],
-            p_s, p_e, [-1 if pp is None else pp.start for pp in precursors], delta,
-        )
-
-    @classmethod
-    def from_arrays(cls, anomaly_starts, anomaly_ends, ambiguous_ends,
-                    prediction_starts, prediction_ends, precursor_starts,
-                    delta: int) -> "SegmentSet":
-        """Wrap arrays that already hold the class invariants; nothing is checked."""
-        segments = cls.__new__(cls)
-        segments._store(anomaly_starts, anomaly_ends, ambiguous_ends,
-                        prediction_starts, prediction_ends, precursor_starts, delta)
-        return segments
-
-    def _store(self, a_s, a_e, amb_e, p_s, p_e, pp_s, delta) -> None:
-        for name, values in zip(self.__slots__, (a_s, a_e, amb_e, p_s, p_e, pp_s)):
-            object.__setattr__(self, name, _frozen(values))
+                    f"need one {kind} end per {kind} start, got {ends.size} for {starts.size}")
+            _refuse_first(starts < 0, lambda i: f"{kind} {i} starts at {starts[i]}, before 0")
+            _refuse_first(ends < starts, lambda i: (
+                f"{kind} {i} ends at {ends[i]}, before its start {starts[i]}"))
+            _refuse_first(starts[1:] <= ends[:-1], lambda i: (
+                f"{kind} segments must be disjoint and sorted by start: "
+                f"[{starts[i]}, {ends[i]}] followed by [{starts[i + 1]}, {ends[i + 1]}]"))
+        if amb_e.shape != a_s.shape:
+            raise ValidationError(
+                f"need one ambiguous end per anomaly, got {amb_e.size} for {a_s.size}")
+        _refuse_first((amb_e < a_e) | (amb_e > a_e + delta), lambda i: (
+            f"anomaly {i} ambiguous end {amb_e[i]} must be in "
+            f"[{a_e[i]}, {a_e[i] + delta}] (its end .. end + delta)"))
+        if pp_s.shape != p_s.shape:
+            raise ValidationError(
+                f"need one precursor start per prediction, got {pp_s.size} for {p_s.size}")
+        _refuse_first((pp_s < -1) | (pp_s >= p_s), lambda i: (
+            f"prediction {i} precursor start {pp_s[i]} must be -1 or in [0, {p_s[i]})"))
+        for name, arr in zip(self.__slots__, arrays):
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "delta", int(delta))
 
     def __setattr__(self, name, value):
@@ -343,32 +328,3 @@ def run_bounds(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # zero-padded at both ends, so the edges alternate run start, run end + 1
     edges = np.flatnonzero(padded[1:] != padded[:-1])
     return edges[::2], edges[1::2] - 1
-
-
-def segments_from_flags(flags) -> list[Segment]:
-    """Maximal runs of 1s in a binary sequence, as sorted disjoint segments."""
-    return list(SegmentView(*run_bounds(binary_flags(flags, "flags"))))
-
-
-def flags_from_segments(segments: list[Segment], length: int) -> np.ndarray:
-    """Inverse of :func:`segments_from_flags` for disjoint sorted segments."""
-    flags = np.zeros(length, dtype=np.int8)
-    for seg in segments:
-        if seg.end >= length:
-            raise ValidationError(f"segment {seg} exceeds sequence length {length}")
-        flags[seg.start : seg.end + 1] = 1
-    return flags
-
-
-def ambiguous_extensions(
-    anomalies: list[Segment], delta: int, series_len: int
-) -> list[Segment | None]:
-    """Trailing tolerated window after each anomaly, None where it is empty.
-
-    Each window starts right after its anomaly and runs for at most ``delta``
-    steps, truncated at the series end and at the next anomaly's start (an
-    instance inside a later true anomaly must not count as ambiguous trailing
-    of an earlier one).
-    """
-    starts, ends = segment_bounds(anomalies, "anomaly")
-    return list(SegmentView(ends + 1, ambiguous_ends(starts, ends, delta, series_len)))

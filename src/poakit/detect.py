@@ -130,7 +130,7 @@ def split_precursor_prediction(detection: Detection, labels, delta: int) -> Segm
     # first onset at or after each run's start; T stands in for "none left"
     onset = np.append(a_s, T)[np.searchsorted(a_s, r_s)]
     split = (onset <= r_e) & (onset > r_s)
-    return SegmentSet.from_arrays(
+    return SegmentSet(
         a_s, a_e, ambiguous_ends(a_s, a_e, delta, T),
         np.where(split, onset, r_s), r_e, np.where(split, r_s, -1), delta,
     )

@@ -2,8 +2,7 @@
 
 Everything on disk is plain CSV / JSON / NDJSON. Floats are serialized with
 9 significant digits, which is what the read/write round-trip guarantees are
-stated against. Files may use 0- or 1-based timestamps (``index_base``);
-in memory everything is 0-based.
+stated against.
 """
 
 from __future__ import annotations
@@ -104,10 +103,8 @@ def _float_or_nan(cell: str) -> float:
     return math.nan if cell == "" else float(cell)
 
 
-def read_series_csv(path, index_base: int = 0) -> TimeSeries:
+def read_series_csv(path) -> TimeSeries:
     """Read a series CSV: header, timestamp column, then one column per variable."""
-    if index_base not in (0, 1):
-        raise ValidationError("index_base must be 0 or 1")
     path = Path(path)
     header, first, rows = _read_table(path)
     problems = [f"column {col} is not a number: {{!r}}" for col in range(2, len(header) + 1)]
@@ -118,21 +115,18 @@ def read_series_csv(path, index_base: int = 0) -> TimeSeries:
     if len(bad):
         i, j = bad[0]
         raise DataFormatError(f"{path}: row {rows[i][0]} column {j + 2} is not finite")
-    start = first - index_base
-    if start < 0:
-        raise DataFormatError(f"{path}: negative timestamp after index_base shift")
-    if start + len(values) - 1 > np.iinfo(np.int64).max:
+    if first < 0:
+        raise DataFormatError(f"{path}: negative timestamp")
+    if first + len(values) - 1 > np.iinfo(np.int64).max:
         raise DataFormatError(f"{path}: timestamp beyond the int64 range")
-    timestamps = np.arange(len(values), dtype=np.int64) + start
+    timestamps = np.arange(len(values), dtype=np.int64) + first
     return TimeSeries(timestamps, values, tuple(h.strip() for h in header[1:]))
 
 
-def write_series_csv(path, series: TimeSeries, index_base: int = 0) -> None:
-    if index_base not in (0, 1):
-        raise ValidationError("index_base must be 0 or 1")
+def write_series_csv(path, series: TimeSeries) -> None:
     names = series.variable_names or tuple(f"v{i}" for i in range(series.n_variables))
     write_csv(path, ("timestamp",) + tuple(names),
-              ([int(ts) + index_base] + [_fmt(v) for v in row]
+              ([int(ts)] + [_fmt(v) for v in row]
                for ts, row in zip(series.timestamps, series.values)))
 
 
@@ -149,9 +143,8 @@ def read_labels_csv(path) -> LabelSequence:
     return LabelSequence(np.asarray(flags, dtype=np.int8))
 
 
-def write_labels_csv(path, labels: LabelSequence, index_base: int = 0) -> None:
-    write_csv(path, ("timestamp", "label"),
-              enumerate(labels.flags.tolist(), start=index_base))
+def write_labels_csv(path, labels: LabelSequence) -> None:
+    write_csv(path, ("timestamp", "label"), enumerate(labels.flags.tolist()))
 
 
 def chronological_split(series: TimeSeries, train_frac: float) -> tuple[TimeSeries, TimeSeries]:
@@ -169,12 +162,12 @@ def chronological_split(series: TimeSeries, train_frac: float) -> tuple[TimeSeri
     return train, valid
 
 
-def write_scores(path, scores: ScoreSeries, index_base: int = 0) -> None:
+def write_scores(path, scores: ScoreSeries) -> None:
     """Score CSV: timestamp, score (empty = missing), lead_time (empty = missing)."""
     write_csv(path, ("timestamp", "score", "lead_time"),
               ((i, "", "") if math.isnan(s) else (i, _fmt(s), int(lead))
                for i, (s, lead) in enumerate(zip(scores.scores.tolist(),
-                                                 scores.lead_times.tolist()), start=index_base)))
+                                                 scores.lead_times.tolist()))))
 
 
 def read_scores(path) -> ScoreSeries:

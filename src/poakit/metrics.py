@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from poakit.core import Segment, SegmentSet, ValidationError, binary_flags, segments_from_flags
+from poakit.core import Segment, SegmentSet, ValidationError, binary_flags, run_bounds
 
 DEFAULT_THETA_GRID_SIZE = 101
 
@@ -370,20 +370,26 @@ def auc_trapezoid(xs: np.ndarray, ys: np.ndarray) -> float:
     return float(np.sum(np.diff(xs) * (ys[1:] + ys[:-1]) / 2.0))
 
 
+def _closed_grid(values, top: float, name: str, plural: str) -> np.ndarray:
+    """``values`` sorted and de-duplicated, all within [0, top], with the
+    endpoints 0 and ``top`` added when absent."""
+    grid = np.asarray(sorted(set(float(v) for v in values)))
+    if grid.size == 0:
+        raise ValidationError(f"{name} grid must not be empty")
+    if grid[0] < 0.0 or grid[-1] > top:
+        raise ValidationError(f"{plural} must lie within [0, {top:g}]")
+    if grid[0] != 0.0:
+        grid = np.concatenate([[0.0], grid])
+    if grid[-1] != top:
+        grid = np.concatenate([grid, [top]])
+    return grid
+
+
 def _theta_grid(thetas) -> np.ndarray:
-    """Sorted, de-duplicated overlap thresholds, with the endpoints 0 and 1 added."""
+    """Overlap thresholds on [0, 1], by default ``DEFAULT_THETA_GRID_SIZE`` even steps."""
     if thetas is None:
         thetas = np.linspace(0.0, 1.0, DEFAULT_THETA_GRID_SIZE)
-    thetas = np.asarray(sorted(set(float(t) for t in thetas)))
-    if thetas.size == 0:
-        raise ValidationError("theta grid must not be empty")
-    if thetas[0] < 0.0 or thetas[-1] > 1.0:
-        raise ValidationError("thetas must lie within [0, 1]")
-    if thetas[0] != 0.0:
-        thetas = np.concatenate([[0.0], thetas])
-    if thetas[-1] != 1.0:
-        thetas = np.concatenate([thetas, [1.0]])
-    return thetas
+    return _closed_grid(thetas, 1.0, "theta", "thetas")
 
 
 def _sweep(thetas: np.ndarray, diag: _Diagnostics, params: MetricParams) -> ThetaSweep:
@@ -424,7 +430,7 @@ def ptapr_theta_sweep(
 def merge_precursors_into_predictions(segments: SegmentSet) -> SegmentSet:
     """Fold each precursor back into its prediction (the original flagged runs)."""
     pp_s = segments.precursor_starts
-    return SegmentSet.from_arrays(
+    return SegmentSet(
         segments.anomaly_starts, segments.anomaly_ends, segments.ambiguous_ends,
         np.where(pp_s >= 0, pp_s, segments.prediction_starts), segments.prediction_ends,
         np.full(pp_s.shape, -1), segments.delta,
@@ -496,12 +502,14 @@ def point_adjust(flags, labels, k_percent: float) -> np.ndarray:
     flags, labels = _binary_pair(flags, labels)
     if not 0.0 <= k_percent <= 100.0:
         raise ValidationError(f"K must be in [0, 100], got {k_percent}")
+    starts, ends = run_bounds(labels)
+    flagged = np.concatenate([[0], np.cumsum(flags)])  # flags before each index
+    lengths = ends - starts + 1
+    # an exact count over the run length rounds once, as the run's np.mean does
+    fraction = (flagged[ends + 1] - flagged[starts]) / lengths
+    hit = fraction > 0.0 if k_percent == 0.0 else fraction >= k_percent / 100.0
     adjusted = flags.copy()
-    for seg in segments_from_flags(labels):
-        fraction = float(np.mean(flags[seg.start : seg.end + 1]))
-        hit = fraction > 0.0 if k_percent == 0.0 else fraction >= k_percent / 100.0
-        if hit:
-            adjusted[seg.start : seg.end + 1] = 1
+    adjusted[labels == 1] |= np.repeat(hit, lengths)
     return adjusted
 
 
@@ -514,15 +522,7 @@ def pa_k_suite(flags, labels, k_grid=None) -> PaKResult:
     flags, labels = _binary_pair(flags, labels)
     if k_grid is None:
         k_grid = np.arange(0.0, 101.0, 10.0)
-    ks = np.asarray(sorted(set(float(k) for k in k_grid)))
-    if ks.size == 0:
-        raise ValidationError("K grid must not be empty")
-    if ks[0] < 0.0 or ks[-1] > 100.0:
-        raise ValidationError("K values must lie within [0, 100]")
-    if ks[0] != 0.0:
-        ks = np.concatenate([[0.0], ks])
-    if ks[-1] != 100.0:
-        ks = np.concatenate([ks, [100.0]])
+    ks = _closed_grid(k_grid, 100.0, "K", "K values")
     precision = np.empty_like(ks)
     recall = np.empty_like(ks)
     f1 = np.empty_like(ks)

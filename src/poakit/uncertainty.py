@@ -131,12 +131,17 @@ def collate_timeline(
     - ``earliest``: keep the largest step (longest lead).
 
     Windows sharing an origin count as emitted in index order. The kept
-    candidate's step becomes the timestamp's lead time.
+    candidate's step becomes the timestamp's lead time. Every score must be
+    finite, also one whose timestamp lies beyond the series end.
     """
     scores2d = np.asarray(per_window_scores, dtype=np.float64)
     origins = np.asarray(origins, dtype=np.int64)
     if scores2d.ndim != 2 or origins.shape != (scores2d.shape[0],):
         raise ValidationError("need W x L_y scores and W origins")
+    bad = np.argwhere(~np.isfinite(scores2d))
+    if bad.size:
+        w, i = bad[0]
+        raise ValidationError(f"window {w} step {i + 1} score is not finite: {scores2d[w, i]}")
     if np.any(origins < 0):
         raise ValidationError(f"window origins must be >= 0, got {int(origins.min())}")
     last_origin = int(origins.max(initial=0))
@@ -154,25 +159,19 @@ def collate_timeline(
     arrival = (L_y - steps) * W + np.arange(W)[:, None]
     fits = taus < series_len
     taus, cand, arrival = taus[fits], scores2d[fits], arrival[fits]
-    never = W * L_y  # later than every arrival
-    last = np.full(series_len, -1)
+    last = np.full(series_len, -1)  # -1: no candidate
     np.maximum.at(last, taus, arrival)
-    if mode == "max":
-        # The last arrival of the largest non-NaN score; a timestamp with
-        # only NaN candidates keeps its last arrival.
-        best = np.full(series_len, np.nan)
-        np.fmax.at(best, taus, cand)
+    if mode == "max":  # the last arrival of the largest score
+        best = np.full(series_len, -np.inf)
+        np.maximum.at(best, taus, cand)
         top = cand == best[taus]
         win = np.full(series_len, -1)
         np.maximum.at(win, taus[top], arrival[top])
-        win = np.where(win < 0, last, win)
     elif mode == "latest":
         win = last
-    else:  # earliest: the first non-NaN candidate, else the last (NaN) one
-        real = ~np.isnan(cand)
-        win = np.full(series_len, never)
-        np.minimum.at(win, taus[real], arrival[real])
-        win = np.where(win == never, last, win)
+    else:  # earliest: the first arrival, down from the last one
+        win = last.copy()
+        np.minimum.at(win, taus, arrival)
     out = np.full(series_len, np.nan)
     leads = np.full(series_len, np.nan)
     scored = np.flatnonzero(last >= 0)

@@ -2,10 +2,28 @@ from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from poakit.cli import cli
+from poakit.core import SegmentSet, ambiguous_ends
+
+
+def segment_set(anomalies, predictions=(), precursor_starts=None, *, delta, series_len):
+    """A SegmentSet from ``(start, length)`` pairs of anomalies and predictions.
+
+    Each anomaly's ambiguous end comes from ``core.ambiguous_ends`` over a
+    series of ``series_len`` rows. ``precursor_starts`` gives, per prediction,
+    where its precursor starts (-1: none); by default no prediction has one.
+    """
+    a_s, a_len = np.array(anomalies, dtype=np.int64).reshape(-1, 2).T
+    p_s, p_len = np.array(predictions, dtype=np.int64).reshape(-1, 2).T
+    a_e = a_s + a_len - 1
+    if precursor_starts is None:
+        precursor_starts = np.full(p_s.shape, -1)
+    return SegmentSet(a_s, a_e, ambiguous_ends(a_s, a_e, delta, series_len),
+                      p_s, p_s + p_len - 1, np.array(precursor_starts, dtype=np.int64), delta)
 
 
 @dataclass

@@ -97,17 +97,17 @@ def _random_micro_fixture(rng):
         T = int(rng.integers(8, 31))
         labels = (rng.random(T) < 0.25).astype(int)
         flags = (rng.random(T) < 0.3).astype(int)
-        anomalies = core.segments_from_flags(labels)
-        runs = core.segments_from_flags(flags)
-        if 1 <= len(anomalies) <= 3 and len(runs) <= 4:
-            return labels, flags, anomalies
+        n_anomalies = len(core.run_bounds(labels)[0])
+        n_runs = len(core.run_bounds(flags)[0])
+        if 1 <= n_anomalies <= 3 and n_runs <= 4:
+            return labels, flags
 
 
 def test_criterion_5_oracle_equivalence():
     rng = np.random.default_rng(52)
     worst = 0.0
     for _ in range(500):
-        labels, flags, anomalies = _random_micro_fixture(rng)
+        labels, flags = _random_micro_fixture(rng)
         delta = int(rng.integers(0, 6))
         theta = float(rng.uniform(0.05, 0.95))
         epsilon = int(rng.integers(1, 9))
@@ -193,9 +193,9 @@ def test_criterion_7_theta_sweep_behavior():
         T = int(rng.integers(20, 31))
         labels = (rng.random(T) < 0.3).astype(int)
         flags = (rng.random(T) < 0.35).astype(int)
-        anomalies = core.segments_from_flags(labels)
-        runs = core.segments_from_flags(flags)
-        if not (3 <= len(anomalies) <= 5) or len(runs) < 3:
+        n_anomalies = len(core.run_bounds(labels)[0])
+        n_runs = len(core.run_bounds(flags)[0])
+        if not (3 <= n_anomalies <= 5) or n_runs < 3:
             continue
         det = detect_mod.Detection(flags, 0.5, np.where(flags == 1, 1.0, np.nan))
         seg = detect_mod.split_precursor_prediction(det, labels, 3)

@@ -1,20 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from poakit.core import (
-    LabelSequence,
-    ScoreSeries,
-    Segment,
-    ValidationError,
-    flags_from_segments,
-)
+from poakit.core import LabelSequence, ScoreSeries, Segment, ValidationError
 from poakit.detect import (
     apply_threshold,
     best_f1_threshold,
     default_grid,
     split_precursor_prediction,
 )
-from poakit.metrics import pointwise_prf
+from poakit.metrics import merge_precursors_into_predictions, pointwise_prf
+from reference_metrics import ref_structures
 
 
 def score_series(values, leads=None):
@@ -146,12 +143,24 @@ def detection_from_flags(flags):
     return Detection(flags=flags, threshold=0.5, lead_times=leads)
 
 
+def anomaly_labels(start, length, T=20):
+    """0/1 labels of one anomaly covering ``start .. start + length - 1``."""
+    labels = np.zeros(T, dtype=np.int8)
+    labels[start : start + length] = 1
+    return labels
+
+
+def index_sets(view):
+    """Each segment of a SegmentView as a set of indices, None as the empty set."""
+    return [set() if seg is None else set(seg.indices()) for seg in view]
+
+
 class TestSplitPrecursorPrediction:
     def test_split_at_onset(self):
         flags = np.zeros(20, dtype=int)
         flags[8:13] = 1  # run 8..12
         out = split_precursor_prediction(
-            detection_from_flags(flags), flags_from_segments([Segment(10, 5)], 20), delta=3
+            detection_from_flags(flags), anomaly_labels(10, 5), delta=3
         )
         assert out.predictions == (Segment(10, 3),)
         assert out.precursors == (Segment(8, 2),)
@@ -160,7 +169,7 @@ class TestSplitPrecursorPrediction:
         flags = np.zeros(20, dtype=int)
         flags[11:14] = 1
         out = split_precursor_prediction(
-            detection_from_flags(flags), flags_from_segments([Segment(10, 6)], 20), delta=3
+            detection_from_flags(flags), anomaly_labels(10, 6), delta=3
         )
         assert out.predictions == (Segment(11, 3),)
         assert out.precursors == (None,)
@@ -169,7 +178,7 @@ class TestSplitPrecursorPrediction:
         flags = np.zeros(20, dtype=int)
         flags[3:7] = 1
         out = split_precursor_prediction(
-            detection_from_flags(flags), flags_from_segments([Segment(10, 5)], 20), delta=3
+            detection_from_flags(flags), anomaly_labels(10, 5), delta=3
         )
         assert out.predictions == (Segment(3, 4),)
         assert out.precursors == (None,)
@@ -178,7 +187,7 @@ class TestSplitPrecursorPrediction:
         flags = np.zeros(20, dtype=int)
         flags[10:14] = 1
         out = split_precursor_prediction(
-            detection_from_flags(flags), flags_from_segments([Segment(10, 5)], 20), delta=3
+            detection_from_flags(flags), anomaly_labels(10, 5), delta=3
         )
         assert out.predictions == (Segment(10, 4),)
         assert out.precursors == (None,)
@@ -203,7 +212,7 @@ class TestSplitPrecursorPrediction:
     def test_ambiguous_windows_attached(self):
         flags = np.zeros(20, dtype=int)
         out = split_precursor_prediction(
-            detection_from_flags(flags), flags_from_segments([Segment(5, 3)], 20), delta=4
+            detection_from_flags(flags), anomaly_labels(5, 3), delta=4
         )
         assert out.ambiguous == (Segment(8, 4),)
         assert out.delta == 4
@@ -218,3 +227,24 @@ class TestSplitPrecursorPrediction:
         det = detection_from_flags(np.zeros(4, dtype=int))
         with pytest.raises(ValidationError, match="label flags must be 0 or 1"):
             split_precursor_prediction(det, [0, 2, 0, 0], delta=3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bits=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), max_size=40),
+        delta=st.integers(0, 6),
+    )
+    def test_structures_match_reference(self, bits, delta):
+        # the sets the checked SegmentSet constructor accepts from the program
+        labels = [label for label, _ in bits]
+        flags = np.array([flag for _, flag in bits], dtype=np.int8)
+        anomalies, ambiguous, predictions, precursors = ref_structures(labels, flags.tolist(), delta)
+        out = split_precursor_prediction(detection_from_flags(flags), labels, delta)
+        assert index_sets(out.anomalies) == anomalies
+        assert index_sets(out.ambiguous) == ambiguous
+        assert index_sets(out.predictions) == predictions
+        assert index_sets(out.precursors) == precursors
+        merged = merge_precursors_into_predictions(out)
+        assert index_sets(merged.predictions) == [p | pp for p, pp in zip(predictions, precursors)]
+        assert index_sets(merged.precursors) == [set()] * len(predictions)
+        assert index_sets(merged.anomalies) == anomalies
+        assert index_sets(merged.ambiguous) == ambiguous

@@ -47,16 +47,6 @@ class TestSeriesCsv:
         assert np.allclose(back.values, series.values, rtol=1e-8)
         assert np.array_equal(back.timestamps, series.timestamps)
 
-    def test_one_based_round_trip(self, tmp_path):
-        series = sample_series()
-        path = tmp_path / "s.csv"
-        write_series_csv(path, series, index_base=1)
-        first_line = path.read_text().splitlines()[1]
-        assert first_line.startswith("1,")
-        back = read_series_csv(path, index_base=1)
-        assert np.array_equal(back.timestamps, series.timestamps)
-        assert np.allclose(back.values, series.values, rtol=1e-8)
-
     def test_duplicate_timestamp_names_row(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("timestamp,x\n0,1.0\n0,2.0\n")
@@ -88,19 +78,19 @@ class TestSeriesCsv:
             read_series_csv(path)
 
     @pytest.mark.parametrize(
-        "rows, index_base, message",
+        "rows, message",
         [
-            ("0,1.0\n", 1, "negative timestamp after index_base shift"),
-            ("9223372036854775807,1.0\n9223372036854775808,2.0\n", 0,
+            ("-1,1.0\n0,2.0\n", "negative timestamp"),
+            ("9223372036854775807,1.0\n9223372036854775808,2.0\n",
              "timestamp beyond the int64 range"),
         ],
         ids=["negative", "beyond-int64"],
     )
-    def test_timestamps_outside_int64(self, tmp_path, rows, index_base, message):
+    def test_timestamps_outside_int64(self, tmp_path, rows, message):
         path = tmp_path / "s.csv"
         path.write_text("timestamp,x\n" + rows)
         with pytest.raises(DataFormatError, match=message):
-            read_series_csv(path, index_base=index_base)
+            read_series_csv(path)
 
 
 class TestLabelsCsv:
@@ -261,21 +251,14 @@ class TestReportJson:
 
         from poakit import metrics as mx
         from poakit.cli import _evaluation_payload
-        from poakit.core import SegmentSet, ambiguous_extensions
+        from conftest import segment_set
 
         T = 40
         flags = np.zeros(T, dtype=np.int8)
         flags[10:15] = 1
         detection = Detection(flags, threshold=0.5, lead_times=np.zeros(T))
         labels = LabelSequence(flags)
-        anomalies = (Segment(10, 5),)
-        seg = SegmentSet(
-            anomalies=anomalies,
-            predictions=(Segment(10, 5),),
-            precursors=(None,),
-            ambiguous=tuple(ambiguous_extensions(list(anomalies), 4, T)),
-            delta=4,
-        )
+        seg = segment_set([(10, 5)], [(10, 5)], delta=4, series_len=T)
         params = mx.MetricParams(theta=0.5, delta=4)
         report = mx.ptapr_report(seg, params)
         sweep = mx.ptapr_theta_sweep(seg, params, np.linspace(0, 1, 11))
@@ -361,13 +344,13 @@ WRITER_SHA256 = {
 
 
 def write_golden_fixture(root):
-    """One file per writer: quoted names, -0.0, 1e22, 1/3, NaN gaps, 1-based series."""
+    """One file per writer: quoted names, -0.0, 1e22, 1/3, NaN gaps, a series from 1."""
     series = TimeSeries(
-        np.arange(4),
+        np.arange(1, 5),
         np.array([[0.1, -0.0], [1e22, 1 / 3], [-2.5e-7, 12345.6789], [3.0, -1.0]]),
         ("a", "b,c"),
     )
-    write_series_csv(root / "series.csv", series, index_base=1)
+    write_series_csv(root / "series.csv", series)
     write_labels_csv(root / "labels.csv", LabelSequence([0, 1, 1, 0]))
     write_scores(root / "scores.csv", ScoreSeries(
         np.array([np.nan, 0.5, -1 / 3, np.nan]), np.array([np.nan, 3.0, 1.0, np.nan])))
@@ -387,7 +370,6 @@ class TestWriterGoldenBytes:
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
-index_bases = st.sampled_from([0, 1])
 
 
 def at_9g(values):
@@ -432,27 +414,27 @@ class TestRoundTripProperties:
     """write -> read gives the written values back at 9 significant digits."""
 
     @settings(max_examples=50, deadline=None)
-    @given(series=series_values(), index_base=index_bases)
-    def test_series(self, tmp_path_factory, series, index_base):
+    @given(series=series_values())
+    def test_series(self, tmp_path_factory, series):
         path = tmp_path_factory.mktemp("series") / "s.csv"
-        write_series_csv(path, series, index_base=index_base)
-        back = read_series_csv(path, index_base=index_base)
+        write_series_csv(path, series)
+        back = read_series_csv(path)
         assert back.variable_names == series.variable_names
         assert back.timestamps.tolist() == series.timestamps.tolist()
         assert back.values.tobytes() == at_9g(series.values).tobytes()
 
     @settings(max_examples=30, deadline=None)
-    @given(flags=st.lists(st.integers(0, 1), min_size=1, max_size=20), index_base=index_bases)
-    def test_labels(self, tmp_path_factory, flags, index_base):
+    @given(flags=st.lists(st.integers(0, 1), min_size=1, max_size=20))
+    def test_labels(self, tmp_path_factory, flags):
         path = tmp_path_factory.mktemp("labels") / "l.csv"
-        write_labels_csv(path, LabelSequence(flags), index_base=index_base)
+        write_labels_csv(path, LabelSequence(flags))
         assert read_labels_csv(path).flags.tolist() == flags
 
     @settings(max_examples=50, deadline=None)
-    @given(scores=score_series(), index_base=index_bases)
-    def test_scores(self, tmp_path_factory, scores, index_base):
+    @given(scores=score_series())
+    def test_scores(self, tmp_path_factory, scores):
         path = tmp_path_factory.mktemp("scores") / "scores.csv"
-        write_scores(path, scores, index_base=index_base)
+        write_scores(path, scores)
         back = read_scores(path)
         assert back.defined.tolist() == scores.defined.tolist()
         defined = scores.defined

@@ -4,14 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from poakit.core import (
-    LabelSequence,
-    ScoreSeries,
-    Segment,
-    SegmentSet,
-    ValidationError,
-    ambiguous_extensions,
-)
+from poakit.core import LabelSequence, ScoreSeries, Segment, SegmentSet, ValidationError
 from poakit.detect import Detection, best_f1_threshold, default_grid, split_precursor_prediction
 from poakit.metrics import (
     MetricParams,
@@ -32,6 +25,7 @@ from poakit.metrics import (
     tapr_theta_sweep,
     weighted_component_score,
 )
+from conftest import segment_set
 from reference_metrics import ref_pa_k, ref_ptapr, ref_tapr
 
 THIRDS = MetricParams(theta=0.5, delta=4, epsilon=2, k=0.001)
@@ -44,14 +38,8 @@ def golden_fixture() -> SegmentSet:
     segment. Second anomaly: fully covered, with a detached one-point alarm
     in its ambiguous window at offset 1 (weight ~0.88).
     """
-    anomalies = (Segment(10, 5), Segment(20, 5))
-    return SegmentSet(
-        anomalies=anomalies,
-        predictions=(Segment(11, 2), Segment(20, 5), Segment(26, 1)),
-        precursors=(Segment(8, 3), None, None),
-        ambiguous=tuple(ambiguous_extensions(list(anomalies), 4, 40)),
-        delta=4,
-    )
+    return segment_set([(10, 5), (20, 5)], [(11, 2), (20, 5), (26, 1)], [8, -1, -1],
+                       delta=4, series_len=40)
 
 
 class TestSigmoidWeights:
@@ -155,32 +143,18 @@ class TestPtar:
         assert res.score == pytest.approx((1.0 + 0.8 + 0.5) / 3.0, abs=1e-9)
 
     def test_perfect_detection_no_precursor(self):
-        anomalies = (Segment(5, 4),)
-        seg = SegmentSet(
-            anomalies=anomalies,
-            predictions=(Segment(5, 4),),
-            precursors=(None,),
-            ambiguous=tuple(ambiguous_extensions(list(anomalies), 4, 30)),
-            delta=4,
-        )
+        seg = segment_set([(5, 4)], [(5, 4)], delta=4, series_len=30)
         res = ptapr_report(seg, MetricParams(theta=0.5, delta=4)).recall
         assert res.score == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_empty_predictions_scores_zero(self):
-        anomalies = (Segment(5, 4),)
-        seg = SegmentSet(
-            anomalies=anomalies,
-            predictions=(),
-            precursors=(),
-            ambiguous=tuple(ambiguous_extensions(list(anomalies), 4, 30)),
-            delta=4,
-        )
+        seg = segment_set([(5, 4)], [], delta=4, series_len=30)
         for theta in (0.0, 0.3, 1.0):
             res = ptapr_report(seg, MetricParams(theta=theta, delta=4)).recall
             assert res.score == 0.0
 
     def test_no_anomalies_is_an_error(self):
-        seg = SegmentSet((), (Segment(1, 2),), (None,), (), 4)
+        seg = segment_set([], [(1, 2)], delta=4, series_len=30)
         with pytest.raises(ValidationError, match="no ground-truth"):
             ptapr_report(seg, THIRDS).recall
 
@@ -193,40 +167,19 @@ class TestPtap:
         assert value == pytest.approx(0.715, abs=0.005)
 
     def test_predictions_fully_inside_anomalies(self):
-        anomalies = (Segment(10, 6), Segment(30, 4))
-        seg = SegmentSet(
-            anomalies=anomalies,
-            predictions=(Segment(11, 2), Segment(30, 4)),
-            precursors=(None, None),
-            ambiguous=tuple(ambiguous_extensions(list(anomalies), 4, 50)),
-            delta=4,
-        )
+        seg = segment_set([(10, 6), (30, 4)], [(11, 2), (30, 4)], delta=4, series_len=50)
         params = MetricParams(theta=0.5, delta=4)
         res = ptapr_report(seg, params).precision
         assert res.score == pytest.approx(params.alpha + params.beta, abs=1e-12)
 
     def test_zero_overlap_prediction(self):
-        anomalies = (Segment(30, 4),)
-        seg = SegmentSet(
-            anomalies=anomalies,
-            predictions=(Segment(2, 3),),
-            precursors=(None,),
-            ambiguous=tuple(ambiguous_extensions(list(anomalies), 4, 50)),
-            delta=4,
-        )
+        seg = segment_set([(30, 4)], [(2, 3)], delta=4, series_len=50)
         res = ptapr_report(seg, MetricParams(theta=0.0, delta=4)).precision
         assert res.detection == 0.0
         assert res.portion == 0.0
 
     def test_empty_predictions_marker(self):
-        anomalies = (Segment(5, 4),)
-        seg = SegmentSet(
-            anomalies=anomalies,
-            predictions=(),
-            precursors=(),
-            ambiguous=tuple(ambiguous_extensions(list(anomalies), 4, 30)),
-            delta=4,
-        )
+        seg = segment_set([(5, 4)], [], delta=4, series_len=30)
         res = ptapr_report(seg, THIRDS).precision
         assert res.score == 0.0
         assert res.undefined
@@ -261,14 +214,7 @@ class TestGoldenAggregation:
 class TestThetaSweep:
     def test_constant_curve_auc(self):
         # full coverage everywhere: F1 does not depend on theta
-        anomalies = (Segment(5, 4),)
-        seg = SegmentSet(
-            anomalies=anomalies,
-            predictions=(Segment(5, 4),),
-            precursors=(None,),
-            ambiguous=tuple(ambiguous_extensions(list(anomalies), 4, 30)),
-            delta=4,
-        )
+        seg = segment_set([(5, 4)], [(5, 4)], delta=4, series_len=30)
         sweep = ptapr_theta_sweep(seg, MetricParams(delta=4), np.linspace(0, 1, 11))
         assert np.allclose(sweep.f1, sweep.f1[0])
         assert sweep.auc == pytest.approx(sweep.f1[0], abs=1e-12)
@@ -310,14 +256,7 @@ class TestThetaSweep:
 
 class TestTapr:
     def test_perfect_pointwise_match(self):
-        anomalies = (Segment(5, 4), Segment(20, 3))
-        seg = SegmentSet(
-            anomalies=anomalies,
-            predictions=anomalies,
-            precursors=(None, None),
-            ambiguous=tuple(ambiguous_extensions(list(anomalies), 4, 40)),
-            delta=4,
-        )
+        seg = segment_set([(5, 4), (20, 3)], [(5, 4), (20, 3)], delta=4, series_len=40)
         res = tapr(seg, MetricParams(theta=1.0, delta=4))
         assert res.tar == 1.0
         assert res.tap == 1.0
@@ -344,14 +283,7 @@ class TestTapr:
         )
 
     def test_empty_predictions(self):
-        anomalies = (Segment(5, 4),)
-        seg = SegmentSet(
-            anomalies=anomalies,
-            predictions=(),
-            precursors=(),
-            ambiguous=tuple(ambiguous_extensions(list(anomalies), 4, 30)),
-            delta=4,
-        )
+        seg = segment_set([(5, 4)], [], delta=4, series_len=30)
         res = tapr(seg, THIRDS)
         assert res.f1 == 0.0
 
@@ -395,14 +327,7 @@ class TestTaprThetaSweep:
             tapr_theta_sweep(seg, THIRDS, [])
 
     def test_no_predictions(self):
-        anomalies = (Segment(5, 4),)
-        seg = SegmentSet(
-            anomalies=anomalies,
-            predictions=(),
-            precursors=(),
-            ambiguous=tuple(ambiguous_extensions(list(anomalies), 4, 30)),
-            delta=4,
-        )
+        seg = segment_set([(5, 4)], [], delta=4, series_len=30)
         sweep = tapr_theta_sweep(seg, THIRDS, [0.0, 1.0])
         assert sweep.f1.tolist() == [0.0, 0.0]
         assert sweep.ptap.tolist() == [0.0, 0.0]
@@ -519,17 +444,11 @@ class TestPointwisePrf:
 
 class TestInvariants:
     def shift_fixture(self, offset):
-        anomalies = (Segment(10 + offset, 5), Segment(20 + offset, 5))
-        return SegmentSet(
-            anomalies=anomalies,
-            predictions=(
-                Segment(11 + offset, 2),
-                Segment(20 + offset, 5),
-                Segment(26 + offset, 1),
-            ),
-            precursors=(Segment(8 + offset, 3), None, None),
-            ambiguous=tuple(ambiguous_extensions(list(anomalies), 4, 60 + offset)),
-            delta=4,
+        return segment_set(
+            [(10 + offset, 5), (20 + offset, 5)],
+            [(11 + offset, 2), (20 + offset, 5), (26 + offset, 1)],
+            [8 + offset, -1, -1],
+            delta=4, series_len=60 + offset,
         )
 
     def test_shift_invariance(self):
@@ -572,14 +491,7 @@ class TestInvariants:
                 assert -1e-12 <= value <= 1.0 + 1e-12
 
     def test_early_prf_zero_when_no_precursors(self):
-        anomalies = (Segment(5, 4),)
-        seg = SegmentSet(
-            anomalies=anomalies,
-            predictions=(Segment(5, 4),),
-            precursors=(None,),
-            ambiguous=tuple(ambiguous_extensions(list(anomalies), 4, 30)),
-            delta=4,
-        )
+        seg = segment_set([(5, 4)], [(5, 4)], delta=4, series_len=30)
         assert early_prf(ptapr_report(seg, THIRDS)) == (0.0, 0.0, 0.0)
 
 
@@ -788,14 +700,7 @@ class TestReportMatchesSides:
             checked += 1
 
     def test_no_predictions(self):
-        anomalies = (Segment(5, 4),)
-        seg = SegmentSet(
-            anomalies=anomalies,
-            predictions=(),
-            precursors=(),
-            ambiguous=tuple(ambiguous_extensions(list(anomalies), 4, 30)),
-            delta=4,
-        )
+        seg = segment_set([(5, 4)], [], delta=4, series_len=30)
         self.assert_report_matches(seg, THIRDS)
         assert ptapr_report(seg, THIRDS).precision.undefined
 

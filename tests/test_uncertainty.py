@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import reference_kernels
 
 from poakit import uncertainty as unc
-from poakit.core import ScoreSeries, ValidationError
+from poakit.core import ValidationError
 from poakit.forecast import EnsembleForecast
 from poakit.uncertainty import (
     aggregate_variables,
@@ -311,13 +311,13 @@ class TestBlockedVarianceMatchesWindowLoop:
 
 
 @st.composite
-def collate_inputs(draw):
-    """Unsorted origins with duplicates, NaN and infinite candidates, and
-    windows whose horizon runs past the series end."""
+def collate_inputs(draw, special=(0.0, -0.0, 1.0, -1.0)):
+    """Unsorted origins with duplicates, ties of ±0.0 and ±1.0 among the
+    candidates, and windows whose horizon runs past the series end."""
     W, L_y = draw(st.integers(0, 10)), draw(st.integers(0, 5))
     origins = draw(st.lists(st.integers(0, 12), min_size=W, max_size=W))
-    special = st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan, np.inf, -np.inf])
-    scores = draw(hnp.arrays(np.float64, (W, L_y), elements=special | st.floats(-3, 3)))
+    elements = st.sampled_from(special) | st.floats(-3, 3)
+    scores = draw(hnp.arrays(np.float64, (W, L_y), elements=elements))
     series_len = max(origins, default=0) + 1 + draw(st.integers(0, 6))
     return scores, np.array(origins, dtype=np.int64), series_len
 
@@ -328,15 +328,31 @@ class TestCollateMatchesWindowLoop:
     def test_same_winner_lead_and_error(self, case, mode):
         scores, origins, series_len = case
         out, leads = reference_kernels.collate_timeline(scores, origins, series_len, mode)
-        try:
-            expected = ScoreSeries(out, leads)
-        except ValidationError as exc:  # a NaN or infinite candidate kept
-            with pytest.raises(ValidationError, match=f"^{re.escape(str(exc))}$"):
-                collate_timeline(scores, origins, series_len, mode)
-            return
         got = collate_timeline(scores, origins, series_len, mode)
-        assert_bits_equal(got.scores, expected.scores)
-        assert_bits_equal(got.lead_times, expected.lead_times)
+        assert_bits_equal(got.scores, out)
+        assert_bits_equal(got.lead_times, leads)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=collate_inputs(special=(0.0, np.nan, np.inf, -np.inf)),
+           mode=st.sampled_from(["max", "latest", "earliest"]))
+    def test_non_finite_score_named(self, case, mode):
+        # also a cell whose timestamp lies past the series end
+        scores, origins, series_len = case
+        bad = np.argwhere(~np.isfinite(scores))
+        if not bad.size:
+            collate_timeline(scores, origins, series_len, mode)
+            return
+        w, i = bad[0]
+        message = f"window {w} step {i + 1} score is not finite: {scores[w, i]}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            collate_timeline(scores, origins, series_len, mode)
+
+    def test_non_finite_score_message(self):
+        scores = np.zeros((5, 3))
+        scores[3, 1] = np.nan
+        scores[4, 0] = np.inf
+        with pytest.raises(ValidationError, match=r"^window 3 step 2 score is not finite: nan$"):
+            collate_timeline(scores, np.arange(5), 10)
 
     def test_many_windows_on_one_origin(self):
         rng = np.random.default_rng(21)
