@@ -14,10 +14,11 @@ import io
 import itertools
 import json
 import math
+import os
+import stat
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import NoReturn
 
 import numpy as np
 
@@ -313,14 +314,22 @@ def predict_batch(model: FittedForecaster, inputs: np.ndarray, horizon: int) -> 
             raise ValidationError(
                 f"{model.member_id}: input window shorter than width {w}"
             )
-        # The last w inputs, then the forecasts. Each mean runs along axis 1
-        # of a W x w x c slice: numpy's summation order, and so every output
-        # bit, depends on that layout (it sums pairwise when c == 1).
-        buf = np.empty((W, w + horizon, c))
-        buf[:, :w] = inputs[:, -w:]
+        # The last w inputs, then the forecasts. numpy sums a W x w x c slice
+        # along axis 1 in sequence when c > 1, as it does a time-major
+        # w x W x c slice along axis 0, whose rows are contiguous. When c == 1
+        # it sums the innermost axis pairwise: every output bit depends on
+        # that, so c == 1 keeps the window-major layout.
+        if c == 1:
+            buf = np.empty((W, w + horizon, c))
+            buf[:, :w] = inputs[:, -w:]
+            for h in range(horizon):
+                buf[:, w + h] = buf[:, h : w + h].mean(axis=1)
+            return buf[:, w:].copy()
+        buf = np.empty((w + horizon, W, c))
+        buf[:w] = inputs[:, -w:].transpose(1, 0, 2)
         for h in range(horizon):
-            buf[:, w + h] = buf[:, h : w + h].mean(axis=1)
-        return buf[:, w:].copy()
+            buf[w + h] = buf[h : w + h].mean(axis=0)
+        return buf[w:].transpose(1, 0, 2).copy()
 
     if kind == "ar_ols":
         p = spec.order
@@ -432,6 +441,8 @@ def select_top_k(
 
 
 _RECORD_FIELDS = ("window_id", "origin", "member_id", "step", "variable", "value")
+_CHUNK_ROWS = 1 << 13  # records parsed per chunk; timings in CHANGES.md
+_MIN_RECORD_BYTES = 10  # the shortest record: "0,0,,1,0,0"
 # numpy's int64 parser rejects "1.5" and "3.0" just as int() does
 _CSV_DTYPE = np.dtype([(f, np.float64 if f == "value" else np.int64) for f in _RECORD_FIELDS])
 
@@ -520,24 +531,26 @@ def _member_codes() -> defaultdict:
     return codes
 
 
-def _record_columns(path: str, records) -> tuple:
-    """Columns (window_id, origin, member code, step, variable, value, names)."""
-    records = list(records)
-    if not records:
-        raise DataFormatError(f"{path}: no forecast records found")
-    window_id, origin, member, step, variable, value = zip(*records)
-    codes = _member_codes()
-    member = [codes[m] for m in member]
-    try:
-        ints = [np.array(col, dtype=np.int64) for col in (window_id, origin, member, step, variable)]
-    except OverflowError:
-        raise DataFormatError(f"{path}: forecast record integer outside the int64 range") from None
-    return (*ints, np.array(value, dtype=np.float64), list(codes))
+def _record_chunks(path: str, records, codes):
+    """Parsed records as column chunks of at most ``_CHUNK_ROWS`` records:
+    (window_id, origin, member code, step, variable, value)."""
+    while chunk := list(itertools.islice(records, _CHUNK_ROWS)):
+        window_id, origin, member, step, variable, value = zip(*chunk)
+        try:
+            ints = [np.array(col, dtype=np.int64) for col in (window_id, origin, step, variable)]
+        except OverflowError:
+            for _ in records:  # a bad record further on is reported first
+                pass
+            raise DataFormatError(
+                f"{path}: forecast record integer outside the int64 range") from None
+        member = np.array([codes[m] for m in member], dtype=np.int64)
+        yield ints[0], ints[1], member, ints[2], ints[3], np.array(value, dtype=np.float64)
 
 
-def _csv_records(path: str):
+def _csv_records(path: str, skip: int = 0):
     with open(path, newline="") as fh:
-        for line_no, raw in enumerate(csv.DictReader(fh), start=2):
+        rows = enumerate(csv.DictReader(fh), start=2)
+        for line_no, raw in itertools.islice(rows, skip, None):
             yield _parse_record(raw, line_no)
 
 
@@ -554,8 +567,14 @@ def _ndjson_records(path: str):
             yield _parse_record(raw, line_no)
 
 
-def _read_csv_columns(path: str) -> tuple:
-    """Columns of a record CSV, found by header name and parsed in one pass."""
+def _csv_chunks(path: str, codes):
+    """Column chunks of a record CSV, its columns found by header name.
+
+    numpy parses ``_CHUNK_ROWS`` records at a time from the open file. From
+    the first chunk it rejects on, the records go through the per-record
+    parser instead: it names the first bad line, and it accepts the few
+    spellings int()/float() take and numpy does not, such as "1_000".
+    """
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
@@ -564,74 +583,225 @@ def _read_csv_columns(path: str) -> tuple:
         if missing:
             raise DataFormatError(f"{path}: header missing columns {sorted(missing)}")
         column = {name: i for i, name in enumerate(header)}  # last one wins, as in DictReader
-        codes = _member_codes()
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # a header-only file
-                table = np.loadtxt(
-                    fh, dtype=_CSV_DTYPE, delimiter=",", quotechar='"', comments=None,
-                    usecols=[column[f] for f in _RECORD_FIELDS],
-                    converters={column["member_id"]: codes.__getitem__}, ndmin=1,
-                )
-        except ValueError:
-            # The per-record parse names the first bad line. It also accepts the
-            # few spellings int()/float() take and numpy does not, such as "1_000".
-            return _record_columns(path, _csv_records(path))
-    if table.size == 0:
-        raise DataFormatError(f"{path}: no forecast records found")
-    return (*(table[f] for f in _RECORD_FIELDS), list(codes))
+        usecols = [column[f] for f in _RECORD_FIELDS]
+        converters = {column["member_id"]: codes.__getitem__}
+        done = 0
+        while True:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # blank lines, no records
+                    table = np.loadtxt(
+                        fh, dtype=_CSV_DTYPE, delimiter=",", quotechar='"', comments=None,
+                        usecols=usecols, converters=converters, ndmin=1,
+                        max_rows=_CHUNK_ROWS,
+                    )
+            except ValueError:
+                break
+            n = table.size
+            if n:
+                yield tuple(table[f] for f in _RECORD_FIELDS)
+            del table  # before the next chunk is parsed
+            if n < _CHUNK_ROWS:  # blank lines do not count toward max_rows
+                return
+            done += n
+    yield from _record_chunks(path, _csv_records(path, skip=done), codes)
 
 
-def _raise_first_error(window_id, origin, member, step, variable, names) -> NoReturn:
-    """Raise the error of the first bad record, else of the first incomplete window.
+class _RecordGrid:
+    """Forecast records scattered into one W x M x L_y x c cube as they arrive.
 
-    Per-record errors, in order of precedence within a record: step/variable
-    out of range, a cell already seen, an origin other than the one the
-    window's first record gave.
+    Windows and members take slots in the order of their first record. Next
+    to the values, ``stamp`` holds the 1-based number of the record that
+    filled each cell (0: not yet filled), so duplicates and gaps show without
+    keeping any record past its chunk. A file of n records fills at most n
+    cells, so once the records seen so far span more cells than the file has
+    room for records, the file cannot be complete: the cube stops growing and
+    the cells outside it go to ``overflow`` (cell -> record number) until
+    the error is known.
     """
-    windows, first, w_idx = np.unique(window_id, return_index=True, return_inverse=True)
-    n = step.size
-    records = np.arange(n)
-    order = np.lexsort((variable, step, member, window_id))  # stable: file order per cell
-    cells = np.stack([window_id, member, step, variable])[:, order]
-    repeat = np.concatenate([[False], (cells[:, 1:] == cells[:, :-1]).all(axis=0)])
-    first_seen = np.empty(n, dtype=np.int64)
-    first_seen[order] = order[np.maximum.accumulate(np.where(repeat, 0, records))]
-    bad_range = (step < 1) | (variable < 0)
-    duplicate = first_seen != records
-    window_origin = origin[first][w_idx]
-    bad = bad_range | duplicate | (origin != window_origin)
-    if bad.any():
-        r = int(np.argmax(bad))
-        wid, s, v = int(window_id[r]), int(step[r]), int(variable[r])
-        if bad_range[r]:
-            raise DataFormatError(
-                f"record {r + 1}: step must be >= 1 and variable >= 0, got ({s}, {v})"
+
+    def __init__(self, codes, max_records):
+        self.codes = codes
+        self.max_records = max_records
+        self.slot_of: dict[int, int] = {}
+        self.window_ids = np.empty(0, dtype=np.int64)  # by slot
+        self.origins = np.empty(0, dtype=np.int64)  # by slot: the first record's origin
+        self.dims = (0, 0, 0, 0)  # W, M, L_y, c spanned by the records so far
+        self.values = np.empty((0, 0, 0, 0))
+        self.stamp = np.zeros((0, 0, 0, 0), np.int32 if max_records < 2**31 else np.int64)
+        self.overflow: dict | None = None
+        self.n = 0
+        self.error: str | None = None
+
+    def add(self, window_id, origin, member, step, variable, value) -> None:
+        """Check and scatter the next chunk; keep only the first bad record's error.
+
+        Within a record, a step or variable out of range comes first, then a
+        cell already seen, then an origin other than the one the window's
+        first record gave.
+        """
+        if self.error is not None:
+            return  # later records cannot move the first bad one
+        n = step.size
+        rec = np.arange(self.n + 1, self.n + n + 1, dtype=self.stamp.dtype)
+        self.n += n
+        slot = self._slots(window_id, origin)
+        bad_range = (step < 1) | (variable < 0)
+        bad = bad_range | (origin != self.origins[slot])
+        k = int(np.argmax(bad)) if bad.any() else n
+        m = k + 1 if k < n and not bad_range[k] else k  # the records whose cells count
+        seen, cells = rec[:m], None
+        if m:
+            self._fit(slot[:m], member[:m], step[:m], variable[:m])
+            seen, cells = self._stamp(slot[:m], member[:m], step[:m], variable[:m], rec[:m])
+        dup = seen != rec[:m]
+        if dup.any():
+            d = int(np.argmax(dup))
+            self.error = (
+                f"record {rec[d]}: duplicate cell window={window_id[d]} "
+                f"member={list(self.codes)[member[d]]!r} step={step[d]} "
+                f"variable={variable[d]} (first seen at record {seen[d]})"
             )
-        if duplicate[r]:
-            raise DataFormatError(
-                f"record {r + 1}: duplicate cell window={wid} member={names[member[r]]!r} "
-                f"step={s} variable={v} (first seen at record {first_seen[r] + 1})"
-            )
-        raise DataFormatError(
-            f"record {r + 1}: window {wid} has conflicting origins "
-            f"{int(window_origin[r])} and {int(origin[r])}"
+        elif k < n and bad_range[k]:
+            self.error = (f"record {rec[k]}: step must be >= 1 and variable >= 0, "
+                          f"got ({step[k]}, {variable[k]})")
+        elif k < n:
+            self.error = (f"record {rec[k]}: window {window_id[k]} has conflicting origins "
+                          f"{self.origins[slot[k]]} and {origin[k]}")
+        elif self.overflow is None:
+            self.values.reshape(-1)[cells] = value
+
+    def _slots(self, window_id, origin):
+        """Slot per record; a new window takes the origin of its first record."""
+        starts = np.flatnonzero(np.r_[True, window_id[1:] != window_id[:-1]])
+        run_slots, new = [], []
+        for wid, o in zip(window_id[starts].tolist(), origin[starts].tolist()):
+            slot = self.slot_of.setdefault(wid, len(self.slot_of))
+            if slot == len(self.window_ids) + len(new):
+                new.append((wid, o))
+            run_slots.append(slot)
+        if new:
+            ids, origins = zip(*new)
+            self.window_ids = np.concatenate([self.window_ids, ids])
+            self.origins = np.concatenate([self.origins, origins])
+        return np.repeat(run_slots, np.diff(np.r_[starts, window_id.size]))
+
+    def _fit(self, slot, member, step, variable) -> None:
+        """Grow the cube to span these records' cells, if a file this size can fill it.
+
+        Member, step and variable capacity is exact; the window axis grows by
+        a quarter at a time, in place.
+        """
+        W, M, L, c = self.dims
+        self.dims = dims = (max(W, int(slot.max()) + 1), max(M, int(member.max()) + 1),
+                            max(L, int(step.max())), max(c, int(variable.max()) + 1))
+        cap = self.stamp.shape
+        if self.overflow is not None or all(d <= h for d, h in zip(dims, cap)):
+            return
+        if math.prod(dims) > self.max_records:
+            self.overflow = {}
+            return
+        rows = cap[0] if dims[0] <= cap[0] else max(dims[0], cap[0] + cap[0] // 4)
+        shape = (min(rows, self.max_records // math.prod(dims[1:])), *dims[1:])
+        if dims[1:] == cap[1:]:  # realloc: no view of either array outlives its call
+            self.values.resize(shape, refcheck=False)
+            self.stamp.resize(shape, refcheck=False)
+            return
+        values, stamp = np.zeros(shape), np.zeros(shape, self.stamp.dtype)
+        old = (slice(0, W), *(slice(0, h) for h in cap[1:]))  # the filled windows
+        values[old], stamp[old] = self.values[:W], self.stamp[:W]
+        self.values, self.stamp = values, stamp
+
+    def _stamp(self, slot, member, step, variable, rec):
+        """Stamp the records' cells. Returns, per record, the number of the
+        record that first filled its cell (its own, unless it repeats a cell),
+        and the flat cells of the records inside the cube."""
+        cap = self.stamp.shape
+        inside = slice(None)  # every record, unless the cube stopped growing
+        if self.overflow is not None:
+            inside = (slot < cap[0]) & (member < cap[1]) & (step <= cap[2]) & (variable < cap[3])
+        cells = np.ravel_multi_index(
+            (slot[inside], member[inside], step[inside] - 1, variable[inside]), cap)
+        stamp, mine = self.stamp.reshape(-1), rec[inside]
+        prior = stamp[cells]
+        stamp[cells] = mine
+        first = np.where(prior != 0, prior, stamp[cells])
+        if not np.array_equal(first, mine):  # a duplicate: each cell's first record, exactly
+            order = np.argsort(cells, kind="stable")
+            lead = np.r_[True, cells[order][1:] != cells[order][:-1]]
+            lead = order[np.maximum.accumulate(np.where(lead, np.arange(order.size), 0))]
+            first[order] = np.where(prior[order] != 0, prior[order], mine[lead])
+        if self.overflow is None:
+            return first, cells
+        seen = rec.copy()
+        seen[inside] = first
+        for i in np.flatnonzero(~inside).tolist():
+            cell = (int(slot[i]), int(member[i]), int(step[i]), int(variable[i]))
+            seen[i] = self.overflow.setdefault(cell, int(rec[i]))
+        return seen, cells
+
+    def forecasts(self, path: str) -> list[EnsembleForecast]:
+        """The ensembles in window id order, members in id order, or the first error."""
+        if self.error is not None:
+            raise DataFormatError(self.error)
+        if self.n == 0:
+            raise DataFormatError(f"{path}: no forecast records found")
+        W, M, L, c = self.dims
+        # With no cell filled twice and every record inside the W x M x L_y x c
+        # grid, the records fill it iff there are as many records as cells.
+        if self.overflow is not None or self.n != W * M * L * c:
+            raise self._missing_cells()
+        self.stamp = None
+        self.values.resize(self.dims, refcheck=False)
+        names = list(self.codes)
+        w_order = np.argsort(self.window_ids)
+        m_order = sorted(range(M), key=names.__getitem__)
+        cube = self.values
+        if not (np.array_equal(w_order, np.arange(W)) and m_order == list(range(M))):
+            cube = cube[np.ix_(w_order, m_order)]
+        ids = tuple(names[m] for m in m_order)
+        return [
+            EnsembleForecast(window_id=wid, origin=o, predictions=cube[i], member_ids=ids)
+            for i, (wid, o) in enumerate(zip(self.window_ids[w_order].tolist(),
+                                             self.origins[w_order].tolist()))
+        ]
+
+    def _missing_cells(self) -> DataFormatError:
+        """The error of the first window, in id order, that lacks a cell."""
+        W, M, L, c = self.dims
+        cap = self.stamp.shape
+        counts = np.zeros(W, dtype=np.int64)
+        counts[:cap[0]] = np.count_nonzero(self.stamp[:W], axis=(1, 2, 3))
+        for cell in self.overflow or ():
+            counts[cell[0]] += 1
+        expected = M * L * c
+        order = np.argsort(self.window_ids)
+        w = int(order[np.flatnonzero(counts[order] != expected)[0]])
+
+        def filled(m, s, v):
+            if w < cap[0] and m < cap[1] and s <= cap[2] and v < cap[3]:
+                return self.stamp[w, m, s - 1, v] != 0
+            return (w, m, s, v) in self.overflow
+
+        names = list(self.codes)
+        # Lazily, in (member id, step, variable) order: the walk ends within
+        # the window's record count plus three cells, however large L_y or c.
+        grid = ((m, s, v) for m in sorted(range(M), key=names.__getitem__)
+                for s in range(1, L + 1) for v in range(c))
+        missing = [(names[m], s, v) for m, s, v in
+                   itertools.islice((cell for cell in grid if not filled(*cell)), 3)]
+        return DataFormatError(
+            f"window {self.window_ids[w]}: expected {expected} cells "
+            f"({M} members x {L} steps x {c} variables), got {counts[w]}; "
+            f"first missing: {missing}"
         )
-    members = sorted(names)
-    L_y, c = int(step.max()), int(variable.max()) + 1
-    expected = len(members) * L_y * c
-    counts = np.bincount(w_idx, minlength=windows.size)
-    w = int(np.flatnonzero(counts != expected)[0])
-    mine = w_idx == w
-    present = set(zip((names[m] for m in member[mine]), step[mine].tolist(),
-                      variable[mine].tolist()))
-    grid = itertools.product(members, range(1, L_y + 1), range(c))
-    missing = list(itertools.islice((cell for cell in grid if cell not in present), 3))
-    raise DataFormatError(
-        f"window {int(windows[w])}: expected {expected} cells "
-        f"({len(members)} members x {L_y} steps x {c} variables), got "
-        f"{int(counts[w])}; first missing: {missing}"
-    )
+
+
+def _max_records(path: str) -> float:
+    """An upper bound on the records a file can hold: none is under
+    ``_MIN_RECORD_BYTES`` long. Unbounded for a pipe or other non-file."""
+    st = os.stat(path)
+    return st.st_size // _MIN_RECORD_BYTES if stat.S_ISREG(st.st_mode) else math.inf
 
 
 def ingest_external_forecasts(path) -> list[EnsembleForecast]:
@@ -640,38 +810,20 @@ def ingest_external_forecasts(path) -> list[EnsembleForecast]:
     Every (member, step, variable) cell must appear exactly once per window
     and all windows must share the same member set, horizon and variable
     count. Format auto-detected from the extension (.csv vs .ndjson/.jsonl);
-    CSV columns are found by header name.
+    CSV columns are found by header name. Records stream through in chunks:
+    memory is the W x M x L_y x c cube plus one chunk, whatever the record
+    count or order.
     """
     path = str(path)
+    codes = _member_codes()
     if path.endswith(".csv"):
-        columns = _read_csv_columns(path)
+        chunks = _csv_chunks(path, codes)
     elif path.endswith((".ndjson", ".jsonl")):
-        columns = _record_columns(path, _ndjson_records(path))
+        chunks = _record_chunks(path, _ndjson_records(path), codes)
     else:
         raise ValidationError(f"unsupported forecast file extension: {path}")
-    window_id, origin, member, step, variable, value, names = columns
-    windows, first, w_idx = np.unique(window_id, return_index=True, return_inverse=True)
-    members = sorted(names)
-    rank = np.empty(len(names), dtype=np.int64)
-    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
-    shape = (windows.size, len(names), int(step.max()), int(variable.max()) + 1)
-    # With every step >= 1 and variable >= 0, the records fill the W x M x L_y x c
-    # grid exactly once iff there are as many records as cells and no two share one.
-    complete = (
-        math.prod(shape) == value.size
-        and step.min() >= 1 and variable.min() >= 0
-        and np.array_equal(origin, origin[first][w_idx])
-    )
-    if complete:
-        cell = np.ravel_multi_index((w_idx, rank[member], step - 1, variable), shape)
-        complete = bool(np.all(np.bincount(cell, minlength=value.size) == 1))
-    if not complete:
-        _raise_first_error(window_id, origin, member, step, variable, names)
-    cube = np.empty(value.size)
-    cube[cell] = value
-    cube = cube.reshape(shape)
-    ids = tuple(members)
-    return [
-        EnsembleForecast(window_id=wid, origin=o, predictions=cube[i], member_ids=ids)
-        for i, (wid, o) in enumerate(zip(windows.tolist(), origin[first].tolist()))
-    ]
+    grid = _RecordGrid(codes, _max_records(path))
+    for columns in chunks:  # a parse error anywhere comes before any record error
+        grid.add(*columns)
+        del columns  # one chunk in memory at a time
+    return grid.forecasts(path)

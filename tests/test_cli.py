@@ -610,6 +610,30 @@ class TestScoreRejections:
         result = self.run_score(tmp_path, ensembles(), ensembles(seed=1), "--length", "24")
         assert result.exit_code == 0, result.output
 
+    @pytest.mark.parametrize("ext", ["csv", "ndjson"])
+    def test_absurd_step_is_a_validation_error(self, tmp_path, ext):
+        # one record of window 0 moves from step 1 to step 10^12: the grid it
+        # implies is far larger than any file could fill
+        path = tmp_path / f"test.{ext}"
+        write_forecast_records(path, ensembles(windows=2))
+        lines = path.read_text().splitlines()
+        if ext == "csv":
+            fields = lines[1].split(",")
+            lines[1] = ",".join(fields[:3] + ["1000000000000"] + fields[4:])
+        else:
+            record = json.loads(lines[0])
+            record["step"] = 10**12
+            lines[0] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        write_forecast_records(tmp_path / "valid.csv", ensembles(seed=1))
+        result = CliRunner().invoke(cli, ["score", str(path), str(tmp_path / "valid.csv"),
+                                          str(tmp_path / "scores.csv")])
+        assert result.exit_code == 2, result.output
+        assert result.output == (
+            "error[validation]: window 0: expected 6000000000000 cells (3 members x "
+            "1000000000000 steps x 2 variables), got 24; first missing: "
+            "[('m0', 1, 0), ('m0', 5, 0), ('m0', 5, 1)]\n")
+
     def test_negative_window_origin(self, tmp_path):
         # origins -3 and -2 would write to indices -2 and -1: the end of the timeline
         result = self.run_score(tmp_path, ensembles(windows=2, origin=-3), ensembles(seed=1),

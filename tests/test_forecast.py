@@ -1,7 +1,10 @@
+import contextlib
 import csv
 import hashlib
 import io
 import json
+import tracemalloc
+from unittest import mock
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 import reference_kernels
 import reference_records
 
+from poakit import forecast as forecast_module
 from poakit.core import DataFormatError, TimeSeries, ValidationError
 from poakit.forecast import (
     EnsembleForecast,
@@ -413,6 +417,44 @@ def assert_bits_equal(a, b):
     assert np.array_equal(a.view(np.int64), np.asarray(b, dtype=np.float64).view(np.int64))
 
 
+def write_body(path, head, body):
+    """Rewrite a record file: CSV rows through ``csv.writer``, NDJSON lines as given."""
+    with open(path, "w", newline="") as fh:
+        if str(path).endswith(".csv"):
+            csv.writer(fh).writerows(head + body)
+        else:
+            fh.write("".join(line + "\n" for line in body))
+
+
+def chunk_rows_patched(rows):
+    """Parse records ``rows`` at a time (None: the module's own chunk size)."""
+    if rows is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(forecast_module, "_CHUNK_ROWS", rows)
+
+
+def assert_ingest_matches_reference(path):
+    """The package and the record-at-a-time reader agree on ``path``: the same
+    error message, or the same ensembles bit for bit."""
+    try:
+        expected = ("ok", reference_records.ref_ingest(path))
+    except reference_records.RecordError as exc:
+        expected = ("error", str(exc))
+    try:
+        got = ("ok", [(e.window_id, e.origin, e.member_ids, e.predictions)
+                      for e in ingest_external_forecasts(path)])
+    except DataFormatError as exc:
+        got = ("error", str(exc))
+    assert got[0] == expected[0], (got, expected)
+    if got[0] == "error":
+        assert got[1] == expected[1]
+    else:
+        assert len(got[1]) == len(expected[1])
+        for g, e in zip(got[1], expected[1]):
+            assert g[:3] == e[:3]
+            assert_bits_equal(g[3], e[3])
+
+
 # replacement field text for CSV records, and value for NDJSON records
 FIELD_EDITS = [
     ("1.5", 1.5), ("0", 0), ("-1", -1), ("", ""), ("3.0", "3"), ("x", None),
@@ -439,6 +481,44 @@ def ensemble_lists(draw):
         )
         for wid in wids
     ]
+
+
+record_edits = st.lists(
+    st.tuples(st.sampled_from(["drop", "repeat", "blank", "swap", "field"]),
+              st.integers(0, 10**6), st.integers(0, len(FIELD_EDITS) - 1)),
+    max_size=4,
+)
+
+
+def edited_file(tmp_path_factory, ensembles, ext, edits):
+    """``ensembles`` written as records, then edited: records dropped,
+    repeated at the end, blank lines inserted, records swapped with the last,
+    fields replaced by ``FIELD_EDITS``."""
+    path = tmp_path_factory.mktemp("edited") / f"fc.{ext}"
+    write_forecast_records(path, ensembles)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh)) if ext == "csv" else fh.read().splitlines()
+    head, body = (rows[:1], rows[1:]) if ext == "csv" else ([], rows)
+    for op, i, k in edits:
+        if not body:
+            break
+        i %= len(body)
+        if op == "drop":
+            del body[i]
+        elif op == "repeat":
+            body.append(body[i])
+        elif op == "blank":
+            body.insert(i, [] if ext == "csv" else "")
+        elif op == "swap":
+            body[i], body[-1] = body[-1], body[i]
+        elif ext == "csv":
+            body[i] = body[i][:k % 6] + [FIELD_EDITS[k][0]] + body[i][k % 6 + 1:]
+        elif body[i]:
+            record = json.loads(body[i])
+            record[RECORD_FIELDS[k % 6]] = FIELD_EDITS[k][1]
+            body[i] = json.dumps(record)
+    write_body(path, head, body)
+    return path
 
 
 class TestForecastRecords:
@@ -507,62 +587,20 @@ class TestForecastRecords:
             assert_bits_equal(back.predictions, preds)
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        ensembles=ensemble_lists(),
-        ext=st.sampled_from(["csv", "ndjson"]),
-        edits=st.lists(
-            st.tuples(st.sampled_from(["drop", "repeat", "blank", "swap", "field"]),
-                      st.integers(0, 10**6), st.integers(0, len(FIELD_EDITS) - 1)),
-            max_size=4,
-        ),
-    )
+    @given(ensembles=ensemble_lists(), ext=st.sampled_from(["csv", "ndjson"]),
+           edits=record_edits)
     def test_edited_files_match_reference_reader(self, tmp_path_factory, ensembles, ext, edits):
-        path = tmp_path_factory.mktemp("edited") / f"fc.{ext}"
-        write_forecast_records(path, ensembles)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh)) if ext == "csv" else fh.read().splitlines()
-        head, body = (rows[:1], rows[1:]) if ext == "csv" else ([], rows)
-        for op, i, k in edits:
-            if not body:
-                break
-            i %= len(body)
-            if op == "drop":
-                del body[i]
-            elif op == "repeat":
-                body.append(body[i])
-            elif op == "blank":
-                body.insert(i, [] if ext == "csv" else "")
-            elif op == "swap":
-                body[i], body[-1] = body[-1], body[i]
-            elif ext == "csv":
-                body[i] = body[i][:k % 6] + [FIELD_EDITS[k][0]] + body[i][k % 6 + 1:]
-            elif body[i]:
-                record = json.loads(body[i])
-                record[RECORD_FIELDS[k % 6]] = FIELD_EDITS[k][1]
-                body[i] = json.dumps(record)
-        with open(path, "w", newline="") as fh:
-            if ext == "csv":
-                csv.writer(fh).writerows(head + body)
-            else:
-                fh.write("".join(line + "\n" for line in body))
+        assert_ingest_matches_reference(edited_file(tmp_path_factory, ensembles, ext, edits))
 
-        try:
-            expected = ("ok", reference_records.ref_ingest(path))
-        except reference_records.RecordError as exc:
-            expected = ("error", str(exc))
-        try:
-            got = ("ok", [(e.window_id, e.origin, e.member_ids, e.predictions)
-                          for e in ingest_external_forecasts(path)])
-        except DataFormatError as exc:
-            got = ("error", str(exc))
-        assert got[0] == expected[0], (got, expected)
-        if got[0] == "error":
-            assert got[1] == expected[1]
-        else:
-            assert len(got[1]) == len(expected[1])
-            for g, e in zip(got[1], expected[1]):
-                assert g[:3] == e[:3]
-                assert_bits_equal(g[3], e[3])
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 7])
+    @settings(max_examples=150, deadline=None)
+    @given(ensembles=ensemble_lists(), ext=st.sampled_from(["csv", "ndjson"]),
+           edits=record_edits)
+    def test_edited_files_match_reference_reader_in_small_chunks(
+            self, tmp_path_factory, chunk_rows, ensembles, ext, edits):
+        path = edited_file(tmp_path_factory, ensembles, ext, edits)
+        with chunk_rows_patched(chunk_rows):
+            assert_ingest_matches_reference(path)
 
     def test_accepts_reordered_columns_extra_column_lf_and_blank_lines(self, tmp_path):
         original = tmp_path / "fc.csv"
@@ -738,6 +776,123 @@ class TestForecastRecords:
     def test_bad_extension(self, tmp_path):
         with pytest.raises(ValidationError):
             ingest_external_forecasts(tmp_path / "fc.parquet")
+
+
+def record_rows(ensembles):
+    """[window_id, origin, member_id, step, variable, value] lists, as written."""
+    return [[e.window_id, e.origin, e.member_ids[m], s + 1, v, float(e.predictions[m, s, v])]
+            for e in ensembles
+            for m in range(e.n_members)
+            for s in range(e.predictions.shape[1])
+            for v in range(e.predictions.shape[2])]
+
+
+def write_rows(path, rows):
+    """Records in file order; None writes a blank line."""
+    if str(path).endswith(".csv"):
+        write_body(path, [list(RECORD_FIELDS)], [[] if r is None else r for r in rows])
+    else:
+        write_body(path, [], ["" if r is None else json.dumps(dict(zip(RECORD_FIELDS, r)))
+                              for r in rows])
+
+
+def _edit(rows, i, field, value):
+    rows[i] = rows[i][:field] + [value] + rows[i][field + 1:]
+    return rows
+
+
+def _renamed(rows, names):
+    return [r[:2] + [names.get(r[2], r[2])] + r[3:] for r in rows]
+
+
+# Edits of a 36-record file (windows 0-2 of members m1, m2 x 3 steps x 2
+# variables) whose effects straddle a boundary at chunks of 1, 2 and 7 records.
+BOUNDARY_CASES = {
+    "duplicate-far": lambda rows: rows + [rows[0]],
+    "duplicate-straddles": lambda rows: rows[:7] + [rows[6]] + rows[7:],
+    "origin-conflict-straddles": lambda rows: _edit(rows, 7, 1, 99),
+    "member-first-seen-late": lambda rows: sorted(rows, key=lambda r: r[2]),
+    "members-out-of-name-order": lambda rows: _renamed(rows, {"m1": "zz"}),
+    "steps-grow-late": lambda rows: sorted(rows, key=lambda r: r[3]),
+    "variables-grow-late": lambda rows: sorted(rows, key=lambda r: r[4]),
+    "windows-out-of-order": lambda rows: rows[24:] + rows[:12] + rows[12:24],
+    "quoted-members": lambda rows: _renamed(rows, {"m1": "a,b", "m2": "m\n1"}),
+    "blank-run": lambda rows: rows[:7] + [None] * 20 + rows[7:] + [None] * 9,
+    "missing-cell": lambda rows: rows[:20] + rows[21:],
+    "absurd-step-duplicated": lambda rows: _edit(rows, 1, 3, 10**12) + [rows[1]],
+    "absurd-variable-then-duplicate": lambda rows: _edit(rows, 1, 4, 10**12) + [rows[30]],
+}
+
+
+class TestStreamingIngest:
+    """Chunked ingest gives what a whole-file read gives, whatever the chunk size."""
+
+    @staticmethod
+    def _rows():
+        rng = np.random.default_rng(6)
+        return record_rows([EnsembleForecast(w, 9 + w, rng.normal(size=(2, 3, 2)), ("m1", "m2"))
+                            for w in range(3)])
+
+    @pytest.mark.parametrize("chunk_rows", [None, 1, 2, 7])
+    @pytest.mark.parametrize("ext", ["csv", "ndjson"])
+    @pytest.mark.parametrize("case", list(BOUNDARY_CASES))
+    def test_chunk_boundaries_match_reference(self, tmp_path, case, ext, chunk_rows):
+        path = tmp_path / f"fc.{ext}"
+        write_rows(path, BOUNDARY_CASES[case](self._rows()))
+        with chunk_rows_patched(chunk_rows):
+            assert_ingest_matches_reference(path)
+
+    @pytest.mark.parametrize("ext", ["csv", "ndjson"])
+    @pytest.mark.parametrize("field, message", [
+        (3, "window 0: expected 4000000000000 cells (2 members x 1000000000000 steps x "
+            "2 variables), got 12; first missing: [('m1', 1, 1), ('m1', 4, 0), ('m1', 4, 1)]"),
+        (4, "window 0: expected 6000000000006 cells (2 members x 3 steps x 1000000000001 "
+            "variables), got 12; first missing: [('m1', 1, 1), ('m1', 1, 2), ('m1', 1, 3)]"),
+    ], ids=["step", "variable"])
+    def test_absurd_step_or_variable_is_a_missing_cell_error(self, tmp_path, ext, field,
+                                                              message):
+        # record 2 is window 0, m1, step 1, variable 1: it moves to step or variable 10^12
+        path = tmp_path / f"fc.{ext}"
+        write_rows(path, _edit(self._rows(), 1, field, 10**12))
+        for chunk_rows in (None, 1, 7):
+            with chunk_rows_patched(chunk_rows), pytest.raises(DataFormatError) as err:
+                ingest_external_forecasts(path)
+            assert str(err.value) == message
+
+    def test_int64_overflow_after_parse_errors_before_record_errors(self, tmp_path):
+        path = tmp_path / "fc.csv"
+        rows = self._rows()
+        overflow = _edit(list(rows), 20, 0, 2**63) + [rows[0]]  # and a duplicate at record 37
+        write_rows(path, overflow)
+        for chunk_rows in (None, 1, 7):
+            with chunk_rows_patched(chunk_rows), pytest.raises(DataFormatError) as err:
+                ingest_external_forecasts(path)
+            assert str(err.value) == f"{path}: forecast record integer outside the int64 range"
+        write_rows(path, _edit(overflow, 30, 5, "abc"))
+        for chunk_rows in (None, 1, 7):
+            with chunk_rows_patched(chunk_rows), pytest.raises(DataFormatError) as err:
+                ingest_external_forecasts(path)
+            assert str(err.value) == (
+                "line 32: bad forecast record (could not convert string to float: 'abc')")
+
+    def test_memory_is_one_cube_plus_a_chunk(self, tmp_path):
+        # 400 windows of 6 members x 24 steps x 3 variables, as poakit writes
+        # them: 172,800 records. A whole-file table of 48-byte records alone
+        # would be 6x the cube.
+        rng = np.random.default_rng(3)
+        ids = tuple(f"member_{m}" for m in range(6))
+        path = tmp_path / "fc.csv"
+        write_forecast_records(path, [EnsembleForecast(w, 100 + w, rng.normal(size=(6, 24, 3)), ids)
+                                      for w in range(400)])
+        tracemalloc.start()
+        try:
+            loaded = ingest_external_forecasts(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cube_bytes = sum(e.predictions.nbytes for e in loaded)
+        assert cube_bytes == 172_800 * 8
+        assert peak < 3 * cube_bytes, (peak, cube_bytes)
 
 
 class TestForecastEnsembles:
