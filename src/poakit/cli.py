@@ -126,7 +126,33 @@ def _parse_members(text: str) -> list[fc.ForecasterSpec]:
     specs = [fc.ForecasterSpec.parse(part) for part in text.split(",") if part.strip()]
     if not specs:
         raise ValidationError("no forecaster members given")
+    seen = set()
+    for spec in specs:
+        if spec.member_id in seen:
+            raise ValidationError(f"--members names member {spec.member_id!r} twice")
+        seen.add(spec.member_id)
     return specs
+
+
+def _rank_members(fitted, valid, cfg, top_k, criterion):
+    """Validation scores of every fitted member, and the top-k member ids.
+
+    The stacked inputs, targets and member forecasts die with this call.
+    """
+    windows = fc.make_windows(valid, cfg, with_targets=True)
+    targets = np.stack([w.target for w in windows])
+    inputs = np.stack([w.input for w in windows])
+    member_preds = {
+        m.member_id: fc.predict_batch(m, inputs, cfg.horizon_len) for m in fitted
+    }
+    scores = fc.evaluate_members(member_preds, targets)
+    return scores, set(fc.select_top_k(scores, top_k, criterion))
+
+
+def _forecast_split(members, series, cfg, path, with_targets=False) -> None:
+    """Write the ensemble forecasts of one split; its cube dies with this call."""
+    windows = fc.make_windows(series, cfg, with_targets=with_targets)
+    fc.write_forecast_records(path, fc.forecast_ensembles(members, windows, cfg.horizon_len))
 
 
 @cli.command()
@@ -166,12 +192,7 @@ def forecast(train_path, valid_path, out_dir, test_path, members, top_k, criteri
     specs = _parse_members(members)
     cfg = fc.WindowConfig(input_len, horizon, stride)
     fitted = [fc.fit(spec, train) for spec in specs]
-    valid_windows = fc.make_windows(valid, cfg, with_targets=True)
-    targets = np.stack([w.target for w in valid_windows])
-    inputs = np.stack([w.input for w in valid_windows])
-    member_preds = {m.member_id: fc.predict_batch(m, inputs, horizon) for m in fitted}
-    scores = fc.evaluate_members(member_preds, targets)
-    selected = set(fc.select_top_k(scores, top_k, criterion))
+    scores, selected = _rank_members(fitted, valid, cfg, top_k, criterion)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -181,16 +202,13 @@ def forecast(train_path, valid_path, out_dir, test_path, members, top_k, criteri
          for s in scores),
     )
     chosen = [m for m in fitted if m.member_id in selected]
-    valid_ens = fc.forecast_ensembles(chosen, valid_windows, horizon)
-    fc.write_forecast_records(out / "valid_forecasts.csv", valid_ens)
+    _forecast_split(chosen, valid, cfg, out / "valid_forecasts.csv", with_targets=True)
     written = ["scoreboard.csv", "valid_forecasts.csv"]
     if test_path is not None:
         test = pio.read_series_csv(test_path)
         if scaler is not None:
             test = scaler(test)
-        test_windows = fc.make_windows(test, cfg, with_targets=False)
-        test_ens = fc.forecast_ensembles(chosen, test_windows, horizon)
-        fc.write_forecast_records(out / "test_forecasts.csv", test_ens)
+        _forecast_split(chosen, test, cfg, out / "test_forecasts.csv")
         written.append("test_forecasts.csv")
     for model in fitted:
         for note in model.fit_report:

@@ -370,24 +370,38 @@ def predict_batch(model: FittedForecaster, inputs: np.ndarray, horizon: int) -> 
     raise ValidationError(f"unknown forecaster kind {kind!r}")
 
 
+# Windows are forecast in blocks of about this many bytes of stacked inputs;
+# timings in CHANGES.md.
+_BLOCK_BYTES = 1 << 20
+
+
 def forecast_ensembles(
     members: list[FittedForecaster], windows: list[WindowPair], horizon: int
 ) -> list[EnsembleForecast]:
-    """Run every member over every window; members ordered by member_id."""
+    """Run every member over every window; members ordered by member_id.
+
+    The W x M x L_y x c cube is allocated once and filled member by member,
+    one block of about ``_BLOCK_BYTES`` of inputs at a time; every window's
+    forecast is a view into it.
+    """
     if not windows:
         return []
     ordered = sorted(members, key=lambda m: m.member_id)
     ids = tuple(m.member_id for m in ordered)
     if len(set(ids)) != len(ids):
         raise ValidationError(f"duplicate member_ids in ensemble: {ids}")
-    inputs = np.stack([w.input for w in windows])
-    slabs = [predict_batch(m, inputs, horizon) for m in ordered]
-    stacked = np.stack(slabs, axis=1)  # W x M x L_y x c
+    first = np.asarray(windows[0].input, dtype=np.float64)
+    cube = np.empty((len(windows), len(ordered), horizon, first.shape[-1]))
+    block = max(1, _BLOCK_BYTES // max(1, first.nbytes))
+    for start in range(0, len(windows), block):
+        inputs = np.stack([w.input for w in windows[start:start + block]])
+        for j, model in enumerate(ordered):
+            cube[start:start + len(inputs), j] = predict_batch(model, inputs, horizon)
     return [
         EnsembleForecast(
             window_id=w.window_id,
             origin=w.origin,
-            predictions=stacked[i],
+            predictions=cube[i],
             member_ids=ids,
         )
         for i, w in enumerate(windows)

@@ -8,7 +8,6 @@ stated against.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import platform
@@ -265,6 +264,10 @@ def write_theta_curve_csv(path, thetas, ptar, ptap, f1) -> None:
 
 
 def file_sha256(path) -> str:
+    # Imported here: hashlib loads OpenSSL (about 3 MB of RSS), and only the
+    # stages that write a manifest hash anything.
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):

@@ -7,6 +7,8 @@ require bit-identical results on any input.
 
 import numpy as np
 
+from poakit.forecast import predict_batch
+
 
 def ensemble_variance(predictions):
     """One window's M x L_y x c forecasts -> L_y x c sample variances."""
@@ -76,3 +78,11 @@ def ar_ols(inputs, coef, horizon):
         out[:, h, :] = nxt
         buf = np.concatenate([buf[:, 1:, :], nxt[:, None, :]], axis=1)
     return out
+
+
+def forecast_ensembles(members, windows, horizon):
+    """W x M x L_y x c forecasts from one stack of every window's input and
+    one whole-batch prediction per member, members in member_id order."""
+    ordered = sorted(members, key=lambda m: m.member_id)
+    inputs = np.stack([w.input for w in windows])
+    return np.stack([predict_batch(m, inputs, horizon) for m in ordered], axis=1)

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
 import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import click
@@ -523,6 +526,63 @@ class TestErrorHandling:
         assert result.exit_code == 2, result.output
         assert "error[validation]" in result.output
         assert "lead_time must be defined exactly where score is" in result.output
+
+    @pytest.mark.parametrize("members,member_id,top_k", [
+        ("persistence,persistence,ar_ols:4", "persistence", "2"),
+        ("persistence,persistence,ar_ols:4", "persistence", "3"),
+        ("ar_ols:4,exp_smoothing:0.3,ar_ols:04", "ar_ols_4", "2"),
+    ])
+    def test_repeated_member_rejected_before_any_write(self, pipeline, tmp_path, members,
+                                                       member_id, top_k):
+        out = tmp_path / "fc"
+        result = CliRunner().invoke(cli, [
+            "forecast", str(pipeline / "parts/train.csv"), str(pipeline / "parts/valid.csv"),
+            str(out), "--members", members, "--top-k", top_k,
+            "--input-len", "30", "--horizon", "8",
+        ])
+        assert result.exit_code == 2, result.output
+        assert result.output == (
+            f"error[validation]: --members names member {member_id!r} twice\n")
+        assert not out.exists()
+
+
+class TestStageImports:
+    """OpenSSL (``_hashlib``) is loaded only by the stages that hash files."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src"
+
+    def loads_hashlib(self, *args) -> bool:
+        code = ("import sys\n"
+                "from poakit.cli import cli\n"
+                "if sys.argv[1:]:\n"
+                "    cli.main(sys.argv[1:], standalone_mode=False)\n"
+                "print('_hashlib' in sys.modules)\n")
+        done = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                              env={**os.environ, "PYTHONPATH": str(self.SRC)},
+                              capture_output=True, text=True, check=True)
+        last = done.stdout.splitlines()[-1]
+        assert last in ("True", "False"), done.stdout
+        return last == "True"
+
+    def test_import_and_score_and_detect_skip_hashlib(self, pipeline, tmp_path):
+        assert not self.loads_hashlib()
+        assert not self.loads_hashlib(
+            "score", pipeline / "fc/test_forecasts.csv", pipeline / "fc/valid_forecasts.csv",
+            tmp_path / "scores.csv")
+        assert not self.loads_hashlib(
+            "detect", tmp_path / "scores.csv", pipeline / "data/labels.csv",
+            tmp_path / "detection.csv", "--grid-n", "8", "--delta", "8")
+
+    def test_manifests_keep_their_hashes(self, pipeline, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline / "run", run)
+        shutil.copy(pipeline / "data/labels.csv", run / "labels.csv")
+        assert self.loads_hashlib("report", run)
+        for manifest in (pipeline / "fc/manifest.json", run / "report_manifest.json"):
+            files = json.loads(manifest.read_text())["files"]
+            assert files
+            for name, entry in files.items():
+                assert entry["sha256"] == sha256(manifest.parent / name), name
 
 
 # Every subcommand's option names: adding or removing a knob is an edit here.

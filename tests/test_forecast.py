@@ -911,3 +911,45 @@ class TestForecastEnsembles:
         # reversing member list must not change output
         again = forecast_ensembles(members[::-1], windows, horizon=4)
         assert np.array_equal(again[0].predictions, ensembles[0].predictions)
+
+    # stride 1 with targets: 115 windows; stride 7 without: 18 strided
+    # origins, then the forced last origin 149
+    @pytest.mark.parametrize("stride,with_targets", [(1, True), (7, False)])
+    @pytest.mark.parametrize("c", [1, 3])  # moving_average's two layouts
+    @pytest.mark.parametrize("block_windows", [1, 7, None])  # None: _BLOCK_BYTES as set
+    def test_blocked_fill_matches_whole_stack(self, stride, with_targets, c, block_windows):
+        rng = np.random.default_rng(c)
+        train = series(np.cumsum(rng.normal(size=(150, c)), axis=0))
+        members = [fit(spec, train) for spec in default_member_specs()]
+        windows = make_windows(train, WindowConfig(30, 6, stride), with_targets=with_targets)
+        if not with_targets:
+            assert [w.origin for w in windows[-2:]] == [148, 149]
+        patch = contextlib.nullcontext()
+        if block_windows is not None:
+            patch = mock.patch.object(forecast_module, "_BLOCK_BYTES",
+                                      block_windows * windows[0].input.nbytes)
+        with patch:
+            got = forecast_ensembles(members, windows, horizon=6)
+        assert [(e.window_id, e.origin) for e in got] == [(w.window_id, w.origin) for w in windows]
+        assert_bits_equal(np.stack([e.predictions for e in got]),
+                          reference_kernels.forecast_ensembles(members, windows, 6))
+
+    def test_memory_is_one_cube_plus_a_block(self):
+        # 4,001 windows of 5 members x 24 steps x 3 variables. Beside the
+        # cube there is room for one block of inputs and one member's forecast
+        # of it, not for a stack of every window's input.
+        rng = np.random.default_rng(5)
+        test = series(np.cumsum(rng.normal(size=(4100, 3)), axis=0))
+        members = [fit(spec, test) for spec in default_member_specs()[:5]]
+        windows = make_windows(test, WindowConfig(100, 24), with_targets=False)
+        tracemalloc.start()
+        try:
+            got = forecast_ensembles(members, windows, horizon=24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cube_bytes = 4001 * 5 * 24 * 3 * 8
+        assert peak < 1.3 * cube_bytes, (peak, cube_bytes)
+        # several blocks of the default size, the last one short
+        assert_bits_equal(np.stack([e.predictions for e in got]),
+                          reference_kernels.forecast_ensembles(members, windows, 24))
