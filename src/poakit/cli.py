@@ -149,9 +149,8 @@ def _rank_members(fitted, valid, cfg, top_k, criterion):
     return scores, set(fc.select_top_k(scores, top_k, criterion))
 
 
-def _forecast_split(members, series, cfg, path, with_targets=False) -> None:
+def _forecast_split(members, windows, cfg, path) -> None:
     """Write the ensemble forecasts of one split; its cube dies with this call."""
-    windows = fc.make_windows(series, cfg, with_targets=with_targets)
     fc.write_forecast_records(path, fc.forecast_ensembles(members, windows, cfg.horizon_len))
 
 
@@ -191,6 +190,11 @@ def forecast(train_path, valid_path, out_dir, test_path, members, top_k, criteri
         train, valid = scaler(train), scaler(valid)
     specs = _parse_members(members)
     cfg = fc.WindowConfig(input_len, horizon, stride)
+    test_windows = None
+    if test_path is not None:  # windowed before any file is written: a short series fails here
+        test = pio.read_series_csv(test_path)
+        test_windows = fc.make_windows(test if scaler is None else scaler(test), cfg,
+                                       with_targets=False)
     fitted = [fc.fit(spec, train) for spec in specs]
     scores, selected = _rank_members(fitted, valid, cfg, top_k, criterion)
 
@@ -202,13 +206,11 @@ def forecast(train_path, valid_path, out_dir, test_path, members, top_k, criteri
          for s in scores),
     )
     chosen = [m for m in fitted if m.member_id in selected]
-    _forecast_split(chosen, valid, cfg, out / "valid_forecasts.csv", with_targets=True)
+    _forecast_split(chosen, fc.make_windows(valid, cfg, with_targets=True), cfg,
+                    out / "valid_forecasts.csv")
     written = ["scoreboard.csv", "valid_forecasts.csv"]
-    if test_path is not None:
-        test = pio.read_series_csv(test_path)
-        if scaler is not None:
-            test = scaler(test)
-        _forecast_split(chosen, test, cfg, out / "test_forecasts.csv")
+    if test_windows is not None:
+        _forecast_split(chosen, test_windows, cfg, out / "test_forecasts.csv")
         written.append("test_forecasts.csv")
     for model in fitted:
         for note in model.fit_report:
@@ -349,7 +351,7 @@ def detect_cmd(scores_path, labels_path, out_path, grid_n, metric,
         "f1": result.f1,
         "metric": metric,
         "grid": f"{grid_n} quantiles ({len(grid)} unique)",
-        "searched_on": search_scores_path or str(scores_path),
+        "searched_on": Path(search_scores_path or scores_path).name,
         "all_undefined": result.all_undefined,
     }
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
@@ -573,7 +575,7 @@ def report(run_dir):
         raise ValidationError(f"{run}: no pipeline outputs found to report on")
     pio.write_json(run / "report.json", consolidated)
     pio.write_manifest(
-        run / "report_manifest.json", {"run_dir": str(run)}, None,
+        run / "report_manifest.json", {}, None,
         [run / f for f in plot_files + ["report.json"]],
     )
     click.echo(f"report: wrote report.json and {plot_files} in {run}")

@@ -24,14 +24,16 @@ import numpy as np
 
 from poakit.core import DataFormatError, TimeSeries, ValidationError, strict_int
 
-FORECASTER_KINDS = (
-    "persistence",
-    "seasonal_naive",
-    "moving_average",
-    "ar_ols",
-    "exp_smoothing",
-    "holt_linear",
-)
+# The hyperparameters each forecaster kind takes, in spec-string order.
+_SPEC_PARAMS = {
+    "persistence": (),
+    "seasonal_naive": ("period",),
+    "moving_average": ("width",),
+    "ar_ols": ("order",),
+    "exp_smoothing": ("alpha",),
+    "holt_linear": ("alpha", "beta"),
+}
+FORECASTER_KINDS = tuple(_SPEC_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -75,14 +77,7 @@ class ForecasterSpec:
             raise ValidationError(
                 f"unknown forecaster kind {self.kind!r}; choose from {FORECASTER_KINDS}"
             )
-        need = {
-            "persistence": (),
-            "seasonal_naive": ("period",),
-            "moving_average": ("width",),
-            "ar_ols": ("order",),
-            "exp_smoothing": ("alpha",),
-            "holt_linear": ("alpha", "beta"),
-        }[self.kind]
+        need = _SPEC_PARAMS[self.kind]
         for name in ("period", "width", "order"):
             value = getattr(self, name)
             if name in need:
@@ -120,22 +115,13 @@ class ForecasterSpec:
         """Parse a colon-separated spec, e.g. ``ar_ols:4`` or ``holt_linear:0.3:0.1``."""
         parts = text.strip().split(":")
         kind, args = parts[0], parts[1:]
+        if kind not in _SPEC_PARAMS:
+            raise ValidationError(f"unknown forecaster kind in {text!r}")
         try:
-            if kind == "persistence":
-                return cls(kind)
-            if kind == "seasonal_naive":
-                return cls(kind, period=int(args[0]))
-            if kind == "moving_average":
-                return cls(kind, width=int(args[0]))
-            if kind == "ar_ols":
-                return cls(kind, order=int(args[0]))
-            if kind == "exp_smoothing":
-                return cls(kind, alpha=float(args[0]))
-            if kind == "holt_linear":
-                return cls(kind, alpha=float(args[0]), beta=float(args[1]))
+            return cls(kind, **{name: (float if name in ("alpha", "beta") else int)(args[i])
+                                for i, name in enumerate(_SPEC_PARAMS[kind])})
         except (IndexError, ValueError) as exc:
             raise ValidationError(f"cannot parse forecaster spec {text!r}: {exc}") from exc
-        raise ValidationError(f"unknown forecaster kind in {text!r}")
 
 
 def default_member_specs() -> list[ForecasterSpec]:
@@ -524,25 +510,26 @@ def write_forecast_records(path, ensembles: list[EnsembleForecast]) -> None:
             ))
 
 
-def _parse_record(raw: dict, line_no: int) -> tuple:
+def _parse_record(raw: dict, line_no: int, integer=strict_int, real=float) -> tuple:
     try:
         return (
-            strict_int(raw["window_id"]),
-            strict_int(raw["origin"]),
+            integer(raw["window_id"]),
+            integer(raw["origin"]),
             str(raw["member_id"]),
-            strict_int(raw["step"]),
-            strict_int(raw["variable"]),
-            float(raw["value"]),
+            integer(raw["step"]),
+            integer(raw["variable"]),
+            real(raw["value"]),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"line {line_no}: bad forecast record ({exc})") from exc
 
 
-def _member_codes() -> defaultdict:
-    """Member id -> integer code, numbering each new id on first lookup."""
-    codes: defaultdict = defaultdict()
-    codes.default_factory = codes.__len__
-    return codes
+def _csv_number(text, parse=float):
+    """``parse(text)``, refusing '_' separators and non-ASCII digits, which numpy does not read."""
+    number = parse(text)
+    if "_" in text or not text.strip().isascii():
+        raise ValueError(f"not an ASCII number without '_': {text!r}")
+    return number
 
 
 def _record_chunks(path: str, records, codes):
@@ -561,13 +548,6 @@ def _record_chunks(path: str, records, codes):
         yield ints[0], ints[1], member, ints[2], ints[3], np.array(value, dtype=np.float64)
 
 
-def _csv_records(path: str, skip: int = 0):
-    with open(path, newline="") as fh:
-        rows = enumerate(csv.DictReader(fh), start=2)
-        for line_no, raw in itertools.islice(rows, skip, None):
-            yield _parse_record(raw, line_no)
-
-
 def _ndjson_records(path: str):
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -581,13 +561,27 @@ def _ndjson_records(path: str):
             yield _parse_record(raw, line_no)
 
 
+def _refused_chunk(path: str, lines, header: list, first_line: int, exc) -> int:
+    """Walk the chunk numpy refused (the lines it read, then the rest): raise
+    its first parse error; else, once an integer falls outside int64, return
+    the next chunk's first line; else raise numpy's own message."""
+    outside = False
+    records = itertools.islice(csv.DictReader(lines, header), _CHUNK_ROWS)
+    for line_no, raw in enumerate(records, start=first_line):
+        record = _parse_record(raw, line_no, lambda text: _csv_number(text, strict_int),
+                               _csv_number)
+        outside = outside or not all(-2**63 <= record[i] < 2**63 for i in (0, 1, 3, 4))
+    if not outside:  # no cause found: numpy's own words, not a guess
+        raise DataFormatError(f"{path}: records from line {first_line} on ({exc})") from exc
+    return line_no + 1
+
+
 def _csv_chunks(path: str, codes):
     """Column chunks of a record CSV, its columns found by header name.
 
-    numpy parses ``_CHUNK_ROWS`` records at a time from the open file. From
-    the first chunk it rejects on, the records go through the per-record
-    parser instead: it names the first bad line, and it accepts the few
-    spellings int()/float() take and numpy does not, such as "1_000".
+    numpy parses ``_CHUNK_ROWS`` records at a time from the open file; the lines
+    it read stay in hand for `_refused_chunk` until the chunk parses. After an
+    integer outside int64 no chunk is yielded, but a later parse error comes first.
     """
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), None)
@@ -599,26 +593,31 @@ def _csv_chunks(path: str, codes):
         column = {name: i for i, name in enumerate(header)}  # last one wins, as in DictReader
         usecols = [column[f] for f in _RECORD_FIELDS]
         converters = {column["member_id"]: codes.__getitem__}
-        done = 0
+        first_line, outside = 2, False  # the line number DictReader gives the next record
         while True:
+            numpy_lines, lines = itertools.tee(fh)
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", UserWarning)  # blank lines, no records
+                    warnings.simplefilter("error", DeprecationWarning)  # old numpy: "1.5" -> 1
                     table = np.loadtxt(
-                        fh, dtype=_CSV_DTYPE, delimiter=",", quotechar='"', comments=None,
-                        usecols=usecols, converters=converters, ndmin=1,
+                        numpy_lines, dtype=_CSV_DTYPE, delimiter=",", quotechar='"',
+                        comments=None, usecols=usecols, converters=converters, ndmin=1,
                         max_rows=_CHUNK_ROWS,
                     )
-            except ValueError:
-                break
+            except (ValueError, DeprecationWarning) as exc:
+                first_line, outside = _refused_chunk(path, lines, header, first_line, exc), True
+                continue
+            del lines  # only a refused chunk needs its lines
             n = table.size
-            if n:
+            if n and not outside:
                 yield tuple(table[f] for f in _RECORD_FIELDS)
             del table  # before the next chunk is parsed
             if n < _CHUNK_ROWS:  # blank lines do not count toward max_rows
-                return
-            done += n
-    yield from _record_chunks(path, _csv_records(path, skip=done), codes)
+                break
+            first_line += n
+    if outside:
+        raise DataFormatError(f"{path}: forecast record integer outside the int64 range")
 
 
 class _RecordGrid:
@@ -829,7 +828,8 @@ def ingest_external_forecasts(path) -> list[EnsembleForecast]:
     count or order.
     """
     path = str(path)
-    codes = _member_codes()
+    codes: defaultdict = defaultdict()  # member id -> integer code, numbered on first lookup
+    codes.default_factory = codes.__len__
     if path.endswith(".csv"):
         chunks = _csv_chunks(path, codes)
     elif path.endswith((".ndjson", ".jsonl")):

@@ -27,10 +27,23 @@ def _integer(field):
     return number
 
 
-def _parse(raw, line_no):
+def _csv_number(parse):
+    """A CSV number is what numpy reads: after ``parse`` has had its say, a
+    '_' digit separator or a non-ASCII digit, both of which int() and float()
+    take, is refused."""
+    def narrowed(text):
+        number = parse(text)
+        if "_" in text or any(ch.isdecimal() and not ch.isascii() for ch in text):
+            raise ValueError(f"not an ASCII number without '_': {text!r}")
+        return number
+    return narrowed
+
+
+def _parse(raw, line_no, integer=_integer, real=float):
+    """One record, its fields converted in ``FIELDS`` order."""
     try:
-        return (_integer(raw["window_id"]), _integer(raw["origin"]), str(raw["member_id"]),
-                _integer(raw["step"]), _integer(raw["variable"]), float(raw["value"]))
+        return (integer(raw["window_id"]), integer(raw["origin"]), str(raw["member_id"]),
+                integer(raw["step"]), integer(raw["variable"]), real(raw["value"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise RecordError(f"line {line_no}: bad forecast record ({exc})") from exc
 
@@ -48,7 +61,7 @@ def read_records(path):
             if missing:
                 raise RecordError(f"{path}: header missing columns {sorted(missing)}")
             for line_no, raw in enumerate(reader, start=2):
-                records.append(_parse(raw, line_no))
+                records.append(_parse(raw, line_no, _csv_number(_integer), _csv_number(float)))
     else:
         with open(path) as fh:
             for line_no, line in enumerate(fh, start=1):

@@ -5,6 +5,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import click
@@ -544,6 +545,82 @@ class TestErrorHandling:
         assert result.output == (
             f"error[validation]: --members names member {member_id!r} twice\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("scaling", ["--no-standardize", "--standardize"])
+    def test_short_test_series_rejected_before_any_write(self, pipeline, tmp_path, scaling):
+        # the test series used to be read after scoreboard.csv and
+        # valid_forecasts.csv were written, and left them behind
+        short = tmp_path / "short.csv"
+        short.write_text("".join((pipeline / "data/test.csv").read_text().splitlines(True)[:21]))
+        out = tmp_path / "fc"
+        result = CliRunner().invoke(cli, [
+            "forecast", str(pipeline / "parts/train.csv"), str(pipeline / "parts/valid.csv"),
+            str(out), "--test", str(short), "--members", MEMBERS, "--top-k", "3",
+            "--input-len", "30", "--horizon", "8", scaling,
+        ])
+        assert result.exit_code == 2, result.output
+        assert result.output == (
+            "error[validation]: insufficient length: need at least 30 rows (input), got 20\n")
+        assert not out.exists()
+
+
+class TestRunDirectoryIndependence:
+    def test_outputs_do_not_depend_on_the_run_directory(self, pipeline, tmp_path):
+        # detect used to store the scores path as typed, report the run directory
+        outputs = []
+        for name in ("r", "a_longer_run_directory"):
+            run = tmp_path / name
+            run.mkdir()
+            for src in ("run/scores.csv", "data/labels.csv"):
+                shutil.copy(pipeline / src, run)
+            for args in (["detect", run / "scores.csv", run / "labels.csv",
+                          run / "detection.csv", "--grid-n", "32", "--delta", "8"],
+                         ["report", run]):
+                result = CliRunner().invoke(cli, list(map(str, args)))
+                assert result.exit_code == 0, result.output
+            outputs.append([(run / f).read_bytes() for f in (
+                "detection.csv.meta.json", "report.json", "report_manifest.json")])
+        assert outputs[0] == outputs[1]
+        meta = json.loads(outputs[0][0])
+        assert meta["searched_on"] == "scores.csv"
+
+
+class TestRecordPipe:
+    SRC = Path(__file__).resolve().parent.parent / "src"
+
+    def test_bad_record_from_a_pipe_exits_2(self, tmp_path):
+        # the CSV reader used to re-open the file to name a bad record, and
+        # waited forever on a pipe whose writer had gone
+        fifo = tmp_path / "test.csv"
+        os.mkfifo(fifo)
+        valid = tmp_path / "valid.csv"
+        write_forecast_records(valid, ensembles(seed=1))
+
+        def feed():
+            try:
+                with open(fifo, "w", newline="") as fh:
+                    fh.write("window_id,origin,member_id,step,variable,value\r\n"
+                             "0,20,m0,1,0,abc\r\n")
+            except BrokenPipeError:
+                pass
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "poakit.cli", "score", str(fifo), str(valid),
+                 str(tmp_path / "scores.csv")],
+                env={**os.environ, "PYTHONPATH": str(self.SRC)},
+                capture_output=True, text=True, timeout=10)
+        finally:
+            if writer.is_alive():  # the reader never came: let the writer's open return
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(5)
+        assert not writer.is_alive()
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == (
+            "error[validation]: line 2: bad forecast record "
+            "(could not convert string to float: 'abc')\n")
 
 
 class TestStageImports:

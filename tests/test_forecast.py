@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import tracemalloc
+import warnings
 from unittest import mock
 
 import hypothesis.extra.numpy as hnp
@@ -118,6 +119,26 @@ class TestForecasterSpec:
     def test_rejects_bad_kind(self):
         with pytest.raises(ValidationError):
             ForecasterSpec.parse("lstm:3")
+
+    @pytest.mark.parametrize("text, message", [
+        ("lstm:3", "unknown forecaster kind in 'lstm:3'"),
+        ("ar_ols", "cannot parse forecaster spec 'ar_ols': list index out of range"),
+        ("ar_ols:x", "cannot parse forecaster spec 'ar_ols:x': "
+                     "invalid literal for int() with base 10: 'x'"),
+        ("ar_ols:0", "cannot parse forecaster spec 'ar_ols:0': ar_ols requires order >= 1"),
+        ("holt_linear:0.3", "cannot parse forecaster spec 'holt_linear:0.3': "
+                            "list index out of range"),
+    ])
+    def test_parse_messages(self, text, message):
+        with pytest.raises(ValidationError) as err:
+            ForecasterSpec.parse(text)
+        assert str(err.value) == message
+
+    def test_parse_reads_each_kinds_parameters(self):
+        assert ForecasterSpec.parse(" holt_linear:0.3:0.1:9 ") == ForecasterSpec(
+            "holt_linear", alpha=0.3, beta=0.1)
+        assert ForecasterSpec.parse("persistence:5") == ForecasterSpec("persistence")
+        assert ForecasterSpec.parse("seasonal_naive:24").period == 24
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValidationError):
@@ -459,6 +480,7 @@ def assert_ingest_matches_reference(path):
 FIELD_EDITS = [
     ("1.5", 1.5), ("0", 0), ("-1", -1), ("", ""), ("3.0", "3"), ("x", None),
     (" 2 ", 2.0), ("+1", True), ("1_0", "x"), ("1e3", 1e3), ("a,b", "a,b"),
+    ("\u0661", "\u0661"),
 ]
 
 member_ids = st.lists(
@@ -643,8 +665,13 @@ class TestForecastRecords:
             (3, "1.5", "line 3: bad forecast record (invalid literal for int() with base 10: '1.5')"),
             (3, "0", "record 2: step must be >= 1 and variable >= 0, got (0, 1)"),
             (4, "-1", "record 2: step must be >= 1 and variable >= 0, got (1, -1)"),
+            # int() and float() read these two; numpy, whose grammar CSV records follow, does not
+            (3, "1_0", "line 3: bad forecast record (not an ASCII number without '_': '1_0')"),
+            (5, "\u0661",
+             "line 3: bad forecast record (not an ASCII number without '_': '\u0661')"),
         ],
-        ids=["malformed-value", "fractional-step", "step-zero", "negative-variable"],
+        ids=["malformed-value", "fractional-step", "step-zero", "negative-variable",
+             "digit-separator", "arabic-indic-digit"],
     )
     def test_rejects_bad_field(self, tmp_path, field, text, message):
         path, rows = self._records(tmp_path)
@@ -653,6 +680,9 @@ class TestForecastRecords:
         with pytest.raises(DataFormatError) as err:
             ingest_external_forecasts(path)
         assert str(err.value) == message
+        with pytest.raises(reference_records.RecordError) as ref_err:
+            reference_records.ref_ingest(path)
+        assert str(ref_err.value) == message
 
     @pytest.mark.parametrize(
         "field, text, message",
@@ -874,6 +904,64 @@ class TestStreamingIngest:
                 ingest_external_forecasts(path)
             assert str(err.value) == (
                 "line 32: bad forecast record (could not convert string to float: 'abc')")
+
+    def test_bad_last_record_opens_the_file_once(self, tmp_path):
+        # the rejected block is walked from the lines in hand: a pipe cannot be re-opened
+        path = tmp_path / "fc.csv"
+        rows = self._rows()
+        write_rows(path, _edit(rows, len(rows) - 1, 5, "abc"))
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        with mock.patch.object(forecast_module, "open", counting_open, create=True), \
+                pytest.raises(DataFormatError) as err:
+            ingest_external_forecasts(path)
+        assert str(err.value) == (
+            "line 37: bad forecast record (could not convert string to float: 'abc')")
+        assert opened == [str(path)]
+
+    def test_integer_read_through_a_float_is_refused(self, tmp_path):
+        # numpy < 2 may read "1.5" into an int64 column as 1, with only a DeprecationWarning
+        path = tmp_path / "fc.csv"
+        write_rows(path, _edit(self._rows(), 1, 3, "1.5"))
+        loadtxt = np.loadtxt
+
+        def old_loadtxt(lines, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+            return loadtxt([line.replace(",1.5,", ",1,") for line in lines], **kwargs)
+
+        with mock.patch.object(np, "loadtxt", old_loadtxt), \
+                pytest.raises(DataFormatError) as err:
+            ingest_external_forecasts(path)
+        assert str(err.value) == (
+            "line 3: bad forecast record (invalid literal for int() with base 10: '1.5')")
+
+    def test_refused_chunk_is_walked_alone(self, tmp_path):
+        # an integer outside int64 in record 2: the walk covers its chunk of 7
+        # records, and numpy parses the rest
+        path = tmp_path / "fc.csv"
+        write_rows(path, _edit(self._rows(), 1, 0, 2**63))
+        walked = mock.Mock(wraps=forecast_module._parse_record)
+        with chunk_rows_patched(7), mock.patch.object(forecast_module, "_parse_record", walked), \
+                pytest.raises(DataFormatError) as err:
+            ingest_external_forecasts(path)
+        assert str(err.value) == f"{path}: forecast record integer outside the int64 range"
+        assert walked.call_count == 7
+
+    def test_refusal_without_a_found_cause_keeps_numpy_message(self, tmp_path):
+        path = tmp_path / "fc.csv"
+        write_rows(path, self._rows())
+
+        def refuse(lines, **kwargs):
+            raise ValueError("refused")
+
+        with mock.patch.object(np, "loadtxt", refuse), pytest.raises(DataFormatError) as err:
+            ingest_external_forecasts(path)
+        assert str(err.value) == f"{path}: records from line 2 on (refused)"
 
     def test_memory_is_one_cube_plus_a_chunk(self, tmp_path):
         # 400 windows of 6 members x 24 steps x 3 variables, as poakit writes
