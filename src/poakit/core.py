@@ -88,13 +88,16 @@ class TimeSeries:
 
 
 def binary_flags(values, name: str) -> np.ndarray:
-    """``values`` as a 1-D int8 array of 0/1 flags, or a ValidationError."""
-    flags = np.asarray(values, dtype=np.int8)
+    """``values`` as a 1-D int8 array of 0/1 flags, or a ValidationError.
+
+    The values are checked before the cast, which would truncate 0.5 to 0
+    and wrap 257 to 1."""
+    flags = np.asarray(values)
     if flags.ndim != 1:
         raise ValidationError(f"{name} must be 1-D")
     if not np.all((flags == 0) | (flags == 1)):
         raise ValidationError(f"{name} must be 0 or 1")
-    return flags
+    return flags.astype(np.int8, copy=False)
 
 
 @dataclass(frozen=True)

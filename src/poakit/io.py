@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import platform
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -57,69 +58,79 @@ def _load_csv(path, n_columns: int | None) -> list[list[str]]:
     return table
 
 
-def _read_table(path, n_columns: int | None = None):
-    """Read a timestamped CSV table: a header row, the timestamp column first.
-
-    The header has exactly ``n_columns`` columns (at least 2 when None) and
-    every non-blank row as many fields. Timestamps are integers that count up
-    by exactly one from row to row. Returns the header, the first timestamp
-    and ``(row number, other fields)`` for each non-blank row.
-    """
-    table = _load_csv(path, n_columns)
+def _read_table(path, columns, rules):
+    """Read a timestamped CSV table: a header row, int64 timestamps that start
+    >= 0 and count up by one, then a column per (name, dtype) pair in
+    ``columns`` (None: all float64, a series). ``rules(*values)`` gives the
+    reader's own (bad-row mask, problem) pairs. A broken structure is named
+    before the first bad value in file order. Returns the header, the
+    timestamps and one array per value column."""
+    path = Path(path)
+    table = _load_csv(path, None if columns is None else len(columns) + 1)
     header, width = table[0], len(table[0])
-    rows = []
-    first = previous = None
-    for row_no, row in enumerate(table[1:], start=2):
-        if not row:
-            continue
-        if len(row) != width:
-            raise DataFormatError(f"{path}: row {row_no} has {len(row)} fields, expected {width}")
-        ts = _cell(path, row_no, int, row[0], "has non-integer timestamp {!r}")
-        if previous is None:
-            first = ts
-        elif ts == previous:
-            raise DataFormatError(f"{path}: row {row_no} duplicates timestamp {ts}")
-        elif ts != previous + 1:
-            raise DataFormatError(
-                f"{path}: row {row_no} breaks unit-step timestamps ({previous} -> {ts})")
-        previous = ts
-        rows.append((row_no, row[1:]))
-    if not rows:
+    if columns is None:
+        columns = [(f"column {j}", np.float64) for j in range(2, width + 1)]
+    lengths = np.fromiter(map(len, table), np.int64, len(table))
+    numbers = np.flatnonzero(lengths[1:]) + 2  # the file row of each non-blank row
+    if not numbers.size:
         raise DataFormatError(f"{path}: no data rows")
-    return header, first, rows
+    ragged = numbers[lengths[numbers - 1] != width]
+    if ragged.size:
+        raise DataFormatError(
+            f"{path}: row {ragged[0]} has {lengths[ragged[0] - 1]} fields, expected {width}")
+    fields = list(chain.from_iterable(table[1:]))  # a blank row adds none
+    # (end, problem): the first bad row found so far; later checks see the rows before it
+    timestamps, (end, problem) = _column(fields[::width], np.int64, "timestamp")
+    # a negative timestamp is a break in any row: it catches a step from the int64 max that wraps
+    breaks = np.flatnonzero((timestamps < 0) | np.r_[False, np.diff(timestamps) != 1])
+    if breaks.size:
+        end = breaks[0]
+        before, ts = timestamps[end - 1], timestamps[end]
+        problem = (f"has negative timestamp {ts}" if end == 0 else
+                   f"duplicates timestamp {ts}" if ts == before else
+                   f"breaks unit-step timestamps ({before} -> {ts})")
+    if problem:
+        raise DataFormatError(f"{path}: row {numbers[end]} {problem}")
+    parsed = [_column(fields[j::width], dtype, name) for j, (name, dtype) in enumerate(columns, 1)]
+    end, problem = min((refused for _, refused in parsed), key=lambda bad: bad[0])
+    values = [array[:end] for array, _ in parsed]
+    broken = [(np.argmax(bad), text) for bad, text in rules(*values) if bad.any()]
+    end, problem = min([(end, problem), *broken], key=lambda bad: bad[0])
+    if problem:
+        raise DataFormatError(f"{path}: row {numbers[end]} {problem}")
+    return header, timestamps, values
 
 
-def _cell(path, row_no: int, parse, cell: str, problem: str):
-    """``parse(cell)``; a ValueError names the row, ``problem`` gets the cell."""
+def _column(cells, dtype, name: str):
+    """``cells`` parsed by numpy with Python's int()/float() grammar (an empty
+    float cell is NaN), and the (index, problem) of the first refused cell;
+    the array stops before it. (len(cells), None) if numpy refuses none."""
+    if dtype is np.float64:
+        cells = [cell or "nan" for cell in cells]
     try:
-        return parse(cell)
-    except ValueError:
-        raise DataFormatError(f"{path}: row {row_no} {problem.format(cell)}") from None
+        return np.array(cells, dtype=dtype), (len(cells), None)
+    except (ValueError, OverflowError):
+        pass
+    for i, cell in enumerate(cells):  # only to name the cell numpy refused
+        try:
+            np.array(cell, dtype=dtype)
+        except (ValueError, OverflowError) as exc:
+            problem = (f"{name} is not a number: {cell!r}" if dtype is np.float64 else
+                       f"has {name} beyond the int64 range: {cell!r}"
+                       if isinstance(exc, OverflowError) else f"has non-integer {name} {cell!r}")
+            return np.array(cells[:i], dtype=dtype), (i, problem)
 
 
-def _float_or_nan(cell: str) -> float:
-    """An optional number: an empty cell is missing (NaN)."""
-    return math.nan if cell == "" else float(cell)
+def _flag_rules(flags, *_):
+    return [((flags != 0) & (flags != 1), "flag must be 0 or 1")]
 
 
 def read_series_csv(path) -> TimeSeries:
-    """Read a series CSV: header, timestamp column, then one column per variable."""
-    path = Path(path)
-    header, first, rows = _read_table(path)
-    problems = [f"column {col} is not a number: {{!r}}" for col in range(2, len(header) + 1)]
-    values = np.asarray([[_cell(path, row_no, float, cell, problem)
-                          for cell, problem in zip(cells, problems)]
-                         for row_no, cells in rows])
-    bad = np.argwhere(~np.isfinite(values))
-    if len(bad):
-        i, j = bad[0]
-        raise DataFormatError(f"{path}: row {rows[i][0]} column {j + 2} is not finite")
-    if first < 0:
-        raise DataFormatError(f"{path}: negative timestamp")
-    if first + len(values) - 1 > np.iinfo(np.int64).max:
-        raise DataFormatError(f"{path}: timestamp beyond the int64 range")
-    timestamps = np.arange(len(values), dtype=np.int64) + first
-    return TimeSeries(timestamps, values, tuple(h.strip() for h in header[1:]))
+    """Read a series CSV: header, timestamp column, then one column per
+    variable; every value must be finite."""
+    header, timestamps, values = _read_table(path, None, lambda *cols: [
+        (~np.isfinite(col), f"column {j} is not finite") for j, col in enumerate(cols, 2)])
+    return TimeSeries(timestamps, np.column_stack(values), tuple(h.strip() for h in header[1:]))
 
 
 def write_series_csv(path, series: TimeSeries) -> None:
@@ -131,15 +142,8 @@ def write_series_csv(path, series: TimeSeries) -> None:
 
 def read_labels_csv(path) -> LabelSequence:
     """Read labels: header, timestamp column, one 0/1 flag column."""
-    path = Path(path)
-    _, _, rows = _read_table(path, 2)
-    flags = []
-    for row_no, (cell,) in rows:
-        flag = _cell(path, row_no, int, cell, "is not integer-valued")
-        if flag not in (0, 1):
-            raise DataFormatError(f"{path}: row {row_no} flag must be 0 or 1")
-        flags.append(flag)
-    return LabelSequence(np.asarray(flags, dtype=np.int8))
+    _, _, (flags,) = _read_table(path, [("label", np.int64)], _flag_rules)
+    return LabelSequence(flags)
 
 
 def write_labels_csv(path, labels: LabelSequence) -> None:
@@ -170,12 +174,14 @@ def write_scores(path, scores: ScoreSeries) -> None:
 
 
 def read_scores(path) -> ScoreSeries:
-    """Score CSV; ``score`` and ``lead_time`` must be both empty or both set."""
-    path = Path(path)
-    _, _, rows = _read_table(path, 3)
-    scores = [_cell(path, n, _float_or_nan, cells[0], "is malformed") for n, cells in rows]
-    leads = [_cell(path, n, _float_or_nan, cells[1], "is malformed") for n, cells in rows]
-    return ScoreSeries(np.asarray(scores), np.asarray(leads))
+    """Score CSV; ``score`` and ``lead_time`` are both empty or both set, and
+    a score is finite."""
+    _, _, (scores, leads) = _read_table(
+        path, [("score", np.float64), ("lead_time", np.float64)], lambda scores, leads: [
+            (np.isnan(scores) != np.isnan(leads),
+             "lead_time must be defined exactly where score is"),
+            (np.isinf(scores), "defined scores must be finite")])
+    return ScoreSeries(scores, leads)
 
 
 def write_detection(path, detection: Detection, meta: dict | None = None) -> None:
@@ -191,21 +197,21 @@ def write_detection(path, detection: Detection, meta: dict | None = None) -> Non
 
 
 def read_detection(path) -> Detection:
-    """Detection CSV; the threshold comes from its required `.meta.json` sidecar."""
+    """Detection CSV; the threshold, a finite JSON number, comes from its
+    required `.meta.json` sidecar."""
     path = Path(path)
-    _, _, rows = _read_table(path, 3)
-    flags = [_cell(path, n, int, cells[0], "flag is not an integer") for n, cells in rows]
-    leads = [_cell(path, n, _float_or_nan, cells[1], "lead_time is not a number: {!r}")
-             for n, cells in rows]
+    _, _, (flags, leads) = _read_table(
+        path, [("flag", np.int64), ("lead_time", np.float64)], _flag_rules)
     sidecar = Path(str(path) + ".meta.json")
     if not sidecar.exists():
         raise DataFormatError(f"{path}: missing sidecar {sidecar.name} with the threshold")
     try:
-        threshold = float(json.loads(sidecar.read_text())["threshold"])
-    except (ValueError, TypeError, KeyError) as exc:
+        threshold = json.loads(sidecar.read_text())["threshold"]
+        if type(threshold) not in (int, float) or not math.isfinite(threshold):
+            raise ValueError(threshold)  # NaN, Infinity, a bool or a string
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise DataFormatError(f"{sidecar}: no numeric 'threshold' ({exc!r})") from None
-    return Detection(flags=np.asarray(flags, dtype=np.int8), threshold=threshold,
-                     lead_times=np.asarray(leads))
+    return Detection(flags=flags, threshold=float(threshold), lead_times=leads)
 
 
 SEGMENTS_HEADER = ("start", "length")

@@ -499,6 +499,18 @@ class TestErrorHandling:
         assert "error[validation]" in result.output
         assert "row 2 lead_time is not a number: 'abc'" in result.output
 
+    def test_out_of_range_flag_is_validation_error(self, tmp_path):
+        # a flag of 300 used to escape as numpy's OverflowError, exit 1
+        det = tmp_path / "det.csv"
+        det.write_text("timestamp,flag,lead_time\n0,0,\n1,300,1\n2,1,1\n")
+        (tmp_path / "det.csv.meta.json").write_text('{"threshold": 0.5}')
+        labels = tmp_path / "labels.csv"
+        labels.write_text("timestamp,label\n0,0\n1,1\n2,1\n")
+        result = CliRunner().invoke(cli, ["evaluate", str(det), str(labels), str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "error[validation]" in result.output
+        assert "det.csv: row 3 flag must be 0 or 1" in result.output
+
     @pytest.mark.parametrize("short", ["labels.csv", "detection.csv"])
     def test_report_rejects_length_mismatch(self, tmp_path, short):
         rows = {name: 1 if name == short else 3 for name in ("labels.csv", "detection.csv")}

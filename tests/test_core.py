@@ -17,6 +17,8 @@ from poakit.core import (
     ambiguous_ends,
     run_bounds,
 )
+from poakit.detect import Detection
+from poakit.metrics import pointwise_prf
 
 
 class TestTimeSeries:
@@ -53,6 +55,21 @@ class TestLabelSequence:
     def test_rejects_other_values(self):
         with pytest.raises(ValidationError):
             LabelSequence([0, 2, 0])
+
+    @pytest.mark.parametrize(
+        "values", [[0.5, 1], [-0.9, 1], np.array([257, 1]), [300], [np.nan, 1]],
+        ids=["half", "negative-fraction", "wraps-to-1", "beyond-int8", "nan"],
+    )
+    @pytest.mark.parametrize("build", [
+        LabelSequence,
+        lambda flags: Detection(flags, threshold=0.5, lead_times=np.zeros(len(flags))),
+        lambda flags: pointwise_prf(flags, [0] * len(flags)),
+        lambda flags: pointwise_prf([0] * len(flags), flags),
+    ], ids=["labels", "detection", "prf-flags", "prf-labels"])
+    def test_values_checked_before_int8_cast(self, values, build):
+        # the cast used to truncate 0.5 and -0.9 to 0 and wrap 257 to 1
+        with pytest.raises(ValidationError, match="must be 0 or 1"):
+            build(values)
 
 
 class TestSegment:

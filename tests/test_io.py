@@ -71,6 +71,13 @@ class TestSeriesCsv:
         with pytest.raises(DataFormatError, match="row 3"):
             read_series_csv(path)
 
+    def test_first_bad_value_in_file_order(self, tmp_path):
+        # a non-finite value used to be named only after every cell had parsed
+        path = tmp_path / "s.csv"
+        path.write_text("timestamp,x,y\n0,1.0,2.0\n1,3.0,nan\n2,x,4.0\n")
+        with pytest.raises(DataFormatError, match="row 3 column 3 is not finite$"):
+            read_series_csv(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("")
@@ -144,6 +151,21 @@ class TestScoresCsv:
         assert np.allclose(back.scores[back.defined], scores.scores[scores.defined], rtol=1e-8)
         assert np.array_equal(back.lead_times[back.defined], scores.lead_times[scores.defined])
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0,,\n1,0.5,\n", "row 3 lead_time must be defined exactly where score is"),
+            ("0,,\n1,0.5,1\n2,inf,1\n", "row 4 defined scores must be finite"),
+        ],
+        ids=["score-without-lead", "infinite-score"],
+    )
+    def test_value_rules_name_file_and_row(self, tmp_path, rows, message):
+        # both used to come from ScoreSeries, naming neither file nor row
+        path = tmp_path / "scores.csv"
+        path.write_text("timestamp,score,lead_time\n" + rows)
+        with pytest.raises(DataFormatError, match=f"scores.csv: {message}$"):
+            read_scores(path)
+
 
     @pytest.mark.parametrize(
         "reader, rows, message",
@@ -195,8 +217,13 @@ class TestDetectionCsv:
             ('{"grid": "256 quantiles"}', "no numeric 'threshold'"),
             ('{"threshold": null}', "no numeric 'threshold'"),
             ("not json", "no numeric 'threshold'"),
+            ('{"threshold": NaN}', "no numeric 'threshold'"),
+            ('{"threshold": Infinity}', "no numeric 'threshold'"),
+            ('{"threshold": true}', "no numeric 'threshold'"),
+            ('{"threshold": "0.5"}', "no numeric 'threshold'"),
         ],
-        ids=["missing", "no-threshold", "null-threshold", "invalid-json"],
+        ids=["missing", "no-threshold", "null-threshold", "invalid-json",
+             "nan-threshold", "infinite-threshold", "bool-threshold", "string-threshold"],
     )
     def test_threshold_never_defaulted(self, tmp_path, sidecar, message):
         path = tmp_path / "det.csv"
@@ -311,6 +338,12 @@ class TestJsonAndManifest:
 
 
 class TestTableFormat:
+    @pytest.mark.parametrize("name", ["labels", "scores", "detection"])
+    def test_rejects_negative_first_timestamp(self, tmp_path, name):
+        # only the series reader used to refuse a table starting at -1
+        with pytest.raises(DataFormatError, match="row 2 has negative timestamp -1$"):
+            read_one_row(tmp_path, name, ts="-1", flag="0", value="0.5")
+
     @pytest.mark.parametrize("reader", [read_scores, read_detection], ids=["scores", "detection"])
     def test_rejects_header_narrower_than_rows(self, tmp_path, reader):
         path = tmp_path / "t.csv"
@@ -328,6 +361,59 @@ class TestTableFormat:
         path.write_text(text)
         with pytest.raises(DataFormatError, match="not a CSV table"):
             read_series_csv(path)
+
+
+# reader, header and one data row of each timestamped table
+TABLES = {
+    "series": (read_series_csv, "timestamp,x", "{ts},{value}"),
+    "labels": (read_labels_csv, "timestamp,label", "{ts},{flag}"),
+    "scores": (read_scores, "timestamp,score,lead_time", "{ts},{value},{value}"),
+    "detection": (read_detection, "timestamp,flag,lead_time", "{ts},{flag},{value}"),
+}
+
+
+def read_one_row(root, name, ts="0", flag="1", value="2.5"):
+    reader, header, row = TABLES[name]
+    path = root / f"{name}.csv"
+    path.write_text(f"{header}\n{row.format(ts=ts, flag=flag, value=value)}\n")
+    (root / f"{name}.csv.meta.json").write_text('{"threshold": 0.5}')
+    return reader(path)
+
+
+class TestTableNumberGrammar:
+    """Every table cell is read with Python's int()/float() grammar. numpy
+    converts whole columns, so this pins that grammar on each numpy version
+    the package supports."""
+
+    @pytest.mark.parametrize("name", TABLES)
+    @pytest.mark.parametrize("cell, number", [(" 1 ", 1), ("+1", 1), ("1_0", 10)])
+    def test_timestamp_accepted(self, tmp_path, name, cell, number):
+        table = read_one_row(tmp_path, name, ts=cell)
+        if name == "series":
+            assert table.timestamps.tolist() == [number]
+
+    @pytest.mark.parametrize("name", ["labels", "detection"])
+    @pytest.mark.parametrize("cell", [" 1 ", "+1", "0_1"])
+    def test_flag_accepted(self, tmp_path, name, cell):
+        assert read_one_row(tmp_path, name, flag=cell).flags.tolist() == [1]
+
+    @pytest.mark.parametrize("name, value", [
+        ("series", lambda table: table.values[0, 0]),
+        ("scores", lambda table: table.scores[0]),
+        ("detection", lambda table: table.lead_times[0]),
+    ], ids=["series", "scores", "detection"])
+    @pytest.mark.parametrize("cell, number", [(" 1 ", 1), ("+1", 1), ("1_0", 10), ("1e3", 1000)])
+    def test_float_accepted(self, tmp_path, name, value, cell, number):
+        assert value(read_one_row(tmp_path, name, value=cell)) == number
+
+    @pytest.mark.parametrize("name, field, cell", [
+        *((name, "ts", cell) for name in TABLES for cell in ("0x10", "1.0")),
+        *((name, "flag", cell) for name in ("labels", "detection") for cell in ("0x10", "1e3")),
+        *((name, "value", "0x10") for name in ("series", "scores", "detection")),
+    ])
+    def test_refused(self, tmp_path, name, field, cell):
+        with pytest.raises(DataFormatError, match=rf"{name}\.csv: row 2 "):
+            read_one_row(tmp_path, name, **{field: cell})
 
 
 # sha256 of each writer's bytes on write_golden_fixture(), recorded before the
