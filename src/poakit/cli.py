@@ -12,19 +12,53 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import importlib.util
 import json
 import math
 import os
+import sys
 from pathlib import Path
+
+# One OpenBLAS thread unless the user chose a count: starting the thread pool
+# costs every stage about 70 ms of CPU, and poakit's only BLAS call, ar_ols's
+# (n-p) x (p+1) lstsq, gives the same bits with one thread. The variable acts
+# only if it is set before numpy loads.
+if "numpy" not in sys.modules and not any(
+        var in os.environ
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import click
 import numpy as np
 
-from poakit import core, detect as detect_mod, forecast as fc, io as pio
+from poakit import core, detect as detect_mod, io as pio
 from poakit import metrics as mx
-from poakit import synth as synth_mod
-from poakit import uncertainty as unc
 from poakit.core import DataFormatError, NumericError, ValidationError
+
+
+def _lazy_layer(name: str):
+    """Module ``poakit.<name>``, executed on its first attribute access.
+
+    Only `synth`, `forecast` and `score` use these layers, so the other
+    stages never compile them. The module object exists from now on, so
+    whatever swaps this module's layer references (perfbench's tracer) sees
+    it. This is importlib's documented lazy-import recipe.
+    """
+    full_name = f"poakit.{name}"
+    if full_name in sys.modules:
+        return sys.modules[full_name]
+    spec = importlib.util.find_spec(full_name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full_name] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules["poakit"], name, module)  # as `import poakit.<name>` does
+    return module
+
+
+fc = _lazy_layer("forecast")
+synth_mod = _lazy_layer("synth")
+unc = _lazy_layer("uncertainty")
 
 SEED_ENV_VAR = "POAKIT_SEED"
 
@@ -119,7 +153,10 @@ def split(series_path, out_dir, train_frac):
     click.echo(f"split: {len(train)}/{len(valid)} rows -> {out}")
 
 
-DEFAULT_MEMBERS = ",".join(s.spec_string for s in fc.default_member_specs())
+# The spec strings of fc.default_member_specs(), written out so that `--help`
+# and the stages that never forecast do not load the forecast layer.
+DEFAULT_MEMBERS = ("persistence,seasonal_naive:24,moving_average:12,ar_ols:4,"
+                   "exp_smoothing:0.3,holt_linear:0.3:0.1")
 
 
 def _parse_members(text: str) -> list[fc.ForecasterSpec]:
@@ -238,7 +275,7 @@ def forecast(train_path, valid_path, out_dir, test_path, members, top_k, criteri
               default="max", show_default=True, help="Overlapping-window resolution.")
 @click.option("--normalize/--no-normalize", "do_normalize", default=True,
               show_default=True, help="Z-score against validation statistics.")
-@click.option("--eps-sigma", type=float, default=unc.DEFAULT_EPS_SIGMA, show_default=True)
+@click.option("--eps-sigma", type=float, default=1e-8, show_default=True)  # unc.DEFAULT_EPS_SIGMA
 @handle_errors
 def score(forecasts_path, valid_forecasts_path, out_path, length, agg, collate,
           do_normalize, eps_sigma):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import platform
 from itertools import chain
 from pathlib import Path
 
@@ -121,8 +120,15 @@ def _column(cells, dtype, name: str):
             return np.array(cells[:i], dtype=dtype), (i, problem)
 
 
-def _flag_rules(flags, *_):
-    return [((flags != 0) & (flags != 1), "flag must be 0 or 1")]
+def _flag_rule(flags):
+    return (flags != 0) & (flags != 1), "flag must be 0 or 1"
+
+
+def _lead_rule(leads):
+    """A defined lead time counts forecast steps: a whole number >= 1, as
+    ``score_timeline`` writes it (step index + 1)."""
+    whole = np.isfinite(leads) & (leads >= 1) & (leads == np.floor(leads))
+    return ~np.isnan(leads) & ~whole, "lead_time must be a whole number >= 1"
 
 
 def read_series_csv(path) -> TimeSeries:
@@ -142,7 +148,8 @@ def write_series_csv(path, series: TimeSeries) -> None:
 
 def read_labels_csv(path) -> LabelSequence:
     """Read labels: header, timestamp column, one 0/1 flag column."""
-    _, _, (flags,) = _read_table(path, [("label", np.int64)], _flag_rules)
+    _, _, (flags,) = _read_table(path, [("label", np.int64)],
+                                 lambda flags: [_flag_rule(flags)])
     return LabelSequence(flags)
 
 
@@ -174,13 +181,13 @@ def write_scores(path, scores: ScoreSeries) -> None:
 
 
 def read_scores(path) -> ScoreSeries:
-    """Score CSV; ``score`` and ``lead_time`` are both empty or both set, and
-    a score is finite."""
+    """Score CSV; ``score`` and ``lead_time`` are both empty or both set, a
+    score is finite and a lead time a whole number >= 1."""
     _, _, (scores, leads) = _read_table(
         path, [("score", np.float64), ("lead_time", np.float64)], lambda scores, leads: [
             (np.isnan(scores) != np.isnan(leads),
              "lead_time must be defined exactly where score is"),
-            (np.isinf(scores), "defined scores must be finite")])
+            (np.isinf(scores), "defined scores must be finite"), _lead_rule(leads)])
     return ScoreSeries(scores, leads)
 
 
@@ -197,11 +204,13 @@ def write_detection(path, detection: Detection, meta: dict | None = None) -> Non
 
 
 def read_detection(path) -> Detection:
-    """Detection CSV; the threshold, a finite JSON number, comes from its
-    required `.meta.json` sidecar."""
+    """Detection CSV; a defined lead time is a whole number >= 1, and the
+    threshold, a finite JSON number, comes from the required `.meta.json`
+    sidecar."""
     path = Path(path)
     _, _, (flags, leads) = _read_table(
-        path, [("flag", np.int64), ("lead_time", np.float64)], _flag_rules)
+        path, [("flag", np.int64), ("lead_time", np.float64)],
+        lambda flags, leads: [_flag_rule(flags), _lead_rule(leads)])
     sidecar = Path(str(path) + ".meta.json")
     if not sidecar.exists():
         raise DataFormatError(f"{path}: missing sidecar {sidecar.name} with the threshold")
@@ -283,6 +292,8 @@ def file_sha256(path) -> str:
 
 def write_manifest(path, config: dict, seed: int | None, files: list) -> None:
     """Run manifest: config, seed, versions, and output-file hashes."""
+    import platform  # imported here, like hashlib: only the manifest writers use it
+
     from poakit import __version__
 
     entries = {}

@@ -540,6 +540,21 @@ class TestErrorHandling:
         assert "error[validation]" in result.output
         assert "lead_time must be defined exactly where score is" in result.output
 
+    @pytest.mark.parametrize("lead", ["inf", "1.5", "-3"])
+    def test_bad_lead_time_is_validation_error(self, tmp_path, lead):
+        # `inf` died in write_detection's int() and left a header-only
+        # detection.csv; `1.5` was written as 1 and `-3` as -3
+        scores = tmp_path / "scores.csv"
+        scores.write_text(f"timestamp,score,lead_time\n0,0.5,{lead}\n1,0.2,1\n2,0.1,2\n")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("timestamp,label\n0,0\n1,1\n2,0\n")
+        result = CliRunner().invoke(
+            cli, ["detect", str(scores), str(labels), str(tmp_path / "det.csv"), "--grid-n", "4"])
+        assert result.exit_code == 2, result.output
+        assert result.output == (f"error[validation]: {scores}: row 2 "
+                                 "lead_time must be a whole number >= 1\n")
+        assert not (tmp_path / "det.csv").exists()
+
     @pytest.mark.parametrize("members,member_id,top_k", [
         ("persistence,persistence,ar_ols:4", "persistence", "2"),
         ("persistence,persistence,ar_ols:4", "persistence", "3"),
@@ -636,29 +651,34 @@ class TestRecordPipe:
 
 
 class TestStageImports:
-    """OpenSSL (``_hashlib``) is loaded only by the stages that hash files."""
+    """OpenSSL (``_hashlib``) is loaded only by the stages that hash files, and
+    the forecast, synth and uncertainty layers only by the stages that call
+    them."""
 
     SRC = Path(__file__).resolve().parent.parent / "src"
+    LAYERS = {"poakit.forecast", "poakit.synth", "poakit.uncertainty"}
 
-    def loads_hashlib(self, *args) -> bool:
-        code = ("import sys\n"
+    def loaded(self, *args) -> set[str]:
+        """Modules whose code has run in a fresh process after ``args``; a
+        lazily imported module whose code has not run yet is not plain
+        ``types.ModuleType``."""
+        code = ("import json, sys, types\n"
                 "from poakit.cli import cli\n"
                 "if sys.argv[1:]:\n"
                 "    cli.main(sys.argv[1:], standalone_mode=False)\n"
-                "print('_hashlib' in sys.modules)\n")
+                "print(json.dumps([name for name, module in sys.modules.items()\n"
+                "                  if type(module) is types.ModuleType]))\n")
         done = subprocess.run([sys.executable, "-c", code, *map(str, args)],
                               env={**os.environ, "PYTHONPATH": str(self.SRC)},
                               capture_output=True, text=True, check=True)
-        last = done.stdout.splitlines()[-1]
-        assert last in ("True", "False"), done.stdout
-        return last == "True"
+        return set(json.loads(done.stdout.splitlines()[-1]))
 
     def test_import_and_score_and_detect_skip_hashlib(self, pipeline, tmp_path):
-        assert not self.loads_hashlib()
-        assert not self.loads_hashlib(
+        assert "_hashlib" not in self.loaded()
+        assert "_hashlib" not in self.loaded(
             "score", pipeline / "fc/test_forecasts.csv", pipeline / "fc/valid_forecasts.csv",
             tmp_path / "scores.csv")
-        assert not self.loads_hashlib(
+        assert "_hashlib" not in self.loaded(
             "detect", tmp_path / "scores.csv", pipeline / "data/labels.csv",
             tmp_path / "detection.csv", "--grid-n", "8", "--delta", "8")
 
@@ -666,12 +686,105 @@ class TestStageImports:
         run = tmp_path / "run"
         shutil.copytree(pipeline / "run", run)
         shutil.copy(pipeline / "data/labels.csv", run / "labels.csv")
-        assert self.loads_hashlib("report", run)
+        assert "_hashlib" in self.loaded("report", run)
         for manifest in (pipeline / "fc/manifest.json", run / "report_manifest.json"):
             files = json.loads(manifest.read_text())["files"]
             assert files
             for name, entry in files.items():
                 assert entry["sha256"] == sha256(manifest.parent / name), name
+
+    def test_only_forecasting_stages_load_the_forecast_layers(self, pipeline, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline / "run", run)
+        shutil.copy(pipeline / "data/labels.csv", run / "labels.csv")
+        detection, labels = run / "detection.csv", run / "labels.csv"
+        assert not self.loaded() & self.LAYERS
+        for args in (
+            ["detect", run / "scores.csv", labels, tmp_path / "det.csv",
+             "--grid-n", "8", "--delta", "8"],
+            ["evaluate", detection, labels, tmp_path / "eval", "--delta", "8"],
+            ["sweep", detection, labels, tmp_path / "sweep.csv", "--param", "k",
+             "--values", "0.1,0.01", "--delta", "8"],
+            ["report", run],
+        ):
+            assert not self.loaded(*args) & self.LAYERS, args[0]
+        assert {"poakit.forecast", "poakit.uncertainty"} <= self.loaded(
+            "score", pipeline / "fc/test_forecasts.csv", pipeline / "fc/valid_forecasts.csv",
+            tmp_path / "scores.csv")
+
+    def test_import_poakit_loads_no_numpy(self):
+        assert _python("import sys, poakit\nprint('numpy' in sys.modules)") == "False"
+
+    def test_public_names_are_core_objects(self):
+        import poakit
+        from poakit import core
+
+        for name in poakit.__all__:
+            if name != "__version__":
+                assert getattr(poakit, name) is getattr(core, name), name
+        assert poakit.__version__ == "0.1.0"
+        with pytest.raises(AttributeError, match="has no attribute 'NoSuchName'"):
+            getattr(poakit, "NoSuchName")
+
+    def test_help_defaults_are_the_layer_defaults(self):
+        from poakit import forecast as fc, uncertainty as unc
+
+        defaults = {param.name: param.default for command in cli.commands.values()
+                    for param in command.params}
+        assert cli_mod.DEFAULT_MEMBERS == ",".join(
+            spec.spec_string for spec in fc.default_member_specs())
+        assert defaults["members"] == cli_mod.DEFAULT_MEMBERS
+        assert defaults["eps_sigma"] == unc.DEFAULT_EPS_SIGMA
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _python(code: str, **env) -> str:
+    """stdout of ``code`` in a fresh interpreter with none of BLAS_VARS set
+    but those in ``env``."""
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**base, "PYTHONPATH": str(TestStageImports.SRC), **env},
+                          capture_output=True, text=True, check=True)
+    return done.stdout.strip()
+
+
+THREADS = "import os\nprint(len(os.listdir('/proc/self/task')))\n"
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")
+class TestBlasThreads:
+    """The CLI runs OpenBLAS with one thread unless the user set a count."""
+
+    def test_cli_process_has_one_thread(self):
+        assert _python("import poakit.cli\n" + THREADS) == "1"
+        assert _python("import os, poakit.cli\n"
+                       "print(os.environ['OPENBLAS_NUM_THREADS'])") == "1"
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs")
+    @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_user_thread_count_is_respected(self, var):
+        # the threads plain numpy starts under the same setting
+        numpy_alone = _python("import numpy\n" + THREADS, **{var: "2"})
+        assert _python("import poakit.cli\n" + THREADS, **{var: "2"}) == numpy_alone
+        assert _python("import os, poakit.cli\n"
+                       f"print([k for k in {BLAS_VARS} if k in os.environ])",
+                       **{var: "2"}) == str([var])
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs")
+    @pytest.mark.parametrize("rows", [700, 35_000])
+    def test_ar_ols_bits_do_not_depend_on_threads(self, rows):
+        code = ("import hashlib, numpy as np\n"
+                "from poakit import core, forecast as fc\n"
+                f"n = {rows}\n"
+                "rng = np.random.default_rng(3)\n"
+                "t = np.arange(n)[:, None]\n"
+                "x = np.sin(2 * np.pi * t / [24, 50, 7]) + np.cumsum(rng.normal(0, 0.1, (n, 3)), 0)\n"
+                "model = fc.fit(fc.ForecasterSpec.parse('ar_ols:4'), core.TimeSeries(t[:, 0], x))\n"
+                "print(hashlib.sha256(model.coefficients.tobytes()).hexdigest())\n")
+        assert (_python(code, OPENBLAS_NUM_THREADS="1")
+                == _python(code, OPENBLAS_NUM_THREADS="2"))
 
 
 # Every subcommand's option names: adding or removing a knob is an edit here.

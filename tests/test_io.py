@@ -156,8 +156,13 @@ class TestScoresCsv:
         [
             ("0,,\n1,0.5,\n", "row 3 lead_time must be defined exactly where score is"),
             ("0,,\n1,0.5,1\n2,inf,1\n", "row 4 defined scores must be finite"),
+            ("0,0.5,inf\n1,0.2,1\n", "row 2 lead_time must be a whole number >= 1"),
+            ("0,0.5,1\n1,0.2,1.5\n", "row 3 lead_time must be a whole number >= 1"),
+            ("0,0.5,-3\n", "row 2 lead_time must be a whole number >= 1"),
+            ("0,,\n1,0.5,0\n", "row 3 lead_time must be a whole number >= 1"),
         ],
-        ids=["score-without-lead", "infinite-score"],
+        ids=["score-without-lead", "infinite-score", "infinite-lead", "fractional-lead",
+             "negative-lead", "zero-lead"],
     )
     def test_value_rules_name_file_and_row(self, tmp_path, rows, message):
         # both used to come from ScoreSeries, naming neither file nor row
@@ -245,6 +250,14 @@ class TestDetectionCsv:
         path = tmp_path / "det.csv"
         self.write(path, rows)
         with pytest.raises(DataFormatError, match=message):
+            read_detection(path)
+
+    @pytest.mark.parametrize("lead", ["inf", "1.5", "-3", "0"])
+    def test_lead_time_is_a_whole_step(self, tmp_path, lead):
+        path = tmp_path / "det.csv"
+        self.write(path, f"0,1,2\n1,1,{lead}\n2,0,\n")
+        with pytest.raises(DataFormatError,
+                           match="det.csv: row 3 lead_time must be a whole number >= 1$"):
             read_detection(path)
 
 
@@ -372,7 +385,7 @@ TABLES = {
 }
 
 
-def read_one_row(root, name, ts="0", flag="1", value="2.5"):
+def read_one_row(root, name, ts="0", flag="1", value="2"):  # a lead time must be whole
     reader, header, row = TABLES[name]
     path = root / f"{name}.csv"
     path.write_text(f"{header}\n{row.format(ts=ts, flag=flag, value=value)}\n")
@@ -483,7 +496,7 @@ def series_values(draw):
 def score_series(draw):
     T = draw(st.integers(1, 12))
     scores, defined = with_gaps(draw, T, finite)
-    leads = np.where(defined, draw(hnp.arrays(np.float64, T, elements=st.integers(0, 10**6))),
+    leads = np.where(defined, draw(hnp.arrays(np.float64, T, elements=st.integers(1, 10**6))),
                      np.nan)
     return ScoreSeries(scores, leads)
 
@@ -492,7 +505,7 @@ def score_series(draw):
 def detections(draw):
     T = draw(st.integers(1, 12))
     flags = draw(hnp.arrays(np.int8, T, elements=st.integers(0, 1)))
-    leads, _ = with_gaps(draw, T, st.integers(0, 10**6))
+    leads, _ = with_gaps(draw, T, st.integers(1, 10**6))
     return Detection(flags=flags, threshold=draw(finite), lead_times=leads)
 
 
