@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import importlib.util
-import json
 import math
 import os
 import sys
@@ -119,8 +118,7 @@ def synth(out_dir, config_path, seed):
     if config_path is None:
         cfg = synth_mod.default_config()
     else:
-        with open(config_path) as fh:
-            cfg = synth_mod.config_from_dict(json.load(fh))
+        cfg = synth_mod.config_from_dict(pio.read_json_object(config_path))
     cfg = dataclasses.replace(cfg, seed=_resolve_seed(seed, cfg.seed))
     train, test, labels, truth = synth_mod.generate(cfg)
     out = Path(out_dir)
@@ -239,7 +237,8 @@ def forecast(train_path, valid_path, out_dir, test_path, members, top_k, criteri
     out.mkdir(parents=True, exist_ok=True)
     pio.write_csv(
         out / "scoreboard.csv", ("member_id", "mse", "mae", "selected"),
-        ((s.member_id, format(s.mse, ".9g"), format(s.mae, ".9g"), int(s.member_id in selected))
+        ((s.member_id, format(s.mse, core.FLOAT_FMT), format(s.mae, core.FLOAT_FMT),
+          int(s.member_id in selected))
          for s in scores),
     )
     chosen = [m for m in fitted if m.member_id in selected]
@@ -553,7 +552,7 @@ def sweep(detection_path, labels_path, out_path, param, values, theta_grid,
         rows.append((value, s.f1_at_0, s.f1_at_1, s.auc))
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     pio.write_csv(out_path, (param, "f1_0", "f1_1", "auc"),
-                  ([format(v, ".9g") for v in row] for row in rows))
+                  ([format(v, core.FLOAT_FMT) for v in row] for row in rows))
     click.echo(f"sweep: {len(rows)} {param} values -> {out_path}")
 
 
@@ -576,9 +575,7 @@ def report(run_dir):
         labels = pio.read_labels_csv(run / "labels.csv")
     if (run / "detection.csv").exists():
         detection = pio.read_detection(run / "detection.csv")
-        meta_path = run / "detection.csv.meta.json"
-        if meta_path.exists():
-            consolidated["detection"] = json.loads(meta_path.read_text())
+        consolidated["detection"] = pio.read_json_object(run / "detection.csv.meta.json")
     lengths = {name: len(table) for name, table in
                (("scores", scores), ("detection", detection), ("labels", labels))
                if table is not None}
@@ -588,13 +585,10 @@ def report(run_dir):
             + ", ".join(f"{name} {n}" for name, n in lengths.items())
         )
     if (run / "evaluation.json").exists():
-        consolidated["evaluation"] = json.loads((run / "evaluation.json").read_text())
-        curve = consolidated["evaluation"].get("ptapr", {}).get("curve")
-        if curve:
-            pio.write_theta_curve_csv(
-                run / "plot_theta_curve.csv", curve["theta"], curve["ptar"],
-                curve["ptap"], curve["f1"],
-            )
+        consolidated["evaluation"] = pio.read_json_object(run / "evaluation.json")
+        curve = pio.read_theta_curve(run / "evaluation.json", consolidated["evaluation"])
+        if curve is not None:
+            pio.write_theta_curve_csv(run / "plot_theta_curve.csv", *curve)
             plot_files.append("plot_theta_curve.csv")
     if scores is not None:
         detection_flags = None if detection is None else detection.flags.tolist()
@@ -602,7 +596,7 @@ def report(run_dir):
         pio.write_csv(
             run / "plot_timeline.csv", ("timestamp", "score", "flag", "label"),
             ((i,
-              "" if math.isnan(s) else format(s, ".9g"),
+              "" if math.isnan(s) else format(s, core.FLOAT_FMT),
               "" if detection is None else detection_flags[i],
               "" if labels is None else label_flags[i])
              for i, s in enumerate(scores.scores.tolist())),

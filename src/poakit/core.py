@@ -7,6 +7,7 @@ with ``start=3, length=2`` covers indices {3, 4}.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,35 @@ def strict_float(value) -> float:
     if isinstance(value, bool):
         raise ValueError(f"not a number: {value!r}")
     return float(value)
+
+
+# The format of every float in poakit's CSV and JSON outputs (NDJSON records
+# keep full precision).
+FLOAT_FMT = ".9g"
+
+
+def csv_number(text: str, parse=float):
+    """``parse(text)`` under the one grammar of a number in a CSV cell, the
+    one numpy's ``loadtxt`` reads: int()/float()'s, less the '_' separators
+    and non-ASCII digits they also take. Once ``parse`` accepts a cell, a
+    non-ASCII character left after stripping can only be such a digit, so
+    non-ASCII spaces around the number stay accepted."""
+    number = parse(text)
+    if "_" in text or not text.strip().isascii():
+        raise ValueError(f"not an ASCII number without '_': {text!r}")
+    return number
+
+
+@contextmanager
+def utf8_text(path, newline=None):
+    """``path`` opened for reading as UTF-8 text. A byte that does not decode,
+    wherever the body reads it, is a DataFormatError that names the file."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(
+            f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x} ({exc.reason})") from None
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from poakit.core import DataFormatError, TimeSeries, ValidationError, strict_int
+from poakit.core import (
+    FLOAT_FMT,
+    DataFormatError,
+    TimeSeries,
+    ValidationError,
+    csv_number,
+    strict_int,
+    utf8_text,
+)
 
 # The hyperparameters each forecaster kind takes, in spec-string order.
 _SPEC_PARAMS = {
@@ -468,7 +476,7 @@ def _record_template(member_ids: tuple[str, ...], shape: tuple, csv_format: bool
         for step in range(1, shape[1] + 1):
             for var in range(shape[2]):
                 if csv_format:
-                    parts.append(f"{{0}}{quoted},{step},{var},{{{k}:.9g}}\r\n")
+                    parts.append(f"{{0}}{quoted},{step},{var},{{{k}:{FLOAT_FMT}}}\r\n")
                 else:
                     parts.append(f'{{0}}{quoted}, "step": {step}, "variable": {var}, '
                                  f'"value": {{{k}!r}}}}}}\n')
@@ -499,7 +507,7 @@ def write_forecast_records(path, ensembles: list[EnsembleForecast]) -> None:
     else:
         raise ValidationError(f"unsupported forecast file extension: {path}")
     templates: dict[tuple, str] = {}
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header)
         for ens in sorted(ensembles, key=lambda e: e.window_id):
             key = (ens.member_ids, ens.predictions.shape)
@@ -524,14 +532,6 @@ def _parse_record(raw: dict, line_no: int, integer=strict_int, real=float) -> tu
         raise DataFormatError(f"line {line_no}: bad forecast record ({exc})") from exc
 
 
-def _csv_number(text, parse=float):
-    """``parse(text)``, refusing '_' separators and non-ASCII digits, which numpy does not read."""
-    number = parse(text)
-    if "_" in text or not text.strip().isascii():
-        raise ValueError(f"not an ASCII number without '_': {text!r}")
-    return number
-
-
 def _record_chunks(path: str, records, codes):
     """Parsed records as column chunks of at most ``_CHUNK_ROWS`` records:
     (window_id, origin, member code, step, variable, value)."""
@@ -549,7 +549,7 @@ def _record_chunks(path: str, records, codes):
 
 
 def _ndjson_records(path: str):
-    with open(path) as fh:
+    with utf8_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -568,8 +568,8 @@ def _refused_chunk(path: str, lines, header: list, first_line: int, exc) -> int:
     outside = False
     records = itertools.islice(csv.DictReader(lines, header), _CHUNK_ROWS)
     for line_no, raw in enumerate(records, start=first_line):
-        record = _parse_record(raw, line_no, lambda text: _csv_number(text, strict_int),
-                               _csv_number)
+        record = _parse_record(raw, line_no, lambda text: csv_number(text, strict_int),
+                               csv_number)
         outside = outside or not all(-2**63 <= record[i] < 2**63 for i in (0, 1, 3, 4))
     if not outside:  # no cause found: numpy's own words, not a guess
         raise DataFormatError(f"{path}: records from line {first_line} on ({exc})") from exc
@@ -583,7 +583,7 @@ def _csv_chunks(path: str, codes):
     it read stay in hand for `_refused_chunk` until the chunk parses. After an
     integer outside int64 no chunk is yielded, but a later parse error comes first.
     """
-    with open(path, newline="") as fh:
+    with utf8_text(path, newline="") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
             raise DataFormatError(f"{path}: empty forecast file")
@@ -605,6 +605,8 @@ def _csv_chunks(path: str, codes):
                         comments=None, usecols=usecols, converters=converters, ndmin=1,
                         max_rows=_CHUNK_ROWS,
                     )
+            except UnicodeDecodeError:
+                raise  # not a refused record: utf8_text names the file
             except (ValueError, DeprecationWarning) as exc:
                 first_line, outside = _refused_chunk(path, lines, header, first_line, exc), True
                 continue

@@ -16,16 +16,17 @@ from pathlib import Path
 import numpy as np
 
 from poakit.core import (
+    FLOAT_FMT,
     DataFormatError,
     LabelSequence,
     ScoreSeries,
     Segment,
     TimeSeries,
     ValidationError,
+    csv_number,
+    utf8_text,
 )
 from poakit.detect import Detection
-
-FLOAT_FMT = ".9g"
 
 
 def _fmt(x: float) -> str:
@@ -34,7 +35,7 @@ def _fmt(x: float) -> str:
 
 def write_csv(path, header, rows) -> None:
     """Write a CSV table: the header row, then one line per row (CRLF line ends)."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -44,7 +45,7 @@ def _load_csv(path, n_columns: int | None) -> list[list[str]]:
     """All rows of a CSV file whose header has exactly ``n_columns`` columns
     (at least 2 when None)."""
     try:
-        with open(path, newline="") as fh:
+        with utf8_text(path, newline="") as fh:
             table = list(csv.reader(fh, strict=True))
     except csv.Error as exc:  # an unterminated quote, a field over csv's size limit
         raise DataFormatError(f"{path}: not a CSV table ({exc})") from None
@@ -101,23 +102,27 @@ def _read_table(path, columns, rules):
 
 
 def _column(cells, dtype, name: str):
-    """``cells`` parsed by numpy with Python's int()/float() grammar (an empty
-    float cell is NaN), and the (index, problem) of the first refused cell;
-    the array stops before it. (len(cells), None) if numpy refuses none."""
+    """``cells`` parsed by numpy under the CSV number grammar of
+    :func:`~poakit.core.csv_number` (an empty float cell is NaN), and the
+    (index, problem) of the first refused cell; the array stops before it.
+    (len(cells), None) if no cell is refused."""
     if dtype is np.float64:
         cells = [cell or "nan" for cell in cells]
-    try:
-        return np.array(cells, dtype=dtype), (len(cells), None)
-    except (ValueError, OverflowError):
-        pass
-    for i, cell in enumerate(cells):  # only to name the cell numpy refused
+    text = "".join(cells)
+    if "_" not in text and text.isascii():  # then csv_number refuses only what numpy does
         try:
-            np.array(cell, dtype=dtype)
+            return np.array(cells, dtype=dtype), (len(cells), None)
+        except (ValueError, OverflowError):
+            pass
+    for i, cell in enumerate(cells):  # only to name the first refused cell
+        try:
+            csv_number(cell, lambda text: np.array(text, dtype=dtype))
         except (ValueError, OverflowError) as exc:
             problem = (f"{name} is not a number: {cell!r}" if dtype is np.float64 else
                        f"has {name} beyond the int64 range: {cell!r}"
                        if isinstance(exc, OverflowError) else f"has non-integer {name} {cell!r}")
             return np.array(cells[:i], dtype=dtype), (i, problem)
+    return np.array(cells, dtype=dtype), (len(cells), None)
 
 
 def _flag_rule(flags):
@@ -214,12 +219,13 @@ def read_detection(path) -> Detection:
     sidecar = Path(str(path) + ".meta.json")
     if not sidecar.exists():
         raise DataFormatError(f"{path}: missing sidecar {sidecar.name} with the threshold")
+    threshold = read_json_object(sidecar).get("threshold")
     try:
-        threshold = json.loads(sidecar.read_text())["threshold"]
-        if type(threshold) not in (int, float) or not math.isfinite(threshold):
-            raise ValueError(threshold)  # NaN, Infinity, a bool or a string
-    except (ValueError, TypeError, KeyError, OverflowError) as exc:
-        raise DataFormatError(f"{sidecar}: no numeric 'threshold' ({exc!r})") from None
+        finite = type(threshold) in (int, float) and math.isfinite(threshold)
+    except OverflowError:  # an integer beyond float's range
+        finite = False
+    if not finite:  # absent or null, NaN, Infinity, a bool or a string
+        raise DataFormatError(f"{sidecar}: no numeric 'threshold' (got {threshold!r})")
     return Detection(flags=flags, threshold=float(threshold), lead_times=leads)
 
 
@@ -241,7 +247,7 @@ def read_segments_csv(path) -> list[Segment]:
         if not row:
             continue
         try:
-            start, length = map(int, row)  # a third field fails to unpack
+            start, length = (csv_number(cell, int) for cell in row)  # a third field fails to unpack
             out.append(Segment(start, length))
         except ValueError:
             raise DataFormatError(f"{path}: row {row_no} is malformed") from None
@@ -267,15 +273,54 @@ def _jsonify(obj):
 
 
 def write_json(path, data: dict) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(_jsonify(data), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
+def read_json_object(path) -> dict:
+    """The JSON object a UTF-8 file holds; anything else is a DataFormatError
+    that names the file."""
+    with utf8_text(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise DataFormatError(f"{path}: must be a JSON object, got {type(data).__name__}")
+    return data
+
+
+THETA_CURVE_HEADER = ("theta", "ptar", "ptap", "f1")
+
+
+def read_theta_curve(path, evaluation: dict) -> list[list[float]] | None:
+    """The theta, ptar, ptap and f1 lists of the evaluation object read from
+    ``path``'s ``ptapr.curve``, as floats (a JSON null, written for NaN, reads
+    as NaN); None when there is no curve."""
+    try:
+        curve = evaluation.get("ptapr", {}).get("curve")
+        if not curve:
+            return None
+        columns = [curve[name] for name in THETA_CURVE_HEADER]
+        if len({len(column) for column in columns}) > 1:
+            raise ValueError(f"lengths {[len(column) for column in columns]}")
+        # json gives int, float or None for a number or null; a bool is an int to Python
+        bad = [v for column in columns for v in column if type(v) not in (int, float, type(None))]
+        if bad:
+            raise ValueError(f"not a number: {bad[0]!r}")
+        return [[math.nan if v is None else float(v) for v in column] for column in columns]
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DataFormatError(
+            f"{path}: ptapr.curve is not four equally long lists of numbers "
+            f"{THETA_CURVE_HEADER} ({exc})") from None
+
+
 def write_theta_curve_csv(path, thetas, ptar, ptap, f1) -> None:
-    """Flat (theta, PTaR, PTaP, F1) table for plotting."""
-    write_csv(path, ("theta", "ptar", "ptap", "f1"),
-              ([_fmt(v) for v in row] for row in zip(thetas, ptar, ptap, f1)))
+    """Flat (theta, PTaR, PTaP, F1) table for plotting; columns of unequal
+    length are a ValueError, not cut to the shortest."""
+    rows = [[_fmt(v) for v in row] for row in zip(thetas, ptar, ptap, f1, strict=True)]
+    write_csv(path, THETA_CURVE_HEADER, rows)
 
 
 def file_sha256(path) -> str:

@@ -906,7 +906,7 @@ class TestScoreRejections:
 
 class TestSynthConfigFields:
     @pytest.mark.parametrize("config,message", [
-        ([1, 2], "synth config must be a JSON object, got list"),
+        ([1, 2], "cfg.json: must be a JSON object, got list"),
         ({"length": 100, "variables": [1]},
          "each synth config 'variables' entry must be a JSON object, got int"),
         ({"length": 100, "anomalies": [1]},
@@ -941,3 +941,86 @@ class TestSynthConfigFields:
         assert "error[validation]" in result.output
         assert message in result.output
         assert not (tmp_path / "d").exists()
+
+
+class TestUnreadableInputs:
+    """A file that is not UTF-8, or JSON that is malformed or has the wrong
+    shape, is a one-line validation error naming the file; each of these used
+    to end in a traceback (exit 1)."""
+
+    @staticmethod
+    def assert_rejected(result, message):
+        assert result.exit_code == 2, result.output
+        assert result.output.count("\n") == 1 and result.output.startswith("error[validation]: ")
+        assert message in result.output, result.output
+
+    def test_table(self, tmp_path):
+        scores, labels = tmp_path / "scores.csv", tmp_path / "labels.csv"
+        scores.write_bytes(b"timestamp,score,lead_time\n0,0.5,1\n1,0.\xff,1\n")
+        labels.write_text("timestamp,label\n0,0\n1,1\n")
+        result = CliRunner().invoke(cli, ["detect", str(scores), str(labels),
+                                          str(tmp_path / "d.csv")])
+        self.assert_rejected(result, "scores.csv: not UTF-8 text: byte 0xff")
+
+    @pytest.mark.parametrize("ext", ["csv", "ndjson"])
+    @pytest.mark.parametrize("last", [False, True], ids=["first-record", "last-record"])
+    def test_forecast_records(self, tmp_path, ext, last):
+        # the last record lies past the first block read: numpy's parser meets the byte
+        test_path, valid_path = tmp_path / f"test.{ext}", tmp_path / f"valid.{ext}"
+        write_forecast_records(test_path, ensembles(windows=200))
+        write_forecast_records(valid_path, ensembles(seed=1))
+        data = test_path.read_bytes()
+        at = data.rindex(b"m2") if last else data.index(b"m0")
+        test_path.write_bytes(data[:at + 1] + b"\xff" + data[at + 2:])
+        result = CliRunner().invoke(cli, ["score", str(test_path), str(valid_path),
+                                          str(tmp_path / "scores.csv")])
+        self.assert_rejected(result, f"test.{ext}: not UTF-8 text: byte 0xff")
+
+    def test_synth_config_bytes(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(json.dumps(SYNTH_CFG).encode()[:-1] + b', "\xff": 1}')
+        result = CliRunner().invoke(cli, ["synth", str(tmp_path / "d"), "--config", str(cfg)])
+        self.assert_rejected(result, "cfg.json: not UTF-8 text: byte 0xff")
+
+    def test_synth_config_not_json(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SYNTH_CFG)[:-1])
+        result = CliRunner().invoke(cli, ["synth", str(tmp_path / "d"), "--config", str(cfg)])
+        self.assert_rejected(result, "cfg.json: not valid JSON")
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"ptapr": ', "evaluation.json: not valid JSON"),
+        ("[1, 2]", "evaluation.json: must be a JSON object, got list"),
+        ('{"ptapr": [1]}', "evaluation.json: ptapr.curve is not four equally long lists"),
+        ('{"ptapr": {"curve": {"theta": [0, 1], "ptap": [1, 1], "f1": [1, 1]}}}',
+         "evaluation.json: ptapr.curve is not four equally long lists"),
+        ('{"ptapr": {"curve": {"theta": [0, 1], "ptar": [1], "ptap": [1, 1], "f1": [1, 1]}}}',
+         "evaluation.json: ptapr.curve is not four equally long lists"),
+        ('{"ptapr": {"curve": {"theta": 0, "ptar": 1, "ptap": 1, "f1": 1}}}',
+         "evaluation.json: ptapr.curve is not four equally long lists"),
+        ('{"ptapr": {"curve": {"theta": ["a"], "ptar": [1], "ptap": [1], "f1": [1]}}}',
+         "evaluation.json: ptapr.curve is not four equally long lists"),
+        ('{"ptapr": {"curve": {"theta": ["0.5"], "ptar": [1], "ptap": [1], "f1": [1]}}}',
+         "lists of numbers ('theta', 'ptar', 'ptap', 'f1') (not a number: '0.5')"),
+        ('{"ptapr": {"curve": {"theta": [0], "ptar": [true], "ptap": [1], "f1": [1]}}}',
+         "(not a number: True)"),
+        ('{"ptapr": {"curve": {"theta": "ab", "ptar": "cd", "ptap": "ef", "f1": "gh"}}}',
+         "(not a number: 'a')"),
+    ], ids=["not-json", "list", "ptapr-not-object", "no-ptar", "ragged", "scalars", "string",
+            "numeric-string", "bool", "text-columns"])
+    def test_report_evaluation(self, tmp_path, text, message):
+        (tmp_path / "evaluation.json").write_text(text)
+        result = CliRunner().invoke(cli, ["report", str(tmp_path)])
+        self.assert_rejected(result, message)
+        assert not (tmp_path / "plot_theta_curve.csv").exists()
+
+    def test_report_reads_null_curve_points_as_nan(self, tmp_path):
+        # write_json stores NaN as null; the curve still reads back
+        (tmp_path / "evaluation.json").write_text(
+            '{"ptapr": {"curve": {"theta": [0, 1], "ptar": [0.5, null], '
+            '"ptap": [1, 1], "f1": [0.25, 1]}}}')
+        result = CliRunner().invoke(cli, ["report", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "plot_theta_curve.csv").read_text().splitlines() == [
+            "theta,ptar,ptap,f1", "0,0.5,1,0.25", "1,nan,1,1"]

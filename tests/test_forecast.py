@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import reference_kernels
 import reference_records
 
-from poakit import forecast as forecast_module
+from poakit import core as core_module, forecast as forecast_module
 from poakit.core import DataFormatError, TimeSeries, ValidationError
 from poakit.forecast import (
     EnsembleForecast,
@@ -917,6 +917,7 @@ class TestStreamingIngest:
             return open(*args, **kwargs)
 
         with mock.patch.object(forecast_module, "open", counting_open, create=True), \
+                mock.patch.object(core_module, "open", counting_open, create=True), \
                 pytest.raises(DataFormatError) as err:
             ingest_external_forecasts(path)
         assert str(err.value) == (

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from poakit.core import DataFormatError, LabelSequence, ScoreSeries, Segment, TimeSeries, ValidationError
 from poakit.detect import Detection
+from poakit.forecast import ingest_external_forecasts
 from poakit.io import (
     chronological_split,
     read_detection,
+    read_json_object,
     read_labels_csv,
     read_scores,
     read_segments_csv,
@@ -221,7 +223,7 @@ class TestDetectionCsv:
             (None, "missing sidecar det.csv.meta.json"),
             ('{"grid": "256 quantiles"}', "no numeric 'threshold'"),
             ('{"threshold": null}', "no numeric 'threshold'"),
-            ("not json", "no numeric 'threshold'"),
+            ("not json", r"det\.csv\.meta\.json: not valid JSON"),
             ('{"threshold": NaN}', "no numeric 'threshold'"),
             ('{"threshold": Infinity}', "no numeric 'threshold'"),
             ('{"threshold": true}', "no numeric 'threshold'"),
@@ -336,6 +338,25 @@ class TestJsonAndManifest:
         assert lines[0] == "theta,ptar,ptap,f1"
         assert len(lines) == 3
 
+    def test_theta_curve_refuses_unequal_columns(self, tmp_path):
+        # zip used to cut every column to the shortest
+        path = tmp_path / "curve.csv"
+        with pytest.raises(ValueError, match="argument 2 is shorter than argument 1"):
+            write_theta_curve_csv(path, [0.0, 0.5, 1.0], [1.0, 0.5], [0.8, 0.4, 0.1], [1, 1, 1])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("data, message", [
+        (b'{"a": 1', r"not valid JSON \(Expecting"),
+        (b"[1]", "must be a JSON object, got list"),
+        (b'"x"', "must be a JSON object, got str"),
+        (b'{"\xff": 1}', r"not UTF-8 text: byte 0xff \(invalid start byte\)$"),
+    ], ids=["truncated", "list", "string", "not-utf8"])
+    def test_json_object_reader_names_the_file(self, tmp_path, data, message):
+        path = tmp_path / "r.json"
+        path.write_bytes(data)
+        with pytest.raises(DataFormatError, match=rf"r\.json: {message}"):
+            read_json_object(path)
+
     def test_manifest(self, tmp_path):
         f = tmp_path / "out.csv"
         f.write_text("x\n")
@@ -393,40 +414,130 @@ def read_one_row(root, name, ts="0", flag="1", value="2"):  # a lead time must b
     return reader(path)
 
 
-class TestTableNumberGrammar:
-    """Every table cell is read with Python's int()/float() grammar. numpy
-    converts whole columns, so this pins that grammar on each numpy version
-    the package supports."""
+# Spellings of a number in a CSV cell: (cell, its value in an integer field,
+# its value in a float field), None where the grammar refuses it. Every
+# accepted integer is 1, so each integer field below takes them. inf, nan and
+# (in a lead-time column) a float that is not a whole number >= 1 are numbers
+# to the grammar, and each float field's own value rule decides them
+# (TestSeriesCsv, TestScoresCsv, TestDetectionCsv); every refused spelling is
+# tried on every field.
+SPELLINGS = [
+    ("1", 1, 1.0), ("+1", 1, 1.0), (" 1 ", 1, 1.0), ("\t1", 1, 1.0),
+    ("001", 1, 1.0),  # leading zeros
+    ("1\xa0", 1, 1.0), ("\xa01", 1, 1.0), ("\u20071", 1, 1.0), ("1\u3000", 1, 1.0),
+    ("1.0", None, 1.0), ("1e3", None, 1000.0), (".5", None, 0.5), ("5.", None, 5.0),
+    ("-2.5", None, -2.5), ("inf", None, np.inf), ("Infinity", None, np.inf),
+    ("nan", None, np.nan),
+    ("1_0", None, None), ("0_1", None, None), ("1e1_0", None, None),
+    ("\u0661", None, None), ("\uff11", None, None), ("1\u0661", None, None),
+    ("0x10", None, None), ("1 0", None, None), ("\u22121", None, None), ("one", None, None),
+]
+RECORD_HEADER = "window_id,origin,member_id,step,variable,value\n"
 
-    @pytest.mark.parametrize("name", TABLES)
-    @pytest.mark.parametrize("cell, number", [(" 1 ", 1), ("+1", 1), ("1_0", 10)])
-    def test_timestamp_accepted(self, tmp_path, name, cell, number):
-        table = read_one_row(tmp_path, name, ts=cell)
-        if name == "series":
-            assert table.timestamps.tolist() == [number]
 
-    @pytest.mark.parametrize("name", ["labels", "detection"])
-    @pytest.mark.parametrize("cell", [" 1 ", "+1", "0_1"])
-    def test_flag_accepted(self, tmp_path, name, cell):
-        assert read_one_row(tmp_path, name, flag=cell).flags.tolist() == [1]
+def first_record(path):
+    (ensemble,) = ingest_external_forecasts(path)
+    return ensemble
 
-    @pytest.mark.parametrize("name, value", [
-        ("series", lambda table: table.values[0, 0]),
-        ("scores", lambda table: table.scores[0]),
-        ("detection", lambda table: table.lead_times[0]),
-    ], ids=["series", "scores", "detection"])
-    @pytest.mark.parametrize("cell, number", [(" 1 ", 1), ("+1", 1), ("1_0", 10), ("1e3", 1000)])
-    def test_float_accepted(self, tmp_path, name, value, cell, number):
-        assert value(read_one_row(tmp_path, name, value=cell)) == number
 
-    @pytest.mark.parametrize("name, field, cell", [
-        *((name, "ts", cell) for name in TABLES for cell in ("0x10", "1.0")),
-        *((name, "flag", cell) for name in ("labels", "detection") for cell in ("0x10", "1e3")),
-        *((name, "value", "0x10") for name in ("series", "scores", "detection")),
-    ])
-    def test_refused(self, tmp_path, name, field, cell):
-        with pytest.raises(DataFormatError, match=rf"{name}\.csv: row 2 "):
-            read_one_row(tmp_path, name, **{field: cell})
+# field -> (reader, file name, file text around {cell}, the value read back;
+# None where the reader returns no timestamps)
+INTEGER_FIELDS = {
+    "series timestamp": (read_series_csv, "series.csv", "timestamp,x\n{cell},0.5\n",
+                         lambda t: t.timestamps[0]),
+    "labels timestamp": (read_labels_csv, "labels.csv", "timestamp,label\n{cell},1\n", None),
+    "labels flag": (read_labels_csv, "labels.csv", "timestamp,label\n0,{cell}\n",
+                    lambda t: t.flags[0]),
+    "scores timestamp": (read_scores, "scores.csv", "timestamp,score,lead_time\n{cell},0.5,1\n",
+                         None),
+    "detection timestamp": (read_detection, "detection.csv",
+                            "timestamp,flag,lead_time\n{cell},1,1\n", None),
+    "detection flag": (read_detection, "detection.csv", "timestamp,flag,lead_time\n0,{cell},\n",
+                       lambda t: t.flags[0]),
+    "segments start": (read_segments_csv, "segments.csv", "start,length\n{cell},2\n",
+                       lambda segs: segs[0].start),
+    "segments length": (read_segments_csv, "segments.csv", "start,length\n0,{cell}\n",
+                        lambda segs: segs[0].length),
+    "record window_id": (first_record, "records.csv", RECORD_HEADER + "{cell},0,m,1,0,0.5\n",
+                         lambda ens: ens.window_id),
+}
+FLOAT_FIELDS = {
+    "series value": (read_series_csv, "series.csv", "timestamp,x\n0,{cell}\n",
+                     lambda t: t.values[0, 0]),
+    "scores score": (read_scores, "scores.csv", "timestamp,score,lead_time\n0,{cell},1\n",
+                     lambda t: t.scores[0]),
+    "record value": (first_record, "records.csv", RECORD_HEADER + "0,0,m,1,0,{cell}\n",
+                     lambda ens: ens.predictions[0, 0, 0]),
+}
+# float columns that take only a whole number >= 1 (their own value rule)
+LEAD_FIELDS = {
+    "scores lead_time": (read_scores, "scores.csv", "timestamp,score,lead_time\n0,0.5,{cell}\n",
+                         lambda t: t.lead_times[0]),
+    "detection lead_time": (read_detection, "detection.csv",
+                            "timestamp,flag,lead_time\n0,1,{cell}\n", lambda t: t.lead_times[0]),
+}
+
+
+FIELDS = {**INTEGER_FIELDS, **FLOAT_FIELDS, **LEAD_FIELDS}
+GRAMMAR_CASES = [
+    *((field, cell, number) for field in INTEGER_FIELDS for cell, number, _ in SPELLINGS),
+    *((field, cell, number) for field in FLOAT_FIELDS for cell, _, number in SPELLINGS
+      if number is None or np.isfinite(number)),
+    *((field, cell, number) for field in LEAD_FIELDS for cell, _, number in SPELLINGS
+      if number is None or np.isfinite(number) and number >= 1 and number.is_integer()),
+]
+
+
+def refusal(name):
+    """What a refused cell's error starts with: its file and row, or a record's line."""
+    if name == "records.csv":
+        return r"^line 2: bad forecast record \("
+    return rf"{name}: row 2 " + ("is malformed$" if name == "segments.csv" else "")
+
+
+class TestNumberGrammar:
+    """One number grammar for every CSV poakit reads, numpy's ``loadtxt``'s:
+    each spelling is accepted by every field of its kind or refused by all,
+    and every refusal names the file and row (a record, its line)."""
+
+    @pytest.mark.parametrize("field, cell, number", GRAMMAR_CASES,
+                             ids=[f"{field}-{ascii(cell)}" for field, cell, _ in GRAMMAR_CASES])
+    def test_one_grammar(self, tmp_path, field, cell, number):
+        reader, name, text, value = FIELDS[field]
+        path = tmp_path / name
+        path.write_text(text.format(cell=cell), encoding="utf-8")
+        (tmp_path / f"{name}.meta.json").write_text('{"threshold": 0.5}')
+        if number is None:
+            with pytest.raises(DataFormatError, match=refusal(name)):
+                reader(path)
+        else:
+            table = reader(path)
+            assert value is None or value(table) == number
+
+    @pytest.mark.parametrize("text, message", [
+        ("timestamp,label\n0,0\n1_0,1\n", "row 3 has non-integer timestamp '1_0'$"),
+        ("timestamp,label\n0,\u0661\n", "row 2 has non-integer label '\u0661'$"),
+        ("timestamp,x\n0,1\n1,1_0\n2,abc\n", "row 3 column 2 is not a number: '1_0'$"),
+        ("timestamp,x\n0,1\n1,abc\n2,1_0\n", "row 3 column 2 is not a number: 'abc'$"),
+        ("timestamp,x,y\n0,1,1\n1,1,1_0\n2,abc,1\n", "row 3 column 3 is not a number: '1_0'$"),
+        ("timestamp,x\n0,1\n1_0,1\n", "row 3 has non-integer timestamp '1_0'$"),
+    ], ids=["timestamp", "flag", "before-numpy-refusal", "after-numpy-refusal",
+            "first-row-across-columns", "timestamp-before-break"])
+    def test_refusal_names_the_first_bad_cell(self, tmp_path, text, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8")
+        reader = read_labels_csv if text.startswith("timestamp,label") else read_series_csv
+        with pytest.raises(DataFormatError, match=rf"t\.csv: {message}"):
+            reader(path)
+
+    def test_padded_column_read_as_plain(self, tmp_path):
+        # a non-ASCII space fails the whole-column check; each cell is then checked alone
+        plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
+        plain.write_text("timestamp,x\n" + "".join(f"{i},{i / 7}\n" for i in range(1000)))
+        padded.write_text("timestamp,x\n" + "".join(
+            f"\xa0{i},{i / 7}\u3000\n" for i in range(1000)), encoding="utf-8")
+        a, b = read_series_csv(plain), read_series_csv(padded)
+        assert np.array_equal(a.timestamps, b.timestamps) and np.array_equal(a.values, b.values)
 
 
 # sha256 of each writer's bytes on write_golden_fixture(), recorded before the
