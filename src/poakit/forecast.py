@@ -18,6 +18,7 @@ import os
 import stat
 import warnings
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,8 @@ from poakit.core import (
     DataFormatError,
     TimeSeries,
     ValidationError,
+    _index_array,
+    _refuse_first,
     csv_number,
     strict_int,
     utf8_text,
@@ -159,30 +162,55 @@ class FittedForecaster:
 
 @dataclass(frozen=True)
 class EnsembleForecast:
-    """Stacked member predictions for one window: M x L_y x c."""
+    """One window of a :class:`ForecastCube`; ``predictions`` is a view into it."""
 
     window_id: int
     origin: int
     predictions: np.ndarray
     member_ids: tuple[str, ...]
 
+
+@dataclass(frozen=True, eq=False)
+class ForecastCube(Sequence):
+    """W x M x L_y x c member ``predictions`` of windows with strictly increasing
+    ``window_ids``, their ``origins`` and one unique id per member. Checked once
+    and read-only; indexing and iteration give :class:`EnsembleForecast` views."""
+
+    predictions: np.ndarray
+    window_ids: np.ndarray
+    origins: np.ndarray
+    member_ids: tuple[str, ...]
+
     def __post_init__(self):
-        preds = np.asarray(self.predictions, dtype=np.float64)
+        preds = np.asarray(self.predictions, dtype=np.float64).view()
         ids = tuple(self.member_ids)
-        if preds.ndim != 3:
-            raise ValidationError("ensemble predictions must be M x L_y x c")
-        if preds.shape[0] != len(ids):
+        wids = _index_array(self.window_ids, "window_ids")
+        origins = _index_array(self.origins, "origins")
+        if preds.ndim != 4:
+            raise ValidationError("ensemble predictions must be W x M x L_y x c")
+        if wids.shape != (len(preds),) or origins.shape != (len(preds),):
+            raise ValidationError("one window id and origin per prediction window required")
+        if preds.shape[1] != len(ids):
             raise ValidationError("one member_id per prediction slab required")
         if len(set(ids)) != len(ids):
             raise ValidationError(f"duplicate member_ids: {self.member_ids}")
-        if not np.isfinite(preds).all():
-            raise ValidationError(f"non-finite prediction in window {self.window_id}")
-        object.__setattr__(self, "predictions", preds)
-        object.__setattr__(self, "member_ids", ids)
+        _refuse_first(wids[1:] <= wids[:-1], lambda i: (
+            f"window ids must be strictly increasing: {wids[i]} followed by {wids[i + 1]}"))
+        block = max(1, _BLOCK_BYTES // max(1, preds[:1].nbytes))
+        for start in range(0, len(preds), block):  # no W x M x L_y x c mask
+            _refuse_first(~np.isfinite(preds[start:start + block]).all(axis=(1, 2, 3)),
+                          lambda i: f"non-finite prediction in window {wids[start + i]}")
+        preds.setflags(write=False)
+        for name, value in zip(("predictions", "window_ids", "origins", "member_ids"),
+                               (preds, wids, origins, ids)):
+            object.__setattr__(self, name, value)
 
-    @property
-    def n_members(self) -> int:
-        return self.predictions.shape[0]
+    def __len__(self) -> int:
+        return len(self.window_ids)
+
+    def __getitem__(self, i: int) -> EnsembleForecast:
+        return EnsembleForecast(int(self.window_ids[i]), int(self.origins[i]),
+                                self.predictions[i], self.member_ids)
 
 
 @dataclass(frozen=True)
@@ -371,19 +399,15 @@ _BLOCK_BYTES = 1 << 20
 
 def forecast_ensembles(
     members: list[FittedForecaster], windows: list[WindowPair], horizon: int
-) -> list[EnsembleForecast]:
+) -> ForecastCube:
     """Run every member over every window; members ordered by member_id.
 
     The W x M x L_y x c cube is allocated once and filled member by member,
-    one block of about ``_BLOCK_BYTES`` of inputs at a time; every window's
-    forecast is a view into it.
+    one block of about ``_BLOCK_BYTES`` of inputs at a time.
     """
     if not windows:
-        return []
+        raise ValidationError("no windows to forecast")
     ordered = sorted(members, key=lambda m: m.member_id)
-    ids = tuple(m.member_id for m in ordered)
-    if len(set(ids)) != len(ids):
-        raise ValidationError(f"duplicate member_ids in ensemble: {ids}")
     first = np.asarray(windows[0].input, dtype=np.float64)
     cube = np.empty((len(windows), len(ordered), horizon, first.shape[-1]))
     block = max(1, _BLOCK_BYTES // max(1, first.nbytes))
@@ -391,15 +415,8 @@ def forecast_ensembles(
         inputs = np.stack([w.input for w in windows[start:start + block]])
         for j, model in enumerate(ordered):
             cube[start:start + len(inputs), j] = predict_batch(model, inputs, horizon)
-    return [
-        EnsembleForecast(
-            window_id=w.window_id,
-            origin=w.origin,
-            predictions=cube[i],
-            member_ids=ids,
-        )
-        for i, w in enumerate(windows)
-    ]
+    return ForecastCube(cube, [w.window_id for w in windows], [w.origin for w in windows],
+                        tuple(m.member_id for m in ordered))
 
 
 def evaluate_members(
@@ -465,8 +482,8 @@ def _csv_field(text: str) -> str:
 def _record_template(member_ids: tuple[str, ...], shape: tuple, csv_format: bool) -> str:
     """``str.format`` template for one window's records.
 
-    Field 0 is the window's record head (see :func:`_record_head`) and field
-    1 + k the k-th value of its flattened M x L_y x c predictions.
+    Field 0 is what each record writes before its member id, and field 1 + k
+    the k-th value of the window's flattened M x L_y x c predictions.
     """
     parts = []
     k = 1
@@ -484,14 +501,7 @@ def _record_template(member_ids: tuple[str, ...], shape: tuple, csv_format: bool
     return "".join(parts)
 
 
-def _record_head(ens: EnsembleForecast, csv_format: bool) -> str:
-    """What every record of the window writes before its member id."""
-    if csv_format:
-        return f"{ens.window_id},{ens.origin},"
-    return f'{{"window_id": {ens.window_id}, "origin": {ens.origin}, "member_id": '
-
-
-def write_forecast_records(path, ensembles: list[EnsembleForecast]) -> None:
+def write_forecast_records(path, cube: ForecastCube) -> None:
     """Write forecasts as flat records (CSV or NDJSON by extension).
 
     One record per (window, member, step, variable) cell; step is 1-based,
@@ -502,20 +512,18 @@ def write_forecast_records(path, ensembles: list[EnsembleForecast]) -> None:
     path = str(path)
     if path.endswith(".csv"):
         csv_format, header = True, ",".join(_RECORD_FIELDS) + "\r\n"
+        head = "{},{},".format
     elif path.endswith((".ndjson", ".jsonl")):
         csv_format, header = False, ""
+        head = '{{"window_id": {}, "origin": {}, "member_id": '.format
     else:
         raise ValidationError(f"unsupported forecast file extension: {path}")
-    templates: dict[tuple, str] = {}
+    template = _record_template(cube.member_ids, cube.predictions.shape[1:], csv_format)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header)
-        for ens in sorted(ensembles, key=lambda e: e.window_id):
-            key = (ens.member_ids, ens.predictions.shape)
-            if key not in templates:
-                templates[key] = _record_template(*key, csv_format)
-            fh.write(templates[key].format(
-                _record_head(ens, csv_format), *ens.predictions.ravel().tolist()
-            ))
+        for wid, origin, preds in zip(cube.window_ids.tolist(), cube.origins.tolist(),
+                                      cube.predictions):
+            fh.write(template.format(head(wid, origin), *preds.ravel().tolist()))
 
 
 def _parse_record(raw: dict, line_no: int, integer=strict_int, real=float) -> tuple:
@@ -532,7 +540,7 @@ def _parse_record(raw: dict, line_no: int, integer=strict_int, real=float) -> tu
         raise DataFormatError(f"line {line_no}: bad forecast record ({exc})") from exc
 
 
-def _record_chunks(path: str, records, codes):
+def _record_chunks(records, codes):
     """Parsed records as column chunks of at most ``_CHUNK_ROWS`` records:
     (window_id, origin, member code, step, variable, value)."""
     while chunk := list(itertools.islice(records, _CHUNK_ROWS)):
@@ -542,8 +550,7 @@ def _record_chunks(path: str, records, codes):
         except OverflowError:
             for _ in records:  # a bad record further on is reported first
                 pass
-            raise DataFormatError(
-                f"{path}: forecast record integer outside the int64 range") from None
+            raise DataFormatError("forecast record integer outside the int64 range") from None
         member = np.array([codes[m] for m in member], dtype=np.int64)
         yield ints[0], ints[1], member, ints[2], ints[3], np.array(value, dtype=np.float64)
 
@@ -561,7 +568,7 @@ def _ndjson_records(path: str):
             yield _parse_record(raw, line_no)
 
 
-def _refused_chunk(path: str, lines, header: list, first_line: int, exc) -> int:
+def _refused_chunk(lines, header: list, first_line: int, exc) -> int:
     """Walk the chunk numpy refused (the lines it read, then the rest): raise
     its first parse error; else, once an integer falls outside int64, return
     the next chunk's first line; else raise numpy's own message."""
@@ -572,7 +579,7 @@ def _refused_chunk(path: str, lines, header: list, first_line: int, exc) -> int:
                                csv_number)
         outside = outside or not all(-2**63 <= record[i] < 2**63 for i in (0, 1, 3, 4))
     if not outside:  # no cause found: numpy's own words, not a guess
-        raise DataFormatError(f"{path}: records from line {first_line} on ({exc})") from exc
+        raise DataFormatError(f"records from line {first_line} on ({exc})") from exc
     return line_no + 1
 
 
@@ -586,10 +593,10 @@ def _csv_chunks(path: str, codes):
     with utf8_text(path, newline="") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
-            raise DataFormatError(f"{path}: empty forecast file")
+            raise DataFormatError("empty forecast file")
         missing = set(_RECORD_FIELDS) - set(header)
         if missing:
-            raise DataFormatError(f"{path}: header missing columns {sorted(missing)}")
+            raise DataFormatError(f"header missing columns {sorted(missing)}")
         column = {name: i for i, name in enumerate(header)}  # last one wins, as in DictReader
         usecols = [column[f] for f in _RECORD_FIELDS]
         converters = {column["member_id"]: codes.__getitem__}
@@ -608,7 +615,7 @@ def _csv_chunks(path: str, codes):
             except UnicodeDecodeError:
                 raise  # not a refused record: utf8_text names the file
             except (ValueError, DeprecationWarning) as exc:
-                first_line, outside = _refused_chunk(path, lines, header, first_line, exc), True
+                first_line, outside = _refused_chunk(lines, header, first_line, exc), True
                 continue
             del lines  # only a refused chunk needs its lines
             n = table.size
@@ -619,7 +626,7 @@ def _csv_chunks(path: str, codes):
                 break
             first_line += n
     if outside:
-        raise DataFormatError(f"{path}: forecast record integer outside the int64 range")
+        raise DataFormatError("forecast record integer outside the int64 range")
 
 
 class _RecordGrid:
@@ -755,12 +762,12 @@ class _RecordGrid:
             seen[i] = self.overflow.setdefault(cell, int(rec[i]))
         return seen, cells
 
-    def forecasts(self, path: str) -> list[EnsembleForecast]:
-        """The ensembles in window id order, members in id order, or the first error."""
+    def forecasts(self) -> ForecastCube:
+        """The cube in window id order, members in id order, or the first error."""
         if self.error is not None:
             raise DataFormatError(self.error)
         if self.n == 0:
-            raise DataFormatError(f"{path}: no forecast records found")
+            raise DataFormatError("no forecast records found")
         W, M, L, c = self.dims
         # With no cell filled twice and every record inside the W x M x L_y x c
         # grid, the records fill it iff there are as many records as cells.
@@ -774,12 +781,8 @@ class _RecordGrid:
         cube = self.values
         if not (np.array_equal(w_order, np.arange(W)) and m_order == list(range(M))):
             cube = cube[np.ix_(w_order, m_order)]
-        ids = tuple(names[m] for m in m_order)
-        return [
-            EnsembleForecast(window_id=wid, origin=o, predictions=cube[i], member_ids=ids)
-            for i, (wid, o) in enumerate(zip(self.window_ids[w_order].tolist(),
-                                             self.origins[w_order].tolist()))
-        ]
+        return ForecastCube(cube, self.window_ids[w_order], self.origins[w_order],
+                            tuple(names[m] for m in m_order))
 
     def _missing_cells(self) -> DataFormatError:
         """The error of the first window, in id order, that lacks a cell."""
@@ -819,15 +822,15 @@ def _max_records(path: str) -> float:
     return st.st_size // _MIN_RECORD_BYTES if stat.S_ISREG(st.st_mode) else math.inf
 
 
-def ingest_external_forecasts(path) -> list[EnsembleForecast]:
-    """Read forecast records and group them into per-window ensembles.
+def ingest_external_forecasts(path) -> ForecastCube:
+    """Read forecast records into one cube.
 
     Every (member, step, variable) cell must appear exactly once per window
     and all windows must share the same member set, horizon and variable
     count. Format auto-detected from the extension (.csv vs .ndjson/.jsonl);
     CSV columns are found by header name. Records stream through in chunks:
     memory is the W x M x L_y x c cube plus one chunk, whatever the record
-    count or order.
+    count or order. Every error in the file's content starts with its path.
     """
     path = str(path)
     codes: defaultdict = defaultdict()  # member id -> integer code, numbered on first lookup
@@ -835,11 +838,16 @@ def ingest_external_forecasts(path) -> list[EnsembleForecast]:
     if path.endswith(".csv"):
         chunks = _csv_chunks(path, codes)
     elif path.endswith((".ndjson", ".jsonl")):
-        chunks = _record_chunks(path, _ndjson_records(path), codes)
+        chunks = _record_chunks(_ndjson_records(path), codes)
     else:
         raise ValidationError(f"unsupported forecast file extension: {path}")
-    grid = _RecordGrid(codes, _max_records(path))
-    for columns in chunks:  # a parse error anywhere comes before any record error
-        grid.add(*columns)
-        del columns  # one chunk in memory at a time
-    return grid.forecasts(path)
+    try:
+        grid = _RecordGrid(codes, _max_records(path))
+        for columns in chunks:  # a parse error anywhere comes before any record error
+            grid.add(*columns)
+            del columns  # one chunk in memory at a time
+        return grid.forecasts()
+    except ValidationError as exc:
+        if str(exc).startswith(f"{path}: "):  # utf8_text names the file itself
+            raise
+        raise type(exc)(f"{path}: {exc}") from exc

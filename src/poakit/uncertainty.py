@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from poakit.core import ScoreSeries, ValidationError
-from poakit.forecast import EnsembleForecast
+from poakit.forecast import ForecastCube
 
 DEFAULT_EPS_SIGMA = 1e-8
 # Windows are reduced in blocks of about this many bytes of predictions: big
@@ -44,36 +44,22 @@ def ensemble_variance(predictions: np.ndarray) -> np.ndarray:
     return (dev**2).sum(axis=-3) / (M - 1)
 
 
-def uncertainty_from_ensembles(
-    ensembles: list[EnsembleForecast],
-) -> tuple[np.ndarray, np.ndarray]:
+def uncertainty_from_ensembles(cube: ForecastCube) -> tuple[np.ndarray, np.ndarray]:
     """W x L_y x c variances in window-id order, plus the window origins.
 
-    Every window must have the same M x L_y x c shape. The windows are
-    stacked and reduced in blocks of about ``_BLOCK_BYTES``, so no
-    W x M x L_y x c copy is made.
+    The cube is reduced in blocks of about ``_BLOCK_BYTES`` of windows, so no
+    second W x M x L_y x c array is made.
     """
-    if not ensembles:
+    preds = cube.predictions
+    if not len(cube):
         raise ValidationError("no ensembles to score")
-    ordered = sorted(ensembles, key=lambda e: e.window_id)
-    shape = ordered[0].predictions.shape
-    for e in ordered:
-        if e.predictions.shape != shape:
-            raise ValidationError(
-                f"window {e.window_id} has M x L_y x c shape {e.predictions.shape}, "
-                f"window {ordered[0].window_id} has {shape}"
-            )
-    block = max(1, _BLOCK_BYTES // max(1, ordered[0].predictions.nbytes))
-    values = np.empty((len(ordered), *shape[1:]))
-    for start in range(0, len(ordered), block):
-        chunk = ordered[start:start + block]
-        values[start:start + len(chunk)] = ensemble_variance(
-            np.stack([e.predictions for e in chunk])
-        )
+    block = max(1, _BLOCK_BYTES // max(1, preds[0].nbytes))
+    values = np.empty((len(preds), *preds.shape[2:]))
+    for start in range(0, len(preds), block):
+        values[start:start + block] = ensemble_variance(preds[start:start + block])
     if not np.all(np.isfinite(values)) or np.any(values < 0):
         raise ValidationError("raw uncertainty values must be finite and >= 0")
-    origins = np.array([e.origin for e in ordered], dtype=np.int64)
-    return values, origins
+    return values, cube.origins
 
 
 def horizon_stats(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -88,12 +74,16 @@ def horizon_stats(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mu, sigma
 
 
+def _check_eps_sigma(eps_sigma: float) -> None:
+    if not 0 < eps_sigma < np.inf:  # refuses nan too
+        raise ValidationError(f"eps_sigma must be finite and > 0, got {eps_sigma}")
+
+
 def normalize(values: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
               eps_sigma: float = DEFAULT_EPS_SIGMA) -> np.ndarray:
     """Z-score each cell of a W x L_y x c array against validation statistics;
-    sigma is floored at ``eps_sigma`` so constant cells stay finite."""
-    if eps_sigma <= 0:
-        raise ValidationError("eps_sigma must be > 0")
+    sigma is floored at ``eps_sigma`` (finite, > 0) so constant cells stay finite."""
+    _check_eps_sigma(eps_sigma)
     if mu.shape != values.shape[1:]:
         raise ValidationError(
             f"stats shape {mu.shape} does not match tensor cells {values.shape[1:]}"
@@ -182,8 +172,8 @@ def collate_timeline(
 
 
 def score_timeline(
-    test_ensembles: list[EnsembleForecast],
-    validation_ensembles: list[EnsembleForecast],
+    test_ensembles: ForecastCube,
+    validation_ensembles: ForecastCube,
     series_len: int | None = None,
     agg: str = "mean",
     collate: str = "max",
@@ -194,9 +184,10 @@ def score_timeline(
     variable aggregation -> timeline collation.
 
     ``series_len`` defaults to max test origin + 1 (a stride-1 window sweep
-    ends at the series' last row). ``normalize_scores=False`` skips the
-    z-normalization and collates raw variances instead.
+    ends at the series' last row). ``normalize_scores=False`` collates raw
+    variances instead, but ``eps_sigma`` is checked either way.
     """
+    _check_eps_sigma(eps_sigma)
     values, origins = uncertainty_from_ensembles(test_ensembles)
     if series_len is None:
         series_len = int(origins.max()) + 1

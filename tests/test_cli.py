@@ -15,7 +15,7 @@ from click.testing import CliRunner
 
 from poakit import cli as cli_mod, detect as detect_mod, io as pio, metrics as mx
 from poakit.cli import cli
-from poakit.forecast import EnsembleForecast, write_forecast_records
+from poakit.forecast import ForecastCube, write_forecast_records
 
 SYNTH_CFG = {
     "length": 600,
@@ -646,7 +646,7 @@ class TestRecordPipe:
         assert not writer.is_alive()
         assert done.returncode == 2, done.stderr
         assert done.stderr == (
-            "error[validation]: line 2: bad forecast record "
+            f"error[validation]: {fifo}: line 2: bad forecast record "
             "(could not convert string to float: 'abc')\n")
 
 
@@ -815,11 +815,10 @@ class TestOptionNames:
 
 
 def ensembles(shape=(3, 4, 2), windows=4, origin=20, scale=1.0, seed=0):
-    """``windows`` stride-1 ensembles of M x L_y x c random forecasts."""
+    """A cube of ``windows`` stride-1 windows of M x L_y x c random forecasts."""
     rng = np.random.default_rng(seed)
-    ids = tuple(f"m{i}" for i in range(shape[0]))
-    return [EnsembleForecast(w, origin + w, scale * rng.normal(size=shape), ids)
-            for w in range(windows)]
+    return ForecastCube(scale * rng.normal(size=(windows, *shape)), range(windows),
+                        range(origin, origin + windows), tuple(f"m{i}" for i in range(shape[0])))
 
 
 class TestScoreRejections:
@@ -892,9 +891,42 @@ class TestScoreRejections:
                                           str(tmp_path / "scores.csv")])
         assert result.exit_code == 2, result.output
         assert result.output == (
-            "error[validation]: window 0: expected 6000000000000 cells (3 members x "
+            f"error[validation]: {path}: window 0: expected 6000000000000 cells (3 members x "
             "1000000000000 steps x 2 variables), got 24; first missing: "
             "[('m0', 1, 0), ('m0', 5, 0), ('m0', 5, 1)]\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        ("duplicate", "record 97: duplicate cell window=0 member='m0' step=1 variable=0 "
+                      "(first seen at record 1)"),
+        ("nan", "non-finite prediction in window 2"),
+    ])
+    def test_record_error_names_its_file(self, tmp_path, edit, message):
+        # score reads two record files: the message says which one is bad
+        result = self.run_score(tmp_path, ensembles(), ensembles(seed=1), ext="ndjson")
+        assert result.exit_code == 0, result.output
+        valid = tmp_path / "valid.ndjson"
+        lines = valid.read_text().splitlines()
+        if edit == "duplicate":
+            lines.append(lines[0])
+        else:
+            record = json.loads(lines[50])  # window 2
+            record["value"] = float("nan")
+            lines[50] = json.dumps(record)
+        valid.write_text("\n".join(lines) + "\n")
+        result = CliRunner().invoke(cli, ["score", str(tmp_path / "test.ndjson"), str(valid),
+                                          str(tmp_path / "scores.csv")])
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error[validation]: {valid}: {message}\n"
+
+    @pytest.mark.parametrize("do_normalize", ["--normalize", "--no-normalize"])
+    @pytest.mark.parametrize("eps_sigma", ["inf", "nan", "0", "-1"])
+    def test_eps_sigma_must_be_finite_and_positive(self, tmp_path, eps_sigma, do_normalize):
+        # inf used to exit 0 with every score 0, nan to fail on the first score
+        # with a misleading message, and -1 to pass unchecked under --no-normalize
+        result = self.run_score(tmp_path, ensembles(), ensembles(seed=1),
+                                "--eps-sigma", eps_sigma, do_normalize)
+        self.assert_rejected(result, f"eps_sigma must be finite and > 0, got {float(eps_sigma)}")
+        assert not (tmp_path / "scores.csv").exists()
 
     def test_negative_window_origin(self, tmp_path):
         # origins -3 and -2 would write to indices -2 and -1: the end of the timeline

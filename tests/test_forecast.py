@@ -19,8 +19,8 @@ import reference_records
 from poakit import core as core_module, forecast as forecast_module
 from poakit.core import DataFormatError, TimeSeries, ValidationError
 from poakit.forecast import (
-    EnsembleForecast,
     FittedForecaster,
+    ForecastCube,
     ForecasterSpec,
     ForecastScore,
     WindowConfig,
@@ -376,26 +376,47 @@ class TestSelectTopK:
             select_top_k(scores, 2)
 
 
-class TestEnsembleForecast:
-    @pytest.mark.parametrize("preds,ids,message", [
-        (np.zeros((2, 3)), ("a", "b"), "ensemble predictions must be M x L_y x c"),
-        (np.zeros((2, 3, 1)), ("a",), "one member_id per prediction slab required"),
-        (np.zeros((2, 3, 1)), ["a", "a"], r"duplicate member_ids: \['a', 'a'\]"),
-        (np.full((2, 3, 1), np.nan), ("a", "b"), "non-finite prediction in window 7"),
-    ], ids=["ndim", "ids", "duplicates", "non-finite"])
-    def test_check_messages(self, preds, ids, message):
+class TestForecastCube:
+    @pytest.mark.parametrize("preds,wids,ids,message", [
+        (np.zeros((2, 3, 1)), [7, 8], ("a", "b"), "ensemble predictions must be W x M x L_y x c"),
+        (np.zeros((2, 2, 3, 1)), [7, 8], ("a",), "one member_id per prediction slab required"),
+        (np.zeros((2, 2, 3, 1)), [7, 8], ["a", "a"], r"duplicate member_ids: \['a', 'a'\]"),
+        (np.full((2, 2, 3, 1), np.nan), [7, 8], ("a", "b"), "non-finite prediction in window 7"),
+        (np.zeros((2, 2, 3, 1)), [7, 8], ("a", "a"), r"duplicate member_ids: \('a', 'a'\)"),
+        (np.where(np.arange(12).reshape(2, 2, 3, 1) == 11, np.inf, 0.0), [7, 8], ("a", "b"),
+         "non-finite prediction in window 8"),
+        (np.zeros((2, 2, 3, 1)), [8, 7], ("a", "b"),
+         "window ids must be strictly increasing: 8 followed by 7"),
+        (np.zeros((3, 2, 3, 1)), [6, 7, 7], ("a", "b"),
+         "window ids must be strictly increasing: 7 followed by 7"),
+        (np.zeros((2, 2, 3, 1)), [7], ("a", "b"),
+         "one window id and origin per prediction window required"),
+        (np.zeros((2, 2, 3, 1)), [7.0, 8.0], ("a", "b"),
+         "window_ids must hold integers, got dtype float64"),
+    ], ids=["ndim", "ids", "duplicates", "non-finite", "duplicate-tuple", "inf",
+            "decreasing-window-ids", "duplicate-window-ids", "window-count", "float-window-ids"])
+    def test_check_messages(self, preds, wids, ids, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):
-            EnsembleForecast(7, 9, preds, ids)
+            ForecastCube(preds, wids, [9] * len(wids), ids)
 
-    def test_rejects_duplicate_members(self):
-        with pytest.raises(ValidationError):
-            EnsembleForecast(0, 9, np.zeros((2, 3, 1)), ("a", "a"))
+    def test_non_finite_found_past_the_first_block(self):
+        preds = np.zeros((50, 2, 3, 1))
+        preds[37, 0, 1, 0] = np.nan
+        with mock.patch.object(forecast_module, "_BLOCK_BYTES", 5 * preds[0].nbytes), \
+                pytest.raises(ValidationError, match="^non-finite prediction in window 137$"):
+            ForecastCube(preds, range(100, 150), range(50), ("a", "b"))
 
-    def test_rejects_non_finite(self):
-        preds = np.zeros((2, 3, 1))
-        preds[1, 2, 0] = np.inf
-        with pytest.raises(ValidationError):
-            EnsembleForecast(0, 9, preds, ("a", "b"))
+    def test_items_are_read_only_views(self):
+        preds = np.arange(24.0).reshape(3, 2, 2, 2)
+        cube = ForecastCube(preds, [2, 5, 9], [11, 12, 13], ["a", "b"])
+        assert len(cube) == 3
+        assert [(e.window_id, e.origin, e.member_ids) for e in cube] == [
+            (2, 11, ("a", "b")), (5, 12, ("a", "b")), (9, 13, ("a", "b"))]
+        assert cube[-1].window_id == 9
+        assert np.shares_memory(cube[1].predictions, cube.predictions)
+        assert np.shares_memory(cube.predictions, preds) and preds.flags.writeable
+        for array in (cube.predictions, cube[0].predictions, cube.window_ids, cube.origins):
+            assert not array.flags.writeable
 
 
 def reference_csv_records(ensembles) -> bytes:
@@ -414,22 +435,19 @@ def reference_csv_records(ensembles) -> bytes:
 
 
 def golden_ensembles():
-    """Three windows written out of id order; member ids that need CSV/JSON quoting."""
-    members = ("a,b", 'q"t', "plain")
+    """Three windows; member ids that need CSV/JSON quoting, out of name order."""
     cells = np.arange(24).reshape(3, 4, 2)
-    out = []
-    for wid in (2, 0, 1):
-        # exact IEEE arithmetic, so the bytes do not depend on a random stream
-        preds = (cells - 11.5 + wid) / 7.0 * np.ldexp(1.0, cells * 5 % 81 - 40)
-        preds[0, 0, 0] = -0.0
-        preds[1, 0, 0] = 1e22
-        preds[2, 0, 0] = 123456789.5
-        out.append(EnsembleForecast(wid, 40 + 3 * wid, preds, members))
-    return out
+    wids = np.arange(3)[:, None, None, None]
+    # exact IEEE arithmetic, so the bytes do not depend on a random stream
+    preds = (cells - 11.5 + wids) / 7.0 * np.ldexp(1.0, cells * 5 % 81 - 40)
+    preds[:, 0, 0, 0] = -0.0
+    preds[:, 1, 0, 0] = 1e22
+    preds[:, 2, 0, 0] = 123456789.5
+    return ForecastCube(preds, range(3), 40 + 3 * np.arange(3), ("a,b", 'q"t', "plain"))
 
 
 def sorted_by_member(ens):
-    order = sorted(range(ens.n_members), key=lambda m: ens.member_ids[m])
+    order = sorted(range(len(ens.member_ids)), key=lambda m: ens.member_ids[m])
     return tuple(ens.member_ids[m] for m in order), ens.predictions[order]
 
 
@@ -456,11 +474,13 @@ def chunk_rows_patched(rows):
 
 def assert_ingest_matches_reference(path):
     """The package and the record-at-a-time reader agree on ``path``: the same
-    error message, or the same ensembles bit for bit."""
+    error message, or the same ensembles bit for bit. The package names the
+    file in every message; the reader only in some."""
     try:
         expected = ("ok", reference_records.ref_ingest(path))
     except reference_records.RecordError as exc:
-        expected = ("error", str(exc))
+        message = str(exc)
+        expected = ("error", message if message.startswith(f"{path}: ") else f"{path}: {message}")
     try:
         got = ("ok", [(e.window_id, e.origin, e.member_ids, e.predictions)
                       for e in ingest_external_forecasts(path)])
@@ -493,16 +513,12 @@ member_ids = st.lists(
 def ensemble_lists(draw):
     members = tuple(draw(member_ids))
     L_y, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    wids = draw(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=4, unique=True))
+    wids = sorted(draw(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=4,
+                                unique=True)))
+    origins = draw(st.lists(st.integers(-10**9, 10**9), min_size=len(wids), max_size=len(wids)))
     values = st.floats(allow_nan=False, allow_infinity=False)
-    return [
-        EnsembleForecast(
-            wid, draw(st.integers(-10**9, 10**9)),
-            draw(hnp.arrays(np.float64, (len(members), L_y, c), elements=values)),
-            members,
-        )
-        for wid in wids
-    ]
+    preds = draw(hnp.arrays(np.float64, (len(wids), len(members), L_y, c), elements=values))
+    return ForecastCube(preds, wids, origins, members)
 
 
 record_edits = st.lists(
@@ -546,10 +562,7 @@ def edited_file(tmp_path_factory, ensembles, ext, edits):
 class TestForecastRecords:
     def _make_ensembles(self):
         rng = np.random.default_rng(6)
-        return [
-            EnsembleForecast(w, 9 + w, rng.normal(size=(2, 3, 2)), ("m1", "m2"))
-            for w in range(3)
-        ]
+        return ForecastCube(rng.normal(size=(3, 2, 3, 2)), range(3), range(9, 12), ("m1", "m2"))
 
     @pytest.mark.parametrize("ext", ["csv", "ndjson"])
     def test_round_trip(self, tmp_path, ext):
@@ -679,7 +692,7 @@ class TestForecastRecords:
         self._rewrite(path, rows)
         with pytest.raises(DataFormatError) as err:
             ingest_external_forecasts(path)
-        assert str(err.value) == message
+        assert str(err.value) == f"{path}: {message}"
         with pytest.raises(reference_records.RecordError) as ref_err:
             reference_records.ref_ingest(path)
         assert str(ref_err.value) == message
@@ -702,7 +715,7 @@ class TestForecastRecords:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataFormatError) as err:
             ingest_external_forecasts(path)
-        assert str(err.value) == f"line 2: bad forecast record ({message})"
+        assert str(err.value) == f"{path}: line 2: bad forecast record ({message})"
 
     @pytest.mark.parametrize("field", ["window_id", "origin", "step", "variable"])
     @pytest.mark.parametrize("spelling", ["fraction", "integral-float", "bool"])
@@ -720,10 +733,10 @@ class TestForecastRecords:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataFormatError) as err:
             ingest_external_forecasts(path)
-        assert str(err.value) == f"line 2: bad forecast record (not an integer: {bad!r})"
+        assert str(err.value) == f"{path}: line 2: bad forecast record (not an integer: {bad!r})"
         with pytest.raises(reference_records.RecordError) as ref_err:
             reference_records.ref_ingest(path)
-        assert str(ref_err.value) == str(err.value)
+        assert str(err.value) == f"{path}: {ref_err.value}"
 
     def test_ndjson_numeric_string_integer_accepted(self, tmp_path):
         ensembles = self._make_ensembles()
@@ -745,7 +758,7 @@ class TestForecastRecords:
         with pytest.raises(DataFormatError) as err:
             ingest_external_forecasts(path)
         assert str(err.value) == (
-            "window 2: expected 12 cells (2 members x 3 steps x 2 variables), got 11; "
+            f"{path}: window 2: expected 12 cells (2 members x 3 steps x 2 variables), got 11; "
             "first missing: [('m2', 3, 1)]"
         )
 
@@ -758,7 +771,7 @@ class TestForecastRecords:
         with pytest.raises(DataFormatError) as err:
             ingest_external_forecasts(path)
         assert str(err.value) == (
-            "record 37: duplicate cell window=0 member='m1' step=1 variable=0 "
+            f"{path}: record 37: duplicate cell window=0 member='m1' step=1 variable=0 "
             "(first seen at record 1)"
         )
 
@@ -767,8 +780,9 @@ class TestForecastRecords:
         rows.append(rows[5])  # duplicate of record 5, as record 37
         rows[30][3] = "0"  # step out of range at record 30
         self._rewrite(path, rows)
-        with pytest.raises(DataFormatError, match="^record 30: step must be"):
+        with pytest.raises(DataFormatError) as err:
             ingest_external_forecasts(path)
+        assert str(err.value).startswith(f"{path}: record 30: step must be")
 
     def test_conflicting_origin_reported(self, tmp_path):
         path = tmp_path / "fc.ndjson"
@@ -790,7 +804,7 @@ class TestForecastRecords:
         self._rewrite(path, rows)
         with pytest.raises(DataFormatError) as err:
             ingest_external_forecasts(path)
-        assert str(err.value) == "record 20: window 1 has conflicting origins 10 and 99"
+        assert str(err.value) == f"{path}: record 20: window 1 has conflicting origins 10 and 99"
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "fc.csv"
@@ -812,7 +826,7 @@ def record_rows(ensembles):
     """[window_id, origin, member_id, step, variable, value] lists, as written."""
     return [[e.window_id, e.origin, e.member_ids[m], s + 1, v, float(e.predictions[m, s, v])]
             for e in ensembles
-            for m in range(e.n_members)
+            for m in range(len(e.member_ids))
             for s in range(e.predictions.shape[1])
             for v in range(e.predictions.shape[2])]
 
@@ -860,8 +874,8 @@ class TestStreamingIngest:
     @staticmethod
     def _rows():
         rng = np.random.default_rng(6)
-        return record_rows([EnsembleForecast(w, 9 + w, rng.normal(size=(2, 3, 2)), ("m1", "m2"))
-                            for w in range(3)])
+        return record_rows(ForecastCube(rng.normal(size=(3, 2, 3, 2)), range(3), range(9, 12),
+                                        ("m1", "m2")))
 
     @pytest.mark.parametrize("chunk_rows", [None, 1, 2, 7])
     @pytest.mark.parametrize("ext", ["csv", "ndjson"])
@@ -887,7 +901,7 @@ class TestStreamingIngest:
         for chunk_rows in (None, 1, 7):
             with chunk_rows_patched(chunk_rows), pytest.raises(DataFormatError) as err:
                 ingest_external_forecasts(path)
-            assert str(err.value) == message
+            assert str(err.value) == f"{path}: {message}"
 
     def test_int64_overflow_after_parse_errors_before_record_errors(self, tmp_path):
         path = tmp_path / "fc.csv"
@@ -903,7 +917,7 @@ class TestStreamingIngest:
             with chunk_rows_patched(chunk_rows), pytest.raises(DataFormatError) as err:
                 ingest_external_forecasts(path)
             assert str(err.value) == (
-                "line 32: bad forecast record (could not convert string to float: 'abc')")
+                f"{path}: line 32: bad forecast record (could not convert string to float: 'abc')")
 
     def test_bad_last_record_opens_the_file_once(self, tmp_path):
         # the rejected block is walked from the lines in hand: a pipe cannot be re-opened
@@ -921,7 +935,7 @@ class TestStreamingIngest:
                 pytest.raises(DataFormatError) as err:
             ingest_external_forecasts(path)
         assert str(err.value) == (
-            "line 37: bad forecast record (could not convert string to float: 'abc')")
+            f"{path}: line 37: bad forecast record (could not convert string to float: 'abc')")
         assert opened == [str(path)]
 
     def test_integer_read_through_a_float_is_refused(self, tmp_path):
@@ -939,7 +953,7 @@ class TestStreamingIngest:
                 pytest.raises(DataFormatError) as err:
             ingest_external_forecasts(path)
         assert str(err.value) == (
-            "line 3: bad forecast record (invalid literal for int() with base 10: '1.5')")
+            f"{path}: line 3: bad forecast record (invalid literal for int() with base 10: '1.5')")
 
     def test_refused_chunk_is_walked_alone(self, tmp_path):
         # an integer outside int64 in record 2: the walk covers its chunk of 7
@@ -971,8 +985,8 @@ class TestStreamingIngest:
         rng = np.random.default_rng(3)
         ids = tuple(f"member_{m}" for m in range(6))
         path = tmp_path / "fc.csv"
-        write_forecast_records(path, [EnsembleForecast(w, 100 + w, rng.normal(size=(6, 24, 3)), ids)
-                                      for w in range(400)])
+        write_forecast_records(path, ForecastCube(rng.normal(size=(400, 6, 24, 3)), range(400),
+                                                  range(100, 500), ids))
         tracemalloc.start()
         try:
             loaded = ingest_external_forecasts(path)
@@ -1000,6 +1014,11 @@ class TestForecastEnsembles:
         # reversing member list must not change output
         again = forecast_ensembles(members[::-1], windows, horizon=4)
         assert np.array_equal(again[0].predictions, ensembles[0].predictions)
+
+    def test_no_windows_refused(self):
+        member = fit(ForecasterSpec("persistence"), series(np.arange(20.0)))
+        with pytest.raises(ValidationError, match="^no windows to forecast$"):
+            forecast_ensembles([member], [], horizon=4)
 
     # stride 1 with targets: 115 windows; stride 7 without: 18 strided
     # origins, then the forced last origin 149

@@ -489,9 +489,9 @@ GRAMMAR_CASES = [
 
 
 def refusal(name):
-    """What a refused cell's error starts with: its file and row, or a record's line."""
+    """What a refused cell's error holds: its file, then its row or record line."""
     if name == "records.csv":
-        return r"^line 2: bad forecast record \("
+        return r"records.csv: line 2: bad forecast record \("
     return rf"{name}: row 2 " + ("is malformed$" if name == "segments.csv" else "")
 
 

@@ -12,7 +12,7 @@ import reference_kernels
 
 from poakit import uncertainty as unc
 from poakit.core import ValidationError
-from poakit.forecast import EnsembleForecast
+from poakit.forecast import ForecastCube
 from poakit.uncertainty import (
     aggregate_variables,
     collate_timeline,
@@ -135,6 +135,18 @@ class TestNormalize:
         with pytest.raises(ValidationError, match="does not match tensor cells"):
             normalize(np.zeros((2, 2, 1)), np.zeros((3, 1)), np.ones((3, 1)))
 
+    @pytest.mark.parametrize("eps_sigma", [np.inf, np.nan, 0.0, -1.0])
+    def test_eps_sigma_must_be_finite_and_positive(self, eps_sigma):
+        # an infinite floor would set every score to 0
+        message = f"^eps_sigma must be finite and > 0, got {eps_sigma}$"
+        with pytest.raises(ValidationError, match=message):
+            normalize(np.zeros((2, 1, 1)), np.zeros((1, 1)), np.ones((1, 1)), eps_sigma)
+        cube = stacked_ensembles(np.arange(24.0).reshape(3, 2, 4, 1), range(3), range(3))
+        for normalize_scores in (True, False):
+            with pytest.raises(ValidationError, match=message):
+                score_timeline(cube, cube, eps_sigma=eps_sigma,
+                               normalize_scores=normalize_scores)
+
 
 class TestAggregateVariables:
     def test_single_variable_identity(self):
@@ -230,21 +242,18 @@ class TestCollateTimeline:
 
 
 class TestUncertaintyFromEnsembles:
-    def test_orders_by_window_id(self):
+    def test_values_and_origins_in_cube_order(self):
         rng = np.random.default_rng(20)
-        e1 = EnsembleForecast(1, 10, rng.normal(size=(3, 2, 1)), ("a", "b", "c"))
-        e0 = EnsembleForecast(0, 9, rng.normal(size=(3, 2, 1)), ("a", "b", "c"))
-        values, origins = uncertainty_from_ensembles([e1, e0])
-        assert np.array_equal(origins, [9, 10])
+        cube = ForecastCube(rng.normal(size=(2, 3, 2, 1)), [0, 1], [10, 9], ("a", "b", "c"))
+        values, origins = uncertainty_from_ensembles(cube)
+        assert np.array_equal(origins, [10, 9])
         assert values.shape == (2, 2, 1)
-        assert np.array_equal(values[0], ensemble_variance(e0.predictions))
+        assert np.array_equal(values[1], ensemble_variance(cube[1].predictions))
 
 
 def stacked_ensembles(preds, window_ids, origins):
-    """One EnsembleForecast per row of a W x M x L_y x c array."""
-    ids = tuple(f"m{i}" for i in range(preds.shape[1]))
-    return [EnsembleForecast(int(w), int(o), p, ids)
-            for w, o, p in zip(window_ids, origins, preds)]
+    """A cube of a W x M x L_y x c array, members m0, m1, ..."""
+    return ForecastCube(preds, window_ids, origins, tuple(f"m{i}" for i in range(preds.shape[1])))
 
 
 @st.composite
@@ -259,7 +268,7 @@ def blocked_inputs(draw):
     W = draw(st.sampled_from(sorted({1, max(1, block - 1), block, block + 1, 2 * block + 1})))
     values = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.0, -0.0, 1e-300])
     preds = draw(hnp.arrays(np.float64, (W, M, L_y, c), elements=values))
-    window_ids = draw(st.permutations(range(W)))
+    window_ids = sorted(draw(st.lists(st.integers(-50, 50), min_size=W, max_size=W, unique=True)))
     origins = draw(st.lists(st.integers(0, 50), min_size=W, max_size=W))
     return stacked_ensembles(preds, window_ids, origins), block_bytes
 
@@ -296,18 +305,6 @@ class TestBlockedVarianceMatchesWindowLoop:
         for w in range(preds.shape[0]):
             assert_bits_equal(ensemble_variance(preds[w]), block[w])
             assert_bits_equal(block[w], reference_kernels.ensemble_variance(preds[w]))
-
-    @pytest.mark.parametrize("shapes", [[(3, 2, 1), (2, 2, 1)], [(2, 2, 1), (2, 3, 1)]],
-                             ids=["members", "horizon"])
-    def test_windows_of_different_shapes_rejected(self, shapes):
-        # differing member counts used to score each window with its own M;
-        # a differing horizon ended in numpy's stack error
-        ensembles = [EnsembleForecast(w, 10 + w, np.arange(np.prod(s), dtype=float).reshape(s),
-                                      tuple("abc"[:s[0]]))
-                     for w, s in enumerate(shapes)]
-        message = f"window 1 has M x L_y x c shape {shapes[1]}, window 0 has {shapes[0]}"
-        with pytest.raises(ValidationError, match=re.escape(message)):
-            uncertainty_from_ensembles(ensembles)
 
 
 @st.composite
