@@ -169,26 +169,6 @@ def _parse_members(text: str) -> list[fc.ForecasterSpec]:
     return specs
 
 
-def _rank_members(fitted, valid, cfg, top_k, criterion):
-    """Validation scores of every fitted member, and the top-k member ids.
-
-    The stacked inputs, targets and member forecasts die with this call.
-    """
-    windows = fc.make_windows(valid, cfg, with_targets=True)
-    targets = np.stack([w.target for w in windows])
-    inputs = np.stack([w.input for w in windows])
-    member_preds = {
-        m.member_id: fc.predict_batch(m, inputs, cfg.horizon_len) for m in fitted
-    }
-    scores = fc.evaluate_members(member_preds, targets)
-    return scores, set(fc.select_top_k(scores, top_k, criterion))
-
-
-def _forecast_split(members, windows, cfg, path) -> None:
-    """Write the ensemble forecasts of one split; its cube dies with this call."""
-    fc.write_forecast_records(path, fc.forecast_ensembles(members, windows, cfg.horizon_len))
-
-
 @cli.command()
 @click.argument("train_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("valid_path", type=click.Path(exists=True, dir_okay=False))
@@ -231,7 +211,16 @@ def forecast(train_path, valid_path, out_dir, test_path, members, top_k, criteri
         test_windows = fc.make_windows(test if scaler is None else scaler(test), cfg,
                                        with_targets=False)
     fitted = [fc.fit(spec, train) for spec in specs]
-    scores, selected = _rank_members(fitted, valid, cfg, top_k, criterion)
+    # every member forecasts the validation windows once: members are ranked on the cube written
+    windows = fc.make_windows(valid, cfg, with_targets=True)
+    cube = fc.forecast_ensembles(fitted, windows, horizon)
+    scores = fc.evaluate_members(dict(zip(cube.member_ids, cube.predictions.swapaxes(0, 1))),
+                                 np.stack([w.target for w in windows]))
+    del windows
+    selected = set(fc.select_top_k(scores, top_k, criterion))
+    keep = [j for j, member_id in enumerate(cube.member_ids) if member_id in selected]
+    cube = fc.ForecastCube(cube.predictions[:, keep], cube.window_ids, cube.origins,
+                           tuple(cube.member_ids[j] for j in keep))
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -241,12 +230,13 @@ def forecast(train_path, valid_path, out_dir, test_path, members, top_k, criteri
           int(s.member_id in selected))
          for s in scores),
     )
-    chosen = [m for m in fitted if m.member_id in selected]
-    _forecast_split(chosen, fc.make_windows(valid, cfg, with_targets=True), cfg,
-                    out / "valid_forecasts.csv")
+    fc.write_forecast_records(out / "valid_forecasts.csv", cube)
+    del cube  # before the test split is forecast
     written = ["scoreboard.csv", "valid_forecasts.csv"]
     if test_windows is not None:
-        _forecast_split(chosen, test_windows, cfg, out / "test_forecasts.csv")
+        chosen = [m for m in fitted if m.member_id in selected]
+        fc.write_forecast_records(out / "test_forecasts.csv",
+                                  fc.forecast_ensembles(chosen, test_windows, horizon))
         written.append("test_forecasts.csv")
     for model in fitted:
         for note in model.fit_report:
@@ -291,16 +281,19 @@ def score(forecasts_path, valid_forecasts_path, out_path, length, agg, collate,
     click.echo(f"score: {n}/{len(timeline)} timestamps scored -> {out_path}")
 
 
+METRIC_DEFAULTS = mx.MetricParams()
+
+
 def _metric_options(func):
     for option in reversed([
-        click.option("--alpha", type=float, default=1 / 3, show_default="1/3"),
-        click.option("--beta", type=float, default=1 / 3, show_default="1/3"),
-        click.option("--gamma", type=float, default=1 / 3, show_default="1/3"),
-        click.option("--delta", type=int, default=24, show_default=True,
+        click.option("--alpha", type=float, default=METRIC_DEFAULTS.alpha, show_default="1/3"),
+        click.option("--beta", type=float, default=METRIC_DEFAULTS.beta, show_default="1/3"),
+        click.option("--gamma", type=float, default=METRIC_DEFAULTS.gamma, show_default="1/3"),
+        click.option("--delta", type=int, default=METRIC_DEFAULTS.delta, show_default=True,
                      help="Ambiguous trailing window length."),
-        click.option("--epsilon", type=int, default=7, show_default=True,
+        click.option("--epsilon", type=int, default=METRIC_DEFAULTS.epsilon, show_default=True,
                      help="Optimal lead time of the early reward."),
-        click.option("--k", type=float, default=0.001, show_default=True,
+        click.option("--k", type=float, default=METRIC_DEFAULTS.k, show_default=True,
                      help="Early-reward decay sharpness."),
     ]):
         func = option(func)
@@ -339,7 +332,7 @@ def _parse_detect_metric(metric: str, labels, delta, alpha, beta, gamma, epsilon
 @click.argument("scores_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("labels_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("out_path", type=click.Path(dir_okay=False))
-@click.option("--grid-n", type=int, default=256, show_default=True,
+@click.option("--grid-n", type=int, default=detect_mod.DEFAULT_GRID_SIZE, show_default=True,
               help="Quantile count of the threshold grid.")
 @click.option("--metric", default="ptapr-f1@0", show_default=True,
               help="Search objective: 'point-f1' or 'ptapr-f1@<theta>'.")
@@ -476,11 +469,12 @@ def _evaluation_payload(detection, labels, params, metrics_wanted, theta_grid_n)
 @click.argument("labels_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("out_dir", type=click.Path(file_okay=False))
 @click.option("--metrics", default="ptapr,tapr,pak", show_default=True)
-@click.option("--theta", type=float, default=0.0, show_default=True,
+@click.option("--theta", type=float, default=METRIC_DEFAULTS.theta, show_default=True,
               help="Report-level overlap threshold.")
-@click.option("--theta-grid", type=int, default=101, show_default=True)
+@click.option("--theta-grid", type=int, default=mx.DEFAULT_THETA_GRID_SIZE, show_default=True)
 @_metric_options
-@click.option("--tapr-alpha", type=float, default=0.5, show_default=True)
+@click.option("--tapr-alpha", type=float, default=METRIC_DEFAULTS.tapr_alpha,
+              show_default=True)
 @handle_errors
 def evaluate(detection_path, labels_path, out_dir, metrics, theta, theta_grid,
              alpha, beta, gamma, delta, epsilon, k, tapr_alpha):
@@ -525,7 +519,7 @@ def evaluate(detection_path, labels_path, out_dir, metrics, theta, theta_grid,
 @click.argument("out_path", type=click.Path(dir_okay=False))
 @click.option("--param", type=click.Choice(["k", "epsilon"]), required=True)
 @click.option("--values", required=True, help="Comma-separated parameter values.")
-@click.option("--theta-grid", type=int, default=101, show_default=True)
+@click.option("--theta-grid", type=int, default=mx.DEFAULT_THETA_GRID_SIZE, show_default=True)
 @_metric_options
 @handle_errors
 def sweep(detection_path, labels_path, out_path, param, values, theta_grid,

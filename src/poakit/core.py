@@ -26,21 +26,25 @@ class NumericError(ArithmeticError):
 
 
 def strict_int(value) -> int:
-    """An integer given as an int or a numeric string. int() would truncate a
-    float (1.7 -> 1) and read a bool as 0/1, so both are refused."""
+    """An integer given as an int or a string under :func:`csv_number`'s
+    grammar. int() would truncate a float (1.7 -> 1) and read a bool as 0/1,
+    so both are refused."""
     if type(value) is int:  # the common case, kept as cheap as int() is
         return value
-    number = int(value)  # inf, nan and bad strings fail here with int()'s message
+    if isinstance(value, str):
+        return csv_number(value, int)
+    number = int(value)  # inf and nan fail here with int()'s message
     if isinstance(value, (float, bool)):
         raise ValueError(f"not an integer: {value!r}")
     return number
 
 
 def strict_float(value) -> float:
-    """float(value), refusing a bool (float() would read it as 0.0/1.0)."""
+    """float(value), a string read under :func:`csv_number`'s grammar; a bool
+    is refused (float() would read it as 0.0/1.0)."""
     if isinstance(value, bool):
         raise ValueError(f"not a number: {value!r}")
-    return float(value)
+    return csv_number(value) if isinstance(value, str) else float(value)
 
 
 # The format of every float in poakit's CSV and JSON outputs (NDJSON records

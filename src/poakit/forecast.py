@@ -30,7 +30,7 @@ from poakit.core import (
     ValidationError,
     _index_array,
     _refuse_first,
-    csv_number,
+    strict_float,
     strict_int,
     utf8_text,
 )
@@ -526,15 +526,15 @@ def write_forecast_records(path, cube: ForecastCube) -> None:
             fh.write(template.format(head(wid, origin), *preds.ravel().tolist()))
 
 
-def _parse_record(raw: dict, line_no: int, integer=strict_int, real=float) -> tuple:
+def _parse_record(raw: dict, line_no: int) -> tuple:
     try:
         return (
-            integer(raw["window_id"]),
-            integer(raw["origin"]),
+            strict_int(raw["window_id"]),
+            strict_int(raw["origin"]),
             str(raw["member_id"]),
-            integer(raw["step"]),
-            integer(raw["variable"]),
-            real(raw["value"]),
+            strict_int(raw["step"]),
+            strict_int(raw["variable"]),
+            strict_float(raw["value"]),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"line {line_no}: bad forecast record ({exc})") from exc
@@ -575,8 +575,7 @@ def _refused_chunk(lines, header: list, first_line: int, exc) -> int:
     outside = False
     records = itertools.islice(csv.DictReader(lines, header), _CHUNK_ROWS)
     for line_no, raw in enumerate(records, start=first_line):
-        record = _parse_record(raw, line_no, lambda text: csv_number(text, strict_int),
-                               csv_number)
+        record = _parse_record(raw, line_no)
         outside = outside or not all(-2**63 <= record[i] < 2**63 for i in (0, 1, 3, 4))
     if not outside:  # no cause found: numpy's own words, not a guess
         raise DataFormatError(f"records from line {first_line} on ({exc})") from exc

@@ -18,15 +18,6 @@ class RecordError(Exception):
     pass
 
 
-def _integer(field):
-    """JSON ints and numeric strings only: a JSON float or bool is refused,
-    after int() has had its say on inf, nan and malformed strings."""
-    number = int(field)
-    if type(field) in (float, bool):
-        raise ValueError(f"not an integer: {field!r}")
-    return number
-
-
 def _csv_number(parse):
     """A CSV number is what numpy reads: after ``parse`` has had its say, a
     '_' digit separator or a non-ASCII digit, both of which int() and float()
@@ -39,11 +30,31 @@ def _csv_number(parse):
     return narrowed
 
 
-def _parse(raw, line_no, integer=_integer, real=float):
+def _integer(field):
+    """JSON ints and strings under the CSV grammar only: a JSON float or bool
+    is refused, after int() has had its say on inf and nan."""
+    if isinstance(field, str):
+        return _csv_number(int)(field)
+    number = int(field)
+    if type(field) in (float, bool):
+        raise ValueError(f"not an integer: {field!r}")
+    return number
+
+
+def _real(field):
+    """JSON numbers and strings under the CSV grammar; a bool is refused."""
+    if isinstance(field, str):
+        return _csv_number(float)(field)
+    if type(field) is bool:
+        raise ValueError(f"not a number: {field!r}")
+    return float(field)
+
+
+def _parse(raw, line_no):
     """One record, its fields converted in ``FIELDS`` order."""
     try:
-        return (integer(raw["window_id"]), integer(raw["origin"]), str(raw["member_id"]),
-                integer(raw["step"]), integer(raw["variable"]), real(raw["value"]))
+        return (_integer(raw["window_id"]), _integer(raw["origin"]), str(raw["member_id"]),
+                _integer(raw["step"]), _integer(raw["variable"]), _real(raw["value"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise RecordError(f"line {line_no}: bad forecast record ({exc})") from exc
 
@@ -61,7 +72,7 @@ def read_records(path):
             if missing:
                 raise RecordError(f"{path}: header missing columns {sorted(missing)}")
             for line_no, raw in enumerate(reader, start=2):
-                records.append(_parse(raw, line_no, _csv_number(_integer), _csv_number(float)))
+                records.append(_parse(raw, line_no))
     else:
         with open(path) as fh:
             for line_no, line in enumerate(fh, start=1):

@@ -339,6 +339,68 @@ class TestStride:
         assert len(pio.read_scores(tmp_path / "scores.csv")) == SYNTH_CFG["length"]
 
 
+class TestForecastStage:
+    """`forecast` predicts each split once per member, and ranks the members
+    on the validation cube it writes."""
+
+    def run(self, pipeline, tmp_path, top_k="3"):
+        result = CliRunner().invoke(cli, [
+            "forecast", str(pipeline / "parts/train.csv"), str(pipeline / "parts/valid.csv"),
+            str(tmp_path / "fc"), "--test", str(pipeline / "data/test.csv"),
+            "--members", MEMBERS, "--top-k", top_k, "--input-len", "30", "--horizon", "8",
+        ])
+        assert result.exit_code == 0, result.output
+        return tmp_path / "fc"
+
+    @pytest.mark.parametrize("top_k", ["2", "3", "4"])
+    def test_each_member_predicts_each_split_once(self, pipeline, tmp_path, monkeypatch,
+                                                   top_k):
+        from poakit import forecast as fc
+
+        windows: dict[str, int] = {}
+        real = fc.predict_batch
+
+        def counted(model, inputs, horizon):
+            windows[model.member_id] = windows.get(model.member_id, 0) + len(inputs)
+            return real(model, inputs, horizon)
+
+        monkeypatch.setattr(fc, "predict_batch", counted)
+        out = self.run(pipeline, tmp_path, top_k)
+        n_valid = len(pio.read_series_csv(pipeline / "parts/valid.csv")) - 30 - 8 + 1
+        n_test = len(pio.read_series_csv(pipeline / "data/test.csv")) - 30 + 1
+        selected = {row.split(",")[0] for row in
+                    (out / "scoreboard.csv").read_text().splitlines()[1:]
+                    if row.endswith(",1")}
+        assert len(selected) == int(top_k)
+        assert windows == {spec.replace(":", "_"): n_valid + n_test * (
+            spec.replace(":", "_") in selected) for spec in MEMBERS.split(",")}
+
+    def test_members_are_ranked_on_the_cube_written(self, pipeline, tmp_path, monkeypatch):
+        from poakit import forecast as fc
+
+        ranked, written = [], {}
+        real_evaluate, real_write = fc.evaluate_members, fc.write_forecast_records
+
+        def evaluate(predictions, targets):
+            ranked.append({m: np.array(p) for m, p in predictions.items()})
+            return real_evaluate(predictions, targets)
+
+        def write(path, cube):
+            written[Path(path).name] = cube
+            return real_write(path, cube)
+
+        monkeypatch.setattr(fc, "evaluate_members", evaluate)
+        monkeypatch.setattr(fc, "write_forecast_records", write)
+        self.run(pipeline, tmp_path)
+        (scored,) = ranked
+        cube = written["valid_forecasts.csv"]
+        assert len(scored) == len(MEMBERS.split(",")) and len(cube.member_ids) == 3
+        for j, member_id in enumerate(cube.member_ids):
+            got, want = scored[member_id], cube.predictions[:, j]
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), member_id
+
+
 class TestDeterminism:
     def test_synth_reproducible_bytes(self, tmp_path):
         runner = CliRunner()

@@ -750,6 +750,46 @@ class TestForecastRecords:
         got = ingest_external_forecasts(path)
         assert all(np.array_equal(g.predictions, e.predictions) for g, e in zip(got, ensembles))
 
+    def _ndjson_with(self, tmp_path, field, value):
+        """The records of ``_make_ensembles`` as NDJSON, line 2's ``field`` set to
+        ``value`` (window 0, origin 9, member m1, step 1, variable 1)."""
+        path = tmp_path / "fc.ndjson"
+        write_forecast_records(path, self._make_ensembles())
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        record[field] = value
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("value", True, "not a number: True"),
+        ("value", False, "not a number: False"),
+        ("window_id", "0_1", "not an ASCII number without '_': '0_1'"),
+        ("value", "1_0", "not an ASCII number without '_': '1_0'"),
+        ("step", "\u0661", "not an ASCII number without '_': '\u0661'"),
+        ("value", "\uff11", "not an ASCII number without '_': '\uff11'"),
+    ], ids=["true-value", "false-value", "separator-window", "separator-value",
+            "arabic-indic-step", "fullwidth-value"])
+    def test_ndjson_strings_and_bools_follow_the_number_rule(self, tmp_path, field, value,
+                                                             message):
+        # float() read a bool value as 1.0/0.0, and int()/float() read each
+        # string as a number ("0_1" as window 1, "1_0" as 10.0)
+        path = self._ndjson_with(tmp_path, field, value)
+        with pytest.raises(DataFormatError) as err:
+            ingest_external_forecasts(path)
+        assert str(err.value) == f"{path}: line 2: bad forecast record ({message})"
+        with pytest.raises(reference_records.RecordError) as ref_err:
+            reference_records.ref_ingest(path)
+        assert str(err.value) == f"{path}: {ref_err.value}"
+
+    @pytest.mark.parametrize("text, number", [(" 2.5 ", 2.5), ("-1e-3", -1e-3), ("7", 7.0)])
+    def test_ndjson_numeric_string_value_accepted(self, tmp_path, text, number):
+        path = self._ndjson_with(tmp_path, "value", text)
+        cube = ingest_external_forecasts(path)
+        assert cube.predictions[0, 0, 0, 1] == number
+        assert_ingest_matches_reference(path)
+
     def test_missing_cell_reported(self, tmp_path):
         path = tmp_path / "fc.csv"
         write_forecast_records(path, self._make_ensembles())

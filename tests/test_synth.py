@@ -164,6 +164,37 @@ class TestConfigJson:
         data["seed"] = "7"
         assert config_from_dict(data) == small_config()
 
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("length",), "4_00"),
+            (("anomalies", 0, "start"), "\u0662\u0660\u0660"),  # Arabic-Indic 200
+            (("seed",), "\uff17"),  # fullwidth 7
+            (("anomalies", 0, "magnitude"), "2_0"),
+            (("variables", 0, "period"), "\u0665\u0660"),
+        ],
+        ids=["separator-int", "arabic-indic-int", "fullwidth-int", "separator-float",
+             "arabic-indic-float"],
+    )
+    def test_string_fields_follow_the_csv_grammar(self, path, value):
+        # int() and float() read each of these back as the small config's own
+        # value, so the config used to build without a word
+        data = config_to_dict(small_config())
+        *parents, key = path
+        node = data
+        for part in parents:
+            node = node[part]
+        node[key] = value
+        with pytest.raises(ValidationError, match=(
+                f"'{key}': not an ASCII number without '_': {value!r}")):
+            config_from_dict(data)
+
+    def test_float_fields_accept_numeric_strings(self):
+        data = config_to_dict(small_config())
+        data["anomalies"][0]["magnitude"] = " 2.0 "
+        data["variables"][0]["period"] = "5e1"
+        assert config_from_dict(data) == small_config()
+
     def test_missing_required_field(self):
         data = config_to_dict(small_config())
         del data["anomalies"][0]["magnitude"]
