@@ -169,6 +169,16 @@ def _parse_members(text: str) -> list[fc.ForecasterSpec]:
     return specs
 
 
+def _forecast(fitted, windows, horizon, series_path) -> "fc.ForecastCube":
+    """forecast_ensembles over one split; a forecaster whose output overflows
+    to a non-finite value is a numeric error naming the split's file."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # named below, not warned of
+            return fc.forecast_ensembles(fitted, windows, horizon)
+    except fc.NonFiniteForecast as exc:
+        raise NumericError(f"{series_path}: {exc}") from exc
+
+
 @cli.command()
 @click.argument("train_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("valid_path", type=click.Path(exists=True, dir_okay=False))
@@ -213,7 +223,7 @@ def forecast(train_path, valid_path, out_dir, test_path, members, top_k, criteri
     fitted = [fc.fit(spec, train) for spec in specs]
     # every member forecasts the validation windows once: members are ranked on the cube written
     windows = fc.make_windows(valid, cfg, with_targets=True)
-    cube = fc.forecast_ensembles(fitted, windows, horizon)
+    cube = _forecast(fitted, windows, horizon, valid_path)
     scores = fc.evaluate_members(dict(zip(cube.member_ids, cube.predictions.swapaxes(0, 1))),
                                  np.stack([w.target for w in windows]))
     del windows
@@ -236,7 +246,7 @@ def forecast(train_path, valid_path, out_dir, test_path, members, top_k, criteri
     if test_windows is not None:
         chosen = [m for m in fitted if m.member_id in selected]
         fc.write_forecast_records(out / "test_forecasts.csv",
-                                  fc.forecast_ensembles(chosen, test_windows, horizon))
+                                  _forecast(chosen, test_windows, horizon, test_path))
         written.append("test_forecasts.csv")
     for model in fitted:
         for note in model.fit_report:

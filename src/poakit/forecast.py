@@ -26,6 +26,7 @@ import numpy as np
 from poakit.core import (
     FLOAT_FMT,
     DataFormatError,
+    NumericError,
     TimeSeries,
     ValidationError,
     _index_array,
@@ -170,6 +171,10 @@ class EnsembleForecast:
     member_ids: tuple[str, ...]
 
 
+class NonFiniteForecast(ValidationError):
+    """A :class:`ForecastCube` was given a value that is not finite."""
+
+
 @dataclass(frozen=True, eq=False)
 class ForecastCube(Sequence):
     """W x M x L_y x c member ``predictions`` of windows with strictly increasing
@@ -198,8 +203,11 @@ class ForecastCube(Sequence):
             f"window ids must be strictly increasing: {wids[i]} followed by {wids[i + 1]}"))
         block = max(1, _BLOCK_BYTES // max(1, preds[:1].nbytes))
         for start in range(0, len(preds), block):  # no W x M x L_y x c mask
-            _refuse_first(~np.isfinite(preds[start:start + block]).all(axis=(1, 2, 3)),
-                          lambda i: f"non-finite prediction in window {wids[start + i]}")
+            finite = np.isfinite(preds[start:start + block]).all(axis=(2, 3))
+            if not finite.all():
+                w, m = np.argwhere(~finite)[0]
+                raise NonFiniteForecast(
+                    f"non-finite prediction in window {wids[start + w]}, member {ids[m]!r}")
         preds.setflags(write=False)
         for name, value in zip(("predictions", "window_ids", "origins", "member_ids"),
                                (preds, wids, origins, ids)):
@@ -425,7 +433,8 @@ def evaluate_members(
     """MSE/MAE per member over all (window, step, variable) cells.
 
     ``predictions`` maps member_id to a W x L_y x c array aligned with
-    ``targets``. Scores come back sorted by member_id.
+    ``targets``. Scores come back sorted by member_id; the first member, in
+    that order, whose mse or mae is not finite is a NumericError.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if targets.ndim != 3 or targets.shape[0] < 1:
@@ -437,14 +446,13 @@ def evaluate_members(
             raise ValidationError(
                 f"{member_id}: prediction shape {pred.shape} != target shape {targets.shape}"
             )
-        err = pred - targets
-        scores.append(
-            ForecastScore(
-                member_id=member_id,
-                mse=float(np.mean(err**2)),
-                mae=float(np.mean(np.abs(err))),
-            )
-        )
+        with np.errstate(over="ignore"):  # an overflow is named below, not warned of
+            err = pred - targets
+            score = ForecastScore(member_id, float(np.mean(err**2)), float(np.mean(np.abs(err))))
+        for metric, value in (("mse", score.mse), ("mae", score.mae)):
+            if not math.isfinite(value):
+                raise NumericError(f"member {member_id!r}: {metric} is not finite ({value})")
+        scores.append(score)
     return scores
 
 
@@ -528,7 +536,7 @@ def write_forecast_records(path, cube: ForecastCube) -> None:
 
 def _parse_record(raw: dict, line_no: int) -> tuple:
     try:
-        return (
+        record = (
             strict_int(raw["window_id"]),
             strict_int(raw["origin"]),
             str(raw["member_id"]),
@@ -538,6 +546,12 @@ def _parse_record(raw: dict, line_no: int) -> tuple:
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"line {line_no}: bad forecast record ({exc})") from exc
+    if (-2**63 <= record[0] < 2**63 and -2**63 <= record[1] < 2**63
+            and -2**63 <= record[3] < 2**63 and -2**63 <= record[4] < 2**63):
+        return record
+    outside = next(n for n in record[:2] + record[3:5] if not -2**63 <= n < 2**63)
+    raise DataFormatError(
+        f"line {line_no}: bad forecast record (integer outside the int64 range: {outside})")
 
 
 def _record_chunks(records, codes):
@@ -545,12 +559,7 @@ def _record_chunks(records, codes):
     (window_id, origin, member code, step, variable, value)."""
     while chunk := list(itertools.islice(records, _CHUNK_ROWS)):
         window_id, origin, member, step, variable, value = zip(*chunk)
-        try:
-            ints = [np.array(col, dtype=np.int64) for col in (window_id, origin, step, variable)]
-        except OverflowError:
-            for _ in records:  # a bad record further on is reported first
-                pass
-            raise DataFormatError("forecast record integer outside the int64 range") from None
+        ints = [np.array(col, dtype=np.int64) for col in (window_id, origin, step, variable)]
         member = np.array([codes[m] for m in member], dtype=np.int64)
         yield ints[0], ints[1], member, ints[2], ints[3], np.array(value, dtype=np.float64)
 
@@ -568,26 +577,12 @@ def _ndjson_records(path: str):
             yield _parse_record(raw, line_no)
 
 
-def _refused_chunk(lines, header: list, first_line: int, exc) -> int:
-    """Walk the chunk numpy refused (the lines it read, then the rest): raise
-    its first parse error; else, once an integer falls outside int64, return
-    the next chunk's first line; else raise numpy's own message."""
-    outside = False
-    records = itertools.islice(csv.DictReader(lines, header), _CHUNK_ROWS)
-    for line_no, raw in enumerate(records, start=first_line):
-        record = _parse_record(raw, line_no)
-        outside = outside or not all(-2**63 <= record[i] < 2**63 for i in (0, 1, 3, 4))
-    if not outside:  # no cause found: numpy's own words, not a guess
-        raise DataFormatError(f"records from line {first_line} on ({exc})") from exc
-    return line_no + 1
-
-
 def _csv_chunks(path: str, codes):
     """Column chunks of a record CSV, its columns found by header name.
 
     numpy parses ``_CHUNK_ROWS`` records at a time from the open file; the lines
-    it read stay in hand for `_refused_chunk` until the chunk parses. After an
-    integer outside int64 no chunk is yielded, but a later parse error comes first.
+    it read stay in hand until the chunk parses. When numpy refuses a chunk,
+    those lines, then the rest of the chunk, are walked record by record.
     """
     with utf8_text(path, newline="") as fh:
         header = next(csv.reader(fh), None)
@@ -599,7 +594,7 @@ def _csv_chunks(path: str, codes):
         column = {name: i for i, name in enumerate(header)}  # last one wins, as in DictReader
         usecols = [column[f] for f in _RECORD_FIELDS]
         converters = {column["member_id"]: codes.__getitem__}
-        first_line, outside = 2, False  # the line number DictReader gives the next record
+        first_line = 2  # the line number DictReader gives the next record
         while True:
             numpy_lines, lines = itertools.tee(fh)
             try:
@@ -613,19 +608,20 @@ def _csv_chunks(path: str, codes):
                     )
             except UnicodeDecodeError:
                 raise  # not a refused record: utf8_text names the file
-            except (ValueError, DeprecationWarning) as exc:
-                first_line, outside = _refused_chunk(lines, header, first_line, exc), True
-                continue
+            except (ValueError, DeprecationWarning) as exc:  # the first bad record's error
+                records = itertools.islice(csv.DictReader(lines, header), _CHUNK_ROWS)
+                for line_no, raw in enumerate(records, start=first_line):
+                    _parse_record(raw, line_no)
+                # no cause found: numpy's own words, not a guess
+                raise DataFormatError(f"records from line {first_line} on ({exc})") from exc
             del lines  # only a refused chunk needs its lines
             n = table.size
-            if n and not outside:
+            if n:
                 yield tuple(table[f] for f in _RECORD_FIELDS)
             del table  # before the next chunk is parsed
             if n < _CHUNK_ROWS:  # blank lines do not count toward max_rows
                 break
             first_line += n
-    if outside:
-        raise DataFormatError("forecast record integer outside the int64 range")
 
 
 class _RecordGrid:
@@ -635,10 +631,8 @@ class _RecordGrid:
     to the values, ``stamp`` holds the 1-based number of the record that
     filled each cell (0: not yet filled), so duplicates and gaps show without
     keeping any record past its chunk. A file of n records fills at most n
-    cells, so once the records seen so far span more cells than the file has
-    room for records, the file cannot be complete: the cube stops growing and
-    the cells outside it go to ``overflow`` (cell -> record number) until
-    the error is known.
+    cells, so a record whose cell would make the grid span more cells than
+    the file has room for records is refused: the cube never grows past it.
     """
 
     def __init__(self, codes, max_records):
@@ -650,7 +644,6 @@ class _RecordGrid:
         self.dims = (0, 0, 0, 0)  # W, M, L_y, c spanned by the records so far
         self.values = np.empty((0, 0, 0, 0))
         self.stamp = np.zeros((0, 0, 0, 0), np.int32 if max_records < 2**31 else np.int64)
-        self.overflow: dict | None = None
         self.n = 0
         self.error: str | None = None
 
@@ -659,7 +652,7 @@ class _RecordGrid:
 
         Within a record, a step or variable out of range comes first, then a
         cell already seen, then an origin other than the one the window's
-        first record gave.
+        first record gave, then a cell the file has no room for.
         """
         if self.error is not None:
             return  # later records cannot move the first bad one
@@ -671,11 +664,10 @@ class _RecordGrid:
         bad = bad_range | (origin != self.origins[slot])
         k = int(np.argmax(bad)) if bad.any() else n
         m = k + 1 if k < n and not bad_range[k] else k  # the records whose cells count
-        seen, cells = rec[:m], None
-        if m:
-            self._fit(slot[:m], member[:m], step[:m], variable[:m])
-            seen, cells = self._stamp(slot[:m], member[:m], step[:m], variable[:m], rec[:m])
-        dup = seen != rec[:m]
+        fits = self._fit(slot[:m], member[:m], step[:m], variable[:m]) if m else 0
+        seen, cells = self._stamp(slot[:fits], member[:fits], step[:fits], variable[:fits],
+                                  rec[:fits])
+        dup = seen != rec[:fits]
         if dup.any():
             d = int(np.argmax(dup))
             self.error = (
@@ -683,13 +675,23 @@ class _RecordGrid:
                 f"member={list(self.codes)[member[d]]!r} step={step[d]} "
                 f"variable={variable[d]} (first seen at record {seen[d]})"
             )
+        elif fits < k:  # the record at ``fits`` has a cell outside the file's room
+            f = fits
+            W, M, L, c = (max(d, int(x) + 1) for d, x in
+                          zip(self.dims, (slot[f], member[f], step[f] - 1, variable[f])))
+            self.error = (
+                f"record {rec[f]}: cell window={window_id[f]} "
+                f"member={list(self.codes)[member[f]]!r} step={step[f]} variable={variable[f]} "
+                f"would make the grid {W} windows x {M} members x {L} steps x {c} variables, "
+                f"more cells than the {self.max_records} records this file has room for"
+            )
         elif k < n and bad_range[k]:
             self.error = (f"record {rec[k]}: step must be >= 1 and variable >= 0, "
                           f"got ({step[k]}, {variable[k]})")
         elif k < n:
             self.error = (f"record {rec[k]}: window {window_id[k]} has conflicting origins "
                           f"{self.origins[slot[k]]} and {origin[k]}")
-        elif self.overflow is None:
+        else:
             self.values.reshape(-1)[cells] = value
 
     def _slots(self, window_id, origin):
@@ -707,59 +709,54 @@ class _RecordGrid:
             self.origins = np.concatenate([self.origins, origins])
         return np.repeat(run_slots, np.diff(np.r_[starts, window_id.size]))
 
-    def _fit(self, slot, member, step, variable) -> None:
-        """Grow the cube to span these records' cells, if a file this size can fill it.
+    def _fit(self, slot, member, step, variable) -> int:
+        """Grow the cube to span these records' cells, as far as a file this
+        size has room for. Returns how many records, from the first, fit.
 
         Member, step and variable capacity is exact; the window axis grows by
         a quarter at a time, in place.
         """
         W, M, L, c = self.dims
-        self.dims = dims = (max(W, int(slot.max()) + 1), max(M, int(member.max()) + 1),
-                            max(L, int(step.max())), max(c, int(variable.max()) + 1))
+        dims = (max(W, int(slot.max()) + 1), max(M, int(member.max()) + 1),
+                max(L, int(step.max())), max(c, int(variable.max()) + 1))
+        fits = slot.size
+        if math.prod(dims) > self.max_records:  # find the first record past the room
+            spans = np.stack([slot, member, step - 1, variable]).astype(object) + 1
+            spans = np.maximum(np.maximum.accumulate(spans, axis=1),
+                               np.array(self.dims, dtype=object)[:, None])
+            fits = int(np.argmax(spans.prod(axis=0) > self.max_records))
+            dims = tuple(spans[:, fits - 1]) if fits else self.dims
+        self.dims = dims
         cap = self.stamp.shape
-        if self.overflow is not None or all(d <= h for d, h in zip(dims, cap)):
-            return
-        if math.prod(dims) > self.max_records:
-            self.overflow = {}
-            return
+        if all(d <= h for d, h in zip(dims, cap)):
+            return fits
         rows = cap[0] if dims[0] <= cap[0] else max(dims[0], cap[0] + cap[0] // 4)
         shape = (min(rows, self.max_records // math.prod(dims[1:])), *dims[1:])
         if dims[1:] == cap[1:]:  # realloc: no view of either array outlives its call
             self.values.resize(shape, refcheck=False)
             self.stamp.resize(shape, refcheck=False)
-            return
-        values, stamp = np.zeros(shape), np.zeros(shape, self.stamp.dtype)
-        old = (slice(0, W), *(slice(0, h) for h in cap[1:]))  # the filled windows
-        values[old], stamp[old] = self.values[:W], self.stamp[:W]
-        self.values, self.stamp = values, stamp
+        else:
+            values, stamp = np.zeros(shape), np.zeros(shape, self.stamp.dtype)
+            old = (slice(0, W), *(slice(0, h) for h in cap[1:]))  # the filled windows
+            values[old], stamp[old] = self.values[:W], self.stamp[:W]
+            self.values, self.stamp = values, stamp
+        return fits
 
     def _stamp(self, slot, member, step, variable, rec):
-        """Stamp the records' cells. Returns, per record, the number of the
-        record that first filled its cell (its own, unless it repeats a cell),
-        and the flat cells of the records inside the cube."""
-        cap = self.stamp.shape
-        inside = slice(None)  # every record, unless the cube stopped growing
-        if self.overflow is not None:
-            inside = (slot < cap[0]) & (member < cap[1]) & (step <= cap[2]) & (variable < cap[3])
-        cells = np.ravel_multi_index(
-            (slot[inside], member[inside], step[inside] - 1, variable[inside]), cap)
-        stamp, mine = self.stamp.reshape(-1), rec[inside]
+        """Stamp the records' cells. Returns their flat cells and, per record,
+        the number of the record that first filled its cell (its own, unless
+        it repeats a cell)."""
+        cells = np.ravel_multi_index((slot, member, step - 1, variable), self.stamp.shape)
+        stamp = self.stamp.reshape(-1)
         prior = stamp[cells]
-        stamp[cells] = mine
+        stamp[cells] = rec
         first = np.where(prior != 0, prior, stamp[cells])
-        if not np.array_equal(first, mine):  # a duplicate: each cell's first record, exactly
+        if not np.array_equal(first, rec):  # a duplicate: each cell's first record, exactly
             order = np.argsort(cells, kind="stable")
             lead = np.r_[True, cells[order][1:] != cells[order][:-1]]
             lead = order[np.maximum.accumulate(np.where(lead, np.arange(order.size), 0))]
-            first[order] = np.where(prior[order] != 0, prior[order], mine[lead])
-        if self.overflow is None:
-            return first, cells
-        seen = rec.copy()
-        seen[inside] = first
-        for i in np.flatnonzero(~inside).tolist():
-            cell = (int(slot[i]), int(member[i]), int(step[i]), int(variable[i]))
-            seen[i] = self.overflow.setdefault(cell, int(rec[i]))
-        return seen, cells
+            first[order] = np.where(prior[order] != 0, prior[order], rec[lead])
+        return first, cells
 
     def forecasts(self) -> ForecastCube:
         """The cube in window id order, members in id order, or the first error."""
@@ -770,7 +767,7 @@ class _RecordGrid:
         W, M, L, c = self.dims
         # With no cell filled twice and every record inside the W x M x L_y x c
         # grid, the records fill it iff there are as many records as cells.
-        if self.overflow is not None or self.n != W * M * L * c:
+        if self.n != W * M * L * c:
             raise self._missing_cells()
         self.stamp = None
         self.values.resize(self.dims, refcheck=False)
@@ -786,27 +783,15 @@ class _RecordGrid:
     def _missing_cells(self) -> DataFormatError:
         """The error of the first window, in id order, that lacks a cell."""
         W, M, L, c = self.dims
-        cap = self.stamp.shape
-        counts = np.zeros(W, dtype=np.int64)
-        counts[:cap[0]] = np.count_nonzero(self.stamp[:W], axis=(1, 2, 3))
-        for cell in self.overflow or ():
-            counts[cell[0]] += 1
+        counts = np.count_nonzero(self.stamp[:W], axis=(1, 2, 3))
         expected = M * L * c
         order = np.argsort(self.window_ids)
         w = int(order[np.flatnonzero(counts[order] != expected)[0]])
-
-        def filled(m, s, v):
-            if w < cap[0] and m < cap[1] and s <= cap[2] and v < cap[3]:
-                return self.stamp[w, m, s - 1, v] != 0
-            return (w, m, s, v) in self.overflow
-
         names = list(self.codes)
-        # Lazily, in (member id, step, variable) order: the walk ends within
-        # the window's record count plus three cells, however large L_y or c.
-        grid = ((m, s, v) for m in sorted(range(M), key=names.__getitem__)
-                for s in range(1, L + 1) for v in range(c))
-        missing = [(names[m], s, v) for m, s, v in
-                   itertools.islice((cell for cell in grid if not filled(*cell)), 3)]
+        m_order = sorted(range(M), key=names.__getitem__)
+        # the grid is no larger than the file, so the window's slab is scanned whole
+        missing = [(names[m_order[m]], s + 1, v)
+                   for m, s, v in np.argwhere((self.stamp[w] == 0)[m_order])[:3].tolist()]
         return DataFormatError(
             f"window {self.window_ids[w]}: expected {expected} cells "
             f"({M} members x {L} steps x {c} variables), got {counts[w]}; "
@@ -828,8 +813,10 @@ def ingest_external_forecasts(path) -> ForecastCube:
     and all windows must share the same member set, horizon and variable
     count. Format auto-detected from the extension (.csv vs .ndjson/.jsonl);
     CSV columns are found by header name. Records stream through in chunks:
-    memory is the W x M x L_y x c cube plus one chunk, whatever the record
-    count or order. Every error in the file's content starts with its path.
+    on a regular file, memory is the W x M x L_y x c cube plus one chunk,
+    whatever the record count or order. Every error in the file's content
+    starts with its path: the first record that does not parse, else the
+    first bad record, else the first window, in id order, that lacks a cell.
     """
     path = str(path)
     codes: defaultdict = defaultdict()  # member id -> integer code, numbered on first lookup

@@ -8,6 +8,7 @@ values, and reject the rest with the same message.
 
 import csv
 import json
+import os
 
 import numpy as np
 
@@ -51,12 +52,18 @@ def _real(field):
 
 
 def _parse(raw, line_no):
-    """One record, its fields converted in ``FIELDS`` order."""
+    """One record, its fields converted in ``FIELDS`` order; once all convert,
+    the first integer outside int64, if any, is refused."""
     try:
-        return (_integer(raw["window_id"]), _integer(raw["origin"]), str(raw["member_id"]),
-                _integer(raw["step"]), _integer(raw["variable"]), _real(raw["value"]))
+        record = (_integer(raw["window_id"]), _integer(raw["origin"]), str(raw["member_id"]),
+                  _integer(raw["step"]), _integer(raw["variable"]), _real(raw["value"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise RecordError(f"line {line_no}: bad forecast record ({exc})") from exc
+    for number in (record[0], record[1], record[3], record[4]):
+        if not -2**63 <= number <= 2**63 - 1:
+            raise RecordError(
+                f"line {line_no}: bad forecast record (integer outside the int64 range: {number})")
+    return record
 
 
 def read_records(path):
@@ -90,7 +97,13 @@ def read_records(path):
 
 
 def ref_ingest(path):
-    """[(window_id, origin, member_ids, M x L_y x c values)] sorted by window id."""
+    """[(window_id, origin, member_ids, M x L_y x c values)] sorted by window id.
+
+    A file of size s holds at most s // 10 records (none is shorter than
+    "0,0,,1,0,0"), so a record whose cell makes the windows, members, steps
+    and variables seen so far span more cells than that is refused."""
+    room = os.path.getsize(path) // 10
+    windows, members_seen, steps, variables = set(), set(), 0, 0
     by_window = {}
     first_seen = {}
     for rec_no, (wid, origin, member, step, var, value) in enumerate(read_records(path), 1):
@@ -110,6 +123,16 @@ def ref_ingest(path):
             raise RecordError(
                 f"record {rec_no}: window {wid} has conflicting origins "
                 f"{entry['origin']} and {origin}"
+            )
+        windows.add(wid)
+        members_seen.add(member)
+        steps, variables = max(steps, step), max(variables, var + 1)
+        if len(windows) * len(members_seen) * steps * variables > room:
+            raise RecordError(
+                f"record {rec_no}: cell window={wid} member={member!r} step={step} "
+                f"variable={var} would make the grid {len(windows)} windows x "
+                f"{len(members_seen)} members x {steps} steps x {variables} variables, "
+                f"more cells than the {room} records this file has room for"
             )
         entry["cells"][(member, step, var)] = value
     members = sorted({m for (_, m, _, _) in first_seen})

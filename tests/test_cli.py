@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import click
@@ -653,6 +654,48 @@ class TestErrorHandling:
         assert not out.exists()
 
 
+class TestForecastNumericErrors:
+    """A forecast stage that overflows exits 4 with one error[numeric] line that
+    names what overflowed, and no numpy warning."""
+
+    @staticmethod
+    def _series(path, values):
+        path.write_text("timestamp,v0\n" + "".join(f"{i},{float(v)!r}\n"
+                                                   for i, v in enumerate(values)))
+        return str(path)
+
+    @staticmethod
+    def _forecast(*args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return CliRunner().invoke(cli, ["forecast", *args])
+
+    def test_overflowed_ranking_names_member_and_metric(self, tmp_path):
+        # every member used to score inf, and the top-k fell back to id order
+        rng = np.random.default_rng(0)
+        train = self._series(tmp_path / "train.csv", 1e307 * (1 + 0.5 * rng.standard_normal(300)))
+        valid = self._series(tmp_path / "valid.csv", 1e307 * (1 + 0.5 * rng.standard_normal(200)))
+        out = tmp_path / "fc"
+        result = self._forecast(train, valid, str(out), "--input-len", "30", "--horizon", "8",
+                                "--top-k", "2")
+        assert result.exit_code == 4, result.output
+        assert result.output == "error[numeric]: member 'ar_ols_4': mse is not finite (inf)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("split", ["valid", "test"])
+    def test_non_finite_forecast_names_member_and_split(self, tmp_path, split):
+        # the error used to be error[validation]: non-finite prediction in window 0
+        rng = np.random.default_rng(0)
+        small = self._series(tmp_path / "small.csv", rng.standard_normal(200))
+        huge = self._series(tmp_path / "huge.csv", 1.6e308 - rng.uniform(0, 1e306, 200))
+        splits = [small, huge] if split == "valid" else [small, small, "--test", huge]
+        result = self._forecast(*splits, str(tmp_path / "fc"), "--input-len", "30", "--top-k", "2",
+                                "--members", "persistence,moving_average:12,exp_smoothing:0.3")
+        assert result.exit_code == 4, result.output
+        assert result.output == (f"error[numeric]: {huge}: non-finite prediction in window 0, "
+                                 "member 'moving_average_12'\n")
+
+
 class TestRunDirectoryIndependence:
     def test_outputs_do_not_depend_on_the_run_directory(self, pipeline, tmp_path):
         # detect used to store the scores path as typed, report the run directory
@@ -936,7 +979,7 @@ class TestScoreRejections:
     @pytest.mark.parametrize("ext", ["csv", "ndjson"])
     def test_absurd_step_is_a_validation_error(self, tmp_path, ext):
         # one record of window 0 moves from step 1 to step 10^12: the grid it
-        # implies is far larger than any file could fill
+        # implies is far larger than the file could fill, so that record is refused
         path = tmp_path / f"test.{ext}"
         write_forecast_records(path, ensembles(windows=2))
         lines = path.read_text().splitlines()
@@ -953,14 +996,15 @@ class TestScoreRejections:
                                           str(tmp_path / "scores.csv")])
         assert result.exit_code == 2, result.output
         assert result.output == (
-            f"error[validation]: {path}: window 0: expected 6000000000000 cells (3 members x "
-            "1000000000000 steps x 2 variables), got 24; first missing: "
-            "[('m0', 1, 0), ('m0', 5, 0), ('m0', 5, 1)]\n")
+            f"error[validation]: {path}: record 1: cell window=0 member='m0' step=1000000000000 "
+            "variable=0 would make the grid 1 windows x 1 members x 1000000000000 steps x "
+            f"1 variables, more cells than the {path.stat().st_size // 10} records this file "
+            "has room for\n")
 
     @pytest.mark.parametrize("edit, message", [
         ("duplicate", "record 97: duplicate cell window=0 member='m0' step=1 variable=0 "
                       "(first seen at record 1)"),
-        ("nan", "non-finite prediction in window 2"),
+        ("nan", "non-finite prediction in window 2, member 'm0'"),
     ])
     def test_record_error_names_its_file(self, tmp_path, edit, message):
         # score reads two record files: the message says which one is bad

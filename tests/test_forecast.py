@@ -17,7 +17,7 @@ import reference_kernels
 import reference_records
 
 from poakit import core as core_module, forecast as forecast_module
-from poakit.core import DataFormatError, TimeSeries, ValidationError
+from poakit.core import DataFormatError, NumericError, TimeSeries, ValidationError
 from poakit.forecast import (
     FittedForecaster,
     ForecastCube,
@@ -341,6 +341,21 @@ class TestEvaluateMembers:
         with pytest.raises(ValidationError):
             evaluate_members({"a": np.zeros((0, 2, 1))}, np.zeros((0, 2, 1)))
 
+    @pytest.mark.parametrize("preds, message", [
+        ({"c": 1e300, "b": 1e300, "a": 1.0}, "member 'b': mse is not finite (inf)"),
+        ({"b": np.nan, "a": 1.0}, "member 'b': mse is not finite (nan)"),
+    ], ids=["overflow", "nan"])
+    def test_first_non_finite_score_in_member_order_raises(self, preds, message):
+        # overflowed errors used to rank every member inf, and the top-k fell
+        # back to id order with only numpy's overflow warning
+        targets = np.zeros((2, 3, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericError) as err:
+                evaluate_members({m: np.full(targets.shape, v) for m, v in preds.items()},
+                                 targets)
+        assert str(err.value) == message
+
 
 class TestSelectTopK:
     def test_picks_smallest(self):
@@ -381,10 +396,11 @@ class TestForecastCube:
         (np.zeros((2, 3, 1)), [7, 8], ("a", "b"), "ensemble predictions must be W x M x L_y x c"),
         (np.zeros((2, 2, 3, 1)), [7, 8], ("a",), "one member_id per prediction slab required"),
         (np.zeros((2, 2, 3, 1)), [7, 8], ["a", "a"], r"duplicate member_ids: \['a', 'a'\]"),
-        (np.full((2, 2, 3, 1), np.nan), [7, 8], ("a", "b"), "non-finite prediction in window 7"),
+        (np.full((2, 2, 3, 1), np.nan), [7, 8], ("a", "b"),
+         "non-finite prediction in window 7, member 'a'"),
         (np.zeros((2, 2, 3, 1)), [7, 8], ("a", "a"), r"duplicate member_ids: \('a', 'a'\)"),
         (np.where(np.arange(12).reshape(2, 2, 3, 1) == 11, np.inf, 0.0), [7, 8], ("a", "b"),
-         "non-finite prediction in window 8"),
+         "non-finite prediction in window 8, member 'b'"),
         (np.zeros((2, 2, 3, 1)), [8, 7], ("a", "b"),
          "window ids must be strictly increasing: 8 followed by 7"),
         (np.zeros((3, 2, 3, 1)), [6, 7, 7], ("a", "b"),
@@ -403,7 +419,8 @@ class TestForecastCube:
         preds = np.zeros((50, 2, 3, 1))
         preds[37, 0, 1, 0] = np.nan
         with mock.patch.object(forecast_module, "_BLOCK_BYTES", 5 * preds[0].nbytes), \
-                pytest.raises(ValidationError, match="^non-finite prediction in window 137$"):
+                pytest.raises(ValidationError,
+                              match="^non-finite prediction in window 137, member 'a'$"):
             ForecastCube(preds, range(100, 150), range(50), ("a", "b"))
 
     def test_items_are_read_only_views(self):
@@ -500,7 +517,8 @@ def assert_ingest_matches_reference(path):
 FIELD_EDITS = [
     ("1.5", 1.5), ("0", 0), ("-1", -1), ("", ""), ("3.0", "3"), ("x", None),
     (" 2 ", 2.0), ("+1", True), ("1_0", "x"), ("1e3", 1e3), ("a,b", "a,b"),
-    ("\u0661", "\u0661"),
+    ("\u0661", "\u0661"), ("9223372036854775808", 2**63),
+    ("-9223372036854775809", -2**63 - 1),
 ]
 
 member_ids = st.lists(
@@ -928,36 +946,43 @@ class TestStreamingIngest:
 
     @pytest.mark.parametrize("ext", ["csv", "ndjson"])
     @pytest.mark.parametrize("field, message", [
-        (3, "window 0: expected 4000000000000 cells (2 members x 1000000000000 steps x "
-            "2 variables), got 12; first missing: [('m1', 1, 1), ('m1', 4, 0), ('m1', 4, 1)]"),
-        (4, "window 0: expected 6000000000006 cells (2 members x 3 steps x 1000000000001 "
-            "variables), got 12; first missing: [('m1', 1, 1), ('m1', 1, 2), ('m1', 1, 3)]"),
+        (3, "record 2: cell window=0 member='m1' step=1000000000000 variable=1 would make the "
+            "grid 1 windows x 1 members x 1000000000000 steps x 2 variables, more cells than "
+            "the {room} records this file has room for"),
+        (4, "record 2: cell window=0 member='m1' step=1 variable=1000000000000 would make the "
+            "grid 1 windows x 1 members x 1 steps x 1000000000001 variables, more cells than "
+            "the {room} records this file has room for"),
     ], ids=["step", "variable"])
-    def test_absurd_step_or_variable_is_a_missing_cell_error(self, tmp_path, ext, field,
-                                                              message):
+    def test_absurd_step_or_variable_is_a_record_error(self, tmp_path, ext, field, message):
         # record 2 is window 0, m1, step 1, variable 1: it moves to step or variable 10^12
         path = tmp_path / f"fc.{ext}"
         write_rows(path, _edit(self._rows(), 1, field, 10**12))
+        room = path.stat().st_size // 10
         for chunk_rows in (None, 1, 7):
             with chunk_rows_patched(chunk_rows), pytest.raises(DataFormatError) as err:
                 ingest_external_forecasts(path)
-            assert str(err.value) == f"{path}: {message}"
+            assert str(err.value) == f"{path}: {message.format(room=room)}"
 
-    def test_int64_overflow_after_parse_errors_before_record_errors(self, tmp_path):
+    def test_int64_overflow_is_a_parse_error(self, tmp_path):
+        # an integer outside int64 names its line, and the first parse error in
+        # file order comes before every record error
         path = tmp_path / "fc.csv"
         rows = self._rows()
         overflow = _edit(list(rows), 20, 0, 2**63) + [rows[0]]  # and a duplicate at record 37
-        write_rows(path, overflow)
-        for chunk_rows in (None, 1, 7):
-            with chunk_rows_patched(chunk_rows), pytest.raises(DataFormatError) as err:
-                ingest_external_forecasts(path)
-            assert str(err.value) == f"{path}: forecast record integer outside the int64 range"
-        write_rows(path, _edit(overflow, 30, 5, "abc"))
-        for chunk_rows in (None, 1, 7):
-            with chunk_rows_patched(chunk_rows), pytest.raises(DataFormatError) as err:
-                ingest_external_forecasts(path)
-            assert str(err.value) == (
-                f"{path}: line 32: bad forecast record (could not convert string to float: 'abc')")
+        cases = [
+            (overflow, "line 22: bad forecast record (integer outside the int64 range: "
+                       "9223372036854775808)"),
+            (_edit(list(overflow), 30, 5, "abc"), "line 22: bad forecast record (integer "
+                                                  "outside the int64 range: 9223372036854775808)"),
+            (_edit(list(overflow), 10, 5, "abc"),
+             "line 12: bad forecast record (could not convert string to float: 'abc')"),
+        ]
+        for rows, message in cases:
+            write_rows(path, rows)
+            for chunk_rows in (None, 1, 7):
+                with chunk_rows_patched(chunk_rows), pytest.raises(DataFormatError) as err:
+                    ingest_external_forecasts(path)
+                assert str(err.value) == f"{path}: {message}"
 
     def test_bad_last_record_opens_the_file_once(self, tmp_path):
         # the rejected block is walked from the lines in hand: a pipe cannot be re-opened
@@ -996,16 +1021,16 @@ class TestStreamingIngest:
             f"{path}: line 3: bad forecast record (invalid literal for int() with base 10: '1.5')")
 
     def test_refused_chunk_is_walked_alone(self, tmp_path):
-        # an integer outside int64 in record 2: the walk covers its chunk of 7
-        # records, and numpy parses the rest
+        # an integer outside int64 in record 2 of a chunk of 7: the walk stops there
         path = tmp_path / "fc.csv"
         write_rows(path, _edit(self._rows(), 1, 0, 2**63))
         walked = mock.Mock(wraps=forecast_module._parse_record)
         with chunk_rows_patched(7), mock.patch.object(forecast_module, "_parse_record", walked), \
                 pytest.raises(DataFormatError) as err:
             ingest_external_forecasts(path)
-        assert str(err.value) == f"{path}: forecast record integer outside the int64 range"
-        assert walked.call_count == 7
+        assert str(err.value) == (f"{path}: line 3: bad forecast record "
+                                  "(integer outside the int64 range: 9223372036854775808)")
+        assert walked.call_count == 2
 
     def test_refusal_without_a_found_cause_keeps_numpy_message(self, tmp_path):
         path = tmp_path / "fc.csv"
@@ -1018,24 +1043,49 @@ class TestStreamingIngest:
             ingest_external_forecasts(path)
         assert str(err.value) == f"{path}: records from line 2 on (refused)"
 
-    def test_memory_is_one_cube_plus_a_chunk(self, tmp_path):
+    @staticmethod
+    def _memory_fixture(path):
         # 400 windows of 6 members x 24 steps x 3 variables, as poakit writes
         # them: 172,800 records. A whole-file table of 48-byte records alone
         # would be 6x the cube.
         rng = np.random.default_rng(3)
         ids = tuple(f"member_{m}" for m in range(6))
-        path = tmp_path / "fc.csv"
         write_forecast_records(path, ForecastCube(rng.normal(size=(400, 6, 24, 3)), range(400),
                                                   range(100, 500), ids))
+        return 172_800 * 8  # the cube's bytes
+
+    @staticmethod
+    def _traced_ingest(path):
+        """ingest_external_forecasts(path), or its error, and its tracemalloc peak."""
         tracemalloc.start()
         try:
-            loaded = ingest_external_forecasts(path)
-            peak = tracemalloc.get_traced_memory()[1]
+            try:
+                result = ingest_external_forecasts(path)
+            except DataFormatError as exc:
+                result = exc
+            return result, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        cube_bytes = sum(e.predictions.nbytes for e in loaded)
-        assert cube_bytes == 172_800 * 8
+
+    def test_memory_is_one_cube_plus_a_chunk(self, tmp_path):
+        path = tmp_path / "fc.csv"
+        cube_bytes = self._memory_fixture(path)
+        loaded, peak = self._traced_ingest(path)
+        assert sum(e.predictions.nbytes for e in loaded) == cube_bytes
         assert peak < 3 * cube_bytes, (peak, cube_bytes)
+
+    def test_memory_bound_holds_for_a_record_the_file_cannot_fill(self, tmp_path):
+        # record 1 moves to step 10^12: no record after it may cost memory
+        path = tmp_path / "fc.csv"
+        cube_bytes = self._memory_fixture(path)
+        with open(path, newline="") as fh:
+            header, first, rest = fh.readline(), fh.readline(), fh.read()
+        path.write_text(header + first.replace(",1,0,", ",1000000000000,0,", 1) + rest,
+                        newline="")
+        error, peak = self._traced_ingest(path)
+        assert peak < 3 * cube_bytes, (peak, cube_bytes)
+        assert str(error).startswith(
+            f"{path}: record 1: cell window=0 member='member_0' step=1000000000000 variable=0 ")
 
 
 class TestForecastEnsembles:
