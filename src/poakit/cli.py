@@ -4,18 +4,19 @@ Stages talk to each other only through files, so externally produced
 forecasts can be dropped in at the `score` boundary. Every subcommand is
 deterministic given its inputs (and seed).
 
-Exit codes: 0 success, 2 validation error, 3 I/O error, 4 numeric failure.
-Errors print a single machine-parsable line: ``error[<category>]: <text>``.
+Exit codes: 0 success, 2 validation error, 3 I/O error or out of memory,
+4 numeric failure, each error with one line ``error[<category>]: <text>``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import importlib.util
 import math
 import os
+import stat
 import sys
+import tempfile
 from pathlib import Path
 
 # One OpenBLAS thread unless the user chose a count: starting the thread pool
@@ -72,24 +73,51 @@ class CliError(click.ClickException):
         click.echo(f"error[{self.category}]: {self.format_message()}", err=True)
 
 
-def handle_errors(func):
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
+class Stage(click.Command):
+    """A subcommand whose outputs appear all together or not at all: the
+    callback writes them into ``stage``, a fresh directory beside them, and
+    returns its stdout message; only then do they replace their namesakes and
+    the message print. An error moves nothing and becomes one error line."""
+
+    def invoke(self, ctx):
+        out = ctx.params.get("out_dir") or ctx.params.get("run_dir")
+        target = Path(out) if out else Path(ctx.params["out_path"]).parent
         try:
-            return func(*args, **kwargs)
+            if not out and ctx.params["out_path"].endswith(os.sep):  # not a file name
+                raise IsADirectoryError(f"{ctx.params['out_path']}: not a file path")
+            base = next(d for d in (target, *target.parents) if d.exists())  # mkdir on success
+            with tempfile.TemporaryDirectory(prefix=".poakit-", dir=base) as stage:
+                message = ctx.invoke(self.callback, stage=Path(stage), **ctx.params)
+                target.mkdir(parents=True, exist_ok=True)
+                _publish(Path(stage), target)
         except (ValidationError, DataFormatError) as exc:
             raise CliError(str(exc), 2, "validation") from exc
+        except MemoryError as exc:
+            raise CliError(str(exc) or "out of memory", 3, "memory") from exc
         except OSError as exc:
             raise CliError(str(exc), 3, "io") from exc
         except (NumericError, FloatingPointError, ZeroDivisionError) as exc:
             raise CliError(str(exc), 4, "numeric") from exc
+        click.echo(message)
 
-    return wrapper
+
+def _publish(stage: Path, target: Path) -> None:
+    """Move the staged files into ``target``, manifests last, unless one would
+    replace what is not a regular file (a FIFO, device, directory or symlink)."""
+    names = sorted(os.listdir(stage), key=lambda name: name.endswith("manifest.json"))
+    for name in names:
+        if os.path.lexists(target / name) and not stat.S_ISREG(os.lstat(target / name).st_mode):
+            raise ValidationError(f"{target / name}: output exists and is not a regular file")
+    for name in names:
+        os.replace(stage / name, target / name)
 
 
 @click.group()
 def cli():
     """Precursor-of-anomaly detection pipeline and evaluation metrics."""
+
+
+cli.command_class = Stage
 
 
 def _resolve_seed(flag_seed: int | None, config_seed: int | None) -> int:
@@ -107,13 +135,12 @@ def _resolve_seed(flag_seed: int | None, config_seed: int | None) -> int:
 
 
 @cli.command()
-@click.argument("out_dir", type=click.Path(file_okay=False))
+@click.argument("out_dir", type=click.Path(file_okay=False, path_type=Path))
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Synth config JSON; defaults to the built-in benchmark.")
 @click.option("--seed", type=int, default=None,
               help=f"Override the config seed (also via ${SEED_ENV_VAR}).")
-@handle_errors
-def synth(out_dir, config_path, seed):
+def synth(stage, out_dir, config_path, seed):
     """Generate a synthetic train/test/labels dataset with precursor truth."""
     if config_path is None:
         cfg = synth_mod.default_config()
@@ -121,34 +148,26 @@ def synth(out_dir, config_path, seed):
         cfg = synth_mod.config_from_dict(pio.read_json_object(config_path))
     cfg = dataclasses.replace(cfg, seed=_resolve_seed(seed, cfg.seed))
     train, test, labels, truth = synth_mod.generate(cfg)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    pio.write_series_csv(out / "train.csv", train)
-    pio.write_series_csv(out / "test.csv", test)
-    pio.write_labels_csv(out / "labels.csv", labels)
-    pio.write_segments_csv(out / "precursor_truth.csv", truth)
-    files = ["train.csv", "test.csv", "labels.csv", "precursor_truth.csv"]
-    pio.write_manifest(
-        out / "manifest.json", synth_mod.config_to_dict(cfg), cfg.seed,
-        [out / f for f in files],
-    )
-    click.echo(f"synth: wrote {', '.join(files)} to {out}")
+    pio.write_series_csv(stage / "train.csv", train)
+    pio.write_series_csv(stage / "test.csv", test)
+    pio.write_labels_csv(stage / "labels.csv", labels)
+    pio.write_segments_csv(stage / "precursor_truth.csv", truth)
+    pio.write_manifest(stage / "manifest.json", synth_mod.config_to_dict(cfg), cfg.seed,
+                       list(stage.iterdir()))
+    return f"synth: wrote train.csv, test.csv, labels.csv, precursor_truth.csv to {out_dir}"
 
 
 @cli.command()
 @click.argument("series_path", type=click.Path(exists=True, dir_okay=False))
-@click.argument("out_dir", type=click.Path(file_okay=False))
+@click.argument("out_dir", type=click.Path(file_okay=False, path_type=Path))
 @click.option("--train-frac", type=float, default=0.7, show_default=True)
-@handle_errors
-def split(series_path, out_dir, train_frac):
+def split(stage, series_path, out_dir, train_frac):
     """Chronologically split a series into train/valid parts."""
     series = pio.read_series_csv(series_path)
     train, valid = pio.chronological_split(series, train_frac)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    pio.write_series_csv(out / "train.csv", train)
-    pio.write_series_csv(out / "valid.csv", valid)
-    click.echo(f"split: {len(train)}/{len(valid)} rows -> {out}")
+    pio.write_series_csv(stage / "train.csv", train)
+    pio.write_series_csv(stage / "valid.csv", valid)
+    return f"split: {len(train)}/{len(valid)} rows -> {out_dir}"
 
 
 # The spec strings of fc.default_member_specs(), written out so that `--help`
@@ -182,7 +201,7 @@ def _forecast(fitted, windows, horizon, series_path) -> "fc.ForecastCube":
 @cli.command()
 @click.argument("train_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("valid_path", type=click.Path(exists=True, dir_okay=False))
-@click.argument("out_dir", type=click.Path(file_okay=False))
+@click.argument("out_dir", type=click.Path(file_okay=False, path_type=Path))
 @click.option("--test", "test_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Series to emit inference forecasts for.")
 @click.option("--members", default=DEFAULT_MEMBERS, show_default=True,
@@ -196,8 +215,7 @@ def _forecast(fitted, windows, horizon, series_path) -> "fc.ForecastCube":
 @click.option("--standardize/--no-standardize", default=False, show_default=True,
               help="Per-variable z-scaling (statistics fit on TRAIN) before "
                    "fitting; forecasts are emitted in the scaled space.")
-@handle_errors
-def forecast(train_path, valid_path, out_dir, test_path, members, top_k, criterion,
+def forecast(stage, train_path, valid_path, out_dir, test_path, members, top_k, criterion,
              input_len, horizon, stride, standardize):
     """Fit members on TRAIN, rank them on VALID, emit top-K ensemble forecasts."""
     train = pio.read_series_csv(train_path)
@@ -216,7 +234,7 @@ def forecast(train_path, valid_path, out_dir, test_path, members, top_k, criteri
     specs = _parse_members(members)
     cfg = fc.WindowConfig(input_len, horizon, stride)
     test_windows = None
-    if test_path is not None:  # windowed before any file is written: a short series fails here
+    if test_path is not None:
         test = pio.read_series_csv(test_path)
         test_windows = fc.make_windows(test if scaler is None else scaler(test), cfg,
                                        with_targets=False)
@@ -232,34 +250,27 @@ def forecast(train_path, valid_path, out_dir, test_path, members, top_k, criteri
     cube = fc.ForecastCube(cube.predictions[:, keep], cube.window_ids, cube.origins,
                            tuple(cube.member_ids[j] for j in keep))
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     pio.write_csv(
-        out / "scoreboard.csv", ("member_id", "mse", "mae", "selected"),
+        stage / "scoreboard.csv", ("member_id", "mse", "mae", "selected"),
         ((s.member_id, format(s.mse, core.FLOAT_FMT), format(s.mae, core.FLOAT_FMT),
           int(s.member_id in selected))
          for s in scores),
     )
-    fc.write_forecast_records(out / "valid_forecasts.csv", cube)
+    fc.write_forecast_records(stage / "valid_forecasts.csv", cube)
     del cube  # before the test split is forecast
-    written = ["scoreboard.csv", "valid_forecasts.csv"]
     if test_windows is not None:
         chosen = [m for m in fitted if m.member_id in selected]
-        fc.write_forecast_records(out / "test_forecasts.csv",
+        fc.write_forecast_records(stage / "test_forecasts.csv",
                                   _forecast(chosen, test_windows, horizon, test_path))
-        written.append("test_forecasts.csv")
-    for model in fitted:
-        for note in model.fit_report:
-            click.echo(f"forecast: note: {model.member_id}: {note}")
     pio.write_manifest(
-        out / "manifest.json",
+        stage / "manifest.json",
         {"members": members, "top_k": top_k, "criterion": criterion,
          "input_len": input_len, "horizon": horizon, "stride": stride,
          "standardize": standardize, "selected": sorted(selected)},
-        None,
-        [out / f for f in written],
-    )
-    click.echo(f"forecast: selected {sorted(selected)} -> {out}")
+        None, list(stage.iterdir()))
+    notes = [f"forecast: note: {model.member_id}: {note}"
+             for model in fitted for note in model.fit_report]
+    return "\n".join([*notes, f"forecast: selected {sorted(selected)} -> {out_dir}"])
 
 
 @cli.command()
@@ -275,8 +286,7 @@ def forecast(train_path, valid_path, out_dir, test_path, members, top_k, criteri
 @click.option("--normalize/--no-normalize", "do_normalize", default=True,
               show_default=True, help="Z-score against validation statistics.")
 @click.option("--eps-sigma", type=float, default=1e-8, show_default=True)  # unc.DEFAULT_EPS_SIGMA
-@handle_errors
-def score(forecasts_path, valid_forecasts_path, out_path, length, agg, collate,
+def score(stage, forecasts_path, valid_forecasts_path, out_path, length, agg, collate,
           do_normalize, eps_sigma):
     """Turn ensemble forecasts into a per-timestamp precursor score timeline."""
     test_ens = fc.ingest_external_forecasts(forecasts_path)
@@ -285,10 +295,9 @@ def score(forecasts_path, valid_forecasts_path, out_path, length, agg, collate,
         test_ens, valid_ens, series_len=length, agg=agg, collate=collate,
         eps_sigma=eps_sigma, normalize_scores=do_normalize,
     )
-    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-    pio.write_scores(out_path, timeline)
+    pio.write_scores(stage / Path(out_path).name, timeline)
     n = int(timeline.defined.sum())
-    click.echo(f"score: {n}/{len(timeline)} timestamps scored -> {out_path}")
+    return f"score: {n}/{len(timeline)} timestamps scored -> {out_path}"
 
 
 METRIC_DEFAULTS = mx.MetricParams()
@@ -353,8 +362,7 @@ def _parse_detect_metric(metric: str, labels, delta, alpha, beta, gamma, epsilon
 @click.option("--search-labels", "search_labels_path",
               type=click.Path(exists=True, dir_okay=False), default=None)
 @_metric_options
-@handle_errors
-def detect_cmd(scores_path, labels_path, out_path, grid_n, metric,
+def detect_cmd(stage, scores_path, labels_path, out_path, grid_n, metric,
                search_scores_path, search_labels_path,
                alpha, beta, gamma, delta, epsilon, k):
     """Best-F1 threshold search over score quantiles, then flag emission.
@@ -393,14 +401,10 @@ def detect_cmd(scores_path, labels_path, out_path, grid_n, metric,
         "searched_on": Path(search_scores_path or scores_path).name,
         "all_undefined": result.all_undefined,
     }
-    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-    pio.write_detection(out_path, detection, meta)
-    if result.all_undefined:
-        click.echo("detect: warning: every candidate threshold left F1 undefined")
-    click.echo(
-        f"detect: threshold {result.threshold:.6g} (search F1 {result.f1:.4f}) "
-        f"-> {out_path}"
-    )
+    pio.write_detection(stage / Path(out_path).name, detection, meta)
+    warning = "detect: warning: every candidate threshold left F1 undefined\n"
+    return (warning if result.all_undefined else "") + (
+        f"detect: threshold {result.threshold:.6g} (search F1 {result.f1:.4f}) -> {out_path}")
 
 
 def _theta_points(n: int) -> np.ndarray:
@@ -477,7 +481,7 @@ def _evaluation_payload(detection, labels, params, metrics_wanted, theta_grid_n)
 @cli.command()
 @click.argument("detection_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("labels_path", type=click.Path(exists=True, dir_okay=False))
-@click.argument("out_dir", type=click.Path(file_okay=False))
+@click.argument("out_dir", type=click.Path(file_okay=False, path_type=Path))
 @click.option("--metrics", default="ptapr,tapr,pak", show_default=True)
 @click.option("--theta", type=float, default=METRIC_DEFAULTS.theta, show_default=True,
               help="Report-level overlap threshold.")
@@ -485,8 +489,7 @@ def _evaluation_payload(detection, labels, params, metrics_wanted, theta_grid_n)
 @_metric_options
 @click.option("--tapr-alpha", type=float, default=METRIC_DEFAULTS.tapr_alpha,
               show_default=True)
-@handle_errors
-def evaluate(detection_path, labels_path, out_dir, metrics, theta, theta_grid,
+def evaluate(stage, detection_path, labels_path, out_dir, metrics, theta, theta_grid,
              alpha, beta, gamma, delta, epsilon, k, tapr_alpha):
     """Full metric report (PTaPR / TaPR / PA%K) for a stored detection."""
     detection = pio.read_detection(detection_path)
@@ -500,13 +503,11 @@ def evaluate(detection_path, labels_path, out_dir, metrics, theta, theta_grid,
         epsilon=epsilon, k=k, tapr_alpha=tapr_alpha,
     )
     payload = _evaluation_payload(detection, labels, params, wanted, theta_grid)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    pio.write_json(out / "evaluation.json", payload)
+    pio.write_json(stage / "evaluation.json", payload)
     if "ptapr" in payload:
         curve = payload["ptapr"]["curve"]
         pio.write_theta_curve_csv(
-            out / "theta_curve.csv", curve["theta"], curve["ptar"], curve["ptap"],
+            stage / "theta_curve.csv", curve["theta"], curve["ptar"], curve["ptap"],
             curve["f1"],
         )
     summary = []
@@ -520,7 +521,7 @@ def evaluate(detection_path, labels_path, out_dir, metrics, theta, theta_grid,
                     f"{name} F1_0={block['f1_0']:.4f} F1_1={block['f1_1']:.4f} "
                     f"AUC={block['auc']:.4f}"
                 )
-    click.echo("evaluate: " + "; ".join(summary) + f" -> {out}")
+    return "evaluate: " + "; ".join(summary) + f" -> {out_dir}"
 
 
 @cli.command()
@@ -531,8 +532,7 @@ def evaluate(detection_path, labels_path, out_dir, metrics, theta, theta_grid,
 @click.option("--values", required=True, help="Comma-separated parameter values.")
 @click.option("--theta-grid", type=int, default=mx.DEFAULT_THETA_GRID_SIZE, show_default=True)
 @_metric_options
-@handle_errors
-def sweep(detection_path, labels_path, out_path, param, values, theta_grid,
+def sweep(stage, detection_path, labels_path, out_path, param, values, theta_grid,
           alpha, beta, gamma, delta, epsilon, k):
     """Sensitivity sweep of the early-reward parameters (k or epsilon)."""
     detection = pio.read_detection(detection_path)
@@ -554,16 +554,14 @@ def sweep(detection_path, labels_path, out_path, param, values, theta_grid,
         params = dataclasses.replace(base, **{param: cast(value)})
         s = mx.ptapr_theta_sweep(segments, params, thetas)
         rows.append((value, s.f1_at_0, s.f1_at_1, s.auc))
-    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-    pio.write_csv(out_path, (param, "f1_0", "f1_1", "auc"),
+    pio.write_csv(stage / Path(out_path).name, (param, "f1_0", "f1_1", "auc"),
                   ([format(v, core.FLOAT_FMT) for v in row] for row in rows))
-    click.echo(f"sweep: {len(rows)} {param} values -> {out_path}")
+    return f"sweep: {len(rows)} {param} values -> {out_path}"
 
 
 @cli.command()
 @click.argument("run_dir", type=click.Path(exists=True, file_okay=False))
-@handle_errors
-def report(run_dir):
+def report(stage, run_dir):
     """Consolidate a run directory into plot-ready CSVs plus report.json.
 
     Expects the conventional file names produced by the other subcommands:
@@ -592,13 +590,13 @@ def report(run_dir):
         consolidated["evaluation"] = pio.read_json_object(run / "evaluation.json")
         curve = pio.read_theta_curve(run / "evaluation.json", consolidated["evaluation"])
         if curve is not None:
-            pio.write_theta_curve_csv(run / "plot_theta_curve.csv", *curve)
+            pio.write_theta_curve_csv(stage / "plot_theta_curve.csv", *curve)
             plot_files.append("plot_theta_curve.csv")
     if scores is not None:
         detection_flags = None if detection is None else detection.flags.tolist()
         label_flags = None if labels is None else labels.flags.tolist()
         pio.write_csv(
-            run / "plot_timeline.csv", ("timestamp", "score", "flag", "label"),
+            stage / "plot_timeline.csv", ("timestamp", "score", "flag", "label"),
             ((i,
               "" if math.isnan(s) else format(s, core.FLOAT_FMT),
               "" if detection is None else detection_flags[i],
@@ -608,12 +606,9 @@ def report(run_dir):
         plot_files.append("plot_timeline.csv")
     if not consolidated and not plot_files:
         raise ValidationError(f"{run}: no pipeline outputs found to report on")
-    pio.write_json(run / "report.json", consolidated)
-    pio.write_manifest(
-        run / "report_manifest.json", {}, None,
-        [run / f for f in plot_files + ["report.json"]],
-    )
-    click.echo(f"report: wrote report.json and {plot_files} in {run}")
+    pio.write_json(stage / "report.json", consolidated)
+    pio.write_manifest(stage / "report_manifest.json", {}, None, list(stage.iterdir()))
+    return f"report: wrote report.json and {plot_files} in {run}"
 
 
 def main():

@@ -837,3 +837,5 @@ def ingest_external_forecasts(path) -> ForecastCube:
         if str(exc).startswith(f"{path}: "):  # utf8_text names the file itself
             raise
         raise type(exc)(f"{path}: {exc}") from exc
+    except MemoryError as exc:  # a pipe has no size to bound the grid it names
+        raise MemoryError(f"{path}: {exc or 'out of memory'}") from exc

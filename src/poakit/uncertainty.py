@@ -192,6 +192,9 @@ def score_timeline(
     if series_len is None:
         series_len = int(origins.max()) + 1
     if normalize_scores:
+        if set(validation_ensembles.member_ids) != set(test_ensembles.member_ids):
+            raise ValidationError(f"validation members {list(validation_ensembles.member_ids)} "
+                                  f"differ from test members {list(test_ensembles.member_ids)}")
         valid_values, _ = uncertainty_from_ensembles(validation_ensembles)
         values = normalize(values, *horizon_stats(valid_values), eps_sigma)
     values = aggregate_variables(values, agg)  # frees the W x L_y x c array

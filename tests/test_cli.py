@@ -3,6 +3,7 @@ import json
 import os
 import shlex
 import shutil
+import stat
 import subprocess
 import sys
 import threading
@@ -123,6 +124,7 @@ class TestPipeline:
             "run/evaluation.json", "run/theta_curve.csv",
         ):
             assert (pipeline / rel).exists(), rel
+        assert not list(pipeline.rglob(".poakit-*"))  # no staging directory is left
 
     def test_scoreboard_selects_top_k(self, pipeline):
         lines = (pipeline / "fc/scoreboard.csv").read_text().splitlines()
@@ -696,6 +698,125 @@ class TestForecastNumericErrors:
                                  "member 'moving_average_12'\n")
 
 
+class TestFailedStageLeavesItsOutputs:
+    """A stage that fails leaves every output as it found it: no file in a
+    fresh directory, and earlier files, manifest included, byte for byte."""
+
+    FOUND_MEMBERS = "persistence,moving_average:12,exp_smoothing:0.3"
+
+    @pytest.fixture
+    def series(self, tmp_path):
+        rng = np.random.default_rng(0)
+        return (TestForecastNumericErrors._series(tmp_path / "normal.csv",
+                                                  rng.standard_normal(200)),
+                TestForecastNumericErrors._series(tmp_path / "huge.csv",
+                                                  1.6e308 - rng.uniform(0, 1e306, 200)))
+
+    def forecast(self, out, normal, test, members=FOUND_MEMBERS):
+        return TestForecastNumericErrors._forecast(
+            normal, normal, str(out), "--test", test, "--input-len", "30", "--top-k", "2",
+            "--members", members)
+
+    @staticmethod
+    def snapshot(directory) -> dict[str, bytes]:
+        return {p.name: p.read_bytes() for p in Path(directory).iterdir()}
+
+    @staticmethod
+    def invoke_beside_fifo(fifo, args):
+        """Run ``args`` with ``fifo`` open for reading, so that a stage that
+        writes through the FIFO fails its checks instead of blocking."""
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            return CliRunner().invoke(cli, args)
+        finally:
+            os.close(reader)
+
+    def test_fresh_directory_gets_no_file(self, tmp_path, series):
+        # scoreboard.csv and valid_forecasts.csv used to be left behind
+        normal, huge = series
+        result = self.forecast(tmp_path / "fc", normal, huge)
+        assert result.exit_code == 4, result.output
+        assert result.output.startswith("error[numeric]: ")
+        assert not (tmp_path / "fc").exists()
+        assert not list(tmp_path.rglob(".poakit-*"))
+
+    def test_rerun_keeps_the_earlier_run(self, tmp_path, series):
+        # the failed run used to replace scoreboard.csv and valid_forecasts.csv
+        # beside the old test_forecasts.csv, so manifest.json named two files
+        # whose sha256 no longer matched
+        normal, huge = series
+        out = tmp_path / "fc"
+        assert self.forecast(out, normal, normal).exit_code == 0
+        before = self.snapshot(out)
+        assert set(before) == {"manifest.json", "scoreboard.csv", "valid_forecasts.csv",
+                               "test_forecasts.csv"}
+        result = self.forecast(out, normal, huge, "persistence,moving_average:6,exp_smoothing:0.3")
+        assert result.exit_code == 4, result.output
+        assert result.output == (f"error[numeric]: {huge}: non-finite prediction in window 0, "
+                                 "member 'moving_average_6'\n")
+        assert self.snapshot(out) == before
+        for name, entry in json.loads(before["manifest.json"])["files"].items():
+            assert entry["sha256"] == sha256(out / name), name
+        assert not list(tmp_path.rglob(".poakit-*"))
+
+    @pytest.mark.parametrize("kind", ["fifo", "symlink"])
+    def test_output_that_is_not_a_regular_file_is_refused(self, pipeline, tmp_path, kind):
+        # score used to write through it; publishing would replace it
+        out = tmp_path / "scores.csv"
+        args = ["score", str(pipeline / "fc/test_forecasts.csv"),
+                str(pipeline / "fc/valid_forecasts.csv"), str(out)]
+        if kind == "fifo":
+            result = self.invoke_beside_fifo(out, args)
+        else:
+            (tmp_path / "elsewhere.csv").write_text("old\n")
+            out.symlink_to(tmp_path / "elsewhere.csv")
+            result = CliRunner().invoke(cli, args)
+        assert result.exit_code == 2, result.output
+        assert result.output == (
+            f"error[validation]: {out}: output exists and is not a regular file\n")
+        if kind == "fifo":
+            assert stat.S_ISFIFO(os.lstat(out).st_mode)
+        else:
+            assert out.is_symlink() and (tmp_path / "elsewhere.csv").read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["scores.csv"] + (["elsewhere.csv"] if kind == "symlink" else []))
+
+    def test_out_path_naming_a_directory_is_refused(self, pipeline, tmp_path):
+        # a staged file must not be published under the name without the slash
+        out = f"{tmp_path / 'scores'}{os.sep}"
+        result = CliRunner().invoke(cli, [
+            "score", str(pipeline / "fc/test_forecasts.csv"),
+            str(pipeline / "fc/valid_forecasts.csv"), out])
+        assert result.exit_code == 3, result.output
+        assert result.output == f"error[io]: {out}: not a file path\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_refused_output_publishes_none_of_the_others(self, pipeline, tmp_path):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "evaluation.json").write_text("old\n")
+        result = self.invoke_beside_fifo(run / "theta_curve.csv", [
+            "evaluate", str(pipeline / "run/detection.csv"), str(pipeline / "data/labels.csv"),
+            str(run), "--delta", "8"])
+        assert result.exit_code == 2, result.output
+        assert result.output == (f"error[validation]: {run / 'theta_curve.csv'}: "
+                                 "output exists and is not a regular file\n")
+        assert (run / "evaluation.json").read_text() == "old\n"
+        assert sorted(p.name for p in run.iterdir()) == ["evaluation.json", "theta_curve.csv"]
+
+    def test_memory_error_without_text(self, pipeline, tmp_path, monkeypatch):
+        def exhausted(path):
+            raise MemoryError()
+
+        monkeypatch.setattr(pio, "read_series_csv", exhausted)
+        out = tmp_path / "parts"
+        result = CliRunner().invoke(cli, ["split", str(pipeline / "data/train.csv"), str(out)])
+        assert result.exit_code == 3, result.output
+        assert result.output == "error[memory]: out of memory\n"
+        assert not out.exists()
+
+
 class TestRunDirectoryIndependence:
     def test_outputs_do_not_depend_on_the_run_directory(self, pipeline, tmp_path):
         # detect used to store the scores path as typed, report the run directory
@@ -720,9 +841,8 @@ class TestRunDirectoryIndependence:
 class TestRecordPipe:
     SRC = Path(__file__).resolve().parent.parent / "src"
 
-    def test_bad_record_from_a_pipe_exits_2(self, tmp_path):
-        # the CSV reader used to re-open the file to name a bad record, and
-        # waited forever on a pipe whose writer had gone
+    def score_from_pipe(self, tmp_path, text):
+        """``poakit score`` in a fresh process, its test records fed through a FIFO."""
         fifo = tmp_path / "test.csv"
         os.mkfifo(fifo)
         valid = tmp_path / "valid.csv"
@@ -731,8 +851,7 @@ class TestRecordPipe:
         def feed():
             try:
                 with open(fifo, "w", newline="") as fh:
-                    fh.write("window_id,origin,member_id,step,variable,value\r\n"
-                             "0,20,m0,1,0,abc\r\n")
+                    fh.write(text)
             except BrokenPipeError:
                 pass
 
@@ -749,10 +868,31 @@ class TestRecordPipe:
                 os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
             writer.join(5)
         assert not writer.is_alive()
+        assert not (tmp_path / "scores.csv").exists()
+        return fifo, done
+
+    def test_bad_record_from_a_pipe_exits_2(self, tmp_path):
+        # the CSV reader used to re-open the file to name a bad record, and
+        # waited forever on a pipe whose writer had gone
+        fifo, done = self.score_from_pipe(
+            tmp_path, "window_id,origin,member_id,step,variable,value\r\n0,20,m0,1,0,abc\r\n")
         assert done.returncode == 2, done.stderr
         assert done.stderr == (
             f"error[validation]: {fifo}: line 2: bad forecast record "
             "(could not convert string to float: 'abc')\n")
+
+    def test_absurd_step_from_a_pipe_is_a_memory_error(self, tmp_path):
+        # a pipe has no size to bound the grid by: the 4 x 3 x 10^12 x 2 grid
+        # record 1 names (175 TiB) used to end in numpy's traceback, exit 1
+        records = tmp_path / "records.csv"
+        write_forecast_records(records, ensembles())
+        lines = records.read_bytes().decode().split("\r\n")
+        fields = lines[1].split(",")
+        lines[1] = ",".join(fields[:3] + ["1000000000000"] + fields[4:])
+        fifo, done = self.score_from_pipe(tmp_path, "\r\n".join(lines))
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.startswith(f"error[memory]: {fifo}: ")
+        assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
 
 
 class TestStageImports:
@@ -792,7 +932,8 @@ class TestStageImports:
         shutil.copytree(pipeline / "run", run)
         shutil.copy(pipeline / "data/labels.csv", run / "labels.csv")
         assert "_hashlib" in self.loaded("report", run)
-        for manifest in (pipeline / "fc/manifest.json", run / "report_manifest.json"):
+        for manifest in (pipeline / "data/manifest.json", pipeline / "fc/manifest.json",
+                         run / "report_manifest.json"):
             files = json.loads(manifest.read_text())["files"]
             assert files
             for name, entry in files.items():
@@ -945,6 +1086,21 @@ class TestScoreRejections:
     def test_accepts_well_formed_files(self, tmp_path):
         result = self.run_score(tmp_path, ensembles(), ensembles(seed=1))
         assert result.exit_code == 0, result.output
+
+    def test_validation_members_must_match(self, tmp_path):
+        # a forecast re-run with other members used to leave a validation file
+        # whose statistics z-scored the test members of the run before
+        def cube(members, seed):
+            return ForecastCube(np.random.default_rng(seed).normal(size=(4, 2, 4, 2)),
+                                range(4), range(20, 24), members)
+
+        result = self.run_score(tmp_path, cube(("exp_smoothing_0.3", "moving_average_12"), 0),
+                                cube(("exp_smoothing_0.3", "moving_average_6"), 1))
+        assert result.exit_code == 2, result.output
+        assert result.output == (
+            "error[validation]: validation members ['exp_smoothing_0.3', 'moving_average_6'] "
+            "differ from test members ['exp_smoothing_0.3', 'moving_average_12']\n")
+        assert not (tmp_path / "scores.csv").exists()
 
     def test_validation_horizon_mismatch(self, tmp_path):
         result = self.run_score(tmp_path, ensembles(), ensembles(shape=(3, 3, 2), seed=1))

@@ -377,3 +377,13 @@ def test_score_timeline_peak_memory_below_one_full_stack():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * full_stack, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_score_timeline_refuses_another_ensembles_statistics():
+    rng = np.random.default_rng(23)
+    test_ens = ForecastCube(rng.normal(size=(4, 2, 3, 1)), range(4), range(10, 14), ("a", "b"))
+    valid_ens = ForecastCube(rng.normal(size=(4, 2, 3, 1)), range(4), range(4), ("a", "c"))
+    with pytest.raises(ValidationError, match=re.escape(
+            "validation members ['a', 'c'] differ from test members ['a', 'b']")):
+        score_timeline(test_ens, valid_ens)
+    score_timeline(test_ens, valid_ens, normalize_scores=False)  # reads no statistics
