@@ -319,7 +319,7 @@ def _metric_options(func):
     return func
 
 
-def _parse_detect_metric(metric: str, labels, delta, alpha, beta, gamma, epsilon, k):
+def _parse_detect_metric(metric: str, labels, params: mx.MetricParams):
     """Build the Detection -> F1 callback for the threshold search."""
     if metric == "point-f1":
         def evaluate(det):
@@ -331,13 +331,10 @@ def _parse_detect_metric(metric: str, labels, delta, alpha, beta, gamma, epsilon
             theta = float(metric.split("@", 1)[1])
         except ValueError:
             raise ValidationError(f"bad theta in metric {metric!r}") from None
-        params = mx.MetricParams(
-            theta=theta, alpha=alpha, beta=beta, gamma=gamma, delta=delta,
-            epsilon=epsilon, k=k,
-        )
+        params = dataclasses.replace(params, theta=theta)
 
         def evaluate(det):
-            seg = detect_mod.split_precursor_prediction(det, labels.flags, delta)
+            seg = detect_mod.split_precursor_prediction(det, labels.flags, params.delta)
             report = mx.ptapr_report(seg, params)
             return report.f1
 
@@ -363,8 +360,7 @@ def _parse_detect_metric(metric: str, labels, delta, alpha, beta, gamma, epsilon
               type=click.Path(exists=True, dir_okay=False), default=None)
 @_metric_options
 def detect_cmd(stage, scores_path, labels_path, out_path, grid_n, metric,
-               search_scores_path, search_labels_path,
-               alpha, beta, gamma, delta, epsilon, k):
+               search_scores_path, search_labels_path, **metric_options):
     """Best-F1 threshold search over score quantiles, then flag emission.
 
     By default the search runs on SCORES/LABELS themselves. For deployment
@@ -388,9 +384,7 @@ def detect_cmd(stage, scores_path, labels_path, out_path, grid_n, metric,
     else:
         search_scores, search_labels = scores, labels
     grid = detect_mod.default_grid(search_scores, grid_n)
-    evaluate = _parse_detect_metric(
-        metric, search_labels, delta, alpha, beta, gamma, epsilon, k
-    )
+    evaluate = _parse_detect_metric(metric, search_labels, mx.MetricParams(**metric_options))
     result = detect_mod.best_f1_threshold(search_scores, search_labels, evaluate, grid)
     detection = detect_mod.apply_threshold(scores, result.threshold)
     meta = {
@@ -489,19 +483,17 @@ def _evaluation_payload(detection, labels, params, metrics_wanted, theta_grid_n)
 @_metric_options
 @click.option("--tapr-alpha", type=float, default=METRIC_DEFAULTS.tapr_alpha,
               show_default=True)
-def evaluate(stage, detection_path, labels_path, out_dir, metrics, theta, theta_grid,
-             alpha, beta, gamma, delta, epsilon, k, tapr_alpha):
+def evaluate(stage, detection_path, labels_path, out_dir, metrics, theta_grid, **metric_options):
     """Full metric report (PTaPR / TaPR / PA%K) for a stored detection."""
     detection = pio.read_detection(detection_path)
     labels = pio.read_labels_csv(labels_path)
     wanted = {m.strip() for m in metrics.split(",") if m.strip()}
+    if not wanted:
+        raise ValidationError("no metrics given")
     unknown = wanted - {"ptapr", "tapr", "pak"}
     if unknown:
         raise ValidationError(f"unknown metrics: {sorted(unknown)}")
-    params = mx.MetricParams(
-        theta=theta, alpha=alpha, beta=beta, gamma=gamma, delta=delta,
-        epsilon=epsilon, k=k, tapr_alpha=tapr_alpha,
-    )
+    params = mx.MetricParams(**metric_options)  # --theta and --tapr-alpha among them
     payload = _evaluation_payload(detection, labels, params, wanted, theta_grid)
     pio.write_json(stage / "evaluation.json", payload)
     if "ptapr" in payload:
@@ -533,11 +525,12 @@ def evaluate(stage, detection_path, labels_path, out_dir, metrics, theta, theta_
 @click.option("--theta-grid", type=int, default=mx.DEFAULT_THETA_GRID_SIZE, show_default=True)
 @_metric_options
 def sweep(stage, detection_path, labels_path, out_path, param, values, theta_grid,
-          alpha, beta, gamma, delta, epsilon, k):
+          **metric_options):
     """Sensitivity sweep of the early-reward parameters (k or epsilon)."""
     detection = pio.read_detection(detection_path)
     labels = pio.read_labels_csv(labels_path)
-    segments = detect_mod.split_precursor_prediction(detection, labels.flags, delta)
+    segments = detect_mod.split_precursor_prediction(detection, labels.flags,
+                                                     metric_options["delta"])
     try:
         parsed = [float(v) for v in values.split(",") if v.strip()]
     except ValueError:
@@ -547,7 +540,7 @@ def sweep(stage, detection_path, labels_path, out_path, param, values, theta_gri
     if param == "epsilon" and not all(v.is_integer() for v in parsed):
         raise ValidationError(f"epsilon values must be integers, got {values!r}")
     thetas = _theta_points(theta_grid)
-    base = mx.MetricParams(alpha=alpha, beta=beta, gamma=gamma, delta=delta, epsilon=epsilon, k=k)
+    base = mx.MetricParams(**metric_options)
     cast = float if param == "k" else int
     rows = []
     for value in parsed:

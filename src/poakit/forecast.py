@@ -349,17 +349,26 @@ def predict_batch(model: FittedForecaster, inputs: np.ndarray, horizon: int) -> 
         # w x W x c slice along axis 0, whose rows are contiguous. When c == 1
         # it sums the innermost axis pairwise: every output bit depends on
         # that, so c == 1 keeps the window-major layout.
-        if c == 1:
-            buf = np.empty((W, w + horizon, c))
-            buf[:, :w] = inputs[:, -w:]
-            for h in range(horizon):
-                buf[:, w + h] = buf[:, h : w + h].mean(axis=1)
-            return buf[:, w:].copy()
-        buf = np.empty((w + horizon, W, c))
-        buf[:w] = inputs[:, -w:].transpose(1, 0, 2)
-        for h in range(horizon):
-            buf[w + h] = buf[h : w + h].mean(axis=0)
-        return buf[w:].transpose(1, 0, 2).copy()
+        with np.errstate(over="ignore", invalid="ignore"):  # such windows are redone below
+            if c == 1:
+                buf = np.empty((W, w + horizon, c))
+                buf[:, :w] = inputs[:, -w:]
+                for h in range(horizon):
+                    buf[:, w + h] = buf[:, h : w + h].mean(axis=1)
+                out = buf[:, w:].copy()
+            else:
+                buf = np.empty((w + horizon, W, c))
+                buf[:w] = inputs[:, -w:].transpose(1, 0, 2)
+                for h in range(horizon):
+                    buf[w + h] = buf[h : w + h].mean(axis=0)
+                out = buf[w:].transpose(1, 0, 2).copy()
+        # A window whose sums overflowed is redone on its inputs over a power
+        # of two >= w, where no sum can; scaling by 2^j is exact.
+        redo = ~np.isfinite(out).all(axis=(1, 2))
+        if redo.any():
+            scale = float(1 << (w - 1).bit_length())
+            out[redo] = predict_batch(model, inputs[redo] / scale, horizon) * scale
+        return out
 
     if kind == "ar_ols":
         p = spec.order

@@ -108,6 +108,8 @@ class SynthConfig:
                 raise ValidationError(f"unknown base signal {base!r}")
         if self.obs_noise_std < 0:
             raise ValidationError("obs_noise_std must be >= 0")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         regions = []
         for a in self.anomalies:
             if a.end >= self.length:

@@ -17,7 +17,7 @@ from click.testing import CliRunner
 
 from poakit import cli as cli_mod, detect as detect_mod, io as pio, metrics as mx
 from poakit.cli import cli
-from poakit.forecast import ForecastCube, write_forecast_records
+from poakit.forecast import ForecastCube, ingest_external_forecasts, write_forecast_records
 
 SYNTH_CFG = {
     "length": 600,
@@ -284,6 +284,32 @@ class TestMetricStages:
         ])
         self.assert_rejected(result, "k must be finite, got inf")
 
+    @pytest.mark.parametrize("option,value,message", [
+        ("--k", "-1", "k must be > 0"),
+        ("--alpha", "nan", "alpha must be finite, got nan"),
+        ("--delta", "-5", "delta must be >= 0"),
+        ("--epsilon", "0", "epsilon must be >= 1"),
+    ], ids=["k", "alpha", "delta", "epsilon"])
+    def test_point_f1_detect_checks_metric_params(self, pipeline, tmp_path, option, value,
+                                                   message):
+        # the point-F1 search never built the parameters, so each exited 0
+        out = tmp_path / "detection.csv"
+        result = CliRunner().invoke(cli, [
+            "detect", str(pipeline / "run/scores.csv"), str(pipeline / "data/labels.csv"),
+            str(out), "--metric", "point-f1", option, value,
+        ])
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error[validation]: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("metrics", ["", ","])
+    def test_evaluate_needs_a_metric(self, pipeline, tmp_path, metrics):
+        # used to exit 0 with an evaluation.json that held only the params
+        result = self.invoke(pipeline, tmp_path, "evaluate", "--metrics", metrics)
+        assert result.exit_code == 2, result.output
+        assert result.output == "error[validation]: no metrics given\n"
+        assert not (tmp_path / "evaluation").exists()
+
     def test_evaluation_builds_credit_four_times(self, pipeline, monkeypatch):
         """ptapr_report, the PTaPR sweep, tapr and the TaPR sweep each build
         the credit once; early_prf reads the report."""
@@ -426,6 +452,22 @@ class TestDeterminism:
         assert result.exit_code == 0
         manifest = json.loads((tmp_path / "env/manifest.json").read_text())
         assert manifest["seed"] == 999
+
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    def test_negative_seed_rejected(self, tmp_path, monkeypatch, source):
+        # each used to exit 1 with numpy's "expected non-negative integer" traceback
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**SYNTH_CFG, "seed": -3 if source == "config" else 11}))
+        monkeypatch.delenv("POAKIT_SEED", raising=False)
+        if source == "env":
+            monkeypatch.setenv("POAKIT_SEED", "-5")
+        flag = ["--seed", "-1"] if source == "flag" else []
+        out = tmp_path / "neg"
+        result = CliRunner().invoke(cli, ["synth", str(out), "--config", str(cfg_path), *flag])
+        seed = {"flag": -1, "env": -5, "config": -3}[source]
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error[validation]: seed must be >= 0, got {seed}\n"
+        assert not out.exists()
 
 
 class TestOptionalFlags:
@@ -660,6 +702,11 @@ class TestForecastNumericErrors:
     """A forecast stage that overflows exits 4 with one error[numeric] line that
     names what overflowed, and no numpy warning."""
 
+    # holt_linear's first trend, x1 - x0, is -3.2e308: every forecast overflows
+    # (--top-k 3 keeps it among the members that forecast the test split)
+    ALTERNATING = 1.6e308 * (-1.0) ** np.arange(200)
+    OVERFLOW_MEMBERS = "persistence,holt_linear:0.3:0.1,exp_smoothing:0.3"
+
     @staticmethod
     def _series(path, values):
         path.write_text("timestamp,v0\n" + "".join(f"{i},{float(v)!r}\n"
@@ -689,20 +736,33 @@ class TestForecastNumericErrors:
         # the error used to be error[validation]: non-finite prediction in window 0
         rng = np.random.default_rng(0)
         small = self._series(tmp_path / "small.csv", rng.standard_normal(200))
-        huge = self._series(tmp_path / "huge.csv", 1.6e308 - rng.uniform(0, 1e306, 200))
+        huge = self._series(tmp_path / "huge.csv", self.ALTERNATING)
         splits = [small, huge] if split == "valid" else [small, small, "--test", huge]
-        result = self._forecast(*splits, str(tmp_path / "fc"), "--input-len", "30", "--top-k", "2",
-                                "--members", "persistence,moving_average:12,exp_smoothing:0.3")
+        result = self._forecast(*splits, str(tmp_path / "fc"), "--input-len", "30", "--top-k", "3",
+                                "--members", self.OVERFLOW_MEMBERS)
         assert result.exit_code == 4, result.output
         assert result.output == (f"error[numeric]: {huge}: non-finite prediction in window 0, "
-                                 "member 'moving_average_12'\n")
+                                 "member 'holt_linear_0.3_0.1'\n")
+
+    def test_moving_average_of_a_huge_series_is_finite(self, tmp_path):
+        # the window sums used to overflow: exit 4, "non-finite prediction in
+        # window 0, member 'moving_average_12'", though every mean is 1.6e308
+        rng = np.random.default_rng(0)
+        small = self._series(tmp_path / "small.csv", rng.standard_normal(200))
+        huge = self._series(tmp_path / "huge.csv", np.full(200, 1.6e308))
+        out = tmp_path / "fc"
+        result = self._forecast(small, small, str(out), "--test", huge, "--input-len", "30",
+                                "--top-k", "3",
+                                "--members", "persistence,moving_average:12,exp_smoothing:0.3")
+        assert result.exit_code == 0, result.output
+        cube = ingest_external_forecasts(out / "test_forecasts.csv")
+        assert np.isfinite(cube.predictions).all()
+        assert (cube.predictions[:, cube.member_ids.index("moving_average_12")] == 1.6e308).all()
 
 
 class TestFailedStageLeavesItsOutputs:
     """A stage that fails leaves every output as it found it: no file in a
     fresh directory, and earlier files, manifest included, byte for byte."""
-
-    FOUND_MEMBERS = "persistence,moving_average:12,exp_smoothing:0.3"
 
     @pytest.fixture
     def series(self, tmp_path):
@@ -710,11 +770,11 @@ class TestFailedStageLeavesItsOutputs:
         return (TestForecastNumericErrors._series(tmp_path / "normal.csv",
                                                   rng.standard_normal(200)),
                 TestForecastNumericErrors._series(tmp_path / "huge.csv",
-                                                  1.6e308 - rng.uniform(0, 1e306, 200)))
+                                                  TestForecastNumericErrors.ALTERNATING))
 
-    def forecast(self, out, normal, test, members=FOUND_MEMBERS):
+    def forecast(self, out, normal, test, members=TestForecastNumericErrors.OVERFLOW_MEMBERS):
         return TestForecastNumericErrors._forecast(
-            normal, normal, str(out), "--test", test, "--input-len", "30", "--top-k", "2",
+            normal, normal, str(out), "--test", test, "--input-len", "30", "--top-k", "3",
             "--members", members)
 
     @staticmethod
@@ -751,10 +811,11 @@ class TestFailedStageLeavesItsOutputs:
         before = self.snapshot(out)
         assert set(before) == {"manifest.json", "scoreboard.csv", "valid_forecasts.csv",
                                "test_forecasts.csv"}
-        result = self.forecast(out, normal, huge, "persistence,moving_average:6,exp_smoothing:0.3")
+        result = self.forecast(out, normal, huge,
+                               "persistence,holt_linear:0.5:0.1,exp_smoothing:0.3")
         assert result.exit_code == 4, result.output
         assert result.output == (f"error[numeric]: {huge}: non-finite prediction in window 0, "
-                                 "member 'moving_average_6'\n")
+                                 "member 'holt_linear_0.5_0.1'\n")
         assert self.snapshot(out) == before
         for name, entry in json.loads(before["manifest.json"])["files"].items():
             assert entry["sha256"] == sha256(out / name), name

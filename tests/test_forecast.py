@@ -296,6 +296,20 @@ class TestBufferKernelsMatchConcatenate:
         assert_bits_equal(predict_batch(ar, inputs, 24),
                           reference_kernels.ar_ols(inputs, ar.coefficients, 24))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_moving_average_of_huge_windows(self, c):
+        # the window sums used to overflow: a mean of 1.6e308 came out inf
+        rng = np.random.default_rng(c)
+        inputs = rng.normal(size=(3, 40, c))
+        inputs[1] = 1.6e308
+        inputs[2, ::2], inputs[2, 1::2] = 1.6e308, -1.6e308
+        got = predict_batch(FittedForecaster(ForecasterSpec("moving_average", width=12), c),
+                            inputs, 24)
+        assert np.allclose(got[1], 1.6e308, rtol=1e-15, atol=0)
+        assert_bits_equal(got[0], reference_kernels.moving_average(inputs[:1], 12, 24)[0])
+        assert_bits_equal(got[1:], reference_kernels.moving_average(inputs[1:] / 16, 12, 24) * 16)
+
 
 class TestEvaluateMembers:
     def test_perfect_predictions(self):
