@@ -126,7 +126,7 @@ def _resolve_seed(flag_seed: int | None, config_seed: int | None) -> int:
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
-            return int(env)
+            return core.csv_number(env, int)
         except ValueError:
             raise ValidationError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
     if config_seed is not None:
@@ -328,7 +328,7 @@ def _parse_detect_metric(metric: str, labels, params: mx.MetricParams):
         return evaluate
     if metric.startswith("ptapr-f1@"):
         try:
-            theta = float(metric.split("@", 1)[1])
+            theta = core.csv_number(metric.split("@", 1)[1])
         except ValueError:
             raise ValidationError(f"bad theta in metric {metric!r}") from None
         params = dataclasses.replace(params, theta=theta)
@@ -532,7 +532,7 @@ def sweep(stage, detection_path, labels_path, out_path, param, values, theta_gri
     segments = detect_mod.split_precursor_prediction(detection, labels.flags,
                                                      metric_options["delta"])
     try:
-        parsed = [float(v) for v in values.split(",") if v.strip()]
+        parsed = [core.csv_number(v) for v in values.split(",") if v.strip()]
     except ValueError:
         raise ValidationError(f"cannot parse --values {values!r}") from None
     if not parsed:

@@ -31,6 +31,7 @@ from poakit.core import (
     ValidationError,
     _index_array,
     _refuse_first,
+    csv_number,
     strict_float,
     strict_int,
     utf8_text,
@@ -129,9 +130,12 @@ class ForecasterSpec:
         kind, args = parts[0], parts[1:]
         if kind not in _SPEC_PARAMS:
             raise ValidationError(f"unknown forecaster kind in {text!r}")
+        names = _SPEC_PARAMS[kind]
         try:
-            return cls(kind, **{name: (float if name in ("alpha", "beta") else int)(args[i])
-                                for i, name in enumerate(_SPEC_PARAMS[kind])})
+            if len(args) > len(names):
+                raise ValueError(f"expected {':'.join((kind, *names))}")
+            return cls(kind, **{name: csv_number(args[i], float if name in ("alpha", "beta")
+                                                 else int) for i, name in enumerate(names)})
         except (IndexError, ValueError) as exc:
             raise ValidationError(f"cannot parse forecaster spec {text!r}: {exc}") from exc
 

@@ -13,7 +13,7 @@ start disagreeing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -138,13 +138,10 @@ class SynthConfig:
         ]
 
 
-_REQUIRED = object()
-
-
-def _field(raw: dict, key: str, parse, default=_REQUIRED):
-    """``raw[key]`` read by ``strict_int`` or ``strict_float``; a missing or
-    mistyped value is a ValidationError naming the key."""
-    if key not in raw and default is _REQUIRED:
+def _field(raw: dict, key: str, parse, default=MISSING):
+    """``raw[key]`` read by ``parse``; a missing or mistyped value is a
+    ValidationError naming the key."""
+    if key not in raw and default is MISSING:
         raise ValidationError(f"synth config is missing {key!r}")
     try:
         return parse(raw.get(key, default))
@@ -166,85 +163,60 @@ def _objects(data: dict, key: str) -> list[dict]:
     return [_check_object(item, f"each synth config {key!r} entry") for item in items]
 
 
+def _finite_float(value) -> float:
+    number = strict_float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"must be finite, got {number}")
+    return number
+
+
+# Number readers by field annotation (a string, under `from __future__ import annotations`).
+_PARSERS = {"int": strict_int, "float": _finite_float}
+_KINDS = {"sine": SineBase, "ar1": Ar1Base}
+
+
+def _from_json(cls, raw: dict, **given):
+    """``cls`` built from its JSON object ``raw``: each field not ``given``
+    is read, in declaration order, by its annotation's parser, and takes its
+    default when the key is absent."""
+    for f in fields(cls):
+        if f.name not in given:
+            given[f.name] = _field(raw, f.name, _PARSERS[f.type], f.default)
+    return cls(**given)
+
+
 def config_from_dict(data: dict) -> SynthConfig:
     """Build a config from its JSON form (the schema `config_to_dict` writes).
 
-    Integer fields refuse floats and bools, and float fields refuse bools,
-    rather than truncating or coercing them.
+    Integer fields refuse floats and bools, and float fields refuse bools and
+    non-finite values, rather than truncating or coercing them.
     """
     _check_object(data, "synth config")
     variables = []
     for raw in _objects(data, "variables"):
         kind = raw.get("kind")
-        if kind == "sine":
-            variables.append(
-                SineBase(
-                    amplitude=_field(raw, "amplitude", strict_float),
-                    period=_field(raw, "period", strict_float),
-                    phase=_field(raw, "phase", strict_float, 0.0),
-                )
-            )
-        elif kind == "ar1":
-            variables.append(Ar1Base(coef=_field(raw, "coef", strict_float),
-                                     noise_std=_field(raw, "noise_std", strict_float)))
-        else:
+        if not isinstance(kind, str) or kind not in _KINDS:  # a list or dict is unhashable
             raise ValidationError(f"unknown variable kind {kind!r} in synth config")
-    anomalies = tuple(
-        AnomalySpec(
-            start=_field(a, "start", strict_int),
-            length=_field(a, "length", strict_int),
-            kind=a.get("kind"),
-            magnitude=_field(a, "magnitude", strict_float),
-        )
-        for a in _objects(data, "anomalies")
-    )
+        variables.append(_from_json(_KINDS[kind], raw))
+    anomalies = [_from_json(AnomalySpec, a, kind=a.get("kind"))
+                 for a in _objects(data, "anomalies")]
     precursor = None
     if data.get("precursor") is not None:
         p = _check_object(data["precursor"], "synth config 'precursor'")
-        precursor = PrecursorSpec(
-            lead=_field(p, "lead", strict_int, 20),
-            length=_field(p, "length", strict_int, p.get("lead", 20)),
-            drift_magnitude=_field(p, "drift_magnitude", strict_float, 1.0),
-            noise_inflation=_field(p, "noise_inflation", strict_float, 2.0),
-        )
-    return SynthConfig(
-        length=_field(data, "length", strict_int),
-        variables=tuple(variables),
-        anomalies=anomalies,
-        precursor=precursor,
-        obs_noise_std=_field(data, "obs_noise_std", strict_float, 0.05),
-        seed=_field(data, "seed", strict_int, 42),
-    )
+        # an absent length defaults to the lead, not to the field's default
+        precursor = _from_json(PrecursorSpec, {"length": p.get("lead", PrecursorSpec.lead), **p})
+    return _from_json(SynthConfig, data, variables=variables, anomalies=anomalies,
+                      precursor=precursor)
 
 
 def config_to_dict(cfg: SynthConfig) -> dict:
     """JSON form of a config, as recorded in the synth manifest."""
-    variables = []
-    for base in cfg.variables:
-        if isinstance(base, SineBase):
-            variables.append(
-                {"kind": "sine", "amplitude": base.amplitude, "period": base.period,
-                 "phase": base.phase}
-            )
-        else:
-            variables.append({"kind": "ar1", "coef": base.coef, "noise_std": base.noise_std})
-    out = {
-        "length": cfg.length,
-        "variables": variables,
-        "anomalies": [
-            {"start": a.start, "length": a.length, "kind": a.kind, "magnitude": a.magnitude}
-            for a in cfg.anomalies
-        ],
-        "obs_noise_std": cfg.obs_noise_std,
-        "seed": cfg.seed,
-    }
-    if cfg.precursor is not None:
-        out["precursor"] = {
-            "lead": cfg.precursor.lead,
-            "length": cfg.precursor.length,
-            "drift_magnitude": cfg.precursor.drift_magnitude,
-            "noise_inflation": cfg.precursor.noise_inflation,
-        }
+    kind_of = {cls: kind for kind, cls in _KINDS.items()}
+    out = asdict(cfg)
+    out["variables"] = [{"kind": kind_of[type(base)], **asdict(base)} for base in cfg.variables]
+    out["anomalies"] = list(out["anomalies"])
+    if cfg.precursor is None:
+        del out["precursor"]
     return out
 
 

@@ -680,6 +680,38 @@ class TestErrorHandling:
             f"error[validation]: --members names member {member_id!r} twice\n")
         assert not out.exists()
 
+    def test_member_spec_with_extra_parameters_rejected(self, pipeline, tmp_path):
+        # ar_ols:4:7 used to run as ar_ols_4 and be recorded in the manifest as given
+        out = tmp_path / "fc"
+        result = CliRunner().invoke(cli, [
+            "forecast", str(pipeline / "parts/train.csv"), str(pipeline / "parts/valid.csv"),
+            str(out), "--members", "persistence,ar_ols:4:7", "--input-len", "30",
+        ])
+        assert result.exit_code == 2, result.output
+        assert result.output == ("error[validation]: cannot parse forecaster spec "
+                                 "'ar_ols:4:7': expected ar_ols:order\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("env,args,message", [
+        ("1_0", ["synth", "{out}"], "POAKIT_SEED must be an integer, got '1_0'"),
+        ("\u0661", ["synth", "{out}"], "POAKIT_SEED must be an integer, got '\u0661'"),
+        (None, ["sweep", "{p}/run/detection.csv", "{p}/data/labels.csv", "{out}",
+                "--param", "epsilon", "--values", "1_0,7"], "cannot parse --values '1_0,7'"),
+        (None, ["detect", "{p}/run/scores.csv", "{p}/data/labels.csv", "{out}",
+                "--metric", "ptapr-f1@\u0660"], "bad theta in metric 'ptapr-f1@\u0660'"),
+    ], ids=["seed-separator", "seed-arabic-indic", "sweep-values", "detect-theta"])
+    def test_text_numbers_follow_the_csv_grammar(self, pipeline, tmp_path, monkeypatch,
+                                                 env, args, message):
+        # int()/float() read these as seed 10, seed 1, epsilon 10 and theta 0
+        monkeypatch.delenv("POAKIT_SEED", raising=False)
+        if env is not None:
+            monkeypatch.setenv("POAKIT_SEED", env)
+        out = tmp_path / "out"
+        result = CliRunner().invoke(cli, [a.format(p=pipeline, out=out) for a in args])
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error[validation]: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("scaling", ["--no-standardize", "--standardize"])
     def test_short_test_series_rejected_before_any_write(self, pipeline, tmp_path, scaling):
         # the test series used to be read after scoreboard.csv and
@@ -1295,6 +1327,35 @@ class TestSynthConfigFields:
         assert result.exit_code == 2, result.output
         assert "error[validation]" in result.output
         assert message in result.output
+        assert not (tmp_path / "d").exists()
+
+
+    @pytest.mark.parametrize("path,value", [
+        (("variables", 0, "phase"), "inf"),
+        (("variables", 0, "amplitude"), "nan"),
+        (("obs_noise_std",), "nan"),
+        (("precursor", "drift_magnitude"), "inf"),
+        (("variables", 0, "period"), "inf"),
+        (("variables", 1, "coef"), "-inf"),
+        (("anomalies", 0, "magnitude"), float("inf")),  # written as the JSON Infinity
+    ], ids=["phase", "amplitude", "obs_noise_std", "drift_magnitude", "period", "coef",
+            "json-infinity"])
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_float_rejected(self, tmp_path, path, value):
+        # the first four used to end in "non-finite value in row N", which names
+        # no field, most after a numpy RuntimeWarning; period inf wrote a flat sine
+        cfg = json.loads(json.dumps(SYNTH_CFG))
+        *parents, key = path
+        node = cfg
+        for part in parents:
+            node = node[part]
+        node[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        result = CliRunner().invoke(cli, ["synth", str(tmp_path / "d"), "--config", str(cfg_path)])
+        assert result.exit_code == 2, result.output
+        assert result.output == (
+            f"error[validation]: synth config {key!r}: must be finite, got {float(value)}\n")
         assert not (tmp_path / "d").exists()
 
 

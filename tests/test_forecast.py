@@ -128,6 +128,19 @@ class TestForecasterSpec:
         ("ar_ols:0", "cannot parse forecaster spec 'ar_ols:0': ar_ols requires order >= 1"),
         ("holt_linear:0.3", "cannot parse forecaster spec 'holt_linear:0.3': "
                             "list index out of range"),
+        # each below used to parse: the extra part was dropped, and int()/float()
+        # read '1_0' as 10, Arabic-Indic 24 as 24 and '0_3' as 3.0
+        ("ar_ols:4:7", "cannot parse forecaster spec 'ar_ols:4:7': expected ar_ols:order"),
+        ("persistence:5", "cannot parse forecaster spec 'persistence:5': expected persistence"),
+        ("holt_linear:0.3:0.1:9", "cannot parse forecaster spec 'holt_linear:0.3:0.1:9': "
+                                  "expected holt_linear:alpha:beta"),
+        ("ar_ols:1_0", "cannot parse forecaster spec 'ar_ols:1_0': "
+                       "not an ASCII number without '_': '1_0'"),
+        ("seasonal_naive:\u0662\u0664",
+         "cannot parse forecaster spec 'seasonal_naive:\u0662\u0664': "
+         "not an ASCII number without '_': '\u0662\u0664'"),
+        ("exp_smoothing:0_3", "cannot parse forecaster spec 'exp_smoothing:0_3': "
+                              "not an ASCII number without '_': '0_3'"),
     ])
     def test_parse_messages(self, text, message):
         with pytest.raises(ValidationError) as err:
@@ -135,9 +148,9 @@ class TestForecasterSpec:
         assert str(err.value) == message
 
     def test_parse_reads_each_kinds_parameters(self):
-        assert ForecasterSpec.parse(" holt_linear:0.3:0.1:9 ") == ForecasterSpec(
+        assert ForecasterSpec.parse(" holt_linear:0.3:0.1 ") == ForecasterSpec(
             "holt_linear", alpha=0.3, beta=0.1)
-        assert ForecasterSpec.parse("persistence:5") == ForecasterSpec("persistence")
+        assert ForecasterSpec.parse("ar_ols:04") == ForecasterSpec("ar_ols", order=4)
         assert ForecasterSpec.parse("seasonal_naive:24").period == 24
 
     def test_rejects_bad_params(self):

@@ -1,8 +1,13 @@
+import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from poakit import io as pio
 from poakit.core import Segment, ValidationError
 from poakit.synth import (
     AnomalySpec,
@@ -17,6 +22,14 @@ from poakit.synth import (
 )
 
 
+# sha256 of what io.write_json writes for these configs' JSON form, recorded
+# while config_to_dict still listed every key by hand; the bytes must not change.
+CONFIG_JSON_SHA256 = {
+    "default": "a1f53759b66dbcafaa80813edf2d5e661c078a5a1f1c7fbd6fbd7064b8bece57",
+    "no-precursor": "3148e9ba8d2fba232e0ca65fd3a45980b371c6d0afc5117a42926acc82465020",
+}
+
+
 def small_config(**overrides):
     base = dict(
         length=400,
@@ -27,6 +40,29 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return SynthConfig(**base)
+
+
+@st.composite
+def valid_configs(draw):
+    """Configs that build: up to three anomalies 50 steps apart, each
+    starting late enough for a precursor of lead <= 20."""
+    sine = st.builds(SineBase, amplitude=st.floats(-1e3, 1e3), period=st.floats(0.5, 1e3),
+                     phase=st.floats(-10.0, 10.0))
+    ar1 = st.builds(Ar1Base, coef=st.floats(-0.99, 0.99), noise_std=st.floats(0.0, 5.0))
+    anomalies = [
+        AnomalySpec(start=21 + 50 * i + draw(st.integers(0, 10)), length=draw(st.integers(1, 19)),
+                    kind=draw(st.sampled_from(("spike", "level_shift", "variance_burst"))),
+                    magnitude=draw(st.floats(-1e3, 1e3)))
+        for i in range(draw(st.integers(0, 3)))
+    ]
+    lead = draw(st.integers(1, 20))
+    precursor = draw(st.none() | st.builds(
+        PrecursorSpec, lead=st.just(lead), length=st.integers(1, lead),
+        drift_magnitude=st.floats(-1e3, 1e3), noise_inflation=st.floats(1.0, 1e3)))
+    return SynthConfig(length=draw(st.integers(200, 10_000)),
+                       variables=draw(st.lists(sine | ar1, min_size=1, max_size=3)),
+                       anomalies=anomalies, precursor=precursor,
+                       obs_noise_std=draw(st.floats(0.0, 10.0)), seed=draw(st.integers(0, 2**63)))
 
 
 class TestConfigValidation:
@@ -200,6 +236,46 @@ class TestConfigJson:
         del data["anomalies"][0]["magnitude"]
         with pytest.raises(ValidationError, match="synth config is missing 'magnitude'"):
             config_from_dict(data)
+
+
+    @pytest.mark.parametrize("name", sorted(CONFIG_JSON_SHA256))
+    def test_config_json_golden_bytes(self, tmp_path, name):
+        cfg = default_config()
+        if name == "no-precursor":
+            cfg = dataclasses.replace(cfg, precursor=None)
+        pio.write_json(tmp_path / "cfg.json", config_to_dict(cfg))
+        digest = hashlib.sha256((tmp_path / "cfg.json").read_bytes()).hexdigest()
+        assert digest == CONFIG_JSON_SHA256[name]
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=valid_configs(), data=st.data())
+    def test_round_trip_with_numeric_strings(self, cfg, data):
+        raw = json.loads(json.dumps(config_to_dict(cfg)))
+
+        def stringify(node):  # any number may be given as its numeric string
+            for key, value in list(node.items() if isinstance(node, dict) else enumerate(node)):
+                if isinstance(value, (dict, list)):
+                    stringify(value)
+                elif isinstance(value, (int, float)) and data.draw(st.booleans()):
+                    node[key] = repr(value)
+
+        stringify(raw)
+        assert config_from_dict(raw) == cfg
+
+    def test_variable_error_precedes_missing_length(self):
+        data = config_to_dict(small_config())
+        del data["length"]
+        data["variables"][1]["coef"] = "x"
+        with pytest.raises(ValidationError) as err:
+            config_from_dict(data)
+        assert str(err.value) == "synth config 'coef': could not convert string to float: 'x'"
+
+    def test_precursor_length_defaults_to_its_lead(self):
+        data = config_to_dict(small_config(precursor=PrecursorSpec(lead=30, length=30)))
+        del data["precursor"]["length"]
+        assert config_from_dict(data).precursor == PrecursorSpec(lead=30, length=30)
+        data["precursor"] = {}
+        assert config_from_dict(data).precursor == PrecursorSpec()
 
 
 class TestPrecursorStatisticalSignature:
