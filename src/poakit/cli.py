@@ -112,6 +112,23 @@ def _publish(stage: Path, target: Path) -> None:
         os.replace(stage / name, target / name)
 
 
+class Number(click.ParamType):
+    """click's INTEGER or FLOAT read under the CSV number grammar
+    (``core.csv_number``): '1_0' and non-ASCII digits are usage errors."""
+
+    def __init__(self, parse):
+        self.parse = parse
+        self.name = {int: "integer", float: "float"}[parse]
+
+    def convert(self, value, param, ctx):
+        try:
+            if isinstance(value, str):
+                return core.csv_number(value, self.parse)
+            return self.parse(value)  # a default
+        except ValueError:
+            self.fail(f"{value!r} is not a valid {self.name}.", param, ctx)
+
+
 @click.group()
 def cli():
     """Precursor-of-anomaly detection pipeline and evaluation metrics."""
@@ -138,7 +155,7 @@ def _resolve_seed(flag_seed: int | None, config_seed: int | None) -> int:
 @click.argument("out_dir", type=click.Path(file_okay=False, path_type=Path))
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Synth config JSON; defaults to the built-in benchmark.")
-@click.option("--seed", type=int, default=None,
+@click.option("--seed", type=Number(int), default=None,
               help=f"Override the config seed (also via ${SEED_ENV_VAR}).")
 def synth(stage, out_dir, config_path, seed):
     """Generate a synthetic train/test/labels dataset with precursor truth."""
@@ -160,7 +177,7 @@ def synth(stage, out_dir, config_path, seed):
 @cli.command()
 @click.argument("series_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("out_dir", type=click.Path(file_okay=False, path_type=Path))
-@click.option("--train-frac", type=float, default=0.7, show_default=True)
+@click.option("--train-frac", type=Number(float), default=0.7, show_default=True)
 def split(stage, series_path, out_dir, train_frac):
     """Chronologically split a series into train/valid parts."""
     series = pio.read_series_csv(series_path)
@@ -206,12 +223,12 @@ def _forecast(fitted, windows, horizon, series_path) -> "fc.ForecastCube":
               default=None, help="Series to emit inference forecasts for.")
 @click.option("--members", default=DEFAULT_MEMBERS, show_default=True,
               help="Comma-separated specs, e.g. 'persistence,ar_ols:4'.")
-@click.option("--top-k", type=int, default=5, show_default=True)
+@click.option("--top-k", type=Number(int), default=5, show_default=True)
 @click.option("--criterion", type=click.Choice(["mse", "mae"]), default="mse",
               show_default=True)
-@click.option("--input-len", type=int, default=100, show_default=True)
-@click.option("--horizon", type=int, default=24, show_default=True)
-@click.option("--stride", type=int, default=1, show_default=True)
+@click.option("--input-len", type=Number(int), default=100, show_default=True)
+@click.option("--horizon", type=Number(int), default=24, show_default=True)
+@click.option("--stride", type=Number(int), default=1, show_default=True)
 @click.option("--standardize/--no-standardize", default=False, show_default=True,
               help="Per-variable z-scaling (statistics fit on TRAIN) before "
                    "fitting; forecasts are emitted in the scaled space.")
@@ -277,7 +294,7 @@ def forecast(stage, train_path, valid_path, out_dir, test_path, members, top_k, 
 @click.argument("forecasts_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("valid_forecasts_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("out_path", type=click.Path(dir_okay=False))
-@click.option("--length", type=int, default=None,
+@click.option("--length", type=Number(int), default=None,
               help="Test series length; defaults to max window origin + 1.")
 @click.option("--agg", type=click.Choice(["mean", "max"]), default="mean",
               show_default=True, help="Variable aggregation.")
@@ -285,7 +302,8 @@ def forecast(stage, train_path, valid_path, out_dir, test_path, members, top_k, 
               default="max", show_default=True, help="Overlapping-window resolution.")
 @click.option("--normalize/--no-normalize", "do_normalize", default=True,
               show_default=True, help="Z-score against validation statistics.")
-@click.option("--eps-sigma", type=float, default=1e-8, show_default=True)  # unc.DEFAULT_EPS_SIGMA
+@click.option("--eps-sigma", type=Number(float), default=1e-8,  # unc.DEFAULT_EPS_SIGMA
+              show_default=True)
 def score(stage, forecasts_path, valid_forecasts_path, out_path, length, agg, collate,
           do_normalize, eps_sigma):
     """Turn ensemble forecasts into a per-timestamp precursor score timeline."""
@@ -305,14 +323,17 @@ METRIC_DEFAULTS = mx.MetricParams()
 
 def _metric_options(func):
     for option in reversed([
-        click.option("--alpha", type=float, default=METRIC_DEFAULTS.alpha, show_default="1/3"),
-        click.option("--beta", type=float, default=METRIC_DEFAULTS.beta, show_default="1/3"),
-        click.option("--gamma", type=float, default=METRIC_DEFAULTS.gamma, show_default="1/3"),
-        click.option("--delta", type=int, default=METRIC_DEFAULTS.delta, show_default=True,
-                     help="Ambiguous trailing window length."),
-        click.option("--epsilon", type=int, default=METRIC_DEFAULTS.epsilon, show_default=True,
-                     help="Optimal lead time of the early reward."),
-        click.option("--k", type=float, default=METRIC_DEFAULTS.k, show_default=True,
+        click.option("--alpha", type=Number(float), default=METRIC_DEFAULTS.alpha,
+                     show_default="1/3"),
+        click.option("--beta", type=Number(float), default=METRIC_DEFAULTS.beta,
+                     show_default="1/3"),
+        click.option("--gamma", type=Number(float), default=METRIC_DEFAULTS.gamma,
+                     show_default="1/3"),
+        click.option("--delta", type=Number(int), default=METRIC_DEFAULTS.delta,
+                     show_default=True, help="Ambiguous trailing window length."),
+        click.option("--epsilon", type=Number(int), default=METRIC_DEFAULTS.epsilon,
+                     show_default=True, help="Optimal lead time of the early reward."),
+        click.option("--k", type=Number(float), default=METRIC_DEFAULTS.k, show_default=True,
                      help="Early-reward decay sharpness."),
     ]):
         func = option(func)
@@ -348,8 +369,8 @@ def _parse_detect_metric(metric: str, labels, params: mx.MetricParams):
 @click.argument("scores_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("labels_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("out_path", type=click.Path(dir_okay=False))
-@click.option("--grid-n", type=int, default=detect_mod.DEFAULT_GRID_SIZE, show_default=True,
-              help="Quantile count of the threshold grid.")
+@click.option("--grid-n", type=Number(int), default=detect_mod.DEFAULT_GRID_SIZE,
+              show_default=True, help="Quantile count of the threshold grid.")
 @click.option("--metric", default="ptapr-f1@0", show_default=True,
               help="Search objective: 'point-f1' or 'ptapr-f1@<theta>'.")
 @click.option("--search-scores", "search_scores_path",
@@ -477,11 +498,12 @@ def _evaluation_payload(detection, labels, params, metrics_wanted, theta_grid_n)
 @click.argument("labels_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("out_dir", type=click.Path(file_okay=False, path_type=Path))
 @click.option("--metrics", default="ptapr,tapr,pak", show_default=True)
-@click.option("--theta", type=float, default=METRIC_DEFAULTS.theta, show_default=True,
+@click.option("--theta", type=Number(float), default=METRIC_DEFAULTS.theta, show_default=True,
               help="Report-level overlap threshold.")
-@click.option("--theta-grid", type=int, default=mx.DEFAULT_THETA_GRID_SIZE, show_default=True)
+@click.option("--theta-grid", type=Number(int), default=mx.DEFAULT_THETA_GRID_SIZE,
+              show_default=True)
 @_metric_options
-@click.option("--tapr-alpha", type=float, default=METRIC_DEFAULTS.tapr_alpha,
+@click.option("--tapr-alpha", type=Number(float), default=METRIC_DEFAULTS.tapr_alpha,
               show_default=True)
 def evaluate(stage, detection_path, labels_path, out_dir, metrics, theta_grid, **metric_options):
     """Full metric report (PTaPR / TaPR / PA%K) for a stored detection."""
@@ -522,7 +544,8 @@ def evaluate(stage, detection_path, labels_path, out_dir, metrics, theta_grid, *
 @click.argument("out_path", type=click.Path(dir_okay=False))
 @click.option("--param", type=click.Choice(["k", "epsilon"]), required=True)
 @click.option("--values", required=True, help="Comma-separated parameter values.")
-@click.option("--theta-grid", type=int, default=mx.DEFAULT_THETA_GRID_SIZE, show_default=True)
+@click.option("--theta-grid", type=Number(int), default=mx.DEFAULT_THETA_GRID_SIZE,
+              show_default=True)
 @_metric_options
 def sweep(stage, detection_path, labels_path, out_path, param, values, theta_grid,
           **metric_options):

@@ -132,11 +132,11 @@ class ForecasterSpec:
             raise ValidationError(f"unknown forecaster kind in {text!r}")
         names = _SPEC_PARAMS[kind]
         try:
-            if len(args) > len(names):
+            if len(args) != len(names):
                 raise ValueError(f"expected {':'.join((kind, *names))}")
-            return cls(kind, **{name: csv_number(args[i], float if name in ("alpha", "beta")
-                                                 else int) for i, name in enumerate(names)})
-        except (IndexError, ValueError) as exc:
+            return cls(kind, **{name: csv_number(arg, float if name in ("alpha", "beta") else int)
+                                for name, arg in zip(names, args)})
+        except ValueError as exc:
             raise ValidationError(f"cannot parse forecaster spec {text!r}: {exc}") from exc
 
 

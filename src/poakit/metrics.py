@@ -275,10 +275,6 @@ def _diagnostics(segments: SegmentSet, params: MetricParams) -> _Diagnostics:
     )
 
 
-def _detected_fraction(coverage: np.ndarray, theta: float) -> float:
-    return float(np.mean((coverage >= theta) & (coverage > 0.0)))
-
-
 def weighted_component_score(
     detection: float, portion: float, early: float, params: MetricParams
 ) -> float:
@@ -291,51 +287,54 @@ def _require_anomalies(segments: SegmentSet) -> None:
         raise ValidationError("no ground-truth segments: recall is undefined")
 
 
-def _side_score(
-    coverage: np.ndarray, reward: np.ndarray, theta: float, params: MetricParams
-) -> ComponentScore:
-    """One side's components from its per-segment coverage and reward.
+def _side(coverage: np.ndarray, reward: np.ndarray, thetas, params: MetricParams):
+    """One side's (score, detection, portion, early) from its per-segment
+    coverage and reward. Score and detection are taken at ``thetas``, one
+    float or an array of them; portion and early do not depend on theta.
 
-    A side with no segments (no predictions) scores 0 and is marked undefined.
+    A segment is detected at theta when its coverage is >= theta and > 0:
+    one sort of the credited coverages counts them at every theta, and the
+    count over the segment count rounds once, as ``np.mean`` of the flags
+    does. A side with no segments (no predictions) scores 0.
     """
     if coverage.size == 0:
-        return ComponentScore(0.0, 0.0, 0.0, 0.0, undefined=True)
-    detection = _detected_fraction(coverage, theta)
+        zeros = np.zeros_like(thetas)
+        return zeros, zeros, 0.0, 0.0
+    credited = np.sort(coverage[coverage > 0.0])
+    detection = (credited.size - np.searchsorted(credited, thetas)) / coverage.size
     portion = float(np.mean(np.minimum(1.0, coverage)))
     early = float(np.mean(reward))
-    return ComponentScore(
-        score=weighted_component_score(detection, portion, early, params),
-        detection=detection,
-        portion=portion,
-        early=early,
-    )
+    return weighted_component_score(detection, portion, early, params), detection, portion, early
 
 
-def _side_scores(
-    diag: _Diagnostics, theta: float, params: MetricParams
-) -> tuple[ComponentScore, ComponentScore]:
-    """Recall side (per anomaly) and precision side (per prediction) at theta."""
-    return (
-        _side_score(diag.anomaly_coverage, diag.anomaly_reward, theta, params),
-        _side_score(diag.prediction_coverage, diag.prediction_reward, theta, params),
-    )
+def _component(coverage: np.ndarray, reward: np.ndarray, params: MetricParams) -> ComponentScore:
+    """One side's components at ``params.theta``; undefined when it has no segments."""
+    score, detection, portion, early = _side(coverage, reward, params.theta, params)
+    return ComponentScore(float(score), float(detection), portion, early,
+                          undefined=coverage.size == 0)
 
 
 def ptapr_f1(ptar_value: float, ptap_value: float) -> float:
-    """Harmonic mean of the recall- and precision-side scores; 0 when both are 0."""
-    for name, value in (("ptar", ptar_value), ("ptap", ptap_value)):
-        if not 0.0 <= value <= 1.0 + 1e-12:
-            raise ValidationError(f"{name} must be in [0, 1], got {value}")
-    if ptar_value + ptap_value == 0.0:
-        return 0.0
-    return 2.0 * ptar_value * ptap_value / (ptar_value + ptap_value)
+    """Harmonic mean of the recall- and precision-side scores; 0 when both are 0.
+
+    Elementwise over arrays of scores; a pair of floats gives a float.
+    """
+    ptar, ptap = np.asarray(ptar_value), np.asarray(ptap_value)
+    for name, value in (("ptar", ptar), ("ptap", ptap)):
+        outside = ~((0.0 <= value) & (value <= 1.0 + 1e-12))
+        if outside.any():
+            raise ValidationError(f"{name} must be in [0, 1], got {value[outside][0]}")
+    total = ptar + ptap
+    f1 = np.divide(2.0 * ptar * ptap, total, out=np.zeros(total.shape), where=total != 0.0)
+    return f1 if f1.ndim else float(f1)
 
 
 def ptapr_report(segments: SegmentSet, params: MetricParams) -> MetricReport:
     """Recall, precision and F1 at ``params.theta`` plus per-segment diagnostics."""
     _require_anomalies(segments)
     diag = _diagnostics(segments, params)
-    recall, precision = _side_scores(diag, params.theta, params)
+    recall = _component(diag.anomaly_coverage, diag.anomaly_reward, params)
+    precision = _component(diag.prediction_coverage, diag.prediction_reward, params)
     return MetricReport(
         ptar=recall.score,
         ptap=precision.score,
@@ -373,7 +372,7 @@ def auc_trapezoid(xs: np.ndarray, ys: np.ndarray) -> float:
 def _closed_grid(values, top: float, name: str, plural: str) -> np.ndarray:
     """``values`` sorted and de-duplicated, all within [0, top], with the
     endpoints 0 and ``top`` added when absent."""
-    grid = np.asarray(sorted(set(float(v) for v in values)))
+    grid = np.unique(np.fromiter(values, dtype=float))
     if grid.size == 0:
         raise ValidationError(f"{name} grid must not be empty")
     if grid[0] < 0.0 or grid[-1] > top:
@@ -394,12 +393,9 @@ def _theta_grid(thetas) -> np.ndarray:
 
 def _sweep(thetas: np.ndarray, diag: _Diagnostics, params: MetricParams) -> ThetaSweep:
     """Side scores and their F1 over ``thetas``, all from one credit computation."""
-    recall = np.empty_like(thetas)
-    precision = np.empty_like(thetas)
-    f1 = np.empty_like(thetas)
-    for idx, theta in enumerate(thetas):
-        r, p = (side.score for side in _side_scores(diag, theta, params))
-        recall[idx], precision[idx], f1[idx] = r, p, ptapr_f1(r, p)
+    recall = _side(diag.anomaly_coverage, diag.anomaly_reward, thetas, params)[0]
+    precision = _side(diag.prediction_coverage, diag.prediction_reward, thetas, params)[0]
+    f1 = ptapr_f1(recall, precision)
     return ThetaSweep(
         thetas=thetas,
         ptar=recall,
@@ -456,7 +452,8 @@ def tapr(segments: SegmentSet, params: MetricParams) -> TaprResult:
     coverage components are weighted by tapr_alpha / (1 - tapr_alpha).
     """
     diag, weights = _tapr_scoring(segments, params)
-    tar, tap = (side.score for side in _side_scores(diag, params.theta, weights))
+    tar = _component(diag.anomaly_coverage, diag.anomaly_reward, weights).score
+    tap = _component(diag.prediction_coverage, diag.prediction_reward, weights).score
     return TaprResult(tar=tar, tap=tap, f1=ptapr_f1(tar, tap))
 
 

@@ -1,13 +1,17 @@
-"""Window-at-a-time reference kernels for the forecast -> score path.
+"""Window-at-a-time reference kernels for the forecast -> score path, and
+the theta-at-a-time side scoring of the PTaPR/TaPR metrics.
 
 The package reduces whole blocks of windows and collates without a window
-loop; these are the loops it replaced, kept as written so the tests can
-require bit-identical results on any input.
+loop, and scores a whole theta grid at once; these are the loops it
+replaced, kept as written so the tests can require bit-identical results on
+any input.
 """
 
 import numpy as np
 
+from poakit.core import ValidationError
 from poakit.forecast import predict_batch
+from poakit.metrics import ComponentScore
 
 
 def ensemble_variance(predictions):
@@ -86,3 +90,42 @@ def forecast_ensembles(members, windows, horizon):
     ordered = sorted(members, key=lambda m: m.member_id)
     inputs = np.stack([w.input for w in windows])
     return np.stack([predict_batch(m, inputs, horizon) for m in ordered], axis=1)
+
+
+def side_score(coverage, reward, theta, params):
+    """One side's components at one theta from its per-segment coverage and
+    reward; a side with no segments scores 0 and is marked undefined."""
+    if coverage.size == 0:
+        return ComponentScore(0.0, 0.0, 0.0, 0.0, undefined=True)
+    detection = float(np.mean((coverage >= theta) & (coverage > 0.0)))
+    portion = float(np.mean(np.minimum(1.0, coverage)))
+    early = float(np.mean(reward))
+    return ComponentScore(
+        score=params.alpha * detection + params.beta * portion + params.gamma * early,
+        detection=detection,
+        portion=portion,
+        early=early,
+    )
+
+
+def ptapr_f1(ptar_value, ptap_value):
+    """Harmonic mean of two side scores; 0 when both are 0."""
+    for name, value in (("ptar", ptar_value), ("ptap", ptap_value)):
+        if not 0.0 <= value <= 1.0 + 1e-12:
+            raise ValidationError(f"{name} must be in [0, 1], got {value}")
+    if ptar_value + ptap_value == 0.0:
+        return 0.0
+    return 2.0 * ptar_value * ptap_value / (ptar_value + ptap_value)
+
+
+def theta_curve(anomaly, prediction, thetas, params):
+    """(recall, precision, F1) arrays over ``thetas``, one theta at a time;
+    ``anomaly`` and ``prediction`` are each side's (coverage, reward)."""
+    recall = np.empty_like(thetas)
+    precision = np.empty_like(thetas)
+    f1 = np.empty_like(thetas)
+    for idx, theta in enumerate(thetas):
+        r = side_score(*anomaly, theta, params).score
+        p = side_score(*prediction, theta, params).score
+        recall[idx], precision[idx], f1[idx] = r, p, ptapr_f1(r, p)
+    return recall, precision, f1

@@ -692,6 +692,40 @@ class TestErrorHandling:
                                  "'ar_ols:4:7': expected ar_ols:order\n")
         assert not out.exists()
 
+    def test_member_spec_with_missing_parameters_rejected(self, pipeline, tmp_path):
+        # ar_ols without its order used to be reported as 'list index out of range'
+        out = tmp_path / "fc"
+        result = CliRunner().invoke(cli, [
+            "forecast", str(pipeline / "parts/train.csv"), str(pipeline / "parts/valid.csv"),
+            str(out), "--members", "persistence,ar_ols", "--input-len", "30",
+        ])
+        assert result.exit_code == 2, result.output
+        assert result.output == ("error[validation]: cannot parse forecaster spec "
+                                 "'ar_ols': expected ar_ols:order\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args,message", [
+        (["synth", "--seed", "1_0", "{out}"], "'1_0' is not a valid integer."),
+        (["synth", "--seed", "\u0661", "{out}"], "'\u0661' is not a valid integer."),
+        (["split", "--train-frac", "0_7", "{p}/data/train.csv", "{out}"],
+         "'0_7' is not a valid float."),
+        (["forecast", "--input-len", "\u0661\u0660\u0660", "{p}/parts/train.csv",
+          "{p}/parts/valid.csv", "{out}"], "'\u0661\u0660\u0660' is not a valid integer."),
+        (["detect", "--k", "1_0", "{p}/run/scores.csv", "{p}/data/labels.csv", "{out}"],
+         "'1_0' is not a valid float."),
+        (["evaluate", "--theta-grid", "1_01", "{p}/run/detection.csv", "{p}/data/labels.csv",
+          "{out}"], "'1_01' is not a valid integer."),
+    ], ids=["synth-seed-separator", "synth-seed-arabic-indic", "split-train-frac",
+            "forecast-input-len", "detect-k", "evaluate-theta-grid"])
+    def test_numeric_options_follow_the_csv_grammar(self, pipeline, tmp_path, args, message):
+        # int()/float() read these as seed 10, seed 1, train_frac 7.0, input length
+        # 100, k 10 and a 101-point theta grid
+        out = tmp_path / "out"
+        result = CliRunner().invoke(cli, [a.format(p=pipeline, out=out) for a in args])
+        assert result.exit_code == 2, result.output
+        assert result.output.endswith(f"Invalid value for '{args[1]}': {message}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("env,args,message", [
         ("1_0", ["synth", "{out}"], "POAKIT_SEED must be an integer, got '1_0'"),
         ("\u0661", ["synth", "{out}"], "POAKIT_SEED must be an integer, got '\u0661'"),

@@ -122,12 +122,14 @@ class TestForecasterSpec:
 
     @pytest.mark.parametrize("text, message", [
         ("lstm:3", "unknown forecaster kind in 'lstm:3'"),
-        ("ar_ols", "cannot parse forecaster spec 'ar_ols': list index out of range"),
+        ("ar_ols", "cannot parse forecaster spec 'ar_ols': expected ar_ols:order"),
+        ("seasonal_naive", "cannot parse forecaster spec 'seasonal_naive': "
+                           "expected seasonal_naive:period"),
         ("ar_ols:x", "cannot parse forecaster spec 'ar_ols:x': "
                      "invalid literal for int() with base 10: 'x'"),
         ("ar_ols:0", "cannot parse forecaster spec 'ar_ols:0': ar_ols requires order >= 1"),
         ("holt_linear:0.3", "cannot parse forecaster spec 'holt_linear:0.3': "
-                            "list index out of range"),
+                            "expected holt_linear:alpha:beta"),
         # each below used to parse: the extra part was dropped, and int()/float()
         # read '1_0' as 10, Arabic-Indic 24 as 24 and '0_3' as 3.0
         ("ar_ols:4:7", "cannot parse forecaster spec 'ar_ols:4:7': expected ar_ols:order"),

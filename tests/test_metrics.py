@@ -1,8 +1,12 @@
 import hashlib
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poakit.core import LabelSequence, ScoreSeries, Segment, SegmentSet, ValidationError
 from poakit.detect import Detection, best_f1_threshold, default_grid, split_precursor_prediction
@@ -25,6 +29,7 @@ from poakit.metrics import (
     tapr_theta_sweep,
     weighted_component_score,
 )
+import reference_kernels as ref
 from conftest import segment_set
 from reference_metrics import ref_pa_k, ref_ptapr, ref_tapr
 
@@ -662,6 +667,109 @@ class TestBitExact:
         assert len(grid) == 64
         assert (result.threshold.hex(), result.f1.hex()) == (
             "0x1.657de7a8a407ap-1", "0x1.21b913ad613b4p-1")
+
+
+def _component_bits(score):
+    return [float(v).hex() for v in (score.score, score.detection, score.portion, score.early)
+            ] + [score.undefined]
+
+
+def _sides(report):
+    """A report's (coverage, reward) per side: anomalies, then predictions."""
+    return ((np.array(report.anomaly_coverage), np.array(report.anomaly_reward)),
+            (np.array(report.prediction_coverage), np.array(report.prediction_reward)))
+
+
+@st.composite
+def _scored_segments(draw):
+    """A segment set, its metric params and a theta grid that holds some of
+    its exact coverage values (repeats included), 0 and 1."""
+    def runs(min_size):
+        out, at = [], 0
+        for gap, length in draw(st.lists(st.tuples(st.integers(0, 6), st.integers(1, 8)),
+                                         min_size=min_size, max_size=8)):
+            out.append((at + gap, length))
+            at += gap + length
+        return out, at
+
+    anomalies, a_end = runs(1)
+    predictions, p_end = runs(0)
+    ends = [-1] + [start + length - 1 for start, length in predictions]
+    # a precursor starts after the previous prediction, as a flagged run's does
+    precursors = [draw(st.sampled_from([-1, *range(end + 1, start)]))
+                  for end, (start, _) in zip(ends, predictions)]
+    seg = segment_set(anomalies, predictions, precursors, delta=draw(st.integers(0, 6)),
+                      series_len=max(a_end, p_end) + draw(st.integers(0, 8)))
+    alpha, beta, gamma = draw(st.sampled_from(
+        [(1 / 3, 1 / 3, 1 / 3), (1.0, 0.0, 0.0), (0.5, 0.3, 0.2), (0.2, 0.2, 0.6)]))
+    params = MetricParams(alpha=alpha, beta=beta, gamma=gamma, delta=seg.delta,
+                          epsilon=draw(st.integers(1, 8)), k=draw(st.floats(1e-4, 0.5)),
+                          tapr_alpha=draw(st.floats(0.0, 1.0)))
+    exact = [0.0, 1.0]
+    for report in (ptapr_report(seg, params),
+                   ptapr_report(merge_precursors_into_predictions(seg), params)):
+        exact += [c for c in report.anomaly_coverage + report.prediction_coverage if c <= 1.0]
+    theta = st.one_of(st.sampled_from(exact), st.floats(0.0, 1.0))
+    thetas = draw(st.lists(theta, min_size=1, max_size=12))
+    return seg, replace(params, theta=draw(st.sampled_from(thetas))), thetas
+
+
+class TestThetaGridMatchesLoop:
+    """The whole-grid side scoring against the theta-at-a-time loop it
+    replaced, bit for bit, for PTaPR and TaPR, curve and single theta."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_scored_segments())
+    @example((segment_set([(5, 4)], [], delta=4, series_len=30),  # no predictions
+              THIRDS, [0.0, 0.5, 1.0]))
+    @example((segment_set([(5, 4), (20, 3)], [(0, 2), (12, 3)], [-1, 10], delta=2,
+                          series_len=30),  # no prediction earns credit
+              MetricParams(theta=0.0, delta=2), [0.0, 0.0, 1.0]))
+    @example((golden_fixture(), THIRDS, [0.6, 0.6, 1.0, 0.0]))  # exact coverages
+    def test_matches_theta_loop(self, case):
+        seg, params, thetas = case
+        self.assert_matches(params, thetas, ptapr_report(seg, params),
+                            ptapr_theta_sweep(seg, params, thetas))
+        weights = replace(params, alpha=params.tapr_alpha, beta=1.0 - params.tapr_alpha,
+                          gamma=0.0)
+        merged = ptapr_report(merge_precursors_into_predictions(seg), weights)
+        got = tapr(seg, params)
+        recall, precision = (ref.side_score(*side, params.theta, weights).score
+                             for side in _sides(merged))
+        assert [got.tar.hex(), got.tap.hex(), got.f1.hex()] == [
+            recall.hex(), precision.hex(), ref.ptapr_f1(recall, precision).hex()]
+        self.assert_matches(weights, thetas, merged, tapr_theta_sweep(seg, params, thetas))
+
+    @staticmethod
+    def assert_matches(params, thetas, report, sweep):
+        anomaly, prediction = _sides(report)
+        recall = ref.side_score(*anomaly, params.theta, params)
+        precision = ref.side_score(*prediction, params.theta, params)
+        assert _component_bits(report.recall) == _component_bits(recall)
+        assert _component_bits(report.precision) == _component_bits(precision)
+        assert report.f1.hex() == ref.ptapr_f1(recall.score, precision.score).hex()
+        assert sweep.thetas.tobytes() == np.unique(np.r_[0.0, thetas, 1.0]).tobytes()
+        curve = ref.theta_curve(anomaly, prediction, sweep.thetas, params)
+        for got, want in zip((sweep.ptar, sweep.ptap, sweep.f1), curve):
+            assert got.tobytes() == want.tobytes()
+        assert sweep.auc.hex() == auc_trapezoid(sweep.thetas, curve[2]).hex()
+        assert (sweep.f1_at_0.hex(), sweep.f1_at_1.hex()) == (
+            float(curve[2][0]).hex(), float(curve[2][-1]).hex())
+
+    def test_fine_grid_makes_no_theta_by_segment_array(self):
+        # 1,000 one-point predictions around 20 anomalies: a theta x prediction
+        # array of flags alone would take 100 MB at 100,001 thetas
+        seg = segment_set([(100 * i + 3, 10) for i in range(20)],
+                          [(2 * i, 1) for i in range(1000)], delta=24, series_len=2100)
+        thetas = np.linspace(0.0, 1.0, 100_001)
+        tracemalloc.start()
+        try:
+            sweep = ptapr_theta_sweep(seg, MetricParams(), thetas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sweep.f1.shape == thetas.shape
+        assert peak < 20e6, peak
 
 
 class TestReportMatchesSides:
