@@ -153,14 +153,24 @@ def sigmoid_position_weight(offset: int, delta: int) -> float:
 
 
 @functools.lru_cache(maxsize=16)
-def _weight_table(delta: int) -> tuple[float, ...]:
-    """``sigmoid_position_weight`` at every offset of a delta-wide window."""
-    return tuple(sigmoid_position_weight(i, delta) for i in range(delta))
+def _weight_table(delta: int) -> np.ndarray:
+    """``sigmoid_position_weight`` at every offset of a delta-wide window, read-only."""
+    table = np.array([sigmoid_position_weight(i, delta) for i in range(delta)])
+    table.flags.writeable = False
+    return table
 
 
-def _window_credit(first: int, last: int, delta: int) -> float:
-    """Credit of ambiguous offsets first..last: the weights summed left to right."""
-    return sum(_weight_table(delta)[first : last + 1])
+def _window_credit(first: np.ndarray, last: np.ndarray, delta: int) -> np.ndarray:
+    """Credit of each window of ambiguous offsets first..last: its weights added
+    left to right by one ``np.cumsum`` per distinct first offset, so every Python
+    gives the same floats (builtin ``sum()`` compensates from 3.12 on)."""
+    table = _weight_table(delta)
+    steps = last - first
+    credit = np.empty(first.shape)
+    for offset in set(first.tolist()):
+        at = first == offset
+        credit[at] = np.cumsum(table[offset:])[steps[at]]
+    return credit
 
 
 def ambiguous_score(a_prime: Segment | None, p: Segment, delta: int) -> float:
@@ -173,7 +183,8 @@ def ambiguous_score(a_prime: Segment | None, p: Segment, delta: int) -> float:
     hi = min(a_prime.end, p.end)
     if hi < lo:
         return 0.0
-    return _window_credit(lo - a_prime.start, hi - a_prime.start, delta)
+    first, last = np.array([[lo], [hi]]) - a_prime.start
+    return float(_window_credit(first, last, delta)[0])
 
 
 def overlap_score(
@@ -191,8 +202,10 @@ def overlap_score(
     )
 
 
-def _lead_reward(lead: int, epsilon: int, k: float) -> float:
-    return math.exp(-k * (lead - epsilon) ** 2)
+def _lead_reward(leads: np.ndarray, epsilon: int, k: float) -> np.ndarray:
+    """exp(-k (lead - epsilon)^2) at each lead: the exponent on the array, the
+    exponential by ``math.exp``, whose bits ``np.exp`` does not always give."""
+    return np.array(list(map(math.exp, (-k * (leads - epsilon) ** 2).tolist())))
 
 
 def early_reward(a: Segment, p_prime: Segment | None, epsilon: int, k: float) -> float:
@@ -209,7 +222,7 @@ def early_reward(a: Segment, p_prime: Segment | None, epsilon: int, k: float) ->
         raise ValidationError("epsilon must be >= 1")
     if p_prime is None or p_prime.start >= a.start:
         return 0.0
-    return _lead_reward(a.start - p_prime.start, epsilon, k)
+    return float(_lead_reward(np.array([a.start - p_prime.start]), epsilon, k)[0])
 
 
 @dataclass(frozen=True)
@@ -233,8 +246,9 @@ def _diagnostics(segments: SegmentSet, params: MetricParams) -> _Diagnostics:
     n_a x n_p matrix, built by broadcasting over the segment arrays. Only
     pairs whose prediction reaches into an ambiguous window get sigmoid
     credit, and only pairs with a precursor before the onset get a reward;
-    those few are computed one by one, so every float is the same one the
-    single-pair definitions (``overlap_score``, ``early_reward``) give.
+    those few take it from ``_window_credit`` and ``_lead_reward``, as the
+    single-pair definitions (``ambiguous_score``, ``early_reward``) do, so
+    every float is the same one those give.
 
     The reward pairing requires a strictly positive overlap score between the
     anomaly and the prediction; the best reward among paired partners counts.
@@ -252,19 +266,11 @@ def _diagnostics(segments: SegmentSet, params: MetricParams) -> _Diagnostics:
     first = np.maximum(w_s, p_s) - w_s
     last = np.minimum(w_e, p_e) - w_s
     ai, pi = np.nonzero(last >= first)
-    if ai.size:
-        overlap[ai, pi] += [
-            _window_credit(f, l, segments.delta)
-            for f, l in zip(first[ai, pi].tolist(), last[ai, pi].tolist())
-        ]
+    overlap[ai, pi] += _window_credit(first[ai, pi], last[ai, pi], segments.delta)
 
     reward = np.zeros((n_a, n_p))
     ai, pi = np.nonzero((overlap > 0.0) & has_precursor & (pp_s < a_s))
-    if ai.size:
-        reward[ai, pi] = [
-            _lead_reward(lead, params.epsilon, params.k)
-            for lead in (segments.anomaly_starts[ai] - pp_s[pi]).tolist()
-        ]
+    reward[ai, pi] = _lead_reward(segments.anomaly_starts[ai] - pp_s[pi], params.epsilon, params.k)
     a_len = (segments.anomaly_ends - segments.anomaly_starts + 1).astype(float)
     p_len = (p_e - p_s + 1).astype(float)
     return _Diagnostics(
@@ -371,12 +377,14 @@ def auc_trapezoid(xs: np.ndarray, ys: np.ndarray) -> float:
 
 def _closed_grid(values, top: float, name: str, plural: str) -> np.ndarray:
     """``values`` sorted and de-duplicated, all within [0, top], with the
-    endpoints 0 and ``top`` added when absent."""
-    grid = np.unique(np.fromiter(values, dtype=float))
+    endpoints 0 and ``top`` added when absent. A NaN sorts last and fails
+    ``<= top``; the neighbour mask is ``np.unique``'s, without its ``numpy.ma`` import."""
+    grid = np.sort(np.fromiter(values, dtype=float))
     if grid.size == 0:
         raise ValidationError(f"{name} grid must not be empty")
-    if grid[0] < 0.0 or grid[-1] > top:
+    if not (grid[0] >= 0.0 and grid[-1] <= top):
         raise ValidationError(f"{plural} must lie within [0, {top:g}]")
+    grid = grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
     if grid[0] != 0.0:
         grid = np.concatenate([[0.0], grid])
     if grid[-1] != top:

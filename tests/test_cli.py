@@ -1054,6 +1054,17 @@ class TestStageImports:
             "detect", tmp_path / "scores.csv", pipeline / "data/labels.csv",
             tmp_path / "detection.csv", "--grid-n", "8", "--delta", "8")
 
+    def test_evaluate_and_sweep_skip_numpy_ma(self, pipeline, tmp_path):
+        # np.unique loads numpy.ma, which the theta and K grids never needed
+        labels = pipeline / "data/labels.csv"
+        for args in (
+            ["evaluate", pipeline / "run/detection.csv", labels, tmp_path / "eval",
+             "--delta", "8"],
+            ["sweep", pipeline / "run/detection.csv", labels, tmp_path / "sweep.csv",
+             "--param", "k", "--values", "0.1,0.01", "--delta", "8"],
+        ):
+            assert "numpy.ma" not in self.loaded(*args), args[0]
+
     def test_manifests_keep_their_hashes(self, pipeline, tmp_path):
         run = tmp_path / "run"
         shutil.copytree(pipeline / "run", run)

@@ -29,6 +29,7 @@ from poakit.metrics import (
     tapr_theta_sweep,
     weighted_component_score,
 )
+import poakit.metrics as mx
 import reference_kernels as ref
 from conftest import segment_set
 from reference_metrics import ref_pa_k, ref_ptapr, ref_tapr
@@ -85,6 +86,60 @@ class TestAmbiguousScore:
         expected = sum(1.0 / (1.0 + math.exp(-6.0 + 6.0 * j)) for j in range(3))
         got = ambiguous_score(Segment(5, 3), Segment(4, 6), 3)
         assert got == pytest.approx(expected, abs=1e-12)
+
+
+class TestWindowCredit:
+    """Ambiguous credit adds a window's weights left to right from its first
+    offset, so every Python gives the same floats; builtin ``sum()`` over
+    floats compensates from Python 3.12 on."""
+
+    @pytest.mark.parametrize("delta", [1, 2, 5, 10, 24, 50, 100, 200, 500])
+    def test_adds_left_to_right(self, delta):
+        table = [sigmoid_position_weight(i, delta) for i in range(delta)]
+        windows, expected = [], []
+        for first in range(delta):
+            acc = 0.0
+            for last in range(first, delta):
+                acc += table[last]
+                windows.append((first, last))
+                expected.append(acc)
+        order = np.random.default_rng(delta).permutation(len(windows))
+        first, last = np.array(windows)[order].T
+        got = mx._window_credit(first, last, delta)
+        assert got.tobytes() == np.array(expected)[order].tobytes()
+
+    @pytest.mark.parametrize("delta", [1, 2, 5, 24])
+    def test_ambiguous_score_is_the_diagnostics_entry(self, delta):
+        # one-point anomalies, each with one prediction inside its own
+        # ambiguous window and nowhere else: the anomaly's coverage is that
+        # pair's entry of the credit matrix
+        windows = [(f, l) for f in range(delta) for l in range(f, delta)]
+        gap = 2 * delta + 2
+        anomalies = [(gap * i, 1) for i in range(len(windows))]
+        predictions = [(gap * i + 1 + f, l - f + 1) for i, (f, l) in enumerate(windows)]
+        seg = segment_set(anomalies, predictions, delta=delta, series_len=gap * len(windows))
+        coverage = mx._diagnostics(seg, MetricParams(delta=delta)).anomaly_coverage
+        singles = [ambiguous_score(a_prime, p, delta)
+                   for a_prime, p in zip(seg.ambiguous, seg.predictions)]
+        assert coverage.tobytes() == np.array(singles).tobytes()
+        assert all(score > 0.0 for score in singles)
+
+    def test_reward_takes_math_exp_bits(self):
+        # at these leads np.exp's last bit differs from math.exp's (numpy 2.4,
+        # x86-64, epsilon 7, k 0.001); both reward paths give math.exp's
+        params = MetricParams()
+        leads = [72, 74, 123, 131, 133]
+        want = [math.exp(-params.k * (lead - params.epsilon) ** 2).hex() for lead in leads]
+        onsets = [200 * (i + 1) for i in range(len(leads))]
+        assert [early_reward(Segment(onset, 3), Segment(onset - lead, lead),
+                             params.epsilon, params.k).hex()
+                for onset, lead in zip(onsets, leads)] == want
+        seg = segment_set([(onset, 3) for onset in onsets], [(onset, 3) for onset in onsets],
+                          [onset - lead for onset, lead in zip(onsets, leads)],
+                          delta=params.delta, series_len=onsets[-1] + 200)
+        diag = mx._diagnostics(seg, params)
+        assert [r.hex() for r in diag.anomaly_reward] == want
+        assert [r.hex() for r in diag.prediction_reward] == want
 
 
 class TestOverlapScore:
@@ -234,6 +289,13 @@ class TestThetaSweep:
         seg = golden_fixture()
         sweep = ptapr_theta_sweep(seg, THIRDS, [0.5])
         assert sweep.thetas[0] == 0.0 and sweep.thetas[-1] == 1.0
+
+    @pytest.mark.parametrize("sweep", [ptapr_theta_sweep, tapr_theta_sweep])
+    @pytest.mark.parametrize("thetas", [[0.5, math.nan], [math.nan], [math.nan, 0.0, 1.0]])
+    def test_nan_theta_is_refused(self, sweep, thetas):
+        # NaN fails every < and > comparison, so a range check made of them lets it through
+        with pytest.raises(ValidationError, match=r"thetas must lie within \[0, 1\]"):
+            sweep(golden_fixture(), THIRDS, thetas)
 
     def test_refinement_oracle(self):
         seg = golden_fixture()
@@ -422,6 +484,10 @@ class TestPaKSuite:
         adjusted = point_adjust(flags, labels, 0.0)
         assert res.f1_pa == pytest.approx(pointwise_prf(adjusted, labels)[2])
         assert res.f1_pa > res.f1_pointwise
+
+    def test_nan_k_is_refused_with_the_grid(self):
+        with pytest.raises(ValidationError, match=r"K values must lie within \[0, 100\]"):
+            pa_k_suite([0, 1, 1], [0, 1, 0], k_grid=[50.0, math.nan])
 
     def test_matches_reference(self):
         rng = np.random.default_rng(35)
