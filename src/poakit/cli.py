@@ -1,4 +1,4 @@
-"""Pipeline driver: synth -> split -> forecast -> score -> detect -> evaluate.
+"""Pipeline driver: synth -> split -> forecast -> score -> detect -> evaluate -> sweep -> report.
 
 Stages talk to each other only through files, so externally produced
 forecasts can be dropped in at the `score` boundary. Every subcommand is

@@ -258,7 +258,8 @@ class SegmentSet:
     - ``prediction_starts``/``prediction_ends``, sorted and disjoint;
     - ``precursor_starts``: the early-warning run directly preceding
       prediction j covers ``precursor_starts[j] .. prediction_starts[j] - 1``;
-      -1 means it has no precursor.
+      -1 means it has no precursor. A precursor that reaches back into the
+      previous prediction is refused.
 
     The constructor takes 1-D integer arrays and checks every invariant above
     (:func:`ambiguous_ends` computes the ambiguous ends from a series length).
@@ -300,6 +301,9 @@ class SegmentSet:
                 f"need one precursor start per prediction, got {pp_s.size} for {p_s.size}")
         _refuse_first((pp_s < -1) | (pp_s >= p_s), lambda i: (
             f"prediction {i} precursor start {pp_s[i]} must be -1 or in [0, {p_s[i]})"))
+        _refuse_first((pp_s[1:] >= 0) & (pp_s[1:] <= p_e[:-1]), lambda i: (
+            f"prediction {i + 1} precursor start {pp_s[i + 1]} reaches back into "
+            f"prediction {i} [{p_s[i]}, {p_e[i]}]"))
         for name, arr in zip(self.__slots__, arrays):
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "delta", int(delta))

@@ -646,6 +646,9 @@ class _RecordGrid:
     keeping any record past its chunk. A file of n records fills at most n
     cells, so a record whose cell would make the grid span more cells than
     the file has room for records is refused: the cube never grows past it.
+    Array checks only decide whether a chunk is clean; the first bad record
+    of a chunk that is not is named by :meth:`_first_error`, one record at a
+    time.
     """
 
     def __init__(self, codes, max_records):
@@ -661,51 +664,64 @@ class _RecordGrid:
         self.error: str | None = None
 
     def add(self, window_id, origin, member, step, variable, value) -> None:
-        """Check and scatter the next chunk; keep only the first bad record's error.
+        """Scatter the next chunk if all its records are clean, else keep the
+        first bad record's error."""
+        if self.error is not None:
+            return  # later records cannot move the first bad one
+        first = self.n + 1
+        self.n += step.size
+        slot = self._slots(window_id, origin)
+        W, M, L, c = self.dims
+        dims = (max(W, int(slot.max()) + 1), max(M, int(member.max()) + 1),
+                max(L, int(step.max())), max(c, int(variable.max()) + 1))
+        if ((step >= 1).all() and (variable >= 0).all() and (origin == self.origins[slot]).all()
+                and math.prod(dims) <= self.max_records):
+            self._grow(dims)
+            cells = np.ravel_multi_index((slot, member, step - 1, variable), self.stamp.shape)
+            stamp = self.stamp.reshape(-1)
+            prior = stamp[cells]
+            rec = np.arange(first, self.n + 1, dtype=stamp.dtype)
+            stamp[cells] = rec
+            if not prior.any() and np.array_equal(stamp[cells], rec):  # no cell filled twice
+                self.values.reshape(-1)[cells] = value
+                self.dims = dims
+                return
+            stamp[cells] = prior  # as before the chunk, for the walk to read
+        self.error = self._first_error(first, window_id, origin, slot, member, step, variable)
+
+    def _first_error(self, first, window_id, origin, slot, member, step, variable) -> str:
+        """The error of a chunk's first bad record, its records walked in file
+        order from record number ``first``.
 
         Within a record, a step or variable out of range comes first, then a
         cell already seen, then an origin other than the one the window's
         first record gave, then a cell the file has no room for.
         """
-        if self.error is not None:
-            return  # later records cannot move the first bad one
-        n = step.size
-        rec = np.arange(self.n + 1, self.n + n + 1, dtype=self.stamp.dtype)
-        self.n += n
-        slot = self._slots(window_id, origin)
-        bad_range = (step < 1) | (variable < 0)
-        bad = bad_range | (origin != self.origins[slot])
-        k = int(np.argmax(bad)) if bad.any() else n
-        m = k + 1 if k < n and not bad_range[k] else k  # the records whose cells count
-        fits = self._fit(slot[:m], member[:m], step[:m], variable[:m]) if m else 0
-        seen, cells = self._stamp(slot[:fits], member[:fits], step[:fits], variable[:fits],
-                                  rec[:fits])
-        dup = seen != rec[:fits]
-        if dup.any():
-            d = int(np.argmax(dup))
-            self.error = (
-                f"record {rec[d]}: duplicate cell window={window_id[d]} "
-                f"member={list(self.codes)[member[d]]!r} step={step[d]} "
-                f"variable={variable[d]} (first seen at record {seen[d]})"
-            )
-        elif fits < k:  # the record at ``fits`` has a cell outside the file's room
-            f = fits
-            W, M, L, c = (max(d, int(x) + 1) for d, x in
-                          zip(self.dims, (slot[f], member[f], step[f] - 1, variable[f])))
-            self.error = (
-                f"record {rec[f]}: cell window={window_id[f]} "
-                f"member={list(self.codes)[member[f]]!r} step={step[f]} variable={variable[f]} "
-                f"would make the grid {W} windows x {M} members x {L} steps x {c} variables, "
-                f"more cells than the {self.max_records} records this file has room for"
-            )
-        elif k < n and bad_range[k]:
-            self.error = (f"record {rec[k]}: step must be >= 1 and variable >= 0, "
-                          f"got ({step[k]}, {variable[k]})")
-        elif k < n:
-            self.error = (f"record {rec[k]}: window {window_id[k]} has conflicting origins "
-                          f"{self.origins[slot[k]]} and {origin[k]}")
-        else:
-            self.values.reshape(-1)[cells] = value
+        names = list(self.codes)
+        dims, shape = self.dims, self.stamp.shape
+        seen: dict[tuple, int] = {}  # this chunk's cells: the record that filled each
+        for rec, wid, o, w, m, s, v in zip(itertools.count(first), window_id.tolist(),
+                                            origin.tolist(), slot.tolist(), member.tolist(),
+                                            step.tolist(), variable.tolist()):
+            if s < 1 or v < 0:
+                return f"record {rec}: step must be >= 1 and variable >= 0, got ({s}, {v})"
+            cell = (w, m, s - 1, v)
+            before = int(self.stamp[cell]) if all(x < h for x, h in zip(cell, shape)) else 0
+            filled = before or seen.setdefault(cell, rec)
+            if filled != rec:
+                return (f"record {rec}: duplicate cell window={wid} member={names[m]!r} "
+                        f"step={s} variable={v} (first seen at record {filled})")
+            if o != self.origins[w]:
+                return (f"record {rec}: window {wid} has conflicting origins "
+                        f"{self.origins[w]} and {o}")
+            dims = tuple(max(d, x + 1) for d, x in zip(dims, cell))
+            if math.prod(dims) > self.max_records:
+                W, M, L, c = dims
+                return (f"record {rec}: cell window={wid} member={names[m]!r} step={s} "
+                        f"variable={v} would make the grid {W} windows x {M} members x "
+                        f"{L} steps x {c} variables, more cells than the "
+                        f"{self.max_records} records this file has room for")
+        raise AssertionError(f"records {first} to {rec} were refused, but none is bad")
 
     def _slots(self, window_id, origin):
         """Slot per record; a new window takes the origin of its first record."""
@@ -722,27 +738,15 @@ class _RecordGrid:
             self.origins = np.concatenate([self.origins, origins])
         return np.repeat(run_slots, np.diff(np.r_[starts, window_id.size]))
 
-    def _fit(self, slot, member, step, variable) -> int:
-        """Grow the cube to span these records' cells, as far as a file this
-        size has room for. Returns how many records, from the first, fit.
+    def _grow(self, dims) -> None:
+        """Grow the arrays to hold a grid of ``dims``, which fits the file's room.
 
         Member, step and variable capacity is exact; the window axis grows by
         a quarter at a time, in place.
         """
-        W, M, L, c = self.dims
-        dims = (max(W, int(slot.max()) + 1), max(M, int(member.max()) + 1),
-                max(L, int(step.max())), max(c, int(variable.max()) + 1))
-        fits = slot.size
-        if math.prod(dims) > self.max_records:  # find the first record past the room
-            spans = np.stack([slot, member, step - 1, variable]).astype(object) + 1
-            spans = np.maximum(np.maximum.accumulate(spans, axis=1),
-                               np.array(self.dims, dtype=object)[:, None])
-            fits = int(np.argmax(spans.prod(axis=0) > self.max_records))
-            dims = tuple(spans[:, fits - 1]) if fits else self.dims
-        self.dims = dims
-        cap = self.stamp.shape
+        W, cap = self.dims[0], self.stamp.shape  # W: the windows filled so far
         if all(d <= h for d, h in zip(dims, cap)):
-            return fits
+            return
         rows = cap[0] if dims[0] <= cap[0] else max(dims[0], cap[0] + cap[0] // 4)
         shape = (min(rows, self.max_records // math.prod(dims[1:])), *dims[1:])
         if dims[1:] == cap[1:]:  # realloc: no view of either array outlives its call
@@ -750,26 +754,9 @@ class _RecordGrid:
             self.stamp.resize(shape, refcheck=False)
         else:
             values, stamp = np.zeros(shape), np.zeros(shape, self.stamp.dtype)
-            old = (slice(0, W), *(slice(0, h) for h in cap[1:]))  # the filled windows
+            old = (slice(0, W), *(slice(0, h) for h in cap[1:]))
             values[old], stamp[old] = self.values[:W], self.stamp[:W]
             self.values, self.stamp = values, stamp
-        return fits
-
-    def _stamp(self, slot, member, step, variable, rec):
-        """Stamp the records' cells. Returns their flat cells and, per record,
-        the number of the record that first filled its cell (its own, unless
-        it repeats a cell)."""
-        cells = np.ravel_multi_index((slot, member, step - 1, variable), self.stamp.shape)
-        stamp = self.stamp.reshape(-1)
-        prior = stamp[cells]
-        stamp[cells] = rec
-        first = np.where(prior != 0, prior, stamp[cells])
-        if not np.array_equal(first, rec):  # a duplicate: each cell's first record, exactly
-            order = np.argsort(cells, kind="stable")
-            lead = np.r_[True, cells[order][1:] != cells[order][:-1]]
-            lead = order[np.maximum.accumulate(np.where(lead, np.arange(order.size), 0))]
-            first[order] = np.where(prior[order] != 0, prior[order], rec[lead])
-        return first, cells
 
     def forecasts(self) -> ForecastCube:
         """The cube in window id order, members in id order, or the first error."""

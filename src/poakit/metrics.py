@@ -163,13 +163,17 @@ def _weight_table(delta: int) -> np.ndarray:
 def _window_credit(first: np.ndarray, last: np.ndarray, delta: int) -> np.ndarray:
     """Credit of each window of ambiguous offsets first..last: its weights added
     left to right by one ``np.cumsum`` per distinct first offset, so every Python
-    gives the same floats (builtin ``sum()`` compensates from 3.12 on)."""
+    gives the same floats (builtin ``sum()`` compensates from 3.12 on). One sort
+    groups the windows by offset, each group's last offsets ascending, so each
+    sum runs only as far as its group reads."""
     table = _weight_table(delta)
-    steps = last - first
+    order = np.lexsort((last, first))
+    first, last = first[order], last[order]
+    bounds = [0, *(np.flatnonzero(first[1:] != first[:-1]) + 1).tolist(), first.size]
     credit = np.empty(first.shape)
-    for offset in set(first.tolist()):
-        at = first == offset
-        credit[at] = np.cumsum(table[offset:])[steps[at]]
+    for lo, hi in zip(bounds, bounds[1:]) if first.size else ():
+        offset = first[lo]
+        credit[order[lo:hi]] = np.cumsum(table[offset:last[hi - 1] + 1])[last[lo:hi] - offset]
     return credit
 
 

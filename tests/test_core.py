@@ -258,12 +258,15 @@ class TestSegmentSet:
         ({"precursor_starts": [8]}, "need one precursor start per prediction, got 1 for 2"),
         ({"precursor_starts": [-2, -1]}, "prediction 0 precursor start -2 must be -1 or in [0, 11)"),
         ({"precursor_starts": [8, 30]}, "prediction 1 precursor start 30 must be -1 or in [0, 26)"),
+        ({"precursor_starts": [8, 12]},
+         "prediction 1 precursor start 12 reaches back into prediction 0 [11, 12]"),
     ], ids=["negative-delta", "float-delta", "bool-delta", "float-array", "bool-array",
             "2-d-array", "negative-anomaly-start", "negative-prediction-start",
             "anomaly-end-before-start", "prediction-end-before-start", "unsorted-anomalies",
             "anomaly-ends-count", "prediction-ends-count", "ambiguous-ends-count",
             "ambiguous-end-before-anomaly-end", "precursor-starts-count",
-            "precursor-start-below-minus-1", "precursor-start-after-prediction"])
+            "precursor-start-below-minus-1", "precursor-start-after-prediction",
+            "precursor-inside-previous-prediction"])
     def test_rejects(self, changes, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
             SegmentSet(**arrays(**changes))

@@ -952,7 +952,23 @@ BOUNDARY_CASES = {
     "missing-cell": lambda rows: rows[:20] + rows[21:],
     "absurd-step-duplicated": lambda rows: _edit(rows, 1, 3, 10**12) + [rows[1]],
     "absurd-variable-then-duplicate": lambda rows: _edit(rows, 1, 4, 10**12) + [rows[30]],
+    # one record, two errors: the one README's order names first wins
+    "duplicate-before-origin-far": lambda rows: _edit(rows + [rows[0]], 36, 1, 99),
+    "origin-before-room": lambda rows: _edit(_edit(rows, 7, 1, 99), 7, 3, 10**12),
+    "duplicate-before-origin-near": lambda rows: _edit(rows[:3] + [rows[2]] + rows[3:], 3, 1, 99),
 }
+
+
+def test_record_walk_of_a_clean_chunk_raises():
+    # a chunk the array checks refused must hold a bad record: a walk that
+    # finds none is an internal error, never a silent pass
+    grid = forecast_module._RecordGrid({"m1": 0}, 100)
+    window_id, origin, member, step, variable = (np.array([0, 0]), np.array([9, 9]),
+                                                 np.array([0, 0]), np.array([1, 2]),
+                                                 np.array([0, 0]))
+    slot = grid._slots(window_id, origin)
+    with pytest.raises(AssertionError, match="none is bad"):
+        grid._first_error(1, window_id, origin, slot, member, step, variable)
 
 
 class TestStreamingIngest:
