@@ -426,7 +426,7 @@ def _theta_points(n: int) -> np.ndarray:
     """``--theta-grid``: n evenly spaced overlap thresholds over [0, 1]."""
     if n < 1:
         raise ValidationError(f"--theta-grid must be >= 1, got {n}")
-    return np.linspace(0.0, 1.0, n)
+    return np.linspace(0.0, 1.0, core.allocatable(n))
 
 
 def _evaluation_payload(detection, labels, params, metrics_wanted, theta_grid_n):

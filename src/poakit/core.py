@@ -121,6 +121,15 @@ class TimeSeries:
         return self.values.shape[1]
 
 
+def allocatable(count: int) -> int:
+    """``count``, the length of an 8-byte array about to be made, or the
+    MemoryError numpy gives a size it cannot allocate: for a size no array can
+    hold, numpy raises ``ValueError: array is too big`` instead."""
+    if count > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"Unable to allocate {count} values of 8 bytes: no array can hold them")
+    return count
+
+
 def binary_flags(values, name: str) -> np.ndarray:
     """``values`` as a 1-D int8 array of 0/1 flags, or a ValidationError.
 
@@ -223,7 +232,8 @@ def ambiguous_ends(starts: np.ndarray, ends: np.ndarray, delta: int, series_len:
     if delta < 0:
         raise ValidationError("delta must be >= 0")
     limit = np.append(starts[1:], series_len) - 1
-    return np.maximum(ends, np.minimum(ends + delta, limit))
+    # clamped to the series, which ends every window anyway, ends + delta fits int64
+    return np.maximum(ends, np.minimum(ends + min(delta, series_len), limit))
 
 
 def _index_array(values, name: str) -> np.ndarray:
@@ -293,9 +303,10 @@ class SegmentSet:
         if amb_e.shape != a_s.shape:
             raise ValidationError(
                 f"need one ambiguous end per anomaly, got {amb_e.size} for {a_s.size}")
-        _refuse_first((amb_e < a_e) | (amb_e > a_e + delta), lambda i: (
+        # widths, not ends, meet delta: a_e + delta can pass the int64 range
+        _refuse_first((amb_e < a_e) | (amb_e - a_e > delta), lambda i: (
             f"anomaly {i} ambiguous end {amb_e[i]} must be in "
-            f"[{a_e[i]}, {a_e[i] + delta}] (its end .. end + delta)"))
+            f"[{a_e[i]}, {int(a_e[i]) + int(delta)}] (its end .. end + delta)"))
         if pp_s.shape != p_s.shape:
             raise ValidationError(
                 f"need one precursor start per prediction, got {pp_s.size} for {p_s.size}")

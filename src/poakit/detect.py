@@ -18,6 +18,7 @@ from poakit.core import (
     ScoreSeries,
     SegmentSet,
     ValidationError,
+    allocatable,
     ambiguous_ends,
     binary_flags,
     run_bounds,
@@ -73,7 +74,7 @@ def default_grid(scores: ScoreSeries, n: int = DEFAULT_GRID_SIZE) -> np.ndarray:
     defined = scores.scores[scores.defined]
     if defined.size == 0:
         raise ValidationError("no defined scores to build a threshold grid from")
-    qs = np.linspace(0.0, 1.0, n)
+    qs = np.linspace(0.0, 1.0, allocatable(n))
     return np.unique(np.quantile(defined, qs))
 
 

@@ -24,7 +24,6 @@ threshold 0, mirroring the strictly-positive rule PA%K uses at K=0.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, fields, replace
 
@@ -58,8 +57,8 @@ class MetricParams:
 
     def __post_init__(self):
         for f in fields(self):  # NaN and infinity pass every range check below
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
+            value = getattr(self, f.name)  # an int is finite; math.isfinite overflows past 1e308
+            if not isinstance(value, int) and not math.isfinite(value):
                 raise ValidationError(f"{f.name} must be finite, got {value}")
         if not 0.0 <= self.theta <= 1.0:
             raise ValidationError(f"theta must be in [0, 1], got {self.theta}")
@@ -73,6 +72,9 @@ class MetricParams:
             raise ValidationError("delta must be >= 0")
         if self.epsilon < 1:
             raise ValidationError("epsilon must be >= 1")
+        for name in ("delta", "epsilon"):  # the int64 range of every integer in poakit's files
+            if getattr(self, name) >= 2**63:
+                raise ValidationError(f"{name} must be < 2**63, got {getattr(self, name)}")
         if self.k <= 0:
             raise ValidationError("k must be > 0")
         if not 0.0 <= self.tapr_alpha <= 1.0:
@@ -145,19 +147,14 @@ def sigmoid_position_weight(offset: int, delta: int) -> float:
     """
     if offset < 0:
         raise ValidationError("ambiguous offset must be >= 0")
-    if delta <= 1:
-        scaled = -6.0
-    else:
-        scaled = -6.0 + 12.0 * offset / (delta - 1)
-    return 1.0 / (1.0 + math.exp(scaled))
+    return float(_sigmoid_weights(np.array([offset]), delta)[0])
 
 
-@functools.lru_cache(maxsize=16)
-def _weight_table(delta: int) -> np.ndarray:
-    """``sigmoid_position_weight`` at every offset of a delta-wide window, read-only."""
-    table = np.array([sigmoid_position_weight(i, delta) for i in range(delta)])
-    table.flags.writeable = False
-    return table
+def _sigmoid_weights(offsets: np.ndarray, delta: int) -> np.ndarray:
+    """``sigmoid_position_weight`` at each offset: the exponent on the array,
+    the exponential by ``math.exp``, as in ``_lead_reward``."""
+    scaled = -6.0 + 12.0 * offsets / (delta - 1) if delta > 1 else np.full(offsets.shape, -6.0)
+    return 1.0 / (1.0 + np.array(list(map(math.exp, scaled.tolist()))))
 
 
 def _window_credit(first: np.ndarray, last: np.ndarray, delta: int) -> np.ndarray:
@@ -165,8 +162,10 @@ def _window_credit(first: np.ndarray, last: np.ndarray, delta: int) -> np.ndarra
     left to right by one ``np.cumsum`` per distinct first offset, so every Python
     gives the same floats (builtin ``sum()`` compensates from 3.12 on). One sort
     groups the windows by offset, each group's last offsets ascending, so each
-    sum runs only as far as its group reads."""
-    table = _weight_table(delta)
+    sum runs only as far as its group reads. The weights at offsets
+    0..``last.max()`` are built for this call alone, so its work and memory
+    follow the longest window it credits, which the series bounds, not delta."""
+    table = _sigmoid_weights(np.arange(last.max(initial=-1) + 1), delta)
     order = np.lexsort((last, first))
     first, last = first[order], last[order]
     bounds = [0, *(np.flatnonzero(first[1:] != first[:-1]) + 1).tolist(), first.size]
@@ -209,7 +208,8 @@ def overlap_score(
 def _lead_reward(leads: np.ndarray, epsilon: int, k: float) -> np.ndarray:
     """exp(-k (lead - epsilon)^2) at each lead: the exponent on the array, the
     exponential by ``math.exp``, whose bits ``np.exp`` does not always give."""
-    return np.array(list(map(math.exp, (-k * (leads - epsilon) ** 2).tolist())))
+    distance = leads - float(epsilon)  # in float64: an int64 square wraps past 3.04e9
+    return np.array(list(map(math.exp, (-k * distance**2).tolist())))
 
 
 def early_reward(a: Segment, p_prime: Segment | None, epsilon: int, k: float) -> float:
@@ -229,22 +229,16 @@ def early_reward(a: Segment, p_prime: Segment | None, epsilon: int, k: float) ->
     return float(_lead_reward(np.array([a.start - p_prime.start]), epsilon, k)[0])
 
 
-@dataclass(frozen=True)
-class _Diagnostics:
-    anomaly_coverage: np.ndarray
-    anomaly_reward: np.ndarray
-    prediction_coverage: np.ndarray
-    prediction_reward: np.ndarray
-
-
 def _overlap_len(starts, ends, other_starts, other_ends) -> np.ndarray:
     """Points shared by every (row, column) pair of segments, as a matrix."""
     shared = np.minimum(ends, other_ends) - np.maximum(starts, other_starts) + 1
     return np.maximum(shared, 0)
 
 
-def _diagnostics(segments: SegmentSet, params: MetricParams) -> _Diagnostics:
-    """Per-anomaly and per-prediction coverage ratios and early rewards.
+def _diagnostics(segments: SegmentSet, params: MetricParams):
+    """Per-anomaly and per-prediction coverage ratios and early rewards, as the
+    pairs (anomaly coverage, anomaly reward), (prediction coverage, prediction
+    reward).
 
     The overlap credit of every (anomaly, prediction) pair fills an
     n_a x n_p matrix, built by broadcasting over the segment arrays. Only
@@ -261,7 +255,6 @@ def _diagnostics(segments: SegmentSet, params: MetricParams) -> _Diagnostics:
     a_e = segments.anomaly_ends[:, None]
     p_s, p_e = segments.prediction_starts, segments.prediction_ends
     pp_s = segments.precursor_starts
-    n_a, n_p = a_s.shape[0], p_s.shape[0]
     has_precursor = pp_s >= 0
     early_len = np.where(has_precursor, _overlap_len(a_s, a_e, pp_s, p_s - 1), 0)
     overlap = (early_len + _overlap_len(a_s, a_e, p_s, p_e)).astype(float)
@@ -272,17 +265,13 @@ def _diagnostics(segments: SegmentSet, params: MetricParams) -> _Diagnostics:
     ai, pi = np.nonzero(last >= first)
     overlap[ai, pi] += _window_credit(first[ai, pi], last[ai, pi], segments.delta)
 
-    reward = np.zeros((n_a, n_p))
+    reward = np.zeros(overlap.shape)
     ai, pi = np.nonzero((overlap > 0.0) & has_precursor & (pp_s < a_s))
     reward[ai, pi] = _lead_reward(segments.anomaly_starts[ai] - pp_s[pi], params.epsilon, params.k)
     a_len = (segments.anomaly_ends - segments.anomaly_starts + 1).astype(float)
     p_len = (p_e - p_s + 1).astype(float)
-    return _Diagnostics(
-        anomaly_coverage=overlap.sum(axis=1) / a_len if n_a else np.zeros(0),
-        anomaly_reward=reward.max(axis=1, initial=0.0) if n_p else np.zeros(n_a),
-        prediction_coverage=overlap.sum(axis=0) / p_len if n_p else np.zeros(0),
-        prediction_reward=reward.max(axis=0, initial=0.0) if n_a else np.zeros(n_p),
-    )
+    return ((overlap.sum(axis=1) / a_len, reward.max(axis=1, initial=0.0)),
+            (overlap.sum(axis=0) / p_len, reward.max(axis=0, initial=0.0)))
 
 
 def weighted_component_score(
@@ -342,19 +331,19 @@ def ptapr_f1(ptar_value: float, ptap_value: float) -> float:
 def ptapr_report(segments: SegmentSet, params: MetricParams) -> MetricReport:
     """Recall, precision and F1 at ``params.theta`` plus per-segment diagnostics."""
     _require_anomalies(segments)
-    diag = _diagnostics(segments, params)
-    recall = _component(diag.anomaly_coverage, diag.anomaly_reward, params)
-    precision = _component(diag.prediction_coverage, diag.prediction_reward, params)
+    (a_coverage, a_reward), (p_coverage, p_reward) = _diagnostics(segments, params)
+    recall = _component(a_coverage, a_reward, params)
+    precision = _component(p_coverage, p_reward, params)
     return MetricReport(
         ptar=recall.score,
         ptap=precision.score,
         f1=ptapr_f1(recall.score, precision.score),
         recall=recall,
         precision=precision,
-        anomaly_coverage=tuple(diag.anomaly_coverage),
-        anomaly_reward=tuple(diag.anomaly_reward),
-        prediction_coverage=tuple(diag.prediction_coverage),
-        prediction_reward=tuple(diag.prediction_reward),
+        anomaly_coverage=tuple(a_coverage),
+        anomaly_reward=tuple(a_reward),
+        prediction_coverage=tuple(p_coverage),
+        prediction_reward=tuple(p_reward),
         params=params,
     )
 
@@ -403,10 +392,11 @@ def _theta_grid(thetas) -> np.ndarray:
     return _closed_grid(thetas, 1.0, "theta", "thetas")
 
 
-def _sweep(thetas: np.ndarray, diag: _Diagnostics, params: MetricParams) -> ThetaSweep:
-    """Side scores and their F1 over ``thetas``, all from one credit computation."""
-    recall = _side(diag.anomaly_coverage, diag.anomaly_reward, thetas, params)[0]
-    precision = _side(diag.prediction_coverage, diag.prediction_reward, thetas, params)[0]
+def _sweep(thetas: np.ndarray, anomaly, prediction, params: MetricParams) -> ThetaSweep:
+    """Side scores and their F1 over ``thetas``, from each side's (coverage,
+    reward) pair of one credit computation."""
+    recall = _side(*anomaly, thetas, params)[0]
+    precision = _side(*prediction, thetas, params)[0]
     f1 = ptapr_f1(recall, precision)
     return ThetaSweep(
         thetas=thetas,
@@ -432,7 +422,7 @@ def ptapr_theta_sweep(
     """
     thetas = _theta_grid(thetas)
     _require_anomalies(segments)
-    return _sweep(thetas, _diagnostics(segments, params), params)
+    return _sweep(thetas, *_diagnostics(segments, params), params)
 
 
 def merge_precursors_into_predictions(segments: SegmentSet) -> SegmentSet:
@@ -445,14 +435,15 @@ def merge_precursors_into_predictions(segments: SegmentSet) -> SegmentSet:
     )
 
 
-def _tapr_scoring(segments: SegmentSet, params: MetricParams) -> tuple[_Diagnostics, MetricParams]:
-    """TaPR as PTaPR: the credit of the merged segments (no precursor, so no
-    reward), scored with component weights (tapr_alpha, 1 - tapr_alpha, 0)."""
+def _tapr_scoring(segments: SegmentSet, params: MetricParams):
+    """TaPR as PTaPR: the (anomaly, prediction) credit pairs of the merged
+    segments (no precursor, so no reward), and the component weights
+    (tapr_alpha, 1 - tapr_alpha, 0) that score them."""
     _require_anomalies(segments)
     weights = replace(
         params, alpha=params.tapr_alpha, beta=1.0 - params.tapr_alpha, gamma=0.0
     )
-    return _diagnostics(merge_precursors_into_predictions(segments), weights), weights
+    return (*_diagnostics(merge_precursors_into_predictions(segments), weights), weights)
 
 
 def tapr(segments: SegmentSet, params: MetricParams) -> TaprResult:
@@ -463,9 +454,9 @@ def tapr(segments: SegmentSet, params: MetricParams) -> TaprResult:
     back in) and the overlap credit is |a n p| + S(a', p). Detection and
     coverage components are weighted by tapr_alpha / (1 - tapr_alpha).
     """
-    diag, weights = _tapr_scoring(segments, params)
-    tar = _component(diag.anomaly_coverage, diag.anomaly_reward, weights).score
-    tap = _component(diag.prediction_coverage, diag.prediction_reward, weights).score
+    anomaly, prediction, weights = _tapr_scoring(segments, params)
+    tar = _component(*anomaly, weights).score
+    tap = _component(*prediction, weights).score
     return TaprResult(tar=tar, tap=tap, f1=ptapr_f1(tar, tap))
 
 

@@ -18,7 +18,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 import numpy as np
 
 from poakit.core import (
-    LabelSequence, Segment, TimeSeries, ValidationError, strict_float, strict_int,
+    LabelSequence, Segment, TimeSeries, ValidationError, allocatable, strict_float, strict_int,
 )
 
 ANOMALY_KINDS = ("spike", "level_shift", "variance_burst")
@@ -279,6 +279,7 @@ def generate(
     """
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     T, c = cfg.length, len(cfg.variables)
+    allocatable(T * c)
     train = np.empty((T, c))
     test = np.empty((T, c))
     for v, base in enumerate(cfg.variables):

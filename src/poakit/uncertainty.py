@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from poakit.core import ScoreSeries, ValidationError
+from poakit.core import ScoreSeries, ValidationError, allocatable
 from poakit.forecast import ForecastCube
 
 DEFAULT_EPS_SIGMA = 1e-8
@@ -149,7 +149,7 @@ def collate_timeline(
     arrival = (L_y - steps) * W + np.arange(W)[:, None]
     fits = taus < series_len
     taus, cand, arrival = taus[fits], scores2d[fits], arrival[fits]
-    last = np.full(series_len, -1)  # -1: no candidate
+    last = np.full(allocatable(series_len), -1)  # -1: no candidate
     np.maximum.at(last, taus, arrival)
     if mode == "max":  # the last arrival of the largest score
         best = np.full(series_len, -np.inf)

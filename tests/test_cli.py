@@ -17,7 +17,9 @@ from click.testing import CliRunner
 
 from poakit import cli as cli_mod, detect as detect_mod, io as pio, metrics as mx
 from poakit.cli import cli
+from poakit.core import FLOAT_FMT
 from poakit.forecast import ForecastCube, ingest_external_forecasts, write_forecast_records
+from reference_metrics import ref_prf
 
 SYNTH_CFG = {
     "length": 600,
@@ -301,6 +303,64 @@ class TestMetricStages:
         assert result.exit_code == 2, result.output
         assert result.output == f"error[validation]: {message}\n"
         assert not out.exists()
+
+    def test_point_f1_detect_picks_the_best_grid_threshold(self, pipeline, tmp_path):
+        # the sidecar holds the winning candidate at 9 significant digits
+        out = tmp_path / "detection.csv"
+        result = CliRunner().invoke(cli, [
+            "detect", str(pipeline / "run/scores.csv"), str(pipeline / "data/labels.csv"),
+            str(out), "--grid-n", "32", "--metric", "point-f1",
+        ])
+        assert result.exit_code == 0, result.output
+        scores = pio.read_scores(pipeline / "run/scores.csv").scores.tolist()
+        labels = pio.read_labels_csv(pipeline / "data/labels.csv").flags.tolist()
+        grid = detect_mod.default_grid(pio.read_scores(pipeline / "run/scores.csv"), 32).tolist()
+        meta = json.loads((tmp_path / "detection.csv.meta.json").read_text())
+
+        def flags_at(tau):
+            return [int(score >= tau) for score in scores]  # a NaN score is never flagged
+
+        def printed(value):
+            return float(format(value, FLOAT_FMT))
+
+        [threshold] = [tau for tau in grid if printed(tau) == meta["threshold"]]
+        f1 = ref_prf(flags_at(threshold), labels)[2]
+        assert meta["f1"] == printed(f1)
+        assert max((ref_prf(flags_at(tau), labels)[2], tau) for tau in grid) == (f1, threshold)
+        assert pio.read_detection(out).flags.tolist() == flags_at(threshold)
+
+    @pytest.mark.parametrize("command,extra", [
+        ("evaluate", ["--delta", str(2**63 - 1)]),
+        ("evaluate", ["--epsilon", str(2**63 - 1)]),
+        ("evaluate", ["--epsilon", "3100000000"]),
+        ("evaluate", ["--epsilon", "3100000000", "--k", "1e-30"]),
+        ("sweep", ["--param", "epsilon", "--values", "4000000000"]),
+        ("sweep", ["--param", "k", "--values", "0.1", "--delta", str(2**63 - 1)]),
+    ], ids=["evaluate-delta", "evaluate-largest-epsilon", "evaluate-epsilon",
+            "evaluate-epsilon-tiny-k", "sweep-epsilon", "sweep-delta"])
+    def test_int64_delta_and_epsilon_are_scored(self, pipeline, tmp_path, command, extra):
+        # the largest delta was refused with a wrapped bound; an epsilon past
+        # 3.04e9 wrapped the early reward's int64 square, which ended in a
+        # traceback or, with a tiny k, in a ptar above 1
+        result = self.invoke(pipeline, tmp_path, command, *extra)
+        assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("command,extra,name,value", [
+        ("evaluate", ["--delta", str(2**63)], "delta", 2**63),
+        ("evaluate", ["--epsilon", str(10**20)], "epsilon", 10**20),
+        ("evaluate", ["--delta", str(10**400)], "delta", 10**400),
+        ("evaluate", ["--epsilon", str(10**400)], "epsilon", 10**400),
+        ("sweep", ["--param", "k", "--values", "0.1", "--delta", str(10**20)], "delta", 10**20),
+        ("sweep", ["--param", "epsilon", "--values", "4,1e20"], "epsilon", 10**20),
+    ], ids=["evaluate-delta", "evaluate-epsilon", "evaluate-delta-400-digits",
+            "evaluate-epsilon-400-digits", "sweep-delta", "sweep-values"])
+    def test_integer_past_int64_refused_by_name(self, pipeline, tmp_path, command, extra, name,
+                                                value):
+        # each ended in an OverflowError traceback, from int64 arithmetic or
+        # from math.isfinite
+        result = self.invoke(pipeline, tmp_path, command, *extra)
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error[validation]: {name} must be < 2**63, got {value}\n"
 
     @pytest.mark.parametrize("metrics", ["", ","])
     def test_evaluate_needs_a_metric(self, pipeline, tmp_path, metrics):
@@ -761,6 +821,33 @@ class TestErrorHandling:
         assert result.exit_code == 2, result.output
         assert result.output == (
             "error[validation]: insufficient length: need at least 30 rows (input), got 20\n")
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("stage", ["detect", "evaluate", "sweep", "score", "synth"])
+    def test_count_no_array_holds_is_a_memory_error(self, pipeline, tmp_path, stage):
+        # 2**61 8-byte values pass the address space, and numpy's ValueError
+        # ("array is too big") ended each stage in a traceback; 2**59 was
+        # already error[memory]
+        n = str(2**61)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**SYNTH_CFG, "length": 2**61}))
+        run, out = pipeline / "run", tmp_path / "out"
+        labels = str(pipeline / "data/labels.csv")
+        args = {
+            "detect": ["detect", str(run / "scores.csv"), labels, str(out), "--grid-n", n],
+            "evaluate": ["evaluate", str(run / "detection.csv"), labels, str(out),
+                         "--theta-grid", n],
+            "sweep": ["sweep", str(run / "detection.csv"), labels, str(out),
+                      "--param", "k", "--values", "0.1", "--theta-grid", n],
+            "score": ["score", str(pipeline / "fc/test_forecasts.csv"),
+                      str(pipeline / "fc/valid_forecasts.csv"), str(out), "--length", n],
+            "synth": ["synth", str(out), "--config", str(config)],
+        }[stage]
+        result = CliRunner().invoke(cli, args)
+        assert result.exit_code == 3, result.output
+        assert result.output.startswith("error[memory]: Unable to allocate ")
+        assert result.output.count("\n") == 1
         assert not out.exists()
 
 

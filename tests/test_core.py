@@ -156,6 +156,11 @@ class TestAmbiguousExtensions:
     def test_anomaly_at_series_end_gives_empty(self):
         assert ambiguous_windows([(7, 3)], delta=4, series_len=10) == [None]
 
+    @pytest.mark.parametrize("delta", [2**63 - 1, 10**20])
+    def test_delta_past_int64_reaches_the_series_end(self, delta):
+        # ends + delta wrapped to an empty window, or overflowed
+        assert ambiguous_windows([(5, 3)], delta=delta, series_len=20) == [Segment(8, 12)]
+
     @given(
         st.lists(st.tuples(st.integers(0, 40), st.integers(1, 6)), max_size=4),
         st.integers(0, 8),
@@ -231,6 +236,10 @@ class TestSegmentSet:
                 "prediction 0 precursor start 11 must be -1 or in [0, 11)")):
             SegmentSet(**arrays(precursor_starts=[11, -1]))
 
+    def test_largest_int64_delta(self):
+        # end + delta wrapped negative, and every ambiguous end was refused
+        assert SegmentSet(**arrays(delta=2**63 - 1)).ambiguous == (Segment(15, 4), None)
+
     def test_rejects_misaligned_ambiguous(self):
         with pytest.raises(ValidationError, match=re.escape(
                 "anomaly 0 ambiguous end 19 must be in [14, 18]")):
@@ -255,6 +264,8 @@ class TestSegmentSet:
          "need one prediction end per prediction start, got 3 for 2"),
         ({"ambiguous_ends": [18]}, "need one ambiguous end per anomaly, got 1 for 2"),
         ({"ambiguous_ends": [13, 24]}, "anomaly 0 ambiguous end 13 must be in [14, 18]"),
+        ({"ambiguous_ends": [13, 24], "delta": 2**63 - 1},
+         "anomaly 0 ambiguous end 13 must be in [14, 9223372036854775821]"),
         ({"precursor_starts": [8]}, "need one precursor start per prediction, got 1 for 2"),
         ({"precursor_starts": [-2, -1]}, "prediction 0 precursor start -2 must be -1 or in [0, 11)"),
         ({"precursor_starts": [8, 30]}, "prediction 1 precursor start 30 must be -1 or in [0, 26)"),
@@ -264,7 +275,8 @@ class TestSegmentSet:
             "2-d-array", "negative-anomaly-start", "negative-prediction-start",
             "anomaly-end-before-start", "prediction-end-before-start", "unsorted-anomalies",
             "anomaly-ends-count", "prediction-ends-count", "ambiguous-ends-count",
-            "ambiguous-end-before-anomaly-end", "precursor-starts-count",
+            "ambiguous-end-before-anomaly-end", "ambiguous-bound-past-int64",
+            "precursor-starts-count",
             "precursor-start-below-minus-1", "precursor-start-after-prediction",
             "precursor-inside-previous-prediction"])
     def test_rejects(self, changes, message):

@@ -118,7 +118,7 @@ class TestWindowCredit:
         anomalies = [(gap * i, 1) for i in range(len(windows))]
         predictions = [(gap * i + 1 + f, l - f + 1) for i, (f, l) in enumerate(windows)]
         seg = segment_set(anomalies, predictions, delta=delta, series_len=gap * len(windows))
-        coverage = mx._diagnostics(seg, MetricParams(delta=delta)).anomaly_coverage
+        (coverage, _), _ = mx._diagnostics(seg, MetricParams(delta=delta))
         singles = [ambiguous_score(a_prime, p, delta)
                    for a_prime, p in zip(seg.ambiguous, seg.predictions)]
         assert coverage.tobytes() == np.array(singles).tobytes()
@@ -137,9 +137,29 @@ class TestWindowCredit:
         seg = segment_set([(onset, 3) for onset in onsets], [(onset, 3) for onset in onsets],
                           [onset - lead for onset, lead in zip(onsets, leads)],
                           delta=params.delta, series_len=onsets[-1] + 200)
-        diag = mx._diagnostics(seg, params)
-        assert [r.hex() for r in diag.anomaly_reward] == want
-        assert [r.hex() for r in diag.prediction_reward] == want
+        (_, anomaly_reward), (_, prediction_reward) = mx._diagnostics(seg, params)
+        assert [r.hex() for r in anomaly_reward] == want
+        assert [r.hex() for r in prediction_reward] == want
+
+    def test_cost_follows_the_series_not_delta(self):
+        # 100 rows at delta 10**6: the credit builds only the weights its
+        # windows read, where a cached table of every offset up to delta took
+        # 38.6 MiB and 5 s
+        labels, flags = np.zeros(100, dtype=int), np.zeros(100, dtype=int)
+        labels[10:30] = labels[60:70] = 1
+        flags[5:41] = flags[55:] = 1
+        params = MetricParams(delta=10**6)
+        seg = split_precursor_prediction(_detection(flags), labels, params.delta)
+        tracemalloc.start()
+        try:
+            report = ptapr_report(seg, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        want = ref_ptapr(labels.tolist(), flags.tolist(), params.theta, params.alpha,
+                         params.beta, params.gamma, params.delta, params.epsilon, params.k)
+        assert (report.ptar, report.ptap, report.f1) == pytest.approx(want, abs=1e-12)
 
 
 class TestOverlapScore:
@@ -185,6 +205,15 @@ class TestEarlyReward:
             assert early_reward(Segment(onset, 3), p_prime, epsilon, k) == pytest.approx(
                 1.0, abs=1e-12
             )
+
+    def test_lead_far_from_epsilon_does_not_wrap(self):
+        # (20 - 3.1e9)**2 passes the int64 range: squared in int64 it wrapped
+        # negative, and the reward came out as 6882.5
+        epsilon, k = 3_100_000_000, 1e-18
+        want = math.exp(-k * (20 - epsilon) ** 2)
+        assert mx._lead_reward(np.array([20]), epsilon, k).tolist() == [want]
+        assert early_reward(Segment(40, 3), Segment(20, 20), epsilon, k) == want
+        assert 0.0 < want < 1.0
 
     def test_lead_17_with_defaults(self):
         # lead deviates from the optimum by 10: exp(-0.001 * 100)
