@@ -6,7 +6,6 @@ with ``start=3, length=2`` covers indices {3, 4}.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -190,36 +189,10 @@ def _segment_or_none(start: int, end: int) -> Segment | None:
     return Segment(start, end - start + 1) if 0 <= start <= end else None
 
 
-class SegmentView(Sequence):
-    """Read-only sequence of the segments ``[starts[i], ends[i]]`` (inclusive).
-
-    A slot whose start is negative or whose end precedes its start reads as
-    None. Items are built as :class:`Segment` objects only when read, so a
-    length or an array computation never builds any.
-    """
-
-    __slots__ = ("_starts", "_ends")
-
-    def __init__(self, starts: np.ndarray, ends: np.ndarray):
-        self._starts = starts
-        self._ends = ends
-
-    def __len__(self) -> int:
-        return self._starts.shape[0]
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self)[i]
-        return _segment_or_none(int(self._starts[i]), int(self._ends[i]))
-
-    def __iter__(self):
-        return map(_segment_or_none, self._starts.tolist(), self._ends.tolist())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Sequence) and tuple(self) == tuple(other)
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
+def _segments(starts: np.ndarray, ends: np.ndarray) -> tuple[Segment | None, ...]:
+    """The segments ``[starts[i], ends[i]]`` (inclusive); a slot whose start
+    is negative or whose end precedes its start reads as None."""
+    return tuple(map(_segment_or_none, starts.tolist(), ends.tolist()))
 
 
 def ambiguous_ends(starts: np.ndarray, ends: np.ndarray, delta: int, series_len: int) -> np.ndarray:
@@ -274,7 +247,8 @@ class SegmentSet:
     The constructor takes 1-D integer arrays and checks every invariant above
     (:func:`ambiguous_ends` computes the ambiguous ends from a series length).
     ``anomalies``, ``predictions``, ``precursors`` and ``ambiguous`` read the
-    structure back as Segments.
+    structure back as a tuple of Segments (None for an empty slot), built on
+    each read; no metric reads them.
     """
 
     __slots__ = ("anomaly_starts", "anomaly_ends", "ambiguous_ends",
@@ -323,20 +297,20 @@ class SegmentSet:
         raise AttributeError(f"SegmentSet is read-only: cannot set {name!r}")
 
     @property
-    def anomalies(self) -> SegmentView:
-        return SegmentView(self.anomaly_starts, self.anomaly_ends)
+    def anomalies(self) -> tuple[Segment, ...]:
+        return _segments(self.anomaly_starts, self.anomaly_ends)
 
     @property
-    def predictions(self) -> SegmentView:
-        return SegmentView(self.prediction_starts, self.prediction_ends)
+    def predictions(self) -> tuple[Segment, ...]:
+        return _segments(self.prediction_starts, self.prediction_ends)
 
     @property
-    def precursors(self) -> SegmentView:
-        return SegmentView(self.precursor_starts, self.prediction_starts - 1)
+    def precursors(self) -> tuple[Segment | None, ...]:
+        return _segments(self.precursor_starts, self.prediction_starts - 1)
 
     @property
-    def ambiguous(self) -> SegmentView:
-        return SegmentView(self.anomaly_ends + 1, self.ambiguous_ends)
+    def ambiguous(self) -> tuple[Segment | None, ...]:
+        return _segments(self.anomaly_ends + 1, self.ambiguous_ends)
 
 
 @dataclass(frozen=True)

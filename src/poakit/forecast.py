@@ -487,7 +487,7 @@ def select_top_k(
 
 
 _RECORD_FIELDS = ("window_id", "origin", "member_id", "step", "variable", "value")
-_CHUNK_ROWS = 1 << 13  # records parsed per chunk; timings in CHANGES.md
+_CHUNK_ROWS = 1 << 13  # CSV lines read, or NDJSON records parsed, per chunk
 _MIN_RECORD_BYTES = 10  # the shortest record: "0,0,,1,0,0"
 # numpy's int64 parser rejects "1.5" and "3.0" just as int() does
 _CSV_DTYPE = np.dtype([(f, np.float64 if f == "value" else np.int64) for f in _RECORD_FIELDS])
@@ -552,11 +552,13 @@ def _parse_record(raw: dict, line_no: int) -> tuple:
         record = (
             strict_int(raw["window_id"]),
             strict_int(raw["origin"]),
-            str(raw["member_id"]),
+            raw["member_id"],
             strict_int(raw["step"]),
             strict_int(raw["variable"]),
             strict_float(raw["value"]),
         )
+        if not isinstance(record[2], str):  # a JSON null, number or bool
+            raise TypeError(f"member_id is not a string: {record[2]!r}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"line {line_no}: bad forecast record ({exc})") from exc
     if (-2**63 <= record[0] < 2**63 and -2**63 <= record[1] < 2**63
@@ -590,15 +592,32 @@ def _ndjson_records(path: str):
             yield _parse_record(raw, line_no)
 
 
+def _ends_quoted(text: str, quoted: bool) -> bool:
+    """Whether ``text`` ends inside a quoted field, given whether it starts in
+    one. As csv and numpy read it: a quote opens a field only at the field's
+    start, and inside one ``""`` is a quote and a lone quote closes it."""
+    pos = 0
+    while (q := text.find('"', pos)) >= 0:
+        if quoted and text.startswith('"', q + 1):  # an escaped quote
+            q += 1
+        elif quoted or q == 0 or text[q - 1] in ",\r\n":
+            quoted = not quoted
+        pos = q + 1
+    return quoted
+
+
 def _csv_chunks(path: str, codes):
     """Column chunks of a record CSV, its columns found by header name.
 
-    numpy parses ``_CHUNK_ROWS`` records at a time from the open file; the lines
-    it read stay in hand until the chunk parses. When numpy refuses a chunk,
-    those lines, then the rest of the chunk, are walked record by record.
+    The file is read ``_CHUNK_ROWS`` lines at a time and numpy parses each
+    batch; a batch that ends inside a quoted field takes more lines until the
+    field closes. When numpy refuses a batch, its records are walked one at a
+    time from the lines in hand. Errors name physical lines: blank lines and
+    quoted line breaks count.
     """
     with utf8_text(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
+        reader = csv.reader(fh)
+        header = next(reader, None)
         if header is None:
             raise DataFormatError("empty forecast file")
         missing = set(_RECORD_FIELDS) - set(header)
@@ -607,34 +626,31 @@ def _csv_chunks(path: str, codes):
         column = {name: i for i, name in enumerate(header)}  # last one wins, as in DictReader
         usecols = [column[f] for f in _RECORD_FIELDS]
         converters = {column["member_id"]: codes.__getitem__}
-        first_line = 2  # the line number DictReader gives the next record
-        while True:
-            numpy_lines, lines = itertools.tee(fh)
+        lines_before = reader.line_num  # the lines the header took
+        while lines := list(itertools.islice(fh, _CHUNK_ROWS)):
+            quoted = _ends_quoted("".join(lines), False)
+            while quoted and (more := list(itertools.islice(fh, _CHUNK_ROWS))):
+                lines += more
+                quoted = _ends_quoted("".join(more), True)
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", UserWarning)  # blank lines, no records
                     warnings.simplefilter("error", DeprecationWarning)  # old numpy: "1.5" -> 1
-                    table = np.loadtxt(
-                        numpy_lines, dtype=_CSV_DTYPE, delimiter=",", quotechar='"',
-                        comments=None, usecols=usecols, converters=converters, ndmin=1,
-                        max_rows=_CHUNK_ROWS,
+                    table = np.loadtxt(  # no more records than lines: sized once
+                        lines, dtype=_CSV_DTYPE, delimiter=",", quotechar='"', comments=None,
+                        usecols=usecols, converters=converters, ndmin=1, max_rows=len(lines),
                     )
-            except UnicodeDecodeError:
-                raise  # not a refused record: utf8_text names the file
             except (ValueError, DeprecationWarning) as exc:  # the first bad record's error
-                records = itertools.islice(csv.DictReader(lines, header), _CHUNK_ROWS)
-                for line_no, raw in enumerate(records, start=first_line):
-                    _parse_record(raw, line_no)
+                records = csv.DictReader(lines, header)
+                for raw in records:
+                    _parse_record(raw, lines_before + records.line_num)
                 # no cause found: numpy's own words, not a guess
-                raise DataFormatError(f"records from line {first_line} on ({exc})") from exc
+                raise DataFormatError(f"records from line {lines_before + 1} on ({exc})") from exc
+            lines_before += len(lines)
             del lines  # only a refused chunk needs its lines
-            n = table.size
-            if n:
+            if table.size:
                 yield tuple(table[f] for f in _RECORD_FIELDS)
-            del table  # before the next chunk is parsed
-            if n < _CHUNK_ROWS:  # blank lines do not count toward max_rows
-                break
-            first_line += n
+            del table  # before the next chunk is read
 
 
 class _RecordGrid:

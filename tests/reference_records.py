@@ -53,10 +53,13 @@ def _real(field):
 
 def _parse(raw, line_no):
     """One record, its fields converted in ``FIELDS`` order; once all convert,
-    the first integer outside int64, if any, is refused."""
+    a member id that is not a string, then the first integer outside int64,
+    if any, is refused."""
     try:
-        record = (_integer(raw["window_id"]), _integer(raw["origin"]), str(raw["member_id"]),
+        record = (_integer(raw["window_id"]), _integer(raw["origin"]), raw["member_id"],
                   _integer(raw["step"]), _integer(raw["variable"]), _real(raw["value"]))
+        if type(record[2]) is not str:  # only JSON gives a member that is not text
+            raise TypeError(f"member_id is not a string: {record[2]!r}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise RecordError(f"line {line_no}: bad forecast record ({exc})") from exc
     for number in (record[0], record[1], record[3], record[4]):
@@ -78,8 +81,8 @@ def read_records(path):
             missing = set(FIELDS) - set(reader.fieldnames)
             if missing:
                 raise RecordError(f"{path}: header missing columns {sorted(missing)}")
-            for line_no, raw in enumerate(reader, start=2):
-                records.append(_parse(raw, line_no))
+            for raw in reader:  # line_num: the physical line the record ends on
+                records.append(_parse(raw, reader.line_num))
     else:
         with open(path) as fh:
             for line_no, line in enumerate(fh, start=1):

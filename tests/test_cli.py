@@ -17,7 +17,7 @@ from click.testing import CliRunner
 
 from poakit import cli as cli_mod, detect as detect_mod, io as pio, metrics as mx
 from poakit.cli import cli
-from poakit.core import FLOAT_FMT
+from poakit.core import FLOAT_FMT, Segment
 from poakit.forecast import ForecastCube, ingest_external_forecasts, write_forecast_records
 from reference_metrics import ref_prf
 
@@ -381,6 +381,26 @@ class TestMetricStages:
         cli_mod._evaluation_payload(detection, labels, mx.MetricParams(delta=8),
                                     {"ptapr", "tapr", "pak"}, 101)
         assert len(calls) == 4
+
+    def test_search_and_evaluation_build_no_segment(self, pipeline, monkeypatch):
+        """The ptapr-f1@0 search, the evaluation payload and the theta sweep
+        read SegmentSet's arrays only: none of them builds a Segment."""
+        scores = pio.read_scores(pipeline / "run/scores.csv")
+        detection = pio.read_detection(pipeline / "run/detection.csv")
+        labels = pio.read_labels_csv(pipeline / "data/labels.csv")
+        params = mx.MetricParams(delta=8)
+        built = []
+        real = Segment.__post_init__
+        monkeypatch.setattr(Segment, "__post_init__", lambda seg: built.append(seg) or real(seg))
+        evaluate = cli_mod._parse_detect_metric("ptapr-f1@0", labels, params)
+        detect_mod.best_f1_threshold(scores, labels, evaluate,
+                                     detect_mod.default_grid(scores, 256))
+        cli_mod._evaluation_payload(detection, labels, params, {"ptapr", "tapr", "pak"}, 101)
+        segments = detect_mod.split_precursor_prediction(detection, labels.flags, params.delta)
+        mx.ptapr_theta_sweep(segments, params, np.linspace(0, 1, 101))
+        assert built == []
+        # the count sees a read-back, which builds one Segment per anomaly
+        assert len(list(segments.anomalies)) == len(built) == len(segments.anomaly_starts) > 0
 
 
 class TestReadmeWalkthrough:

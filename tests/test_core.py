@@ -11,9 +11,9 @@ from poakit.core import (
     ScoreSeries,
     Segment,
     SegmentSet,
-    SegmentView,
     TimeSeries,
     ValidationError,
+    _segments,
     ambiguous_ends,
     run_bounds,
 )
@@ -132,7 +132,7 @@ def ambiguous_windows(anomalies, delta, series_len):
     """Each anomaly's ambiguous window as a Segment, None where it is empty."""
     starts, lengths = np.array(anomalies, dtype=np.int64).reshape(-1, 2).T
     ends = starts + lengths - 1
-    return list(SegmentView(ends + 1, ambiguous_ends(starts, ends, delta, series_len)))
+    return list(_segments(ends + 1, ambiguous_ends(starts, ends, delta, series_len)))
 
 
 class TestAmbiguousExtensions:

@@ -151,7 +151,7 @@ def anomaly_labels(start, length, T=20):
 
 
 def index_sets(view):
-    """Each segment of a SegmentView as a set of indices, None as the empty set."""
+    """Each segment of a read-back tuple as a set of indices, None as the empty set."""
     return [set() if seg is None else set(seg.indices()) for seg in view]
 
 

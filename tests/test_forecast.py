@@ -830,6 +830,33 @@ class TestForecastRecords:
             reference_records.ref_ingest(path)
         assert str(err.value) == f"{path}: {ref_err.value}"
 
+    @pytest.mark.parametrize("member", [None, 5, True], ids=["null", "number", "bool"])
+    def test_ndjson_member_id_must_be_a_string(self, tmp_path, member):
+        # str() read these as the members 'None', '5' and 'True'
+        path = self._ndjson_with(tmp_path, "member_id", member)
+        with pytest.raises(DataFormatError) as err:
+            ingest_external_forecasts(path)
+        assert str(err.value) == (
+            f"{path}: line 2: bad forecast record (member_id is not a string: {member!r})")
+        with pytest.raises(reference_records.RecordError) as ref_err:
+            reference_records.ref_ingest(path)
+        assert str(err.value) == f"{path}: {ref_err.value}"
+
+    def test_short_csv_row_is_named_by_its_step(self, tmp_path):
+        # csv fills a short row's missing member with None: the step, read
+        # first, names the row, as it did before members were checked
+        path, rows = self._records(tmp_path)
+        rows[2] = rows[2][:2]
+        self._rewrite(path, rows)
+        message = ("line 3: bad forecast record (int() argument must be a string, a "
+                   "bytes-like object or a real number, not 'NoneType')")
+        with pytest.raises(DataFormatError) as err:
+            ingest_external_forecasts(path)
+        assert str(err.value) == f"{path}: {message}"
+        with pytest.raises(reference_records.RecordError) as ref_err:
+            reference_records.ref_ingest(path)
+        assert str(ref_err.value) == message
+
     @pytest.mark.parametrize("text, number", [(" 2.5 ", 2.5), ("-1e-3", -1e-3), ("7", 7.0)])
     def test_ndjson_numeric_string_value_accepted(self, tmp_path, text, number):
         path = self._ndjson_with(tmp_path, "value", text)
@@ -986,6 +1013,21 @@ class TestStreamingIngest:
     def test_chunk_boundaries_match_reference(self, tmp_path, case, ext, chunk_rows):
         path = tmp_path / f"fc.{ext}"
         write_rows(path, BOUNDARY_CASES[case](self._rows()))
+        with chunk_rows_patched(chunk_rows):
+            assert_ingest_matches_reference(path)
+
+    @pytest.mark.parametrize("chunk_rows", [None, 1, 7])
+    def test_csv_error_names_the_physical_line(self, tmp_path, chunk_rows):
+        # after the header, records 1-2 are lines 2-3 and line 4 is blank;
+        # records 3-6 are lines 5-8, and the line break in member "m<LF>2"
+        # spreads records 7-12 over lines 9-20, so record 13 is on line 21
+        path = tmp_path / "fc.csv"
+        rows = _edit(_renamed(self._rows(), {"m2": "m\n2"}), 12, 5, "abc")
+        write_rows(path, rows[:2] + [None] + rows[2:])
+        with chunk_rows_patched(chunk_rows), pytest.raises(DataFormatError) as err:
+            ingest_external_forecasts(path)
+        assert str(err.value) == (
+            f"{path}: line 21: bad forecast record (could not convert string to float: 'abc')")
         with chunk_rows_patched(chunk_rows):
             assert_ingest_matches_reference(path)
 
