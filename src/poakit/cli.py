@@ -312,6 +312,7 @@ def score(stage, forecasts_path, valid_forecasts_path, out_path, length, agg, co
     timeline = unc.score_timeline(
         test_ens, valid_ens, series_len=length, agg=agg, collate=collate,
         eps_sigma=eps_sigma, normalize_scores=do_normalize,
+        sources=(forecasts_path, valid_forecasts_path),
     )
     pio.write_scores(stage / Path(out_path).name, timeline)
     n = int(timeline.defined.sum())

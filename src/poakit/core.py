@@ -178,12 +178,6 @@ class Segment:
     def indices(self) -> range:
         return range(self.start, self.start + self.length)
 
-    def overlap_len(self, other: "Segment | None") -> int:
-        """Number of indices covered by both segments."""
-        if other is None:
-            return 0
-        return max(0, min(self.end, other.end) - max(self.start, other.start) + 1)
-
 
 def _segment_or_none(start: int, end: int) -> Segment | None:
     return Segment(start, end - start + 1) if 0 <= start <= end else None

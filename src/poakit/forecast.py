@@ -106,22 +106,14 @@ class ForecasterSpec:
             elif value is not None:
                 raise ValidationError(f"{self.kind} does not take {name}")
 
-    def _parts(self) -> list[str]:
+    @property
+    def member_id(self) -> str:
         parts = [self.kind]
         for name in ("period", "width", "order", "alpha", "beta"):
             value = getattr(self, name)
             if value is not None:
                 parts.append(f"{value:g}" if isinstance(value, float) else str(value))
-        return parts
-
-    @property
-    def member_id(self) -> str:
-        return "_".join(self._parts())
-
-    @property
-    def spec_string(self) -> str:
-        """Colon-separated form accepted by :meth:`parse`."""
-        return ":".join(self._parts())
+        return "_".join(parts)
 
     @classmethod
     def parse(cls, text: str) -> "ForecasterSpec":
@@ -613,11 +605,15 @@ def _csv_chunks(path: str, codes):
     batch; a batch that ends inside a quoted field takes more lines until the
     field closes. When numpy refuses a batch, its records are walked one at a
     time from the lines in hand. Errors name physical lines: blank lines and
-    quoted line breaks count.
+    quoted line breaks count. Only the header is held to csv's field size
+    limit, which bounds its read when a quote never closes.
     """
     with utf8_text(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise DataFormatError(f"header: {exc}") from None
         if header is None:
             raise DataFormatError("empty forecast file")
         missing = set(_RECORD_FIELDS) - set(header)
@@ -642,8 +638,16 @@ def _csv_chunks(path: str, codes):
                     )
             except (ValueError, DeprecationWarning) as exc:  # the first bad record's error
                 records = csv.DictReader(lines, header)
-                for raw in records:
-                    _parse_record(raw, lines_before + records.line_num)
+                # no field is longer than the lines in hand; the limit is process-wide
+                limit = csv.field_size_limit(sum(map(len, lines)))
+                try:
+                    for raw in records:
+                        _parse_record(raw, lines_before + records.line_num)
+                except csv.Error as error:  # a NUL before Python 3.11
+                    raise DataFormatError(
+                        f"line {lines_before + records.reader.line_num}: {error}") from None
+                finally:
+                    csv.field_size_limit(limit)
                 # no cause found: numpy's own words, not a guess
                 raise DataFormatError(f"records from line {lines_before + 1} on ({exc})") from exc
             lines_before += len(lines)

@@ -25,7 +25,7 @@ threshold 0, mirroring the strictly-positive rule PA%K uses at K=0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -103,7 +103,6 @@ class MetricReport:
     anomaly_reward: tuple[float, ...]
     prediction_coverage: tuple[float, ...]
     prediction_reward: tuple[float, ...]
-    params: MetricParams = field(repr=False, default=MetricParams())
 
 
 @dataclass(frozen=True)
@@ -176,35 +175,6 @@ def _window_credit(first: np.ndarray, last: np.ndarray, delta: int) -> np.ndarra
     return credit
 
 
-def ambiguous_score(a_prime: Segment | None, p: Segment, delta: int) -> float:
-    """Sigmoid-weighted count of prediction points inside the ambiguous window."""
-    if a_prime is None:
-        return 0.0
-    if a_prime.length > delta:
-        raise ValidationError(f"ambiguous window {a_prime} longer than delta={delta}")
-    lo = max(a_prime.start, p.start)
-    hi = min(a_prime.end, p.end)
-    if hi < lo:
-        return 0.0
-    first, last = np.array([[lo], [hi]]) - a_prime.start
-    return float(_window_credit(first, last, delta)[0])
-
-
-def overlap_score(
-    a: Segment,
-    p: Segment,
-    p_prime: Segment | None,
-    a_prime: Segment | None,
-    delta: int,
-) -> float:
-    """Credit prediction p (with precursor p') gives anomaly a."""
-    return (
-        float(a.overlap_len(p_prime))
-        + float(a.overlap_len(p))
-        + ambiguous_score(a_prime, p, delta)
-    )
-
-
 def _lead_reward(leads: np.ndarray, epsilon: int, k: float) -> np.ndarray:
     """exp(-k (lead - epsilon)^2) at each lead: the exponent on the array, the
     exponential by ``math.exp``, whose bits ``np.exp`` does not always give."""
@@ -244,9 +214,8 @@ def _diagnostics(segments: SegmentSet, params: MetricParams):
     n_a x n_p matrix, built by broadcasting over the segment arrays. Only
     pairs whose prediction reaches into an ambiguous window get sigmoid
     credit, and only pairs with a precursor before the onset get a reward;
-    those few take it from ``_window_credit`` and ``_lead_reward``, as the
-    single-pair definitions (``ambiguous_score``, ``early_reward``) do, so
-    every float is the same one those give.
+    those few take it from ``_window_credit`` and ``_lead_reward``, as
+    ``early_reward`` does, so every reward is the float that one gives.
 
     The reward pairing requires a strictly positive overlap score between the
     anomaly and the prediction; the best reward among paired partners counts.
@@ -344,7 +313,6 @@ def ptapr_report(segments: SegmentSet, params: MetricParams) -> MetricReport:
         anomaly_reward=tuple(a_reward),
         prediction_coverage=tuple(p_coverage),
         prediction_reward=tuple(p_reward),
-        params=params,
     )
 
 
@@ -385,16 +353,23 @@ def _closed_grid(values, top: float, name: str, plural: str) -> np.ndarray:
     return grid
 
 
-def _theta_grid(thetas) -> np.ndarray:
-    """Overlap thresholds on [0, 1], by default ``DEFAULT_THETA_GRID_SIZE`` even steps."""
+def ptapr_theta_sweep(
+    segments: SegmentSet,
+    params: MetricParams,
+    thetas=None,
+) -> ThetaSweep:
+    """F1 across overlap thresholds, by default ``DEFAULT_THETA_GRID_SIZE`` even
+    steps, with its trapezoidal AUC over [0, 1].
+
+    The grid is sorted and the endpoints 0 and 1 are added when absent, so
+    the reported AUC always spans the full range. Only the detection-rate
+    components depend on theta, so the per-segment credit is computed once.
+    """
     if thetas is None:
         thetas = np.linspace(0.0, 1.0, DEFAULT_THETA_GRID_SIZE)
-    return _closed_grid(thetas, 1.0, "theta", "thetas")
-
-
-def _sweep(thetas: np.ndarray, anomaly, prediction, params: MetricParams) -> ThetaSweep:
-    """Side scores and their F1 over ``thetas``, from each side's (coverage,
-    reward) pair of one credit computation."""
+    thetas = _closed_grid(thetas, 1.0, "theta", "thetas")
+    _require_anomalies(segments)
+    anomaly, prediction = _diagnostics(segments, params)
     recall = _side(*anomaly, thetas, params)[0]
     precision = _side(*prediction, thetas, params)[0]
     f1 = ptapr_f1(recall, precision)
@@ -409,22 +384,6 @@ def _sweep(thetas: np.ndarray, anomaly, prediction, params: MetricParams) -> The
     )
 
 
-def ptapr_theta_sweep(
-    segments: SegmentSet,
-    params: MetricParams,
-    thetas=None,
-) -> ThetaSweep:
-    """F1 across overlap thresholds, with its trapezoidal AUC over [0, 1].
-
-    The grid is sorted and the endpoints 0 and 1 are added when absent, so
-    the reported AUC always spans the full range. Only the detection-rate
-    components depend on theta, so the per-segment credit is computed once.
-    """
-    thetas = _theta_grid(thetas)
-    _require_anomalies(segments)
-    return _sweep(thetas, *_diagnostics(segments, params), params)
-
-
 def merge_precursors_into_predictions(segments: SegmentSet) -> SegmentSet:
     """Fold each precursor back into its prediction (the original flagged runs)."""
     pp_s = segments.precursor_starts
@@ -435,29 +394,21 @@ def merge_precursors_into_predictions(segments: SegmentSet) -> SegmentSet:
     )
 
 
-def _tapr_scoring(segments: SegmentSet, params: MetricParams):
-    """TaPR as PTaPR: the (anomaly, prediction) credit pairs of the merged
-    segments (no precursor, so no reward), and the component weights
-    (tapr_alpha, 1 - tapr_alpha, 0) that score them."""
-    _require_anomalies(segments)
-    weights = replace(
-        params, alpha=params.tapr_alpha, beta=1.0 - params.tapr_alpha, gamma=0.0
-    )
-    return (*_diagnostics(merge_precursors_into_predictions(segments), weights), weights)
+def _tapr_weights(params: MetricParams) -> MetricParams:
+    """The component weights (tapr_alpha, 1 - tapr_alpha, 0) that score TaPR."""
+    return replace(params, alpha=params.tapr_alpha, beta=1.0 - params.tapr_alpha, gamma=0.0)
 
 
 def tapr(segments: SegmentSet, params: MetricParams) -> TaprResult:
     """Segment-aware TaPR baseline at ``params.theta``: no precursor notion, no
     early reward.
 
-    All flagged points count inside the prediction (precursors are folded
-    back in) and the overlap credit is |a n p| + S(a', p). Detection and
-    coverage components are weighted by tapr_alpha / (1 - tapr_alpha).
+    PTaPR on the segments with every precursor folded back into its
+    prediction, so the overlap credit is |a n p| + S(a', p), and detection
+    and coverage weighted by tapr_alpha / (1 - tapr_alpha).
     """
-    anomaly, prediction, weights = _tapr_scoring(segments, params)
-    tar = _component(*anomaly, weights).score
-    tap = _component(*prediction, weights).score
-    return TaprResult(tar=tar, tap=tap, f1=ptapr_f1(tar, tap))
+    report = ptapr_report(merge_precursors_into_predictions(segments), _tapr_weights(params))
+    return TaprResult(report.ptar, report.ptap, report.f1)
 
 
 def tapr_theta_sweep(
@@ -465,13 +416,10 @@ def tapr_theta_sweep(
     params: MetricParams,
     thetas=None,
 ) -> ThetaSweep:
-    """TaPR's F1 across overlap thresholds; ``ptar``/``ptap`` hold TaR/TaP.
-
-    The grid is normalised as in :func:`ptapr_theta_sweep`, and the
-    coverage ratios are computed once for all thresholds.
-    """
-    thetas = _theta_grid(thetas)
-    return _sweep(thetas, *_tapr_scoring(segments, params))
+    """TaPR's F1 across overlap thresholds, as :func:`ptapr_theta_sweep` on the
+    merged segments; ``ptar``/``ptap`` hold TaR/TaP."""
+    return ptapr_theta_sweep(merge_precursors_into_predictions(segments),
+                             _tapr_weights(params), thetas)
 
 
 def _binary_pair(flags, labels) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from poakit.core import ScoreSeries, ValidationError, allocatable
+from poakit.core import NumericError, ScoreSeries, ValidationError, allocatable
 from poakit.forecast import ForecastCube
 
 DEFAULT_EPS_SIGMA = 1e-8
@@ -44,6 +44,13 @@ def ensemble_variance(predictions: np.ndarray) -> np.ndarray:
     return (dev**2).sum(axis=-3) / (M - 1)
 
 
+def _refuse_overflow(values: np.ndarray, describe) -> None:
+    """A NumericError naming by ``describe(*index)`` the first non-finite cell of ``values``."""
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        raise NumericError(f"{describe(*bad[0].tolist())} overflows float64")
+
+
 def uncertainty_from_ensembles(cube: ForecastCube) -> tuple[np.ndarray, np.ndarray]:
     """W x L_y x c variances in window-id order, plus the window origins.
 
@@ -55,10 +62,11 @@ def uncertainty_from_ensembles(cube: ForecastCube) -> tuple[np.ndarray, np.ndarr
         raise ValidationError("no ensembles to score")
     block = max(1, _BLOCK_BYTES // max(1, preds[0].nbytes))
     values = np.empty((len(preds), *preds.shape[2:]))
-    for start in range(0, len(preds), block):
-        values[start:start + block] = ensemble_variance(preds[start:start + block])
-    if not np.all(np.isfinite(values)) or np.any(values < 0):
-        raise ValidationError("raw uncertainty values must be finite and >= 0")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        for start in range(0, len(preds), block):
+            values[start:start + block] = ensemble_variance(preds[start:start + block])
+    _refuse_overflow(values, lambda w, step, v: (
+        f"window {cube.window_ids[w]}: the ensemble variance at step {step + 1}, variable {v}"))
     return values, cube.origins
 
 
@@ -69,8 +77,10 @@ def horizon_stats(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(
             f"need >= 2 windows for horizon statistics, got {values.shape[0]}"
         )
-    mu = values.mean(axis=0)
-    sigma = np.sqrt(((values - mu[None]) ** 2).mean(axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        mu = values.mean(axis=0)
+        sigma = np.sqrt(((values - mu[None]) ** 2).mean(axis=0))
+    _refuse_overflow(sigma, lambda step, v: f"the variance spread at step {step + 1}, variable {v}")
     return mu, sigma
 
 
@@ -179,23 +189,35 @@ def score_timeline(
     collate: str = "max",
     eps_sigma: float = DEFAULT_EPS_SIGMA,
     normalize_scores: bool = True,
+    sources: tuple[str, str] = ("test forecasts", "validation forecasts"),
 ) -> ScoreSeries:
     """Full scoring pipeline: variance -> validation stats -> z-score ->
     variable aggregation -> timeline collation.
 
     ``series_len`` defaults to max test origin + 1 (a stride-1 window sweep
     ends at the series' last row). ``normalize_scores=False`` collates raw
-    variances instead, but ``eps_sigma`` is checked either way.
+    variances instead, but ``eps_sigma`` is checked either way. An overflow is
+    a NumericError that starts with its cube's name in ``sources`` (test, validation).
     """
     _check_eps_sigma(eps_sigma)
-    values, origins = uncertainty_from_ensembles(test_ensembles)
+    source = sources[0]  # the cube the next overflow would come from
+    try:
+        values, origins = uncertainty_from_ensembles(test_ensembles)
+        if normalize_scores:
+            if set(validation_ensembles.member_ids) != set(test_ensembles.member_ids):
+                raise ValidationError(
+                    f"validation members {list(validation_ensembles.member_ids)} "
+                    f"differ from test members {list(test_ensembles.member_ids)}")
+            source = sources[1]
+            stats = horizon_stats(uncertainty_from_ensembles(validation_ensembles)[0])
+            source = sources[0]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+            values = normalize(values, *stats, eps_sigma) if normalize_scores else values
+            values = aggregate_variables(values, agg)  # frees the W x L_y x c array
+        _refuse_overflow(values, lambda w, step: (
+            f"window {test_ensembles.window_ids[w]}: the score at step {step + 1}"))
+    except NumericError as exc:
+        raise NumericError(f"{source}: {exc}") from None
     if series_len is None:
         series_len = int(origins.max()) + 1
-    if normalize_scores:
-        if set(validation_ensembles.member_ids) != set(test_ensembles.member_ids):
-            raise ValidationError(f"validation members {list(validation_ensembles.member_ids)} "
-                                  f"differ from test members {list(test_ensembles.member_ids)}")
-        valid_values, _ = uncertainty_from_ensembles(validation_ensembles)
-        values = normalize(values, *horizon_stats(valid_values), eps_sigma)
-    values = aggregate_variables(values, agg)  # frees the W x L_y x c array
     return collate_timeline(values, origins, series_len, collate)

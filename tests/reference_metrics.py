@@ -55,8 +55,9 @@ def ref_structures(labels, flags, delta):
 
 
 def ref_ambiguous_score(amb_set, p_set, delta):
+    """Sigmoid weights of the window's predicted points, added in offset order."""
     total = 0.0
-    for i in amb_set & p_set:
+    for i in sorted(amb_set & p_set):
         offset = i - min(amb_set)
         scaled = -6.0 if delta <= 1 else -6.0 + 12.0 * offset / (delta - 1)
         total += 1.0 / (1.0 + math.exp(scaled))

@@ -1222,8 +1222,8 @@ class TestStageImports:
 
         defaults = {param.name: param.default for command in cli.commands.values()
                     for param in command.params}
-        assert cli_mod.DEFAULT_MEMBERS == ",".join(
-            spec.spec_string for spec in fc.default_member_specs())
+        assert [fc.ForecasterSpec.parse(text) for text in cli_mod.DEFAULT_MEMBERS.split(",")
+                ] == fc.default_member_specs()
         assert defaults["members"] == cli_mod.DEFAULT_MEMBERS
         assert defaults["eps_sigma"] == unc.DEFAULT_EPS_SIGMA
 
@@ -1359,10 +1359,41 @@ class TestScoreRejections:
         result = self.run_score(tmp_path, ensembles(), ensembles(windows=1, seed=1))
         self.assert_rejected(result, "need >= 2 windows")
 
+    def assert_overflow(self, result, message):
+        assert result.exit_code == 4, result.output
+        assert result.output == f"error[numeric]: {message} overflows float64\n"
+
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warning must not print
     def test_variance_overflow(self, tmp_path):
-        with np.errstate(over="ignore"):
-            result = self.run_score(tmp_path, ensembles(scale=1e200), ensembles(seed=1))
-        self.assert_rejected(result, "raw uncertainty values must be finite and >= 0")
+        result = self.run_score(tmp_path, ensembles(scale=1e200), ensembles(seed=1))
+        self.assert_overflow(result, f"{tmp_path / 'test.csv'}: window 0: "
+                                     "the ensemble variance at step 1, variable 0")
+        assert not (tmp_path / "scores.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_validation_spread_overflow(self, tmp_path):
+        # one validation value of 1e100 gives a finite variance near 1e200, and
+        # the spread of the variances squares it: its sigma used to read inf,
+        # and every test z-score of that cell -0.0, with exit 0
+        preds = np.random.default_rng(1).normal(size=(4, 3, 4, 2))
+        preds[2, 0, 1, 1] = 1e100
+        valid = ForecastCube(preds, range(4), range(20, 24), ("m0", "m1", "m2"))
+        result = self.run_score(tmp_path, ensembles(), valid)
+        self.assert_overflow(result, f"{tmp_path / 'valid.csv'}: "
+                                     "the variance spread at step 2, variable 1")
+        assert not (tmp_path / "scores.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_z_score_overflow(self, tmp_path):
+        # members +-9e153 and 0 give a finite variance of 8.1e307; over a
+        # validation sigma below 0.4 its z-score passes float64's largest value
+        preds = np.random.default_rng(0).normal(size=(4, 3, 4, 2))
+        preds[1, :2, 2, 0] = 9e153, -9e153
+        preds[1, 2, 2, 0] = 0.0
+        test = ForecastCube(preds, range(4), range(20, 24), ("m0", "m1", "m2"))
+        result = self.run_score(tmp_path, test, ensembles(scale=0.1, seed=1))
+        self.assert_overflow(result, f"{tmp_path / 'test.csv'}: window 1: the score at step 3")
+        assert not (tmp_path / "scores.csv").exists()
 
     @pytest.mark.parametrize("length", ["-1", "0", "23"])
     def test_length_not_past_last_origin(self, tmp_path, length):

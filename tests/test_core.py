@@ -82,11 +82,6 @@ class TestSegment:
         with pytest.raises(ValidationError):
             Segment(0, 0)
 
-    def test_overlap_len(self):
-        assert Segment(0, 5).overlap_len(Segment(3, 4)) == 2
-        assert Segment(0, 2).overlap_len(Segment(5, 1)) == 0
-        assert Segment(0, 2).overlap_len(None) == 0
-
 
 class TestSegmentsFromFlags:
     """Segment bounds from 0/1 flags: ``run_bounds``."""

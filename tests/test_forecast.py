@@ -1031,6 +1031,54 @@ class TestStreamingIngest:
         with chunk_rows_patched(chunk_rows):
             assert_ingest_matches_reference(path)
 
+    def _noted(self, rows, note_line=2):
+        """``rows`` with an extra ``note`` column, 200,000 characters (past csv's
+        default field size limit) on line ``note_line`` and empty elsewhere."""
+        return [r + ["x" * 200_000 if i + 2 == note_line else ""] for i, r in enumerate(rows)]
+
+    @pytest.mark.parametrize("chunk_rows", [None, 7])
+    def test_long_field_before_a_bad_record(self, tmp_path, chunk_rows):
+        # numpy reads the long note; the walk of the refused chunk must too,
+        # and leave csv's process-wide limit as it found it
+        path = tmp_path / "fc.csv"
+        write_body(path, [[*RECORD_FIELDS, "note"]], self._noted(_edit(self._rows(), 5, 5, "abc")))
+        limit = csv.field_size_limit()
+        with chunk_rows_patched(chunk_rows), pytest.raises(DataFormatError) as err:
+            ingest_external_forecasts(path)
+        assert str(err.value) == (
+            f"{path}: line 7: bad forecast record (could not convert string to float: 'abc')")
+        assert csv.field_size_limit() == limit
+
+    def test_long_valid_field_ingests_bit_identically(self, tmp_path):
+        plain, noted = tmp_path / "plain.csv", tmp_path / "noted.csv"
+        write_rows(plain, self._rows())
+        write_body(noted, [[*RECORD_FIELDS, "note"]], self._noted(self._rows()))
+        got, want = ingest_external_forecasts(noted), ingest_external_forecasts(plain)
+        assert got.member_ids == want.member_ids
+        assert np.array_equal(got.window_ids, want.window_ids)
+        assert np.array_equal(got.origins, want.origins)
+        assert_bits_equal(got.predictions, want.predictions)
+
+    def test_nul_is_named_by_its_line(self, tmp_path):
+        # csv before Python 3.11 refuses a line with a NUL outright, where
+        # later versions read the NUL as the value: either way line 7 is named
+        path = tmp_path / "fc.csv"
+        write_rows(path, self._rows())
+        lines = path.read_bytes().split(b"\r\n")
+        lines[6] = lines[6].rsplit(b",", 1)[0] + b",\x00"  # csv.writer before 3.11 refuses it
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(DataFormatError) as err:
+            ingest_external_forecasts(path)
+        assert str(err.value).startswith(f"{path}: line 7: ")
+
+    def test_long_header_field_is_named(self, tmp_path):
+        # the header alone keeps csv's limit: it bounds a quote that never closes
+        path = tmp_path / "fc.csv"
+        write_body(path, [[*RECORD_FIELDS, "x" * 200_000]], [r + [""] for r in self._rows()])
+        with pytest.raises(DataFormatError) as err:
+            ingest_external_forecasts(path)
+        assert str(err.value) == f"{path}: header: field larger than field limit (131072)"
+
     @pytest.mark.parametrize("ext", ["csv", "ndjson"])
     @pytest.mark.parametrize("field, message", [
         (3, "record 2: cell window=0 member='m1' step=1000000000000 variable=1 would make the "

@@ -12,12 +12,10 @@ from poakit.core import LabelSequence, ScoreSeries, Segment, SegmentSet, Validat
 from poakit.detect import Detection, best_f1_threshold, default_grid, split_precursor_prediction
 from poakit.metrics import (
     MetricParams,
-    ambiguous_score,
     auc_trapezoid,
     early_prf,
     early_reward,
     merge_precursors_into_predictions,
-    overlap_score,
     pa_k_suite,
     point_adjust,
     pointwise_prf,
@@ -32,7 +30,9 @@ from poakit.metrics import (
 import poakit.metrics as mx
 import reference_kernels as ref
 from conftest import segment_set
-from reference_metrics import ref_pa_k, ref_ptapr, ref_tapr
+from reference_metrics import (
+    ref_ambiguous_score, ref_overlap, ref_pa_k, ref_ptapr, ref_reward, ref_structures, ref_tapr,
+)
 
 THIRDS = MetricParams(theta=0.5, delta=4, epsilon=2, k=0.001)
 
@@ -72,19 +72,25 @@ class TestSigmoidWeights:
             )
 
 
-class TestAmbiguousScore:
-    def test_empty_intersection(self):
-        assert ambiguous_score(Segment(10, 4), Segment(20, 3), 4) == 0.0
-        assert ambiguous_score(None, Segment(20, 3), 4) == 0.0
+class TestAmbiguousCredit:
+    """The sigmoid credit a prediction earns inside an anomaly's ambiguous window."""
+
+    @pytest.mark.parametrize("delta,prediction", [(4, (20, 3)), (0, (10, 3))],
+                             ids=["outside-the-window", "no-window"])
+    def test_no_shared_point_earns_nothing(self, delta, prediction):
+        # anomaly 6..9: its window is 10..13 at delta 4 and empty at delta 0
+        seg = segment_set([(6, 4)], [prediction], delta=delta, series_len=40)
+        (coverage, _), (p_coverage, _) = mx._diagnostics(seg, MetricParams(delta=delta))
+        assert coverage.tolist() == p_coverage.tolist() == [0.0]
 
     def test_single_offset_one(self):
-        got = ambiguous_score(Segment(25, 4), Segment(26, 1), 4)
+        got = mx._window_credit(np.array([1]), np.array([1]), 4)[0]
         assert got == pytest.approx(1.0 / (1.0 + math.exp(-2.0)), abs=1e-12)
 
     def test_sum_over_window(self):
         # prediction covering the whole delta=3 window: offsets 0, 1, 2
         expected = sum(1.0 / (1.0 + math.exp(-6.0 + 6.0 * j)) for j in range(3))
-        got = ambiguous_score(Segment(5, 3), Segment(4, 6), 3)
+        got = mx._window_credit(np.array([0]), np.array([2]), 3)[0]
         assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -109,19 +115,22 @@ class TestWindowCredit:
         assert got.tobytes() == np.array(expected)[order].tobytes()
 
     @pytest.mark.parametrize("delta", [1, 2, 5, 24])
-    def test_ambiguous_score_is_the_diagnostics_entry(self, delta):
+    def test_diagnostics_entry_is_the_window_credit(self, delta):
         # one-point anomalies, each with one prediction inside its own
         # ambiguous window and nowhere else: the anomaly's coverage is that
-        # pair's entry of the credit matrix
+        # pair's entry of the credit matrix, the oracle's offset-order sum
         windows = [(f, l) for f in range(delta) for l in range(f, delta)]
         gap = 2 * delta + 2
         anomalies = [(gap * i, 1) for i in range(len(windows))]
         predictions = [(gap * i + 1 + f, l - f + 1) for i, (f, l) in enumerate(windows)]
         seg = segment_set(anomalies, predictions, delta=delta, series_len=gap * len(windows))
         (coverage, _), _ = mx._diagnostics(seg, MetricParams(delta=delta))
-        singles = [ambiguous_score(a_prime, p, delta)
-                   for a_prime, p in zip(seg.ambiguous, seg.predictions)]
+        singles = [ref_ambiguous_score(set(range(gap * i + 1, gap * i + 1 + delta)),
+                                       set(range(gap * i + 1 + f, gap * i + 2 + l)), delta)
+                   for i, (f, l) in enumerate(windows)]
         assert coverage.tobytes() == np.array(singles).tobytes()
+        first, last = np.array(windows, dtype=np.int64).reshape(-1, 2).T
+        assert coverage.tobytes() == mx._window_credit(first, last, delta).tobytes()
         assert all(score > 0.0 for score in singles)
 
     def test_reward_takes_math_exp_bits(self):
@@ -162,30 +171,20 @@ class TestWindowCredit:
         assert (report.ptar, report.ptap, report.f1) == pytest.approx(want, abs=1e-12)
 
 
-class TestOverlapScore:
+class TestOverlapCredit:
+    """Each anomaly's overlap credit, its coverage times its length."""
+
     def test_disjoint_everything(self):
-        assert (
-            overlap_score(Segment(0, 3), Segment(10, 2), None, Segment(3, 2), 4) == 0.0
-        )
+        seg = segment_set([(0, 3)], [(10, 2)], delta=2, series_len=20)
+        (coverage, _), (p_coverage, _) = mx._diagnostics(seg, MetricParams(delta=2))
+        assert coverage.tolist() == p_coverage.tolist() == [0.0]
 
-    def test_partial_hit_plus_precursor_point_is_three(self):
-        seg = golden_fixture()
-        got = overlap_score(
-            seg.anomalies[0],
-            seg.predictions[0],
-            seg.precursors[0],
-            seg.ambiguous[0],
-            seg.delta,
-        )
-        assert got == pytest.approx(3.0, abs=1e-12)
-
-    def test_full_hit_plus_ambiguous_point_totals_5_88(self):
-        seg = golden_fixture()
-        total = sum(
-            overlap_score(seg.anomalies[1], p, pp, seg.ambiguous[1], seg.delta)
-            for p, pp in zip(seg.predictions, seg.precursors)
-        )
-        assert total == pytest.approx(5.88, abs=0.005)
+    def test_golden_fixture_credits(self):
+        # a 2-point hit plus one precursor point: 3; a full hit plus one
+        # detached alarm at ambiguous offset 1: 5 + ~0.88
+        (coverage, _), _ = mx._diagnostics(golden_fixture(), THIRDS)
+        assert coverage[0] * 5 == pytest.approx(3.0, abs=1e-12)
+        assert coverage[1] * 5 == pytest.approx(5.88, abs=0.005)
 
 
 class TestEarlyReward:
@@ -721,7 +720,7 @@ class TestBitExact:
         assert hashlib.sha256(" ".join(hexes).encode()).hexdigest() == digest
 
     def test_matches_per_pair_loop(self):
-        """The array credit against the per-pair loop it replaced, bit for bit."""
+        """The array credit against the oracle's per-pair loop, bit for bit."""
         rng = np.random.default_rng(52)
         for _ in range(200):
             T = int(rng.integers(5, 80))
@@ -733,19 +732,20 @@ class TestBitExact:
             params = MetricParams(delta=delta, epsilon=int(rng.integers(1, 9)),
                                   k=float(rng.uniform(1e-4, 0.5)))
             seg = split_precursor_prediction(_detection(flags), labels, delta)
-            n_a, n_p = len(seg.anomalies), len(seg.predictions)
+            anomalies, ambiguous, predictions, precursors = ref_structures(labels, flags, delta)
+            n_a, n_p = len(anomalies), len(predictions)
             overlap, reward = np.zeros((n_a, n_p)), np.zeros((n_a, n_p))
-            for ai, (a, a_prime) in enumerate(zip(seg.anomalies, seg.ambiguous)):
-                for pi, (p, p_prime) in enumerate(zip(seg.predictions, seg.precursors)):
-                    overlap[ai, pi] = overlap_score(a, p, p_prime, a_prime, delta)
-                    reward[ai, pi] = early_reward(a, p_prime, params.epsilon, params.k)
+            for ai, (a, a_prime) in enumerate(zip(anomalies, ambiguous)):
+                for pi, (p, p_prime) in enumerate(zip(predictions, precursors)):
+                    overlap[ai, pi] = ref_overlap(a, p, p_prime, a_prime, delta)
+                    reward[ai, pi] = ref_reward(a, p_prime, params.epsilon, params.k)
             reward = np.where(overlap > 0.0, reward, 0.0)
             report = ptapr_report(seg, params)
-            a_len = np.array([a.length for a in seg.anomalies], dtype=float)
+            a_len = np.array([len(a) for a in anomalies], dtype=float)
             assert report.anomaly_coverage == tuple(overlap.sum(axis=1) / a_len)
             assert report.anomaly_reward == tuple(reward.max(axis=1, initial=0.0))
             if n_p:
-                p_len = np.array([p.length for p in seg.predictions], dtype=float)
+                p_len = np.array([len(p) for p in predictions], dtype=float)
                 assert report.prediction_coverage == tuple(overlap.sum(axis=0) / p_len)
                 assert report.prediction_reward == tuple(reward.max(axis=0, initial=0.0))
 
