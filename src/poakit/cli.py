@@ -401,8 +401,6 @@ def detect_cmd(stage, scores_path, labels_path, out_path, grid_n, metric,
     if search_scores_path is not None:
         search_scores = pio.read_scores(search_scores_path)
         search_labels = pio.read_labels_csv(search_labels_path)
-        if len(search_labels) != len(search_scores):
-            raise ValidationError("search labels/scores length mismatch")
     else:
         search_scores, search_labels = scores, labels
     grid = detect_mod.default_grid(search_scores, grid_n)
@@ -555,13 +553,20 @@ def sweep(stage, detection_path, labels_path, out_path, param, values, theta_gri
     labels = pio.read_labels_csv(labels_path)
     segments = detect_mod.split_precursor_prediction(detection, labels.flags,
                                                      metric_options["delta"])
+
+    def number(text):  # an epsilon written as an integer is read exactly, not through float
+        try:
+            return core.csv_number(text, int if param == "epsilon" else float)
+        except ValueError:
+            return core.csv_number(text)
+
     try:
-        parsed = [core.csv_number(v) for v in values.split(",") if v.strip()]
+        parsed = [number(v) for v in values.split(",") if v.strip()]
     except ValueError:
         raise ValidationError(f"cannot parse --values {values!r}") from None
     if not parsed:
         raise ValidationError("no sweep values given")
-    if param == "epsilon" and not all(v.is_integer() for v in parsed):
+    if param == "epsilon" and not all(isinstance(v, int) or v.is_integer() for v in parsed):
         raise ValidationError(f"epsilon values must be integers, got {values!r}")
     thetas = _theta_points(theta_grid)
     base = mx.MetricParams(**metric_options)

@@ -75,6 +75,21 @@ def utf8_text(path, newline=None):
             f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x} ({exc.reason})") from None
 
 
+def _freeze(record, **arrays: np.ndarray) -> None:
+    """Set each array on the frozen ``record`` by name, made read-only."""
+    for name, arr in arrays.items():
+        arr.setflags(write=False)
+        object.__setattr__(record, name, arr)
+
+
+def _refuse_first(mask: np.ndarray, describe, error=ValidationError) -> None:
+    """An ``error`` with ``describe(*index)`` for the first True element of
+    ``mask`` in C order, one int per axis."""
+    bad = np.flatnonzero(mask)
+    if bad.size:
+        raise error(describe(*map(int, np.unravel_index(bad[0], mask.shape))))
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Multivariate series: ``values`` is a T x c matrix, one row per step.
@@ -100,17 +115,12 @@ class TimeSeries:
             )
         if ts.shape[0] > 1 and not np.all(np.diff(ts) == 1):
             raise ValidationError("timestamps must be strictly increasing with unit step")
-        if not np.all(np.isfinite(vals)):
-            bad = int(np.argwhere(~np.isfinite(vals))[0][0])
-            raise ValidationError(f"non-finite value in row {bad}")
+        _refuse_first(~np.isfinite(vals), lambda row, _: f"non-finite value in row {row}")
         if self.variable_names is not None and len(self.variable_names) != vals.shape[1]:
             raise ValidationError(
                 f"{len(self.variable_names)} variable names for {vals.shape[1]} variables"
             )
-        object.__setattr__(self, "timestamps", ts)
-        object.__setattr__(self, "values", vals)
-        self.timestamps.setflags(write=False)
-        self.values.setflags(write=False)
+        _freeze(self, timestamps=ts, values=vals)
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -149,9 +159,7 @@ class LabelSequence:
     flags: np.ndarray
 
     def __post_init__(self):
-        flags = binary_flags(self.flags, "label flags")
-        object.__setattr__(self, "flags", flags)
-        self.flags.setflags(write=False)
+        _freeze(self, flags=binary_flags(self.flags, "label flags"))
 
     def __len__(self) -> int:
         return self.flags.shape[0]
@@ -179,14 +187,9 @@ class Segment:
         return range(self.start, self.start + self.length)
 
 
-def _segment_or_none(start: int, end: int) -> Segment | None:
-    return Segment(start, end - start + 1) if 0 <= start <= end else None
-
-
-def _segments(starts: np.ndarray, ends: np.ndarray) -> tuple[Segment | None, ...]:
-    """The segments ``[starts[i], ends[i]]`` (inclusive); a slot whose start
-    is negative or whose end precedes its start reads as None."""
-    return tuple(map(_segment_or_none, starts.tolist(), ends.tolist()))
+def _segments(starts: np.ndarray, ends: np.ndarray) -> tuple[Segment, ...]:
+    """The segments ``[starts[i], ends[i]]`` (inclusive)."""
+    return tuple(map(Segment, starts.tolist(), (ends - starts + 1).tolist()))
 
 
 def ambiguous_ends(starts: np.ndarray, ends: np.ndarray, delta: int, series_len: int) -> np.ndarray:
@@ -216,13 +219,6 @@ def _index_array(values, name: str) -> np.ndarray:
     return arr
 
 
-def _refuse_first(mask: np.ndarray, describe) -> None:
-    """A ValidationError with ``describe(i)`` for the first True index i of ``mask``."""
-    bad = np.flatnonzero(mask)
-    if bad.size:
-        raise ValidationError(describe(int(bad[0])))
-
-
 class SegmentSet:
     """Ground-truth anomalies with the prediction/precursor/ambiguous structure.
 
@@ -240,9 +236,8 @@ class SegmentSet:
 
     The constructor takes 1-D integer arrays and checks every invariant above
     (:func:`ambiguous_ends` computes the ambiguous ends from a series length).
-    ``anomalies``, ``predictions``, ``precursors`` and ``ambiguous`` read the
-    structure back as a tuple of Segments (None for an empty slot), built on
-    each read; no metric reads them.
+    ``anomalies`` and ``predictions`` read those runs back as a tuple of
+    Segments, built on each read; no metric reads them.
     """
 
     __slots__ = ("anomaly_starts", "anomaly_ends", "ambiguous_ends",
@@ -283,8 +278,7 @@ class SegmentSet:
         _refuse_first((pp_s[1:] >= 0) & (pp_s[1:] <= p_e[:-1]), lambda i: (
             f"prediction {i + 1} precursor start {pp_s[i + 1]} reaches back into "
             f"prediction {i} [{p_s[i]}, {p_e[i]}]"))
-        for name, arr in zip(self.__slots__, arrays):
-            object.__setattr__(self, name, arr)
+        _freeze(self, **dict(zip(self.__slots__, arrays)))
         object.__setattr__(self, "delta", int(delta))
 
     def __setattr__(self, name, value):
@@ -297,14 +291,6 @@ class SegmentSet:
     @property
     def predictions(self) -> tuple[Segment, ...]:
         return _segments(self.prediction_starts, self.prediction_ends)
-
-    @property
-    def precursors(self) -> tuple[Segment | None, ...]:
-        return _segments(self.precursor_starts, self.prediction_starts - 1)
-
-    @property
-    def ambiguous(self) -> tuple[Segment | None, ...]:
-        return _segments(self.anomaly_ends + 1, self.ambiguous_ends)
 
 
 @dataclass(frozen=True)
@@ -328,10 +314,7 @@ class ScoreSeries:
             raise ValidationError("lead_time must be defined exactly where score is")
         if np.any(np.isinf(scores)):
             raise ValidationError("defined scores must be finite")
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "lead_times", leads)
-        self.scores.setflags(write=False)
-        self.lead_times.setflags(write=False)
+        _freeze(self, scores=scores, lead_times=leads)
 
     def __len__(self) -> int:
         return self.scores.shape[0]

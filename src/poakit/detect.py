@@ -18,6 +18,7 @@ from poakit.core import (
     ScoreSeries,
     SegmentSet,
     ValidationError,
+    _freeze,
     allocatable,
     ambiguous_ends,
     binary_flags,
@@ -40,10 +41,7 @@ class Detection:
         leads = np.asarray(self.lead_times, dtype=np.float64)
         if leads.shape != flags.shape:
             raise ValidationError("flags and lead_times must be 1-D and equal length")
-        object.__setattr__(self, "flags", flags)
-        object.__setattr__(self, "lead_times", leads)
-        self.flags.setflags(write=False)
-        self.lead_times.setflags(write=False)
+        _freeze(self, flags=flags, lead_times=leads)
 
     def __len__(self) -> int:
         return self.flags.shape[0]

@@ -29,6 +29,7 @@ from poakit.core import (
     NumericError,
     TimeSeries,
     ValidationError,
+    _freeze,
     _index_array,
     _refuse_first,
     csv_number,
@@ -200,14 +201,11 @@ class ForecastCube(Sequence):
         block = max(1, _BLOCK_BYTES // max(1, preds[:1].nbytes))
         for start in range(0, len(preds), block):  # no W x M x L_y x c mask
             finite = np.isfinite(preds[start:start + block]).all(axis=(2, 3))
-            if not finite.all():
-                w, m = np.argwhere(~finite)[0]
-                raise NonFiniteForecast(
-                    f"non-finite prediction in window {wids[start + w]}, member {ids[m]!r}")
-        preds.setflags(write=False)
-        for name, value in zip(("predictions", "window_ids", "origins", "member_ids"),
-                               (preds, wids, origins, ids)):
-            object.__setattr__(self, name, value)
+            _refuse_first(~finite, lambda w, m: (
+                f"non-finite prediction in window {wids[start + w]}, member {ids[m]!r}"),
+                NonFiniteForecast)
+        _freeze(self, predictions=preds, window_ids=wids, origins=origins)
+        object.__setattr__(self, "member_ids", ids)
 
     def __len__(self) -> int:
         return len(self.window_ids)

@@ -179,7 +179,9 @@ def _lead_reward(leads: np.ndarray, epsilon: int, k: float) -> np.ndarray:
     """exp(-k (lead - epsilon)^2) at each lead: the exponent on the array, the
     exponential by ``math.exp``, whose bits ``np.exp`` does not always give."""
     distance = leads - float(epsilon)  # in float64: an int64 square wraps past 3.04e9
-    return np.array(list(map(math.exp, (-k * distance**2).tolist())))
+    with np.errstate(over="ignore"):  # a huge k gives -inf, whose exp is the limit 0.0
+        exponent = -k * distance**2
+    return np.array(list(map(math.exp, exponent.tolist())))
 
 
 def early_reward(a: Segment, p_prime: Segment | None, epsilon: int, k: float) -> float:
@@ -318,11 +320,8 @@ def ptapr_report(segments: SegmentSet, params: MetricParams) -> MetricReport:
 
 def early_prf(report: MetricReport) -> tuple[float, float, float]:
     """A report's early-warning components alone: (precision_e, recall_e, their F1)."""
-    recall_e = report.recall.early
-    precision_e = report.precision.early
-    if precision_e + recall_e == 0.0:
-        return precision_e, recall_e, 0.0
-    return precision_e, recall_e, 2 * precision_e * recall_e / (precision_e + recall_e)
+    precision_e, recall_e = report.precision.early, report.recall.early
+    return precision_e, recall_e, ptapr_f1(recall_e, precision_e)
 
 
 def auc_trapezoid(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -437,8 +436,7 @@ def pointwise_prf(flags, labels) -> tuple[float, float, float]:
     fn = float(np.sum((flags == 0) & (labels == 1)))
     precision = tp / (tp + fp) if tp + fp > 0 else 0.0
     recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return precision, recall, f1
+    return precision, recall, ptapr_f1(recall, precision)
 
 
 def point_adjust(flags, labels, k_percent: float) -> np.ndarray:

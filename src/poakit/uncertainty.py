@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from poakit.core import NumericError, ScoreSeries, ValidationError, allocatable
+from poakit.core import NumericError, ScoreSeries, ValidationError, _refuse_first, allocatable
 from poakit.forecast import ForecastCube
 
 DEFAULT_EPS_SIGMA = 1e-8
@@ -44,13 +44,6 @@ def ensemble_variance(predictions: np.ndarray) -> np.ndarray:
     return (dev**2).sum(axis=-3) / (M - 1)
 
 
-def _refuse_overflow(values: np.ndarray, describe) -> None:
-    """A NumericError naming by ``describe(*index)`` the first non-finite cell of ``values``."""
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        raise NumericError(f"{describe(*bad[0].tolist())} overflows float64")
-
-
 def uncertainty_from_ensembles(cube: ForecastCube) -> tuple[np.ndarray, np.ndarray]:
     """W x L_y x c variances in window-id order, plus the window origins.
 
@@ -65,8 +58,9 @@ def uncertainty_from_ensembles(cube: ForecastCube) -> tuple[np.ndarray, np.ndarr
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
         for start in range(0, len(preds), block):
             values[start:start + block] = ensemble_variance(preds[start:start + block])
-    _refuse_overflow(values, lambda w, step, v: (
-        f"window {cube.window_ids[w]}: the ensemble variance at step {step + 1}, variable {v}"))
+    _refuse_first(~np.isfinite(values), lambda w, step, v: (
+        f"window {cube.window_ids[w]}: the ensemble variance at step {step + 1}, "
+        f"variable {v} overflows float64"), NumericError)
     return values, cube.origins
 
 
@@ -80,7 +74,8 @@ def horizon_stats(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
         mu = values.mean(axis=0)
         sigma = np.sqrt(((values - mu[None]) ** 2).mean(axis=0))
-    _refuse_overflow(sigma, lambda step, v: f"the variance spread at step {step + 1}, variable {v}")
+    _refuse_first(~np.isfinite(sigma), lambda step, v: (
+        f"the variance spread at step {step + 1}, variable {v} overflows float64"), NumericError)
     return mu, sigma
 
 
@@ -138,10 +133,8 @@ def collate_timeline(
     origins = np.asarray(origins, dtype=np.int64)
     if scores2d.ndim != 2 or origins.shape != (scores2d.shape[0],):
         raise ValidationError("need W x L_y scores and W origins")
-    bad = np.argwhere(~np.isfinite(scores2d))
-    if bad.size:
-        w, i = bad[0]
-        raise ValidationError(f"window {w} step {i + 1} score is not finite: {scores2d[w, i]}")
+    _refuse_first(~np.isfinite(scores2d), lambda w, i: (
+        f"window {w} step {i + 1} score is not finite: {scores2d[w, i]}"))
     if np.any(origins < 0):
         raise ValidationError(f"window origins must be >= 0, got {int(origins.min())}")
     last_origin = int(origins.max(initial=0))
@@ -214,8 +207,9 @@ def score_timeline(
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
             values = normalize(values, *stats, eps_sigma) if normalize_scores else values
             values = aggregate_variables(values, agg)  # frees the W x L_y x c array
-        _refuse_overflow(values, lambda w, step: (
-            f"window {test_ensembles.window_ids[w]}: the score at step {step + 1}"))
+        _refuse_first(~np.isfinite(values), lambda w, step: (
+            f"window {test_ensembles.window_ids[w]}: the score at step {step + 1} "
+            "overflows float64"), NumericError)
     except NumericError as exc:
         raise NumericError(f"{source}: {exc}") from None
     if series_len is None:

@@ -257,6 +257,37 @@ class TestMetricStages:
         result = self.invoke(*args, "2,3.0")
         assert result.exit_code == 0, result.output
 
+    @pytest.mark.parametrize("value", [2**63 - 1, 2**53 + 1])
+    def test_sweep_reads_an_integer_epsilon_exactly(self, pipeline, tmp_path, monkeypatch,
+                                                    value):
+        # read through float, 2**63 - 1 was refused as "epsilon must be < 2**63,
+        # got 9223372036854775808" and 2**53 + 1 ran as 2**53
+        epsilons = []
+        sweep = mx.ptapr_theta_sweep
+        monkeypatch.setattr(mx, "ptapr_theta_sweep", lambda segments, params, thetas: (
+            epsilons.append(params.epsilon) or sweep(segments, params, thetas)))
+        result = self.invoke(pipeline, tmp_path, "sweep", "--param", "epsilon",
+                             "--values", f"7,{value}")
+        assert result.exit_code == 0, result.output
+        assert epsilons == [7, value]
+
+    def test_overflowing_k_scores_without_a_warning(self, pipeline, tmp_path):
+        # k (lead - epsilon)^2 past 1.8e308 printed numpy's overflow warning in
+        # the early reward, then exited 0; exp(-inf) is the reward's limit 0.0
+        detect = ["detect", str(pipeline / "run/scores.csv"), str(pipeline / "data/labels.csv"),
+                  str(tmp_path / "detection.csv"), "--delta", "8", "--k", "1e308"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mx.early_reward(Segment(20, 5), Segment(10, 10), 1, 1e308) == 0.0
+            results = [
+                CliRunner().invoke(cli, detect),
+                self.invoke(pipeline, tmp_path, "evaluate", "--k", "1e308"),
+                self.invoke(pipeline, tmp_path, "sweep", "--param", "k",
+                            "--values", "0.001,1e308"),
+            ]
+        for result in results:
+            assert result.exit_code == 0, result.output
+
     @pytest.mark.parametrize("command,extra", [
         ("evaluate", []), ("sweep", ["--param", "k", "--values", "0.1"]),
     ])
@@ -579,6 +610,18 @@ class TestOptionalFlags:
         )
         assert result.exit_code == 2
         assert "go together" in result.output
+
+    def test_detect_search_pair_lengths_must_match(self, pipeline, tmp_path):
+        # the threshold search refuses the pair, naming both lengths
+        short = tmp_path / "labels.csv"
+        short.write_text("".join((pipeline / "data/labels.csv").read_text().splitlines(True)[:501]))
+        result = CliRunner().invoke(cli, [
+            "detect", str(pipeline / "run/scores.csv"), str(pipeline / "data/labels.csv"),
+            str(tmp_path / "d.csv"), "--delta", "8",
+            "--search-scores", str(pipeline / "run/scores.csv"), "--search-labels", str(short),
+        ])
+        assert result.exit_code == 2, result.output
+        assert result.output == "error[validation]: labels length 500 != scores length 600\n"
 
     def test_forecast_standardize_changes_scale(self, tmp_path):
         runner = CliRunner()

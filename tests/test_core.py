@@ -13,7 +13,6 @@ from poakit.core import (
     SegmentSet,
     TimeSeries,
     ValidationError,
-    _segments,
     ambiguous_ends,
     run_bounds,
 )
@@ -127,7 +126,9 @@ def ambiguous_windows(anomalies, delta, series_len):
     """Each anomaly's ambiguous window as a Segment, None where it is empty."""
     starts, lengths = np.array(anomalies, dtype=np.int64).reshape(-1, 2).T
     ends = starts + lengths - 1
-    return list(_segments(ends + 1, ambiguous_ends(starts, ends, delta, series_len)))
+    window_ends = ambiguous_ends(starts, ends, delta, series_len)
+    return [Segment(end + 1, window_end - end) if window_end > end else None
+            for end, window_end in zip(ends.tolist(), window_ends.tolist())]
 
 
 class TestAmbiguousExtensions:
@@ -199,9 +200,13 @@ class TestSegmentSet:
     def test_valid_construction(self):
         seg = SegmentSet(**arrays())
         assert seg.anomalies == (Segment(10, 5), Segment(20, 5))
-        assert seg.ambiguous == (Segment(15, 4), None)
+        # anomaly 0's window is 15..18, anomaly 1's is empty
+        assert seg.anomaly_ends.tolist() == [14, 24]
+        assert seg.ambiguous_ends.tolist() == [18, 24]
         assert seg.predictions == (Segment(11, 2), Segment(26, 1))
-        assert seg.precursors == (Segment(8, 3), None)
+        # prediction 0's precursor is 8..10, prediction 1 has none
+        assert seg.prediction_starts.tolist() == [11, 26]
+        assert seg.precursor_starts.tolist() == [8, -1]
         assert seg.delta == 4
 
     def test_arrays_are_read_only_copies(self):
@@ -233,7 +238,9 @@ class TestSegmentSet:
 
     def test_largest_int64_delta(self):
         # end + delta wrapped negative, and every ambiguous end was refused
-        assert SegmentSet(**arrays(delta=2**63 - 1)).ambiguous == (Segment(15, 4), None)
+        seg = SegmentSet(**arrays(delta=2**63 - 1))
+        assert seg.anomaly_ends.tolist() == [14, 24]
+        assert seg.ambiguous_ends.tolist() == [18, 24]
 
     def test_rejects_misaligned_ambiguous(self):
         with pytest.raises(ValidationError, match=re.escape(

@@ -150,9 +150,20 @@ def anomaly_labels(start, length, T=20):
     return labels
 
 
-def index_sets(view):
-    """Each segment of a read-back tuple as a set of indices, None as the empty set."""
-    return [set() if seg is None else set(seg.indices()) for seg in view]
+def index_sets(starts, ends):
+    """Each run ``starts[i] .. ends[i]`` (inclusive) as a set of indices; a
+    start of -1 (no precursor) is the empty set."""
+    return [set(range(s, e + 1)) if s >= 0 else set()
+            for s, e in zip(starts.tolist(), ends.tolist())]
+
+
+def structure(seg):
+    """A SegmentSet's anomalies, ambiguous windows, predictions and precursors,
+    each a list of index sets."""
+    return (index_sets(seg.anomaly_starts, seg.anomaly_ends),
+            index_sets(seg.anomaly_ends + 1, seg.ambiguous_ends),
+            index_sets(seg.prediction_starts, seg.prediction_ends),
+            index_sets(seg.precursor_starts, seg.prediction_starts - 1))
 
 
 class TestSplitPrecursorPrediction:
@@ -163,7 +174,7 @@ class TestSplitPrecursorPrediction:
             detection_from_flags(flags), anomaly_labels(10, 5), delta=3
         )
         assert out.predictions == (Segment(10, 3),)
-        assert out.precursors == (Segment(8, 2),)
+        assert out.precursor_starts.tolist() == [8]
 
     def test_run_inside_anomaly(self):
         flags = np.zeros(20, dtype=int)
@@ -172,7 +183,7 @@ class TestSplitPrecursorPrediction:
             detection_from_flags(flags), anomaly_labels(10, 6), delta=3
         )
         assert out.predictions == (Segment(11, 3),)
-        assert out.precursors == (None,)
+        assert out.precursor_starts.tolist() == [-1]
 
     def test_run_with_no_overlap_stays_prediction(self):
         flags = np.zeros(20, dtype=int)
@@ -181,7 +192,7 @@ class TestSplitPrecursorPrediction:
             detection_from_flags(flags), anomaly_labels(10, 5), delta=3
         )
         assert out.predictions == (Segment(3, 4),)
-        assert out.precursors == (None,)
+        assert out.precursor_starts.tolist() == [-1]
 
     def test_run_starting_at_onset(self):
         flags = np.zeros(20, dtype=int)
@@ -190,7 +201,7 @@ class TestSplitPrecursorPrediction:
             detection_from_flags(flags), anomaly_labels(10, 5), delta=3
         )
         assert out.predictions == (Segment(10, 4),)
-        assert out.precursors == (None,)
+        assert out.precursor_starts.tolist() == [-1]
 
     def test_flags_preserved_exactly(self):
         rng = np.random.default_rng(23)
@@ -201,20 +212,16 @@ class TestSplitPrecursorPrediction:
             out = split_precursor_prediction(
                 detection_from_flags(flags), labels, delta=int(rng.integers(0, 5))
             )
-            covered = set()
-            for seg in out.predictions:
-                covered |= set(seg.indices())
-            for seg in out.precursors:
-                if seg is not None:
-                    covered |= set(seg.indices())
-            assert covered == set(np.flatnonzero(flags))
+            _, _, predictions, precursors = structure(out)
+            assert set().union(*predictions, *precursors) == set(np.flatnonzero(flags))
 
     def test_ambiguous_windows_attached(self):
         flags = np.zeros(20, dtype=int)
         out = split_precursor_prediction(
             detection_from_flags(flags), anomaly_labels(5, 3), delta=4
         )
-        assert out.ambiguous == (Segment(8, 4),)
+        assert out.anomaly_ends.tolist() == [7]
+        assert out.ambiguous_ends.tolist() == [11]  # the window 8..11
         assert out.delta == 4
 
     def test_labels_must_match_detection_length(self):
@@ -239,12 +246,8 @@ class TestSplitPrecursorPrediction:
         flags = np.array([flag for _, flag in bits], dtype=np.int8)
         anomalies, ambiguous, predictions, precursors = ref_structures(labels, flags.tolist(), delta)
         out = split_precursor_prediction(detection_from_flags(flags), labels, delta)
-        assert index_sets(out.anomalies) == anomalies
-        assert index_sets(out.ambiguous) == ambiguous
-        assert index_sets(out.predictions) == predictions
-        assert index_sets(out.precursors) == precursors
+        assert structure(out) == (anomalies, ambiguous, predictions, precursors)
         merged = merge_precursors_into_predictions(out)
-        assert index_sets(merged.predictions) == [p | pp for p, pp in zip(predictions, precursors)]
-        assert index_sets(merged.precursors) == [set()] * len(predictions)
-        assert index_sets(merged.anomalies) == anomalies
-        assert index_sets(merged.ambiguous) == ambiguous
+        assert structure(merged) == (anomalies, ambiguous,
+                                     [p | pp for p, pp in zip(predictions, precursors)],
+                                     [set()] * len(predictions))

@@ -1,10 +1,14 @@
 """The one-line error contract, fuzzed: every input file of every stage, with one
-field replaced, a line deleted, duplicated or swapped, or the file cut short.
+field replaced, a line deleted, duplicated or swapped, the file cut short, or
+one byte sequence that is not plain UTF-8 text inserted; and the numeric options
+of the stages, each given one edge value.
 
-Each example mutates one input of a small pipeline run and runs its stage in
-process. Whatever the input, the stage exits 0, or it exits 2, 3 or 4 with
-exactly one ``error[<category>]`` line, no warning, and no new file or
-``.poakit-*`` directory left behind.
+Each example mutates one input or one option of a small pipeline run and runs
+its stage in process. Whatever the input, the stage exits 0, or it exits 2, 3
+or 4 with exactly one ``error[<category>]`` line, no warning, and no new file or
+``.poakit-*`` directory left behind. A value an option's type refuses is
+click's usage error instead, which ends in one ``Error: Invalid value`` line
+naming the option.
 """
 
 import random
@@ -76,6 +80,33 @@ EXAMPLES = [(*target, seed) for target in TARGETS for seed in range(15)] + [
     ("score-csv", "valid_forecasts.csv", 45), ("score-csv", "test_forecasts.csv", 51)]
 
 
+# bytes inserted at a random offset: an invalid start byte, a lone lead byte,
+# an encoded surrogate, a byte order mark and NUL
+BYTES = [b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xef\xbb\xbf", b"\x00"]
+
+METRIC_OPTIONS = ["--alpha", "--beta", "--gamma", "--delta", "--epsilon", "--k"]
+# the numeric options of each stage, given one of OPTION_VALUES after the
+# stage's own arguments
+OPTIONS = {
+    "split": ["--train-frac"],
+    "forecast": ["--input-len", "--horizon", "--stride", "--top-k"],
+    "score-csv": ["--length", "--eps-sigma"],
+    "detect": METRIC_OPTIONS,
+    "evaluate": [*METRIC_OPTIONS, "--theta", "--theta-grid", "--tapr-alpha"],
+    "sweep": METRIC_OPTIONS,
+    "synth": ["--seed"],
+}
+# no count here makes a stage allocate much: 2**61 and up are refused before
+# anything is allocated, while 2**31 or 2**32 values would be allocated
+OPTION_VALUES = ["0", "-1", "nan", "inf", "1e308", "1e-320", "0.5", "3.0", "1_0", "١",
+                 str(2**61), str(2**63 - 1), str(2**63), str(10**20)]
+# a seeded sample of every (stage, option, value); it holds detect and evaluate
+# with --k 1e308, whose early-reward exponent once printed numpy's overflow warning
+OPTION_EXAMPLES = random.Random("options").sample(
+    [(stage, option, value) for stage, options in OPTIONS.items() for option in options
+     for value in OPTION_VALUES], 150)
+
+
 def _read(path: Path) -> str:
     with open(path, encoding="utf-8", newline="") as fh:  # line endings as written
         return fh.read()
@@ -144,19 +175,20 @@ def _tree(root: Path) -> set:
     return {str(path.relative_to(root)) for path in root.rglob("*")}
 
 
-@pytest.mark.parametrize("stage, target, seed", EXAMPLES,
-                         ids=[f"{s}-{n}-{i}" for s, n, i in EXAMPLES])
-def test_one_line_contract(run, tmp_path, stage, target, seed):
+def _stage_args(run, tmp_path, stage, target=None, mutated=b""):
+    """The stage's arguments, its inputs written from ``run`` into
+    ``tmp_path/run`` with ``target`` replaced by the ``mutated`` bytes."""
     template, inputs = STAGES[stage]
-    rng = random.Random(f"{stage}:{target}:{seed}")
     work = tmp_path / "run"
     work.mkdir()
     for name in {*inputs, *(c for name in inputs for c in COMPANIONS.get(name, []))}:
-        (work / name).write_text(run[name], encoding="utf-8", newline="")
-    mutated = mutate(run[target], rng, target.endswith((".json", ".ndjson")))
-    (work / target).write_text(mutated, encoding="utf-8", newline="")
-    args = [re.sub(r"\{([^}]+)\}", lambda m: str(
+        (work / name).write_bytes(mutated if name == target else run[name].encode())
+    return [re.sub(r"\{([^}]+)\}", lambda m: str(
         {"out": tmp_path / "out", "run": work}.get(m[1], work / m[1])), arg) for arg in template]
+
+
+def _assert_contract(tmp_path, args, option=None):
+    """Run the stage: it exits 0, or with one error line and no new file."""
     before = _tree(tmp_path)
 
     with warnings.catch_warnings():
@@ -168,5 +200,33 @@ def test_one_line_contract(run, tmp_path, stage, target, seed):
     assert result.exit_code in (0, 2, 3, 4), result.output[-2000:]
     if result.exit_code:
         lines = result.output.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error["), result.output[-2000:]
+        if option is not None and lines[0].startswith("Usage: "):  # click refused the value
+            assert result.exit_code == 2, result.output
+            assert lines[1:-1] == [f"Try 'cli {args[0]} --help' for help.", ""], result.output
+            assert lines[-1].startswith(f"Error: Invalid value for '{option}': "), result.output
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error["), result.output[-2000:]
         assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("stage, target, seed", EXAMPLES,
+                         ids=[f"{s}-{n}-{i}" for s, n, i in EXAMPLES])
+def test_one_line_contract(run, tmp_path, stage, target, seed):
+    rng = random.Random(f"{stage}:{target}:{seed}")
+    mutated = mutate(run[target], rng, target.endswith((".json", ".ndjson")))
+    _assert_contract(tmp_path, _stage_args(run, tmp_path, stage, target, mutated.encode()))
+
+
+@pytest.mark.parametrize("stage, target", TARGETS, ids=[f"{s}-{n}" for s, n in TARGETS])
+def test_inserted_bytes(run, tmp_path, stage, target):
+    rng = random.Random(f"bytes:{stage}:{target}")
+    data = run[target].encode()
+    at = rng.randrange(len(data) + 1)
+    mutated = data[:at] + rng.choice(BYTES) + data[at:]
+    _assert_contract(tmp_path, _stage_args(run, tmp_path, stage, target, mutated))
+
+
+@pytest.mark.parametrize("stage, option, value", OPTION_EXAMPLES,
+                         ids=[f"{s}{o}={v}" for s, o, v in OPTION_EXAMPLES])
+def test_option_values(run, tmp_path, stage, option, value):
+    _assert_contract(tmp_path, [*_stage_args(run, tmp_path, stage), option, value], option)
