@@ -137,7 +137,7 @@ def cli():
 cli.command_class = Stage
 
 
-def _resolve_seed(flag_seed: int | None, config_seed: int | None) -> int:
+def _resolve_seed(flag_seed: int | None, config_seed: int) -> int:
     if flag_seed is not None:
         return flag_seed
     env = os.environ.get(SEED_ENV_VAR)
@@ -146,9 +146,7 @@ def _resolve_seed(flag_seed: int | None, config_seed: int | None) -> int:
             return core.csv_number(env, int)
         except ValueError:
             raise ValidationError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    if config_seed is not None:
-        return config_seed
-    return 42
+    return config_seed
 
 
 @cli.command()
@@ -235,26 +233,21 @@ def _forecast(fitted, windows, horizon, series_path) -> "fc.ForecastCube":
 def forecast(stage, train_path, valid_path, out_dir, test_path, members, top_k, criterion,
              input_len, horizon, stride, standardize):
     """Fit members on TRAIN, rank them on VALID, emit top-K ensemble forecasts."""
-    train = pio.read_series_csv(train_path)
-    valid = pio.read_series_csv(valid_path)
-    scaler = None
+    paths = [train_path, valid_path, *([test_path] if test_path is not None else [])]
+    series = [pio.read_series_csv(path) for path in paths]
+    names = series[0].variable_names  # a model's coefficients are fit per variable, in order
+    for path, other in zip(paths[1:], series[1:]):
+        if other.variable_names != names:
+            raise ValidationError(
+                f"{path}: variables {other.variable_names} differ from {train_path}'s {names}")
     if standardize:
-        mu = train.values.mean(axis=0)
-        sd = np.maximum(train.values.std(axis=0), 1e-12)
-
-        def scaler(series):
-            return core.TimeSeries(
-                series.timestamps, (series.values - mu) / sd, series.variable_names
-            )
-
-        train, valid = scaler(train), scaler(valid)
+        mu = series[0].values.mean(axis=0)
+        sd = np.maximum(series[0].values.std(axis=0), 1e-12)
+        series = [core.TimeSeries(s.timestamps, (s.values - mu) / sd, names) for s in series]
+    train, valid, *test = series
     specs = _parse_members(members)
     cfg = fc.WindowConfig(input_len, horizon, stride)
-    test_windows = None
-    if test_path is not None:
-        test = pio.read_series_csv(test_path)
-        test_windows = fc.make_windows(test if scaler is None else scaler(test), cfg,
-                                       with_targets=False)
+    test_windows = fc.make_windows(test[0], cfg, with_targets=False) if test else None
     fitted = [fc.fit(spec, train) for spec in specs]
     # every member forecasts the validation windows once: members are ranked on the cube written
     windows = fc.make_windows(valid, cfg, with_targets=True)
@@ -434,7 +427,7 @@ def _evaluation_payload(detection, labels, params, metrics_wanted, theta_grid_n)
     thetas = _theta_points(theta_grid_n)
     if "ptapr" in metrics_wanted:
         report = mx.ptapr_report(segments, params)
-        sweep = mx.ptapr_theta_sweep(segments, params, thetas)
+        sweep = mx.ptapr_theta_sweep(report, thetas)
         p_e, r_e, f1_e = mx.early_prf(report)
         payload["ptapr"] = {
             "f1_0": sweep.f1_at_0,
@@ -467,14 +460,14 @@ def _evaluation_payload(detection, labels, params, metrics_wanted, theta_grid_n)
             },
         }
     if "tapr" in metrics_wanted:
-        tapr_sweep = mx.tapr_theta_sweep(segments, params, thetas)
         at_theta = mx.tapr(segments, params)
+        tapr_sweep = mx.ptapr_theta_sweep(at_theta, thetas)
         payload["tapr"] = {
             "f1_0": tapr_sweep.f1_at_0,
             "f1_1": tapr_sweep.f1_at_1,
             "auc": tapr_sweep.auc,
             "at_theta": {
-                "tar": at_theta.tar, "tap": at_theta.tap, "f1": at_theta.f1,
+                "tar": at_theta.ptar, "tap": at_theta.ptap, "f1": at_theta.f1,
             },
             "curve": {"theta": tapr_sweep.thetas, "f1": tapr_sweep.f1},
         }
@@ -572,12 +565,14 @@ def sweep(stage, detection_path, labels_path, out_path, param, values, theta_gri
     base = mx.MetricParams(**metric_options)
     cast = float if param == "k" else int
     rows = []
-    for value in parsed:
-        params = dataclasses.replace(base, **{param: cast(value)})
-        s = mx.ptapr_theta_sweep(segments, params, thetas)
+    for value in map(cast, parsed):
+        params = dataclasses.replace(base, **{param: value})
+        s = mx.ptapr_theta_sweep(mx.ptapr_report(segments, params), thetas)
         rows.append((value, s.f1_at_0, s.f1_at_1, s.auc))
+    # each row is labelled with the value it ran: an epsilon is written whole
     pio.write_csv(stage / Path(out_path).name, (param, "f1_0", "f1_1", "auc"),
-                  ([format(v, core.FLOAT_FMT) for v in row] for row in rows))
+                  ([str(v) if isinstance(v, int) else format(v, core.FLOAT_FMT) for v in row]
+                   for row in rows))
     return f"sweep: {len(rows)} {param} values -> {out_path}"
 
 

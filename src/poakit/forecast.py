@@ -617,7 +617,10 @@ def _csv_chunks(path: str, codes):
         missing = set(_RECORD_FIELDS) - set(header)
         if missing:
             raise DataFormatError(f"header missing columns {sorted(missing)}")
-        column = {name: i for i, name in enumerate(header)}  # last one wins, as in DictReader
+        for name in _RECORD_FIELDS:
+            if header.count(name) > 1:
+                raise DataFormatError(f"header names column {name!r} twice")
+        column = {name: i for i, name in enumerate(header)}
         usecols = [column[f] for f in _RECORD_FIELDS]
         converters = {column["member_id"]: codes.__getitem__}
         lines_before = reader.line_num  # the lines the header took

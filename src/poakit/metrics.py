@@ -103,6 +103,7 @@ class MetricReport:
     anomaly_reward: tuple[float, ...]
     prediction_coverage: tuple[float, ...]
     prediction_reward: tuple[float, ...]
+    params: MetricParams  # whose weights scored both sides; ptapr_theta_sweep reuses them
 
 
 @dataclass(frozen=True)
@@ -116,13 +117,6 @@ class ThetaSweep:
     auc: float
     f1_at_0: float
     f1_at_1: float
-
-
-@dataclass(frozen=True)
-class TaprResult:
-    tar: float
-    tap: float
-    f1: float
 
 
 @dataclass(frozen=True)
@@ -315,6 +309,7 @@ def ptapr_report(segments: SegmentSet, params: MetricParams) -> MetricReport:
         anomaly_reward=tuple(a_reward),
         prediction_coverage=tuple(p_coverage),
         prediction_reward=tuple(p_reward),
+        params=params,
     )
 
 
@@ -352,25 +347,19 @@ def _closed_grid(values, top: float, name: str, plural: str) -> np.ndarray:
     return grid
 
 
-def ptapr_theta_sweep(
-    segments: SegmentSet,
-    params: MetricParams,
-    thetas=None,
-) -> ThetaSweep:
-    """F1 across overlap thresholds, by default ``DEFAULT_THETA_GRID_SIZE`` even
-    steps, with its trapezoidal AUC over [0, 1].
+def ptapr_theta_sweep(report: MetricReport, thetas) -> ThetaSweep:
+    """A report's F1 across overlap thresholds, with its trapezoidal AUC over [0, 1].
 
     The grid is sorted and the endpoints 0 and 1 are added when absent, so
-    the reported AUC always spans the full range. Only the detection-rate
-    components depend on theta, so the per-segment credit is computed once.
+    the reported AUC always spans the full range. Only the detection rates
+    depend on theta, so each is read off the report's per-segment credit
+    with the weights that scored it.
     """
-    if thetas is None:
-        thetas = np.linspace(0.0, 1.0, DEFAULT_THETA_GRID_SIZE)
     thetas = _closed_grid(thetas, 1.0, "theta", "thetas")
-    _require_anomalies(segments)
-    anomaly, prediction = _diagnostics(segments, params)
-    recall = _side(*anomaly, thetas, params)[0]
-    precision = _side(*prediction, thetas, params)[0]
+    recall = _side(np.asarray(report.anomaly_coverage), report.anomaly_reward, thetas,
+                   report.params)[0]
+    precision = _side(np.asarray(report.prediction_coverage), report.prediction_reward,
+                      thetas, report.params)[0]
     f1 = ptapr_f1(recall, precision)
     return ThetaSweep(
         thetas=thetas,
@@ -393,32 +382,16 @@ def merge_precursors_into_predictions(segments: SegmentSet) -> SegmentSet:
     )
 
 
-def _tapr_weights(params: MetricParams) -> MetricParams:
-    """The component weights (tapr_alpha, 1 - tapr_alpha, 0) that score TaPR."""
-    return replace(params, alpha=params.tapr_alpha, beta=1.0 - params.tapr_alpha, gamma=0.0)
-
-
-def tapr(segments: SegmentSet, params: MetricParams) -> TaprResult:
+def tapr(segments: SegmentSet, params: MetricParams) -> MetricReport:
     """Segment-aware TaPR baseline at ``params.theta``: no precursor notion, no
-    early reward.
+    early reward. Its ``ptar``/``ptap`` hold TaR/TaP.
 
     PTaPR on the segments with every precursor folded back into its
     prediction, so the overlap credit is |a n p| + S(a', p), and detection
     and coverage weighted by tapr_alpha / (1 - tapr_alpha).
     """
-    report = ptapr_report(merge_precursors_into_predictions(segments), _tapr_weights(params))
-    return TaprResult(report.ptar, report.ptap, report.f1)
-
-
-def tapr_theta_sweep(
-    segments: SegmentSet,
-    params: MetricParams,
-    thetas=None,
-) -> ThetaSweep:
-    """TaPR's F1 across overlap thresholds, as :func:`ptapr_theta_sweep` on the
-    merged segments; ``ptar``/``ptap`` hold TaR/TaP."""
-    return ptapr_theta_sweep(merge_precursors_into_predictions(segments),
-                             _tapr_weights(params), thetas)
+    weights = replace(params, alpha=params.tapr_alpha, beta=1.0 - params.tapr_alpha, gamma=0.0)
+    return ptapr_report(merge_precursors_into_predictions(segments), weights)
 
 
 def _binary_pair(flags, labels) -> tuple[np.ndarray, np.ndarray]:

@@ -178,7 +178,12 @@ _KINDS = {"sine": SineBase, "ar1": Ar1Base}
 def _from_json(cls, raw: dict, **given):
     """``cls`` built from its JSON object ``raw``: each field not ``given``
     is read, in declaration order, by its annotation's parser, and takes its
-    default when the key is absent."""
+    default when the key is absent. A key that names no field is refused, so
+    that a misspelt optional key does not silently leave its default."""
+    names = {f.name for f in fields(cls)}
+    for key in raw:
+        if key not in names:
+            raise ValidationError(f"unknown synth config key {key!r}")
     for f in fields(cls):
         if f.name not in given:
             given[f.name] = _field(raw, f.name, _PARSERS[f.type], f.default)
@@ -197,7 +202,7 @@ def config_from_dict(data: dict) -> SynthConfig:
         kind = raw.get("kind")
         if not isinstance(kind, str) or kind not in _KINDS:  # a list or dict is unhashable
             raise ValidationError(f"unknown variable kind {kind!r} in synth config")
-        variables.append(_from_json(_KINDS[kind], raw))
+        variables.append(_from_json(_KINDS[kind], {k: v for k, v in raw.items() if k != "kind"}))
     anomalies = [_from_json(AnomalySpec, a, kind=a.get("kind"))
                  for a in _objects(data, "anomalies")]
     precursor = None

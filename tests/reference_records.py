@@ -81,6 +81,9 @@ def read_records(path):
             missing = set(FIELDS) - set(reader.fieldnames)
             if missing:
                 raise RecordError(f"{path}: header missing columns {sorted(missing)}")
+            for name in FIELDS:
+                if reader.fieldnames.count(name) > 1:
+                    raise RecordError(f"{path}: header names column {name!r} twice")
             for raw in reader:  # line_num: the physical line the record ends on
                 records.append(_parse(raw, reader.line_num))
     else:

@@ -127,7 +127,7 @@ def test_criterion_5_oracle_equivalence():
 
         got = mx.tapr(seg, params)
         r_tar, r_tap, rt_f1 = ref_tapr(labels.tolist(), flags.tolist(), theta, 0.5, delta)
-        worst = max(worst, abs(got.tar - r_tar), abs(got.tap - r_tap), abs(got.f1 - rt_f1))
+        worst = max(worst, abs(got.ptar - r_tar), abs(got.ptap - r_tap), abs(got.f1 - rt_f1))
 
         suite = mx.pa_k_suite(flags, labels, k_grid=[0, 20, 40, 60, 80, 100])
         f1_pa, f1_pw, auc = ref_pa_k(flags.tolist(), labels.tolist(), [0, 20, 40, 60, 80, 100])
@@ -200,8 +200,8 @@ def test_criterion_7_theta_sweep_behavior():
         det = detect_mod.Detection(flags, 0.5, np.where(flags == 1, 1.0, np.nan))
         seg = detect_mod.split_precursor_prediction(det, labels, 3)
         params = mx.MetricParams(theta=0.0, delta=3)
-        coarse = mx.ptapr_theta_sweep(seg, params, np.linspace(0, 1, 101))
-        fine = mx.ptapr_theta_sweep(seg, params, np.linspace(0, 1, 10001))
+        coarse = mx.ptapr_theta_sweep(mx.ptapr_report(seg, params), np.linspace(0, 1, 101))
+        fine = mx.ptapr_theta_sweep(mx.ptapr_report(seg, params), np.linspace(0, 1, 10001))
         monotone &= coarse.f1_at_0 >= coarse.f1_at_1 - 1e-12
         worst_refine = max(worst_refine, abs(coarse.auc - fine.auc))
         n += 1
@@ -242,7 +242,7 @@ def test_criterion_8_end_to_end_pipeline(benchmark_run):
         rflags[pos] = 1
         rdet = detect_mod.Detection(rflags, 0.0, np.where(rflags == 1, 1.0, np.nan))
         rseg = detect_mod.split_precursor_prediction(rdet, labels.flags, 24)
-        random_f1s.append(mx.ptapr_theta_sweep(rseg, params, [0.0, 1.0]).f1_at_0)
+        random_f1s.append(mx.ptapr_theta_sweep(mx.ptapr_report(rseg, params), [0.0, 1.0]).f1_at_0)
     rand_mean = float(np.mean(random_f1s))
     ok_c = our_f1_0 > rand_mean
 

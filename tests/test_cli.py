@@ -157,8 +157,8 @@ class TestPipeline:
         payload = json.loads((pipeline / "run/evaluation.json").read_text())
         params = mx.MetricParams(theta=0.0, delta=8)
         segments = detect_mod.split_precursor_prediction(detection, labels.flags, 8)
-        sweep = mx.ptapr_theta_sweep(segments, params, np.linspace(0, 1, 101))
         report = mx.ptapr_report(segments, params)
+        sweep = mx.ptapr_theta_sweep(report, np.linspace(0, 1, 101))
         ptapr = payload["ptapr"]
         assert payload["params"]["delta"] == 8
         assert ptapr["f1_0"] == pytest.approx(sweep.f1_at_0, abs=1e-8)
@@ -264,12 +264,26 @@ class TestMetricStages:
         # got 9223372036854775808" and 2**53 + 1 ran as 2**53
         epsilons = []
         sweep = mx.ptapr_theta_sweep
-        monkeypatch.setattr(mx, "ptapr_theta_sweep", lambda segments, params, thetas: (
-            epsilons.append(params.epsilon) or sweep(segments, params, thetas)))
+        monkeypatch.setattr(mx, "ptapr_theta_sweep", lambda report, thetas: (
+            epsilons.append(report.params.epsilon) or sweep(report, thetas)))
         result = self.invoke(pipeline, tmp_path, "sweep", "--param", "epsilon",
                              "--values", f"7,{value}")
         assert result.exit_code == 0, result.output
         assert epsilons == [7, value]
+
+    @pytest.mark.parametrize("values,labels", [
+        ("1000000001,1000000002", ["1000000001", "1000000002"]),
+        ("9007199254740992,9007199254740993", ["9007199254740992", "9007199254740993"]),
+        ("2,3.0", ["2", "3"]),
+    ], ids=["1e9", "2**53", "integral-float"])
+    def test_sweep_labels_each_row_with_the_epsilon_it_ran(self, pipeline, tmp_path, values,
+                                                          labels):
+        # written with .9g, the first two pairs shared the labels 1e+09 and 9.00719925e+15
+        result = self.invoke(pipeline, tmp_path, "sweep", "--param", "epsilon",
+                             "--values", values)
+        assert result.exit_code == 0, result.output
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == labels
 
     def test_overflowing_k_scores_without_a_warning(self, pipeline, tmp_path):
         # k (lead - epsilon)^2 past 1.8e308 printed numpy's overflow warning in
@@ -401,9 +415,9 @@ class TestMetricStages:
         assert result.output == "error[validation]: no metrics given\n"
         assert not (tmp_path / "evaluation").exists()
 
-    def test_evaluation_builds_credit_four_times(self, pipeline, monkeypatch):
-        """ptapr_report, the PTaPR sweep, tapr and the TaPR sweep each build
-        the credit once; early_prf reads the report."""
+    def test_evaluation_builds_credit_twice(self, pipeline, monkeypatch):
+        """ptapr_report and tapr each build the credit once; early_prf and
+        both theta sweeps read the reports."""
         detection = pio.read_detection(pipeline / "run/detection.csv")
         labels = pio.read_labels_csv(pipeline / "data/labels.csv")
         calls = []
@@ -411,7 +425,7 @@ class TestMetricStages:
         monkeypatch.setattr(mx, "_diagnostics", lambda *a: calls.append(a) or real(*a))
         cli_mod._evaluation_payload(detection, labels, mx.MetricParams(delta=8),
                                     {"ptapr", "tapr", "pak"}, 101)
-        assert len(calls) == 4
+        assert len(calls) == 2
 
     def test_search_and_evaluation_build_no_segment(self, pipeline, monkeypatch):
         """The ptapr-f1@0 search, the evaluation payload and the theta sweep
@@ -428,7 +442,7 @@ class TestMetricStages:
                                      detect_mod.default_grid(scores, 256))
         cli_mod._evaluation_payload(detection, labels, params, {"ptapr", "tapr", "pak"}, 101)
         segments = detect_mod.split_precursor_prediction(detection, labels.flags, params.delta)
-        mx.ptapr_theta_sweep(segments, params, np.linspace(0, 1, 101))
+        mx.ptapr_theta_sweep(mx.ptapr_report(segments, params), np.linspace(0, 1, 101))
         assert built == []
         # the count sees a read-back, which builds one Segment per anomaly
         assert len(list(segments.anomalies)) == len(built) == len(segments.anomaly_starts) > 0
@@ -886,6 +900,73 @@ class TestErrorHandling:
             "error[validation]: insufficient length: need at least 30 rows (input), got 20\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("scaling", ["--no-standardize", "--standardize"])
+    @pytest.mark.parametrize("split", ["valid", "test"])
+    def test_series_with_other_variables_rejected(self, pipeline, tmp_path, scaling, split):
+        # with its two columns swapped, a series was forecast with the other
+        # variable's coefficients and exited 0
+        source = pipeline / ("parts/valid.csv" if split == "valid" else "data/test.csv")
+        swapped = tmp_path / "swapped.csv"
+        swapped.write_text("".join(
+            ",".join([ts, v1, v0]) + "\n"
+            for ts, v0, v1 in (line.split(",") for line in source.read_text().splitlines())))
+        paths = {"valid": swapped if split == "valid" else pipeline / "parts/valid.csv",
+                 "test": swapped if split == "test" else pipeline / "data/test.csv"}
+        out = tmp_path / "fc"
+        result = CliRunner().invoke(cli, [
+            "forecast", str(pipeline / "parts/train.csv"), str(paths["valid"]), str(out),
+            "--test", str(paths["test"]), "--members", MEMBERS, "--top-k", "3",
+            "--input-len", "30", "--horizon", "8", scaling,
+        ])
+        assert result.exit_code == 2, result.output
+        assert result.output == (
+            f"error[validation]: {swapped}: variables ('v1', 'v0') differ from "
+            f"{pipeline / 'parts/train.csv'}'s ('v0', 'v1')\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args,files,message", [
+        (["forecast", "{p}/parts/train.csv", "{p}/parts/valid.csv", "{t}/fc", "--members", ","],
+         {}, "no forecaster members given"),
+        (["forecast", "{p}/parts/train.csv", "{p}/parts/valid.csv", "{t}/fc",
+          "--members", "seasonal_naive:24", "--input-len", "10"],
+         {}, "seasonal_naive_24: input window shorter than period 24"),
+        (["forecast", "{p}/parts/train.csv", "{p}/parts/valid.csv", "{t}/fc",
+          "--members", "moving_average:12", "--input-len", "5"],
+         {}, "moving_average_12: input window shorter than width 12"),
+        (["forecast", "{p}/parts/train.csv", "{p}/parts/valid.csv", "{t}/fc",
+          "--members", "ar_ols:4", "--input-len", "3"],
+         {}, "ar_ols_4: input window shorter than order 4"),
+        (["forecast", "{p}/parts/train.csv", "{p}/parts/valid.csv", "{t}/fc",
+          "--members", "holt_linear:0.3:0.1", "--input-len", "1"],
+         {}, "holt_linear_0.3_0.1: needs input length >= 2"),
+        (["sweep", "{p}/run/detection.csv", "{p}/data/labels.csv", "{t}/sweep.csv",
+          "--param", "k", "--values", ","], {}, "no sweep values given"),
+        (["report", "{t}"], {}, "{t}: no pipeline outputs found to report on"),
+        (["evaluate", "{p}/run/detection.csv", "{t}/labels.csv", "{t}/ev"],
+         {"labels.csv": "timestamp,label\n"}, "{t}/labels.csv: no data rows"),
+        (["detect", "{t}/scores.csv", "{p}/data/labels.csv", "{t}/detection.csv"],
+         {"scores.csv": "timestamp,score,lead_time\n"}, "{t}/scores.csv: no data rows"),
+        (["split", "{t}/series.csv", "{t}/parts"], {"series.csv": "timestamp,v0\n0,1.5\n"},
+         "split at 0 leaves an empty side (T=1, train_frac=0.7)"),
+        (["evaluate", "{t}/det.csv", "{t}/labels.csv", "{t}/ev"],
+         {"det.csv": "timestamp,flag,lead_time\n0,1,1\n", "labels.csv": "timestamp,label\n0,1\n",
+          "det.csv.meta.json": f'{{"threshold": {10**400}}}'},
+         f"{{t}}/det.csv.meta.json: no numeric 'threshold' (got {10**400})"),
+        (["score", "{t}/test.csv", "{p}/fc/valid_forecasts.csv", "{t}/scores.csv"],
+         {"test.csv": "window_id,origin,member_id,step,variable\n0,0,m0,1,0\n"},
+         "{t}/test.csv: header missing columns ['value']"),
+    ], ids=["no-members", "seasonal-naive-input", "moving-average-input", "ar-ols-input",
+            "holt-linear-input", "no-sweep-values", "report-empty-directory",
+            "header-only-labels", "header-only-scores", "one-row-split", "huge-threshold",
+            "no-value-column"])
+    def test_refusal_is_one_line_and_writes_nothing(self, pipeline, tmp_path, args, files,
+                                                    message):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        result = CliRunner().invoke(cli, [a.format(p=pipeline, t=tmp_path) for a in args])
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error[validation]: {message.format(t=tmp_path)}\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)
 
     @pytest.mark.parametrize("stage", ["detect", "evaluate", "sweep", "score", "synth"])
     def test_count_no_array_holds_is_a_memory_error(self, pipeline, tmp_path, stage):
@@ -1555,6 +1636,35 @@ class TestSynthConfigFields:
         assert message in result.output
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("parents,key,value,message", [
+        ((), "obs_noise_sd", 0.5, "unknown synth config key 'obs_noise_sd'"),
+        (("variables", 0), "amplitud", 9, "unknown synth config key 'amplitud'"),
+        (("anomalies", 0), "lenght", 5, "unknown synth config key 'lenght'"),
+        (("precursor",), "lenght", 5, "unknown synth config key 'lenght'"),
+        (("variables", 1), "coef", 1.5, "ar1 coefficient must lie in (-1, 1) for stationarity"),
+        (("variables", 1), "noise_std", -1, "ar1 noise_std must be >= 0"),
+        (("anomalies", 0), "start", -1, "anomaly needs start >= 0 and length >= 1"),
+        (("precursor",), "lead", 0, "precursor lead and length must be >= 1"),
+        (("precursor",), "noise_inflation", 0.5, "noise_inflation must be >= 1"),
+        ((), "length", 0, "length must be >= 1"),
+        ((), "variables", [], "need at least one variable"),
+        ((), "obs_noise_std", -1, "obs_noise_std must be >= 0"),
+    ], ids=["unknown-top-level", "unknown-variable", "unknown-anomaly", "unknown-precursor",
+            "coef", "noise_std", "start", "lead", "noise_inflation", "length", "variables",
+            "obs_noise_std"])
+    def test_field_refused_by_name(self, tmp_path, parents, key, value, message):
+        # a misspelt optional key was ignored, and its field silently took its default
+        cfg = json.loads(json.dumps(SYNTH_CFG))
+        node = cfg
+        for part in parents:
+            node = node[part]
+        node[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        result = CliRunner().invoke(cli, ["synth", str(tmp_path / "d"), "--config", str(cfg_path)])
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error[validation]: {message}\n"
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("path,value", [
         (("variables", 0, "phase"), "inf"),

@@ -718,6 +718,19 @@ class TestForecastRecords:
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
 
+    @pytest.mark.parametrize("column", ["value", "window_id"])
+    def test_header_naming_a_field_twice_rejected(self, tmp_path, column):
+        # the last such column was read: a second value column of 999s gave a cube of 999s
+        path, rows = self._records(tmp_path)
+        self._rewrite(path, [rows[0] + [column], *(row + ["999"] for row in rows[1:])])
+        message = f"{path}: header names column {column!r} twice"
+        with pytest.raises(DataFormatError) as err:
+            ingest_external_forecasts(path)
+        assert str(err.value) == message
+        with pytest.raises(reference_records.RecordError) as ref_err:
+            reference_records.ref_ingest(path)
+        assert str(ref_err.value) == message
+
     @pytest.mark.parametrize(
         "field, text, message",
         [

@@ -303,7 +303,7 @@ class TestReportJson:
         seg = segment_set([(10, 5)], [(10, 5)], delta=4, series_len=T)
         params = mx.MetricParams(theta=0.5, delta=4)
         report = mx.ptapr_report(seg, params)
-        sweep = mx.ptapr_theta_sweep(seg, params, np.linspace(0, 1, 11))
+        sweep = mx.ptapr_theta_sweep(report, np.linspace(0, 1, 11))
         path = tmp_path / "report.json"
         write_json(path, _evaluation_payload(detection, labels, params, {"ptapr"}, 11))
 

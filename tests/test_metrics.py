@@ -24,7 +24,6 @@ from poakit.metrics import (
     ptapr_theta_sweep,
     sigmoid_position_weight,
     tapr,
-    tapr_theta_sweep,
     weighted_component_score,
 )
 import poakit.metrics as mx
@@ -303,7 +302,7 @@ class TestThetaSweep:
     def test_constant_curve_auc(self):
         # full coverage everywhere: F1 does not depend on theta
         seg = segment_set([(5, 4)], [(5, 4)], delta=4, series_len=30)
-        sweep = ptapr_theta_sweep(seg, MetricParams(delta=4), np.linspace(0, 1, 11))
+        sweep = ptapr_theta_sweep(ptapr_report(seg, MetricParams(delta=4)), np.linspace(0, 1, 11))
         assert np.allclose(sweep.f1, sweep.f1[0])
         assert sweep.auc == pytest.approx(sweep.f1[0], abs=1e-12)
         assert sweep.f1_at_0 == sweep.f1[0]
@@ -315,20 +314,20 @@ class TestThetaSweep:
 
     def test_endpoints_added(self):
         seg = golden_fixture()
-        sweep = ptapr_theta_sweep(seg, THIRDS, [0.5])
+        sweep = ptapr_theta_sweep(ptapr_report(seg, THIRDS), [0.5])
         assert sweep.thetas[0] == 0.0 and sweep.thetas[-1] == 1.0
 
-    @pytest.mark.parametrize("sweep", [ptapr_theta_sweep, tapr_theta_sweep])
+    @pytest.mark.parametrize("score", [ptapr_report, tapr])
     @pytest.mark.parametrize("thetas", [[0.5, math.nan], [math.nan], [math.nan, 0.0, 1.0]])
-    def test_nan_theta_is_refused(self, sweep, thetas):
+    def test_nan_theta_is_refused(self, score, thetas):
         # NaN fails every < and > comparison, so a range check made of them lets it through
         with pytest.raises(ValidationError, match=r"thetas must lie within \[0, 1\]"):
-            sweep(golden_fixture(), THIRDS, thetas)
+            ptapr_theta_sweep(score(golden_fixture(), THIRDS), thetas)
 
     def test_refinement_oracle(self):
         seg = golden_fixture()
-        coarse = ptapr_theta_sweep(seg, THIRDS, np.linspace(0, 1, 101))
-        fine = ptapr_theta_sweep(seg, THIRDS, np.linspace(0, 1, 10001))
+        coarse = ptapr_theta_sweep(ptapr_report(seg, THIRDS), np.linspace(0, 1, 101))
+        fine = ptapr_theta_sweep(ptapr_report(seg, THIRDS), np.linspace(0, 1, 10001))
         assert coarse.auc == pytest.approx(fine.auc, abs=1e-3)
 
     def test_detection_component_monotone_in_theta(self):
@@ -353,8 +352,8 @@ class TestTapr:
     def test_perfect_pointwise_match(self):
         seg = segment_set([(5, 4), (20, 3)], [(5, 4), (20, 3)], delta=4, series_len=40)
         res = tapr(seg, MetricParams(theta=1.0, delta=4))
-        assert res.tar == 1.0
-        assert res.tap == 1.0
+        assert res.ptar == 1.0
+        assert res.ptap == 1.0
         assert res.f1 == 1.0
 
     def test_hand_oracle_on_golden_fixture(self):
@@ -371,8 +370,8 @@ class TestTapr:
         tap_d = 1.0
         tap_p = sum(min(1.0, c) for c in cov_p) / 3.0
         exp_tap = 0.5 * tap_d + 0.5 * tap_p
-        assert res.tar == pytest.approx(exp_tar, abs=1e-12)
-        assert res.tap == pytest.approx(exp_tap, abs=1e-12)
+        assert res.ptar == pytest.approx(exp_tar, abs=1e-12)
+        assert res.ptap == pytest.approx(exp_tap, abs=1e-12)
         assert res.f1 == pytest.approx(
             2 * exp_tar * exp_tap / (exp_tar + exp_tap), abs=1e-12
         )
@@ -391,7 +390,7 @@ class TestTapr:
         seg = golden_fixture()
         a = tapr(seg, MetricParams(theta=0.5, delta=4, epsilon=3, k=0.5))
         b = tapr(seg, MetricParams(theta=0.5, delta=4, epsilon=9, k=0.0001))
-        assert a == b
+        assert replace(a, params=b.params) == b
 
 
 class TestTaprThetaSweep:
@@ -404,26 +403,27 @@ class TestTaprThetaSweep:
 
     def test_matches_per_theta_tapr(self):
         seg, thetas = golden_fixture(), np.linspace(0.0, 1.0, 101)
-        sweep = tapr_theta_sweep(seg, THIRDS, thetas)
+        sweep = ptapr_theta_sweep(tapr(seg, THIRDS), thetas)
         singles = self.per_theta(seg, THIRDS, thetas)
         assert np.array_equal(sweep.thetas, thetas)
         assert sweep.f1.tolist() == [r.f1 for r in singles]
-        assert sweep.ptar.tolist() == [r.tar for r in singles]
-        assert sweep.ptap.tolist() == [r.tap for r in singles]
+        assert sweep.ptar.tolist() == [r.ptar for r in singles]
+        assert sweep.ptap.tolist() == [r.ptap for r in singles]
         assert sweep.auc == auc_trapezoid(thetas, sweep.f1)
         assert (sweep.f1_at_0, sweep.f1_at_1) == (singles[0].f1, singles[-1].f1)
 
     def test_grid_normalised_like_ptapr_sweep(self):
         seg = golden_fixture()
-        sweep = tapr_theta_sweep(seg, THIRDS, [0.7, 0.3, 0.3])
+        sweep = ptapr_theta_sweep(tapr(seg, THIRDS), [0.7, 0.3, 0.3])
         assert sweep.thetas.tolist() == [0.0, 0.3, 0.7, 1.0]
-        assert np.array_equal(sweep.thetas, ptapr_theta_sweep(seg, THIRDS, [0.7, 0.3]).thetas)
+        ptapr_sweep = ptapr_theta_sweep(ptapr_report(seg, THIRDS), [0.7, 0.3])
+        assert np.array_equal(sweep.thetas, ptapr_sweep.thetas)
         with pytest.raises(ValidationError):
-            tapr_theta_sweep(seg, THIRDS, [])
+            ptapr_theta_sweep(tapr(seg, THIRDS), [])
 
     def test_no_predictions(self):
         seg = segment_set([(5, 4)], [], delta=4, series_len=30)
-        sweep = tapr_theta_sweep(seg, THIRDS, [0.0, 1.0])
+        sweep = ptapr_theta_sweep(tapr(seg, THIRDS), [0.0, 1.0])
         assert sweep.f1.tolist() == [0.0, 0.0]
         assert sweep.ptap.tolist() == [0.0, 0.0]
 
@@ -441,7 +441,7 @@ class TestTaprThetaSweep:
             params = MetricParams(delta=delta)
             det = Detection(flags, 0.5, np.where(flags == 1, 1.0, np.nan))
             seg = split_precursor_prediction(det, labels, delta)
-            sweep = tapr_theta_sweep(seg, params, thetas)
+            sweep = ptapr_theta_sweep(tapr(seg, params), thetas)
             singles = self.per_theta(seg, params, thetas)
             assert sweep.f1.tolist() == [r.f1 for r in singles]
             for theta, f1 in zip(thetas, sweep.f1):
@@ -624,8 +624,8 @@ class TestOracleEquivalence:
             r_tar, r_tap, rt_f1 = ref_tapr(
                 labels.tolist(), flags.tolist(), theta, 0.5, delta
             )
-            assert got.tar == pytest.approx(r_tar, abs=1e-9)
-            assert got.tap == pytest.approx(r_tap, abs=1e-9)
+            assert got.ptar == pytest.approx(r_tar, abs=1e-9)
+            assert got.ptap == pytest.approx(r_tap, abs=1e-9)
             assert got.f1 == pytest.approx(rt_f1, abs=1e-9)
             checked += 1
 
@@ -667,7 +667,7 @@ class TestOracleEdges:
         assert (report.ptar, report.ptap, report.f1) == pytest.approx(expected, abs=1e-9)
         got = tapr(seg, params)
         expected = ref_tapr(labels, flags, theta, 0.5, delta)
-        assert (got.tar, got.tap, got.f1) == pytest.approx(expected, abs=1e-9)
+        assert (got.ptar, got.ptap, got.f1) == pytest.approx(expected, abs=1e-9)
 
 
 def _seeded_case(seed, T=600):
@@ -823,17 +823,17 @@ class TestThetaGridMatchesLoop:
     @example((golden_fixture(), THIRDS, [0.6, 0.6, 1.0, 0.0]))  # exact coverages
     def test_matches_theta_loop(self, case):
         seg, params, thetas = case
-        self.assert_matches(params, thetas, ptapr_report(seg, params),
-                            ptapr_theta_sweep(seg, params, thetas))
+        report = ptapr_report(seg, params)
+        self.assert_matches(params, thetas, report, ptapr_theta_sweep(report, thetas))
         weights = replace(params, alpha=params.tapr_alpha, beta=1.0 - params.tapr_alpha,
                           gamma=0.0)
         merged = ptapr_report(merge_precursors_into_predictions(seg), weights)
         got = tapr(seg, params)
         recall, precision = (ref.side_score(*side, params.theta, weights).score
                              for side in _sides(merged))
-        assert [got.tar.hex(), got.tap.hex(), got.f1.hex()] == [
+        assert [got.ptar.hex(), got.ptap.hex(), got.f1.hex()] == [
             recall.hex(), precision.hex(), ref.ptapr_f1(recall, precision).hex()]
-        self.assert_matches(weights, thetas, merged, tapr_theta_sweep(seg, params, thetas))
+        self.assert_matches(weights, thetas, merged, ptapr_theta_sweep(got, thetas))
 
     @staticmethod
     def assert_matches(params, thetas, report, sweep):
@@ -857,9 +857,10 @@ class TestThetaGridMatchesLoop:
         seg = segment_set([(100 * i + 3, 10) for i in range(20)],
                           [(2 * i, 1) for i in range(1000)], delta=24, series_len=2100)
         thetas = np.linspace(0.0, 1.0, 100_001)
+        report = ptapr_report(seg, MetricParams())
         tracemalloc.start()
         try:
-            sweep = ptapr_theta_sweep(seg, MetricParams(), thetas)
+            sweep = ptapr_theta_sweep(report, thetas)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -874,7 +875,7 @@ class TestReportMatchesSides:
     @staticmethod
     def assert_report_matches(seg, params):
         report = ptapr_report(seg, params)
-        sweep = ptapr_theta_sweep(seg, params, [params.theta])
+        sweep = ptapr_theta_sweep(report, [params.theta])
         at = int(np.searchsorted(sweep.thetas, params.theta))
         assert (report.ptar, report.ptap, report.f1) == (
             sweep.ptar[at], sweep.ptap[at], sweep.f1[at])
