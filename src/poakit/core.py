@@ -183,9 +183,6 @@ class Segment:
         """Last covered index (inclusive)."""
         return self.start + self.length - 1
 
-    def indices(self) -> range:
-        return range(self.start, self.start + self.length)
-
 
 def _segments(starts: np.ndarray, ends: np.ndarray) -> tuple[Segment, ...]:
     """The segments ``[starts[i], ends[i]]`` (inclusive)."""

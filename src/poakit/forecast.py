@@ -490,8 +490,8 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-3]
 
 
-def _record_template(member_ids: tuple[str, ...], shape: tuple, csv_format: bool) -> str:
-    """``str.format`` template for one window's records.
+def _record_template(member_ids: tuple[str, ...], shape: tuple) -> str:
+    """``str.format`` template for one window's CSV records.
 
     Field 0 is what each record writes before its member id, and field 1 + k
     the k-th value of the window's flattened M x L_y x c predictions.
@@ -499,42 +499,30 @@ def _record_template(member_ids: tuple[str, ...], shape: tuple, csv_format: bool
     parts = []
     k = 1
     for member in member_ids:
-        quoted = _csv_field(member) if csv_format else json.dumps(member)
-        quoted = quoted.replace("{", "{{").replace("}", "}}")
+        quoted = _csv_field(member).replace("{", "{{").replace("}", "}}")
         for step in range(1, shape[1] + 1):
             for var in range(shape[2]):
-                if csv_format:
-                    parts.append(f"{{0}}{quoted},{step},{var},{{{k}:{FLOAT_FMT}}}\r\n")
-                else:
-                    parts.append(f'{{0}}{quoted}, "step": {step}, "variable": {var}, '
-                                 f'"value": {{{k}!r}}}}}}\n')
+                parts.append(f"{{0}}{quoted},{step},{var},{{{k}:{FLOAT_FMT}}}\r\n")
                 k += 1
     return "".join(parts)
 
 
 def write_forecast_records(path, cube: ForecastCube) -> None:
-    """Write forecasts as flat records (CSV or NDJSON by extension).
+    """Write forecasts as flat CSV records.
 
     One record per (window, member, step, variable) cell; step is 1-based,
-    variable 0-based. CSV rows are what ``csv.writer`` writes: member ids
-    quoted where needed, CRLF line endings, values at 9 significant digits.
-    NDJSON lines are what ``json.dumps`` writes, values at full precision.
+    variable 0-based. Rows are what ``csv.writer`` writes: member ids quoted
+    where needed, CRLF line endings, values at 9 significant digits.
     """
     path = str(path)
-    if path.endswith(".csv"):
-        csv_format, header = True, ",".join(_RECORD_FIELDS) + "\r\n"
-        head = "{},{},".format
-    elif path.endswith((".ndjson", ".jsonl")):
-        csv_format, header = False, ""
-        head = '{{"window_id": {}, "origin": {}, "member_id": '.format
-    else:
+    if not path.endswith(".csv"):
         raise ValidationError(f"unsupported forecast file extension: {path}")
-    template = _record_template(cube.member_ids, cube.predictions.shape[1:], csv_format)
+    template = _record_template(cube.member_ids, cube.predictions.shape[1:])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header)
+        fh.write(",".join(_RECORD_FIELDS) + "\r\n")
         for wid, origin, preds in zip(cube.window_ids.tolist(), cube.origins.tolist(),
                                       cube.predictions):
-            fh.write(template.format(head(wid, origin), *preds.ravel().tolist()))
+            fh.write(template.format(f"{wid},{origin},", *preds.ravel().tolist()))
 
 
 def _parse_record(raw: dict, line_no: int) -> tuple:
@@ -569,6 +557,21 @@ def _record_chunks(records, codes):
         yield ints[0], ints[1], member, ints[2], ints[3], np.array(value, dtype=np.float64)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; the first key named a second time is refused,
+    where ``json.loads`` keeps its last value."""
+    raw = dict(pairs)
+    if len(raw) < len(pairs):
+        keys = [key for key, _ in pairs]
+        key = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise DataFormatError(f"record names field {key!r} twice")
+    return raw
+
+
+# json.loads given a hook builds a decoder per call, about doubling a record's parse
+_RECORD_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _ndjson_records(path: str):
     with utf8_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -576,9 +579,13 @@ def _ndjson_records(path: str):
             if not line:
                 continue
             try:
-                raw = json.loads(line)
+                if line.startswith("\ufeff"):
+                    json.loads(line)  # refused as json.loads refuses a byte order mark
+                raw = _RECORD_DECODER.decode(line)
             except json.JSONDecodeError as exc:
                 raise DataFormatError(f"line {line_no}: invalid JSON ({exc})") from exc
+            except DataFormatError as exc:  # a key named twice
+                raise DataFormatError(f"line {line_no}: {exc}") from None
             yield _parse_record(raw, line_no)
 
 

@@ -1,9 +1,12 @@
-"""Record-at-a-time reference reader for forecast record files.
+"""Record-at-a-time reference reader for forecast record files, and an NDJSON
+record writer.
 
 Parses and validates one record at a time with plain dicts and sets, sharing
 no code with the package's columnar ingest, so the package can be checked
 against it on any file: both must accept the same files with the same
-values, and reject the rest with the same message.
+values, and reject the rest with the same message. The package writes CSV
+records only; ``write_ndjson`` writes the full-precision NDJSON records an
+external exporter would.
 """
 
 import csv
@@ -69,6 +72,30 @@ def _parse(raw, line_no):
     return record
 
 
+def write_ndjson(path, cube):
+    """``cube``'s records as NDJSON: one ``json.dumps`` object per cell, keys in
+    ``FIELDS`` order, windows in cube order, then members, steps (1-based) and
+    variables (0-based). Reads the cube's arrays, not its per-window views."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for wid, origin, window in zip(cube.window_ids.tolist(), cube.origins.tolist(),
+                                       cube.predictions.tolist()):
+            for member, steps in zip(cube.member_ids, window):
+                for step, values in enumerate(steps, start=1):
+                    for variable, value in enumerate(values):
+                        record = (wid, origin, member, step, variable, value)
+                        fh.write(json.dumps(dict(zip(FIELDS, record))) + "\n")
+
+
+def _object(pairs):
+    """A JSON object; the first key named a second time is refused."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise RecordError(f"record names field {key!r} twice")
+        seen.add(key)
+    return dict(pairs)
+
+
 def read_records(path):
     """[(window_id, origin, member_id, step, variable, value)] in file order."""
     path = str(path)
@@ -93,9 +120,11 @@ def read_records(path):
                 if not line:
                     continue
                 try:
-                    raw = json.loads(line)
+                    raw = json.loads(line, object_pairs_hook=_object)
                 except json.JSONDecodeError as exc:
                     raise RecordError(f"line {line_no}: invalid JSON ({exc})") from exc
+                except RecordError as exc:
+                    raise RecordError(f"line {line_no}: {exc}") from None
                 records.append(_parse(raw, line_no))
     if not records:
         raise RecordError(f"{path}: no forecast records found")

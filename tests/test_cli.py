@@ -20,6 +20,7 @@ from poakit.cli import cli
 from poakit.core import FLOAT_FMT, Segment
 from poakit.forecast import ForecastCube, ingest_external_forecasts, write_forecast_records
 from reference_metrics import ref_prf
+from reference_records import write_ndjson
 
 SYNTH_CFG = {
     "length": 600,
@@ -1199,9 +1200,10 @@ class TestRunDirectoryIndependence:
 class TestRecordPipe:
     SRC = Path(__file__).resolve().parent.parent / "src"
 
-    def score_from_pipe(self, tmp_path, text):
-        """``poakit score`` in a fresh process, its test records fed through a FIFO."""
-        fifo = tmp_path / "test.csv"
+    def score_from_pipe(self, tmp_path, text, ext="csv"):
+        """``poakit score`` in a fresh process, its test records fed through a
+        FIFO; it writes ``scores.csv`` in ``tmp_path``."""
+        fifo = tmp_path / f"test.{ext}"
         os.mkfifo(fifo)
         valid = tmp_path / "valid.csv"
         write_forecast_records(valid, ensembles(seed=1))
@@ -1226,8 +1228,21 @@ class TestRecordPipe:
                 os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
             writer.join(5)
         assert not writer.is_alive()
-        assert not (tmp_path / "scores.csv").exists()
         return fifo, done
+
+    @pytest.mark.parametrize("ext", ["csv", "ndjson"])
+    def test_clean_records_from_a_pipe_score_as_from_a_file(self, tmp_path, ext):
+        # 9,600 records: more than one chunk of 8,192, read once, front to back
+        records = tmp_path / "disk" / f"test.{ext}"
+        records.parent.mkdir()
+        write_records(records, ensembles(windows=400))
+        _, done = self.score_from_pipe(tmp_path, records.read_bytes().decode(), ext)
+        assert done.returncode == 0, done.stderr
+        on_disk = CliRunner().invoke(cli, ["score", str(records), str(tmp_path / "valid.csv"),
+                                           str(records.parent / "scores.csv")])
+        assert on_disk.exit_code == 0, on_disk.output
+        assert (tmp_path / "scores.csv").read_bytes() == (
+            records.parent / "scores.csv").read_bytes()
 
     def test_bad_record_from_a_pipe_exits_2(self, tmp_path):
         # the CSV reader used to re-open the file to name a bad record, and
@@ -1235,6 +1250,7 @@ class TestRecordPipe:
         fifo, done = self.score_from_pipe(
             tmp_path, "window_id,origin,member_id,step,variable,value\r\n0,20,m0,1,0,abc\r\n")
         assert done.returncode == 2, done.stderr
+        assert not (tmp_path / "scores.csv").exists()
         assert done.stderr == (
             f"error[validation]: {fifo}: line 2: bad forecast record "
             "(could not convert string to float: 'abc')\n")
@@ -1249,6 +1265,7 @@ class TestRecordPipe:
         lines[1] = ",".join(fields[:3] + ["1000000000000"] + fields[4:])
         fifo, done = self.score_from_pipe(tmp_path, "\r\n".join(lines))
         assert done.returncode == 3, done.stderr
+        assert not (tmp_path / "scores.csv").exists()
         assert done.stderr.startswith(f"error[memory]: {fifo}: ")
         assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
 
@@ -1436,13 +1453,19 @@ def ensembles(shape=(3, 4, 2), windows=4, origin=20, scale=1.0, seed=0):
                         range(origin, origin + windows), tuple(f"m{i}" for i in range(shape[0])))
 
 
+def write_records(path, cube):
+    """``cube`` as a record file: CSV by poakit's writer, NDJSON by the
+    reference one (poakit writes CSV records only)."""
+    (write_forecast_records if path.suffix == ".csv" else write_ndjson)(path, cube)
+
+
 class TestScoreRejections:
     """``score`` refuses inputs it cannot turn into an honest timeline."""
 
     def run_score(self, tmp_path, test_ens, valid_ens, *extra, ext="csv"):
         test_path, valid_path = tmp_path / f"test.{ext}", tmp_path / f"valid.{ext}"
-        write_forecast_records(test_path, test_ens)
-        write_forecast_records(valid_path, valid_ens)
+        write_records(test_path, test_ens)
+        write_records(valid_path, valid_ens)
         return CliRunner().invoke(
             cli, ["score", str(test_path), str(valid_path), str(tmp_path / "scores.csv"), *extra]
         )
@@ -1537,7 +1560,7 @@ class TestScoreRejections:
         # one record of window 0 moves from step 1 to step 10^12: the grid it
         # implies is far larger than the file could fill, so that record is refused
         path = tmp_path / f"test.{ext}"
-        write_forecast_records(path, ensembles(windows=2))
+        write_records(path, ensembles(windows=2))
         lines = path.read_text().splitlines()
         if ext == "csv":
             fields = lines[1].split(",")
@@ -1719,8 +1742,8 @@ class TestUnreadableInputs:
     def test_forecast_records(self, tmp_path, ext, last):
         # the last record lies past the first block read: numpy's parser meets the byte
         test_path, valid_path = tmp_path / f"test.{ext}", tmp_path / f"valid.{ext}"
-        write_forecast_records(test_path, ensembles(windows=200))
-        write_forecast_records(valid_path, ensembles(seed=1))
+        write_records(test_path, ensembles(windows=200))
+        write_records(valid_path, ensembles(seed=1))
         data = test_path.read_bytes()
         at = data.rindex(b"m2") if last else data.index(b"m0")
         test_path.write_bytes(data[:at + 1] + b"\xff" + data[at + 2:])

@@ -75,7 +75,7 @@ class TestSegment:
     def test_end_inclusive(self):
         seg = Segment(3, 2)
         assert seg.end == 4
-        assert list(seg.indices()) == [3, 4]
+        assert list(range(seg.start, seg.end + 1)) == [3, 4]
 
     def test_rejects_zero_length(self):
         with pytest.raises(ValidationError):
@@ -181,7 +181,7 @@ class TestAmbiguousExtensions:
                 continue
             assert amb.length <= delta
             assert amb.end <= series_len - 1
-            assert not (set(amb.indices()) & anomaly_idx)
+            assert not (set(range(amb.start, amb.end + 1)) & anomaly_idx)
 
 
 def arrays(**changes):

@@ -20,7 +20,8 @@ import pytest
 from click.testing import CliRunner
 
 from poakit.cli import cli
-from poakit.forecast import ingest_external_forecasts, write_forecast_records
+from poakit.forecast import ingest_external_forecasts
+from reference_records import write_ndjson
 
 CONFIG = """{
   "length": 600,
@@ -128,8 +129,8 @@ def run(tmp_path_factory) -> dict:
     _invoke(["forecast", str(root / "parts/train.csv"), str(root / "parts/valid.csv"),
              str(root / "fc"), "--test", str(root / "data/test.csv"), *FORECAST_OPTIONS])
     for split in ("test", "valid"):
-        write_forecast_records(root / f"fc/{split}_forecasts.ndjson",
-                               ingest_external_forecasts(root / f"fc/{split}_forecasts.csv"))
+        write_ndjson(root / f"fc/{split}_forecasts.ndjson",
+                     ingest_external_forecasts(root / f"fc/{split}_forecasts.csv"))
     _invoke(["score", str(root / "fc/test_forecasts.csv"), str(root / "fc/valid_forecasts.csv"),
              str(root / "run/scores.csv")])
     _invoke(["detect", str(root / "run/scores.csv"), str(root / "data/labels.csv"),

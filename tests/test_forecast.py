@@ -502,6 +502,15 @@ def assert_bits_equal(a, b):
     assert np.array_equal(a.view(np.int64), np.asarray(b, dtype=np.float64).view(np.int64))
 
 
+def write_records(path, cube):
+    """``cube`` as a record file: CSV by the package's writer, NDJSON by the
+    reference one (the package writes CSV records only)."""
+    if str(path).endswith(".csv"):
+        write_forecast_records(path, cube)
+    else:
+        reference_records.write_ndjson(path, cube)
+
+
 def write_body(path, head, body):
     """Rewrite a record file: CSV rows through ``csv.writer``, NDJSON lines as given."""
     with open(path, "w", newline="") as fh:
@@ -580,7 +589,7 @@ def edited_file(tmp_path_factory, ensembles, ext, edits):
     repeated at the end, blank lines inserted, records swapped with the last,
     fields replaced by ``FIELD_EDITS``."""
     path = tmp_path_factory.mktemp("edited") / f"fc.{ext}"
-    write_forecast_records(path, ensembles)
+    write_records(path, ensembles)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh)) if ext == "csv" else fh.read().splitlines()
     head, body = (rows[:1], rows[1:]) if ext == "csv" else ([], rows)
@@ -615,7 +624,7 @@ class TestForecastRecords:
     def test_round_trip(self, tmp_path, ext):
         ensembles = self._make_ensembles()
         path = tmp_path / f"fc.{ext}"
-        write_forecast_records(path, ensembles)
+        write_records(path, ensembles)
         loaded = ingest_external_forecasts(path)
         assert len(loaded) == 3
         for orig, back in zip(ensembles, loaded):
@@ -633,8 +642,17 @@ class TestForecastRecords:
     )
     def test_golden_bytes(self, tmp_path, ext, sha256):
         path = tmp_path / f"fc.{ext}"
-        write_forecast_records(path, golden_ensembles())
+        write_records(path, golden_ensembles())
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("ext", ["ndjson", "jsonl"])
+    def test_writer_refuses_ndjson(self, tmp_path, ext):
+        # poakit writes CSV records only; NDJSON is an input format
+        path = tmp_path / f"fc.{ext}"
+        with pytest.raises(ValidationError) as err:
+            write_forecast_records(path, golden_ensembles())
+        assert str(err.value) == f"unsupported forecast file extension: {path}"
+        assert not path.exists()
 
     @settings(max_examples=60, deadline=None)
     @given(ensembles=ensemble_lists())
@@ -655,7 +673,7 @@ class TestForecastRecords:
     @given(ensembles=ensemble_lists())
     def test_ndjson_round_trip_property(self, tmp_path_factory, ensembles):
         path = tmp_path_factory.mktemp("ndjson") / "fc.ndjson"
-        write_forecast_records(path, ensembles)
+        reference_records.write_ndjson(path, ensembles)
         lines = path.read_text().splitlines()
         cells = [json.loads(line) for line in lines]
         assert len(cells) == sum(e.predictions.size for e in ensembles)
@@ -767,7 +785,7 @@ class TestForecastRecords:
     )
     def test_ndjson_number_out_of_range(self, tmp_path, field, text, message):
         path = tmp_path / "fc.ndjson"
-        write_forecast_records(path, self._make_ensembles())
+        reference_records.write_ndjson(path, self._make_ensembles())
         lines = path.read_text().splitlines()
         record = json.loads(lines[1])
         record[field] = "<N>"
@@ -783,7 +801,7 @@ class TestForecastRecords:
         # line 2 is window 0, origin 9, member m1, step 1, variable 1: int() would
         # read each spelling below back as a plausible integer and accept the file
         path = tmp_path / "fc.ndjson"
-        write_forecast_records(path, self._make_ensembles())
+        reference_records.write_ndjson(path, self._make_ensembles())
         lines = path.read_text().splitlines()
         record = json.loads(lines[1])
         bad = {"fraction": record[field] + 0.7, "integral-float": float(record[field]),
@@ -801,7 +819,7 @@ class TestForecastRecords:
     def test_ndjson_numeric_string_integer_accepted(self, tmp_path):
         ensembles = self._make_ensembles()
         path = tmp_path / "fc.ndjson"
-        write_forecast_records(path, ensembles)
+        reference_records.write_ndjson(path, ensembles)
         lines = path.read_text().splitlines()
         record = json.loads(lines[1])
         record["step"] = str(record["step"])
@@ -814,7 +832,7 @@ class TestForecastRecords:
         """The records of ``_make_ensembles`` as NDJSON, line 2's ``field`` set to
         ``value`` (window 0, origin 9, member m1, step 1, variable 1)."""
         path = tmp_path / "fc.ndjson"
-        write_forecast_records(path, self._make_ensembles())
+        reference_records.write_ndjson(path, self._make_ensembles())
         lines = path.read_text().splitlines()
         record = json.loads(lines[1])
         record[field] = value
@@ -842,6 +860,40 @@ class TestForecastRecords:
         with pytest.raises(reference_records.RecordError) as ref_err:
             reference_records.ref_ingest(path)
         assert str(err.value) == f"{path}: {ref_err.value}"
+
+    @pytest.mark.parametrize("repeat, field", [('"value": 999', "value"),
+                                               ('"window_id": 0', "window_id")],
+                             ids=["value", "window_id"])
+    def test_ndjson_field_named_twice_rejected(self, tmp_path, repeat, field):
+        # json.loads keeps the last of a repeated key: with "value" repeated as
+        # 999, this file was read as a cube of 999s
+        path = tmp_path / "fc.ndjson"
+        path.write_text('{"window_id": 0, "origin": 5, "member_id": "m0", "step": 1, '
+                        f'"variable": 0, "value": 1.5, {repeat}}}\n')
+        message = f"line 1: record names field {field!r} twice"
+        with pytest.raises(DataFormatError) as err:
+            ingest_external_forecasts(path)
+        assert str(err.value) == f"{path}: {message}"
+        with pytest.raises(reference_records.RecordError) as ref_err:
+            reference_records.ref_ingest(path)
+        assert str(ref_err.value) == message
+
+    @pytest.mark.parametrize("line", ['\ufeff{"window_id": 0}', '{"window_id": 0',
+                                      '{"window_id": 0} x'],
+                             ids=["byte-order-mark", "unclosed", "extra-data"])
+    def test_ndjson_line_that_is_not_json_is_named(self, tmp_path, line):
+        # one decoder reads every line: a line it refuses is named in json.loads' own words
+        path = tmp_path / "fc.ndjson"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError) as decode_err:
+            json.loads(line)
+        message = f"line 1: invalid JSON ({decode_err.value})"
+        with pytest.raises(DataFormatError) as err:
+            ingest_external_forecasts(path)
+        assert str(err.value) == f"{path}: {message}"
+        with pytest.raises(reference_records.RecordError) as ref_err:
+            reference_records.ref_ingest(path)
+        assert str(ref_err.value) == message
 
     @pytest.mark.parametrize("member", [None, 5, True], ids=["null", "number", "bool"])
     def test_ndjson_member_id_must_be_a_string(self, tmp_path, member):
@@ -913,7 +965,7 @@ class TestForecastRecords:
 
     def test_conflicting_origin_reported(self, tmp_path):
         path = tmp_path / "fc.ndjson"
-        write_forecast_records(path, self._make_ensembles())
+        reference_records.write_ndjson(path, self._make_ensembles())
         lines = path.read_text().splitlines()
 
         rec = json.loads(lines[0])
