@@ -605,10 +605,6 @@ def report(stage, run_dir):
         )
     if (run / "evaluation.json").exists():
         consolidated["evaluation"] = pio.read_json_object(run / "evaluation.json")
-        curve = pio.read_theta_curve(run / "evaluation.json", consolidated["evaluation"])
-        if curve is not None:
-            pio.write_theta_curve_csv(stage / "plot_theta_curve.csv", *curve)
-            plot_files.append("plot_theta_curve.csv")
     if scores is not None:
         detection_flags = None if detection is None else detection.flags.tolist()
         label_flags = None if labels is None else labels.flags.tolist()

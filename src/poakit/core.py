@@ -46,8 +46,8 @@ def strict_float(value) -> float:
     return csv_number(value) if isinstance(value, str) else float(value)
 
 
-# The format of every float in poakit's CSV and JSON outputs (NDJSON records
-# keep full precision).
+# The format of every float poakit writes; its outputs are CSV and JSON (it
+# reads NDJSON records but writes none).
 FLOAT_FMT = ".9g"
 
 

@@ -112,8 +112,10 @@ class ForecasterSpec:
         parts = [self.kind]
         for name in ("period", "width", "order", "alpha", "beta"):
             value = getattr(self, name)
+            if isinstance(value, float):  # :g's 6 digits if they read back as value, else all
+                value = f"{value:g}" if float(f"{value:g}") == value else repr(value)
             if value is not None:
-                parts.append(f"{value:g}" if isinstance(value, float) else str(value))
+                parts.append(str(value))
         return "_".join(parts)
 
     @classmethod
@@ -669,11 +671,12 @@ class _RecordGrid:
     """Forecast records scattered into one W x M x L_y x c cube as they arrive.
 
     Windows and members take slots in the order of their first record. Next
-    to the values, ``stamp`` holds the 1-based number of the record that
+    to the values, ``stamp`` holds the 1-based int32 number of the record that
     filled each cell (0: not yet filled), so duplicates and gaps show without
-    keeping any record past its chunk. A file of n records fills at most n
-    cells, so a record whose cell would make the grid span more cells than
-    the file has room for records is refused: the cube never grows past it.
+    keeping any record past its chunk; a record past number 2**31 - 1 is a
+    MemoryError. A file of n records fills at most n cells, so a record whose
+    cell would make the grid span more cells than the file has room for
+    records is refused: the cube never grows past it.
     Array checks only decide whether a chunk is clean; the first bad record
     of a chunk that is not is named by :meth:`_first_error`, one record at a
     time.
@@ -687,7 +690,7 @@ class _RecordGrid:
         self.origins = np.empty(0, dtype=np.int64)  # by slot: the first record's origin
         self.dims = (0, 0, 0, 0)  # W, M, L_y, c spanned by the records so far
         self.values = np.empty((0, 0, 0, 0))
-        self.stamp = np.zeros((0, 0, 0, 0), np.int32 if max_records < 2**31 else np.int64)
+        self.stamp = np.zeros((0, 0, 0, 0), np.int32)
         self.n = 0
         self.error: str | None = None
 
@@ -696,6 +699,8 @@ class _RecordGrid:
         first bad record's error."""
         if self.error is not None:
             return  # later records cannot move the first bad one
+        if self.n + step.size >= 2**31:
+            raise MemoryError(f"more than {2**31 - 1} records")
         first = self.n + 1
         self.n += step.size
         slot = self._slots(window_id, origin)

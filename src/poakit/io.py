@@ -1,8 +1,8 @@
 """File formats, dataset splitting, and report persistence.
 
-Everything on disk is plain CSV / JSON / NDJSON. Floats are serialized with
-9 significant digits, which is what the read/write round-trip guarantees are
-stated against.
+Everything poakit writes is plain CSV / JSON; NDJSON forecast records are an
+input format only. Floats are serialized with 9 significant digits, which is
+what the read/write round-trip guarantees are stated against.
 """
 
 from __future__ import annotations
@@ -292,28 +292,6 @@ def read_json_object(path) -> dict:
 
 
 THETA_CURVE_HEADER = ("theta", "ptar", "ptap", "f1")
-
-
-def read_theta_curve(path, evaluation: dict) -> list[list[float]] | None:
-    """The theta, ptar, ptap and f1 lists of the evaluation object read from
-    ``path``'s ``ptapr.curve``, as floats (a JSON null, written for NaN, reads
-    as NaN); None when there is no curve."""
-    try:
-        curve = evaluation.get("ptapr", {}).get("curve")
-        if not curve:
-            return None
-        columns = [curve[name] for name in THETA_CURVE_HEADER]
-        if len({len(column) for column in columns}) > 1:
-            raise ValueError(f"lengths {[len(column) for column in columns]}")
-        # json gives int, float or None for a number or null; a bool is an int to Python
-        bad = [v for column in columns for v in column if type(v) not in (int, float, type(None))]
-        if bad:
-            raise ValueError(f"not a number: {bad[0]!r}")
-        return [[math.nan if v is None else float(v) for v in column] for column in columns]
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DataFormatError(
-            f"{path}: ptapr.curve is not four equally long lists of numbers "
-            f"{THETA_CURVE_HEADER} ({exc})") from None
 
 
 def write_theta_curve_csv(path, thetas, ptar, ptap, f1) -> None:

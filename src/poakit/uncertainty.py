@@ -201,6 +201,11 @@ def score_timeline(
                 raise ValidationError(
                     f"validation members {list(validation_ensembles.member_ids)} "
                     f"differ from test members {list(test_ensembles.member_ids)}")
+            (L_y, c), (L_v, c_v) = (cube.predictions.shape[2:]
+                                    for cube in (test_ensembles, validation_ensembles))
+            if (L_v, c_v) != (L_y, c):
+                raise ValidationError(f"{sources[1]}: {L_v} steps x {c_v} variables differ "
+                                      f"from {sources[0]}'s {L_y} x {c}")
             source = sources[1]
             stats = horizon_stats(uncertainty_from_ensembles(validation_ensembles)[0])
             source = sources[0]

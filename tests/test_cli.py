@@ -181,7 +181,8 @@ class TestPipeline:
         assert result.exit_code == 0, result.output
         assert (pipeline / "run/report.json").exists()
         assert (pipeline / "run/plot_timeline.csv").exists()
-        assert (pipeline / "run/plot_theta_curve.csv").exists()
+        # the run's one flat theta curve is evaluate's theta_curve.csv
+        assert not (pipeline / "run/plot_theta_curve.csv").exists()
         lines = (pipeline / "run/plot_timeline.csv").read_text().splitlines()
         assert lines[0] == "timestamp,score,flag,label"
         assert len(lines) == SYNTH_CFG["length"] + 1
@@ -817,6 +818,19 @@ class TestErrorHandling:
         assert result.output == (
             f"error[validation]: --members names member {member_id!r} twice\n")
         assert not out.exists()
+
+    def test_members_differing_past_six_digits_both_run(self, pipeline, tmp_path):
+        # both used to be named exp_smoothing_0.3 and refused as one member twice
+        out = tmp_path / "fc"
+        result = CliRunner().invoke(cli, [
+            "forecast", str(pipeline / "parts/train.csv"), str(pipeline / "parts/valid.csv"),
+            str(out), "--members", "persistence,exp_smoothing:0.3,exp_smoothing:0.3000001",
+            "--top-k", "3", "--input-len", "30", "--horizon", "8",
+        ])
+        assert result.exit_code == 0, result.output
+        assert sorted(row.split(",")[0] for row in
+                      (out / "scoreboard.csv").read_text().splitlines()[1:]) == [
+            "exp_smoothing_0.3", "exp_smoothing_0.3000001", "persistence"]
 
     def test_member_spec_with_extra_parameters_rejected(self, pipeline, tmp_path):
         # ar_ols:4:7 used to run as ar_ols_4 and be recorded in the manifest as given
@@ -1495,8 +1509,13 @@ class TestScoreRejections:
         assert not (tmp_path / "scores.csv").exists()
 
     def test_validation_horizon_mismatch(self, tmp_path):
+        # used to be "stats shape (3, 2) does not match tensor cells (4, 2)",
+        # which named neither file
         result = self.run_score(tmp_path, ensembles(), ensembles(shape=(3, 3, 2), seed=1))
-        self.assert_rejected(result, "does not match tensor cells")
+        assert result.exit_code == 2, result.output
+        assert result.output == (f"error[validation]: {tmp_path / 'valid.csv'}: 3 steps x "
+                                 f"2 variables differ from {tmp_path / 'test.csv'}'s 4 x 2\n")
+        assert not (tmp_path / "scores.csv").exists()
 
     def test_single_member_ensemble(self, tmp_path):
         result = self.run_score(tmp_path, ensembles(shape=(1, 4, 2)), ensembles(seed=1))
@@ -1767,35 +1786,9 @@ class TestUnreadableInputs:
     @pytest.mark.parametrize("text, message", [
         ('{"ptapr": ', "evaluation.json: not valid JSON"),
         ("[1, 2]", "evaluation.json: must be a JSON object, got list"),
-        ('{"ptapr": [1]}', "evaluation.json: ptapr.curve is not four equally long lists"),
-        ('{"ptapr": {"curve": {"theta": [0, 1], "ptap": [1, 1], "f1": [1, 1]}}}',
-         "evaluation.json: ptapr.curve is not four equally long lists"),
-        ('{"ptapr": {"curve": {"theta": [0, 1], "ptar": [1], "ptap": [1, 1], "f1": [1, 1]}}}',
-         "evaluation.json: ptapr.curve is not four equally long lists"),
-        ('{"ptapr": {"curve": {"theta": 0, "ptar": 1, "ptap": 1, "f1": 1}}}',
-         "evaluation.json: ptapr.curve is not four equally long lists"),
-        ('{"ptapr": {"curve": {"theta": ["a"], "ptar": [1], "ptap": [1], "f1": [1]}}}',
-         "evaluation.json: ptapr.curve is not four equally long lists"),
-        ('{"ptapr": {"curve": {"theta": ["0.5"], "ptar": [1], "ptap": [1], "f1": [1]}}}',
-         "lists of numbers ('theta', 'ptar', 'ptap', 'f1') (not a number: '0.5')"),
-        ('{"ptapr": {"curve": {"theta": [0], "ptar": [true], "ptap": [1], "f1": [1]}}}',
-         "(not a number: True)"),
-        ('{"ptapr": {"curve": {"theta": "ab", "ptar": "cd", "ptap": "ef", "f1": "gh"}}}',
-         "(not a number: 'a')"),
-    ], ids=["not-json", "list", "ptapr-not-object", "no-ptar", "ragged", "scalars", "string",
-            "numeric-string", "bool", "text-columns"])
+    ], ids=["not-json", "list"])
     def test_report_evaluation(self, tmp_path, text, message):
         (tmp_path / "evaluation.json").write_text(text)
         result = CliRunner().invoke(cli, ["report", str(tmp_path)])
         self.assert_rejected(result, message)
-        assert not (tmp_path / "plot_theta_curve.csv").exists()
-
-    def test_report_reads_null_curve_points_as_nan(self, tmp_path):
-        # write_json stores NaN as null; the curve still reads back
-        (tmp_path / "evaluation.json").write_text(
-            '{"ptapr": {"curve": {"theta": [0, 1], "ptar": [0.5, null], '
-            '"ptap": [1, 1], "f1": [0.25, 1]}}}')
-        result = CliRunner().invoke(cli, ["report", str(tmp_path)])
-        assert result.exit_code == 0, result.output
-        assert (tmp_path / "plot_theta_curve.csv").read_text().splitlines() == [
-            "theta,ptar,ptap,f1", "0,0.5,1,0.25", "1,nan,1,1"]
+        assert not (tmp_path / "report.json").exists()

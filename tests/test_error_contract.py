@@ -11,8 +11,10 @@ click's usage error instead, which ends in one ``Error: Invalid value`` line
 naming the option.
 """
 
+import os
 import random
 import re
+import threading
 import warnings
 from pathlib import Path
 
@@ -80,6 +82,10 @@ TARGETS = [(stage, name) for stage, (_, inputs) in STAGES.items() for name in in
 EXAMPLES = [(*target, seed) for target in TARGETS for seed in range(15)] + [
     ("score-csv", "valid_forecasts.csv", 45), ("score-csv", "test_forecasts.csv", 51)]
 
+
+# the record-file examples of seeds 0-14, run a second time through a named pipe
+PIPE_EXAMPLES = [(stage, target, seed) for stage, target, seed in EXAMPLES
+                 if stage.startswith("score-") and seed < 15]
 
 # bytes inserted at a random offset: an invalid start byte, a lone lead byte,
 # an encoded surrogate, a byte order mark and NUL
@@ -231,3 +237,40 @@ def test_inserted_bytes(run, tmp_path, stage, target):
                          ids=[f"{s}{o}={v}" for s, o, v in OPTION_EXAMPLES])
 def test_option_values(run, tmp_path, stage, option, value):
     _assert_contract(tmp_path, [*_stage_args(run, tmp_path, stage), option, value], option)
+
+
+def _feed(fifo: Path, data: bytes) -> None:
+    try:
+        fifo.write_bytes(data)
+    except BrokenPipeError:  # the stage stopped reading at the error
+        pass
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("stage, target, seed", PIPE_EXAMPLES,
+                         ids=[f"{s}-{n}-{i}" for s, n, i in PIPE_EXAMPLES])
+def test_record_pipe_reads_as_the_file(run, tmp_path, stage, target, seed):
+    """A mutated record file read once, front to back, through a FIFO gives
+    the exit code, output and scores of the same bytes read from disk."""
+    rng = random.Random(f"{stage}:{target}:{seed}")
+    mutated = mutate(run[target], rng, target.endswith(".ndjson")).encode()
+    args = _stage_args(run, tmp_path, stage, target, mutated)
+    on_disk = CliRunner().invoke(cli, args)
+    out = tmp_path / "out"
+    if out.exists():
+        out.rename(tmp_path / "disk_out")
+    fifo = tmp_path / "run" / target
+    fifo.unlink()
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=_feed, args=(fifo, mutated), daemon=True)
+    writer.start()
+    try:
+        piped = CliRunner().invoke(cli, args)
+    finally:
+        if writer.is_alive():  # the stage never opened the pipe: let the writer's open return
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(5)
+    assert not writer.is_alive()
+    assert (piped.exit_code, piped.output) == (on_disk.exit_code, on_disk.output)
+    if on_disk.exit_code == 0:
+        assert (out / "scores.csv").read_bytes() == (tmp_path / "disk_out/scores.csv").read_bytes()

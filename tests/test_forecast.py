@@ -3,6 +3,9 @@ import csv
 import hashlib
 import io
 import json
+import math
+import os
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -115,6 +118,18 @@ class TestForecasterSpec:
         ):
             spec = ForecasterSpec.parse(text)
             assert spec.member_id
+
+    @pytest.mark.parametrize("text, member_id", [
+        ("exp_smoothing:0.3", "exp_smoothing_0.3"),
+        ("holt_linear:1:0.1", "holt_linear_1_0.1"),
+        ("exp_smoothing:1e-7", "exp_smoothing_1e-07"),
+        # each below used to be rounded to 6 digits: exp_smoothing_0.3 and
+        # holt_linear_0.123457_0.1 named members that ran other parameters
+        ("exp_smoothing:0.30000001", "exp_smoothing_0.30000001"),
+        ("holt_linear:0.1234567:0.1", "holt_linear_0.1234567_0.1"),
+    ])
+    def test_member_id_names_the_parameters_run(self, text, member_id):
+        assert ForecasterSpec.parse(text).member_id == member_id
 
     def test_rejects_bad_kind(self):
         with pytest.raises(ValidationError):
@@ -1061,6 +1076,41 @@ def test_record_walk_of_a_clean_chunk_raises():
     slot = grid._slots(window_id, origin)
     with pytest.raises(AssertionError, match="none is bad"):
         grid._first_error(1, window_id, origin, slot, member, step, variable)
+
+
+def test_record_past_the_int32_stamp_is_a_memory_error():
+    # records 2**31 - 2 to 2**31 + 1: record 2**31 would not fit the int32 stamp
+    grid = forecast_module._RecordGrid({"m1": 0}, math.inf)
+    grid.n = 2**31 - 3
+    ones = np.ones(4, dtype=np.int64)
+    with pytest.raises(MemoryError, match=r"^more than 2147483647 records$"):
+        grid.add(0 * ones, 9 * ones, 0 * ones, np.arange(1, 5), 0 * ones, np.zeros(4))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_record_stamp_from_a_pipe_is_int32(tmp_path):
+    # a pipe has no size to bound its records by, and its stamp used to be
+    # int64: 8 bytes a cell, where a file on disk had README's 4
+    records, fifo = tmp_path / "fc.csv", tmp_path / "pipe.csv"
+    write_forecast_records(records, ForecastCube(
+        np.random.default_rng(3).normal(size=(4, 2, 3, 2)), range(4), range(9, 13), ("a", "b")))
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(records.read_bytes()),
+                              daemon=True)
+    writer.start()
+    dtypes = []
+    forecasts = forecast_module._RecordGrid.forecasts
+
+    def spy(grid):
+        dtypes.append(grid.stamp.dtype)
+        return forecasts(grid)
+
+    with mock.patch.object(forecast_module._RecordGrid, "forecasts", spy):
+        piped = ingest_external_forecasts(fifo)
+    writer.join(5)
+    assert not writer.is_alive()
+    assert dtypes == [np.int32]
+    assert np.array_equal(piped.predictions, ingest_external_forecasts(records).predictions)
 
 
 class TestStreamingIngest:
